@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build vet test race chaos bench fleet serve-soak trace golden fuzz-smoke escape-smoke ask-smoke tenants-smoke zoo-smoke docs verify
+.PHONY: build vet test race chaos bench fleet serve-soak trace golden fuzz-smoke escape-smoke ask-smoke tenants-smoke zoo-smoke experiments-smoke docs verify
 
 build:
 	$(GO) build ./...
@@ -102,6 +102,13 @@ zoo-smoke:
 	$(GO) run ./cmd/nostop-zoo -seeds 2 -horizon 20m -j 1 -out /tmp/nostop-zoo-b.txt
 	cmp /tmp/nostop-zoo-a.txt /tmp/nostop-zoo-b.txt
 
+## experiments-smoke: regenerate every table and figure at the paper's scale
+## and compare the output byte for byte with the checked-in
+## experiments_full.txt. The chaos, back-pressure, ablation and extension
+## tables have no golden of their own; this is what pins them.
+experiments-smoke:
+	$(GO) run ./cmd/nostop-bench -experiment all | cmp - experiments_full.txt
+
 ## trace: short observed run; nostop-sim validates the emitted file against
 ## the Chrome trace_event schema shape and exits non-zero if it is malformed.
 trace:
@@ -120,4 +127,4 @@ escape-smoke:
 		> /tmp/nostop-escapes.txt
 	diff -u internal/sim/escape_allowlist.txt /tmp/nostop-escapes.txt
 
-verify: build vet test race escape-smoke trace ask-smoke tenants-smoke zoo-smoke
+verify: build vet test race escape-smoke trace ask-smoke tenants-smoke zoo-smoke experiments-smoke

@@ -21,6 +21,7 @@ import (
 
 	"nostop/internal/core"
 	"nostop/internal/engine"
+	"nostop/internal/fleet"
 	"nostop/internal/listener"
 	"nostop/internal/metrics"
 	"nostop/internal/ratetrace"
@@ -54,33 +55,22 @@ func run(addr, wlName string, seedN uint64, speedup float64, horizon time.Durati
 		return err
 	}
 	min, max := wl.RateBand()
-	clock := sim.NewClock()
 	reg := metrics.NewRegistry()
-	eng, err := engine.New(clock, engine.Options{
-		Workload: wl,
-		Trace:    ratetrace.NewUniformBand(min, max, 5*time.Second, seed.Split("trace")),
-		Seed:     seed.Split("engine"),
-		Initial:  engine.DefaultConfig(),
-		Metrics:  reg,
-	})
-	if err != nil {
+	var col *listener.Collector
+	det, err := fleet.Assemble(fleet.Setup{
+		Workload:   wl,
+		Trace:      ratetrace.NewUniformBand(min, max, 5*time.Second, seed.Split("trace")),
+		Seed:       seed,
+		Controller: fleet.ControllerNoStop,
+	}, fleet.Observe{Metrics: reg, Attach: func(eng *engine.Engine) (err error) {
+		col, err = listener.NewCollector(eng, 0)
 		return err
-	}
-	col, err := listener.NewCollector(eng, 0)
+	}})
 	if err != nil {
 		return err
 	}
 	col.SetRegistry(reg)
-	ctl, err := core.New(eng, core.Options{Seed: seed.Split("controller"), Metrics: reg})
-	if err != nil {
-		return err
-	}
-	if err := eng.Start(); err != nil {
-		return err
-	}
-	if err := ctl.Attach(); err != nil {
-		return err
-	}
+	clock, ctl := det.Engine.Clock(), det.Controller.(*core.Controller)
 
 	// The simulation kernel is single-threaded; advance it in one
 	// goroutine under a mutex shared with the HTTP handlers (the

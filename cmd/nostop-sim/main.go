@@ -4,25 +4,29 @@
 // Examples:
 //
 //	nostop-sim -workload logreg -horizon 2h
-//	nostop-sim -workload wordcount -tuner bayesopt -seed 7
-//	nostop-sim -workload pageanalyze -tuner none -interval 12s -executors 16
+//	nostop-sim -workload wordcount -tuner bo -seed 7
+//	nostop-sim -workload pageanalyze -tuner static -interval 12s -executors 16
 //	nostop-sim -horizon 30m -trace out.json -metrics out.prom
 //
-// -trace writes the full record-lifecycle timeline as Chrome trace_event
-// JSON (open in chrome://tracing or Perfetto); -metrics writes the final
-// Prometheus text exposition. Both are byte-identical across same-seed
-// runs.
+// -tuner takes any controller registry name (static, nostop, backpressure,
+// bo, gp, rl). -trace writes the full record-lifecycle timeline as Chrome
+// trace_event JSON (open in chrome://tracing or Perfetto); -metrics writes
+// the final Prometheus text exposition. Both are byte-identical across
+// same-seed runs.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"strings"
 	"time"
 
 	"nostop/internal/baselines"
 	"nostop/internal/core"
 	"nostop/internal/engine"
+	"nostop/internal/fleet"
 	"nostop/internal/metrics"
 	"nostop/internal/ratetrace"
 	"nostop/internal/rng"
@@ -35,7 +39,7 @@ import (
 func main() {
 	var (
 		wlName    = flag.String("workload", "wordcount", "workload: logreg, linreg, wordcount, pageanalyze")
-		tuner     = flag.String("tuner", "nostop", "tuner: nostop, bayesopt, backpressure, random, none")
+		tuner     = flag.String("tuner", "nostop", "tuner: "+strings.Join(fleet.ControllerNames(), ", "))
 		horizon   = flag.Duration("horizon", time.Hour, "virtual run duration")
 		seed      = flag.Uint64("seed", 1, "root random seed")
 		interval  = flag.Duration("interval", 0, "initial batch interval (default: engine default 30s)")
@@ -52,15 +56,18 @@ func main() {
 	if *failAt == 0 {
 		*failAt = *horizon / 2
 	}
-	if err := run(*wlName, *tuner, *horizon, *seed, *interval, *executors, *rateMin, *rateMax, *report, *failNode, *failAt, *tracePath, *promPath); err != nil {
+	if err := run(os.Stdout, *wlName, *tuner, *horizon, *seed, *interval, *executors, *rateMin, *rateMax, *report, *failNode, *failAt, *tracePath, *promPath); err != nil {
 		fmt.Fprintln(os.Stderr, "nostop-sim:", err)
 		os.Exit(1)
 	}
 }
 
-func run(wlName, tuner string, horizon time.Duration, seedN uint64,
+func run(out io.Writer, wlName, tuner string, horizon time.Duration, seedN uint64,
 	interval time.Duration, executors int, rateMin, rateMax float64, report time.Duration,
 	failNode int, failAt time.Duration, tracePath, promPath string) error {
+	if report <= 0 {
+		return fmt.Errorf("report period %v must be positive", report)
+	}
 	seed := rng.New(seedN)
 	wl, err := workload.New(wlName)
 	if err != nil {
@@ -86,62 +93,23 @@ func run(wlName, tuner string, horizon time.Duration, seedN uint64,
 		initial.Executors = executors
 	}
 
-	clock := sim.NewClock()
-	var reg *metrics.Registry
+	obs := fleet.Observe{Trace: tracePath != ""}
 	if promPath != "" {
-		reg = metrics.NewRegistry()
+		obs.Metrics = metrics.NewRegistry()
 	}
-	var tr *tracing.Tracer
-	if tracePath != "" {
-		tr = tracing.New(clock, 0)
-	}
-	eng, err := engine.New(clock, engine.Options{
-		Workload: wl,
-		Trace:    trace,
-		Seed:     seed.Split("engine"),
-		Initial:  initial,
-		Metrics:  reg,
-		Tracer:   tr,
-	})
+	det, err := fleet.Assemble(fleet.Setup{
+		Workload:   wl,
+		Trace:      trace,
+		Seed:       seed,
+		Initial:    initial,
+		Controller: tuner,
+	}, obs)
 	if err != nil {
 		return err
 	}
-	if err := eng.Start(); err != nil {
-		return err
-	}
-
-	var ctl *core.Controller
-	var bo *baselines.BayesOpt
-	switch tuner {
-	case "nostop":
-		ctl, err = core.New(eng, core.Options{Seed: seed.Split("controller"), Metrics: reg, Tracer: tr})
-		if err == nil {
-			err = ctl.Attach()
-		}
-	case "bayesopt":
-		bo, err = baselines.NewBayesOpt(eng, baselines.BOOptions{Seed: seed.Split("bo")})
-		if err == nil {
-			err = bo.Attach()
-		}
-	case "backpressure":
-		var bp *baselines.BackPressure
-		bp, err = baselines.NewBackPressure(eng, baselines.BPOptions{})
-		if err == nil {
-			err = bp.Attach()
-		}
-	case "random":
-		var rs *baselines.RandomSearch
-		rs, err = baselines.NewRandomSearch(eng, baselines.RSOptions{Seed: seed.Split("rs")})
-		if err == nil {
-			err = rs.Attach()
-		}
-	case "none":
-	default:
-		return fmt.Errorf("unknown tuner %q", tuner)
-	}
-	if err != nil {
-		return err
-	}
+	eng, clock := det.Engine, det.Engine.Clock()
+	ctl, _ := det.Controller.(*core.Controller)
+	bo, _ := det.Controller.(*baselines.BayesOpt)
 
 	if failNode > 0 {
 		node, at := failNode, failAt
@@ -149,16 +117,21 @@ func run(wlName, tuner string, horizon time.Duration, seedN uint64,
 			if err := eng.FailNode(node); err != nil {
 				fmt.Fprintf(os.Stderr, "fail-node: %v\n", err)
 			} else {
-				fmt.Printf("t=%7s  node %d FAILED (%d executors survive)\n",
+				fmt.Fprintf(out, "t=%7s  node %d FAILED (%d executors survive)\n",
 					at.Truncate(time.Second), node, eng.LiveExecutors())
 			}
 		})
 	}
 
-	fmt.Printf("workload %s, band [%.0f, %.0f] rec/s, tuner %s, horizon %v, initial %v\n\n",
+	fmt.Fprintf(out, "workload %s, band [%.0f, %.0f] rec/s, tuner %s, horizon %v, initial %v\n\n",
 		wl.Name(), min, max, tuner, horizon, initial)
 
-	for t := sim.Time(report); t <= sim.Time(horizon); t += sim.Time(report) {
+	// The last segment may be shorter than report: the run always ends
+	// at the horizon.
+	for t := sim.Time(0); t < sim.Time(horizon); {
+		if t += sim.Time(report); t > sim.Time(horizon) {
+			t = sim.Time(horizon)
+		}
 		clock.RunUntil(t)
 		h := eng.History()
 		var tail []float64
@@ -172,7 +145,7 @@ func run(wlName, tuner string, horizon time.Duration, seedN uint64,
 		if bo != nil {
 			status = fmt.Sprintf("  evals=%d done=%v", len(bo.Evaluations()), bo.Done())
 		}
-		fmt.Printf("t=%7s  cfg=%v  queue=%d  rate=%.0f/s  recent e2e=%.1fs%s\n",
+		fmt.Fprintf(out, "t=%7s  cfg=%v  queue=%d  rate=%.0f/s  recent e2e=%.1fs%s\n",
 			time.Duration(t).Truncate(time.Second), eng.Config(), eng.QueueLen(),
 			eng.RecentRateMean(), stats.Mean(tail), status)
 	}
@@ -186,26 +159,26 @@ func run(wlName, tuner string, horizon time.Duration, seedN uint64,
 		}
 	}
 	s := stats.Summarize(tail)
-	fmt.Printf("\nsummary: %d batches, %d records\n", len(h), eng.TotalRecords())
-	fmt.Printf("  steady-state e2e delay: mean %.2fs  p50 %.2fs  p95 %.2fs  max %.2fs\n",
+	fmt.Fprintf(out, "\nsummary: %d batches, %d records\n", len(h), eng.TotalRecords())
+	fmt.Fprintf(out, "  steady-state e2e delay: mean %.2fs  p50 %.2fs  p95 %.2fs  max %.2fs\n",
 		s.Mean, s.P50, s.P95, s.Max)
-	fmt.Printf("  whole-run e2e delay:    mean %.2fs\n", stats.Mean(all))
-	fmt.Printf("  final configuration:    %v\n", eng.Config())
+	fmt.Fprintf(out, "  whole-run e2e delay:    mean %.2fs\n", stats.Mean(all))
+	fmt.Fprintf(out, "  final configuration:    %v\n", eng.Config())
 	if ctl != nil {
-		fmt.Printf("  nostop: %d iterations, %d configure steps, %d pauses, %d resets, %d drains\n",
+		fmt.Fprintf(out, "  nostop: %d iterations, %d configure steps, %d pauses, %d resets, %d drains\n",
 			len(ctl.Iterations()), ctl.ConfigureSteps(), ctl.Pauses(), ctl.Resets(), ctl.Drains())
 	}
 	if dropped := eng.DroppedByCap(); dropped > 0 {
-		fmt.Printf("  records dropped by rate cap: %d\n", dropped)
+		fmt.Fprintf(out, "  records dropped by rate cap: %d\n", dropped)
 	}
 	if promPath != "" {
-		if err := os.WriteFile(promPath, []byte(reg.String()), 0o644); err != nil {
+		if err := os.WriteFile(promPath, []byte(obs.Metrics.String()), 0o644); err != nil {
 			return fmt.Errorf("write metrics: %w", err)
 		}
-		fmt.Printf("  metrics: Prometheus exposition written to %s\n", promPath)
+		fmt.Fprintf(out, "  metrics: Prometheus exposition written to %s\n", promPath)
 	}
 	if tracePath != "" {
-		if err := writeTrace(tr, tracePath); err != nil {
+		if err := writeTrace(out, det.Tracer, tracePath); err != nil {
 			return err
 		}
 	}
@@ -214,7 +187,7 @@ func run(wlName, tuner string, horizon time.Duration, seedN uint64,
 
 // writeTrace serialises the trace and validates the result against the
 // Chrome trace_event schema shape, failing the run on a malformed file.
-func writeTrace(tr *tracing.Tracer, path string) error {
+func writeTrace(out io.Writer, tr *tracing.Tracer, path string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return fmt.Errorf("write trace: %w", err)
@@ -235,9 +208,9 @@ func writeTrace(tr *tracing.Tracer, path string) error {
 	if err != nil {
 		return fmt.Errorf("validate trace: %w", err)
 	}
-	fmt.Printf("  trace: %d events written to %s (schema valid)\n", n, path)
+	fmt.Fprintf(out, "  trace: %d events written to %s (schema valid)\n", n, path)
 	if d := tr.Dropped(); d > 0 {
-		fmt.Printf("  trace: %d events dropped at the %d-event cap\n", d, tracing.DefaultMaxEvents)
+		fmt.Fprintf(out, "  trace: %d events dropped at the %d-event cap\n", d, tracing.DefaultMaxEvents)
 	}
 	return nil
 }

@@ -9,7 +9,6 @@ import (
 	"nostop/internal/ratetrace"
 	"nostop/internal/rng"
 	"nostop/internal/sim"
-	"nostop/internal/stats"
 	"nostop/internal/workload"
 )
 
@@ -265,56 +264,15 @@ func TestBackPressureValidation(t *testing.T) {
 	}
 }
 
-// --- Random search ---
-
-func TestRandomSearchFindsReasonableConfig(t *testing.T) {
-	clock, eng := newEngine(t, nil)
-	rs, err := NewRandomSearch(eng, RSOptions{Seed: rng.New(17)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rs.Attach(); err != nil {
-		t.Fatal(err)
-	}
-	clock.RunUntil(sim.Time(sec(10800)))
-	if !rs.Done() {
-		t.Fatalf("random search not done after 3h (%d evals)", len(rs.Evaluations()))
-	}
-	best, ok := rs.Best()
-	if !ok {
-		t.Fatal("no best")
-	}
-	// 20 uniform samples over [1,40]s: expected best near the frontier.
-	if best.Y > 25 {
-		t.Fatalf("best objective %v suspiciously bad", best.Y)
-	}
-	// After finishing, the live config must be the best one.
-	if eng.Config() != best.Config {
-		t.Fatalf("live config %v != best %v", eng.Config(), best.Config)
-	}
-}
-
-func TestRandomSearchValidation(t *testing.T) {
-	if _, err := NewRandomSearch(nil, RSOptions{}); err == nil {
-		t.Error("nil engine accepted")
-	}
-	_, eng := newEngine(t, nil)
-	rs, _ := NewRandomSearch(eng, RSOptions{})
-	rs.Attach()
-	if err := rs.Attach(); err == nil {
-		t.Error("double attach accepted")
-	}
-}
-
 func TestEvaluationObjectiveConsistent(t *testing.T) {
-	// All three search baselines score with Eq. 3 (ρ = 2): for a stable
-	// evaluation the objective equals the interval.
+	// BayesOpt scores with Eq. 3 (ρ = 2): for a stable evaluation the
+	// objective equals the interval.
 	clock, eng := newEngine(t, nil)
-	rs, _ := NewRandomSearch(eng, RSOptions{Seed: rng.New(29), Evaluations: 8})
-	rs.Attach()
+	bo, _ := NewBayesOpt(eng, BOOptions{Seed: rng.New(29), MaxEvaluations: 8})
+	bo.Attach()
 	clock.RunUntil(sim.Time(sec(7200)))
 	stable := 0
-	for _, e := range rs.Evaluations() {
+	for _, e := range bo.Evaluations() {
 		if math.Abs(e.Y-e.Config.BatchInterval.Seconds()) < 1e-9 {
 			stable++
 		}
@@ -322,40 +280,4 @@ func TestEvaluationObjectiveConsistent(t *testing.T) {
 	if stable == 0 {
 		t.Fatal("no evaluation scored as stable; objective wiring suspect")
 	}
-}
-
-func TestSearchersComparableOnObjective(t *testing.T) {
-	// Fig 8 sanity: on the same workload, BO and random search both end
-	// with steady-state delays in the same ballpark (comparable results).
-	run := func(attach func(*engine.Engine)) float64 {
-		clock, eng := newEngine(t, nil)
-		attach(eng)
-		clock.RunUntil(sim.Time(sec(14400)))
-		return stats.Mean(lastE2E(eng, 0.3))
-	}
-	boTail := run(func(e *engine.Engine) {
-		bo, _ := NewBayesOpt(e, BOOptions{Seed: rng.New(3)})
-		bo.Attach()
-	})
-	rsTail := run(func(e *engine.Engine) {
-		rs, _ := NewRandomSearch(e, RSOptions{Seed: rng.New(3)})
-		rs.Attach()
-	})
-	if boTail <= 0 || rsTail <= 0 {
-		t.Fatalf("degenerate tails: bo=%v rs=%v", boTail, rsTail)
-	}
-	if boTail > 4*rsTail && boTail > 40 {
-		t.Fatalf("BO tail %.1fs wildly worse than random %.1fs", boTail, rsTail)
-	}
-}
-
-// lastE2E returns the e2e delays of the final frac of the history.
-func lastE2E(eng *engine.Engine, frac float64) []float64 {
-	h := eng.History()
-	start := int(float64(len(h)) * (1 - frac))
-	var out []float64
-	for _, b := range h[start:] {
-		out = append(out, b.EndToEndDelay.Seconds())
-	}
-	return out
 }

@@ -4,15 +4,14 @@ import (
 	"fmt"
 	"time"
 
-	"nostop/internal/baselines"
 	"nostop/internal/core"
 	"nostop/internal/engine"
+	"nostop/internal/fleet"
 	"nostop/internal/ratetrace"
 	"nostop/internal/rng"
 	"nostop/internal/sim"
 	"nostop/internal/spsa"
 	"nostop/internal/stats"
-	"nostop/internal/workload"
 )
 
 // ablationRun runs NoStop with a controller-option mutation, averaged over
@@ -25,7 +24,8 @@ func ablationRun(cfg Config, seed *rng.Stream, mutate func(*core.Options)) (e2e,
 	n := cfg.Repetitions
 	e2es, its, drs := make([]float64, n), make([]float64, n), make([]float64, n)
 	if err := cfg.parallelFor(n, func(rep int) error {
-		res, err := runNoStop("wordcount", nil, cfg.Horizon, seed.Split(fmt.Sprintf("rep-%d", rep)), mutate)
+		res, err := runOn("wordcount", fleet.ControllerNoStop, cfg.Horizon, seed.Split(fmt.Sprintf("rep-%d", rep)),
+			func(s *fleet.Setup) { s.NoStop = mutate })
 		if err != nil {
 			return err
 		}
@@ -148,8 +148,9 @@ func AblationReset(cfg Config) (*Table, error) {
 		n := cfg.Repetitions
 		e2es, resets, drains := make([]float64, n), make([]float64, n), make([]float64, n)
 		if err := cfg.parallelFor(n, func(rep int) error {
-			res, err := runNoStop("wordcount", surge(), cfg.Horizon,
-				seed.Split(fmt.Sprintf("%s-%d", v.name, rep)), v.mutate)
+			res, err := runOn("wordcount", fleet.ControllerNoStop, cfg.Horizon,
+				seed.Split(fmt.Sprintf("%s-%d", v.name, rep)),
+				func(s *fleet.Setup) { s.Trace, s.NoStop = surge(), v.mutate })
 			if err != nil {
 				return err
 			}
@@ -267,107 +268,30 @@ func BackPressure(cfg Config) (*Table, error) {
 	overloaded := engine.Config{BatchInterval: 5 * time.Second, Executors: 4}
 	horizon := cfg.Horizon
 
-	build := func(s *rng.Stream) (*sim.Clock, *engine.Engine, error) {
-		clock := sim.NewClock()
-		wl := workload.NewLogisticRegression()
-		eng, err := engine.New(clock, engine.Options{
-			Workload: wl,
-			Trace:    bandTrace(wl, s),
-			Seed:     s.Split("engine"),
-			Initial:  overloaded,
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		return clock, eng, eng.Start()
-	}
-
-	// The three variants are independent runs: fan them out, each writing
-	// only its own row slot so the table order stays fixed.
-	variants := []func() ([]string, error){
-		// Plain overloaded run (no controller): diverges.
-		func() ([]string, error) {
-			s := seed.Split("plain")
-			clock, eng, err := build(s)
-			if err != nil {
-				return nil, err
-			}
-			clock.RunUntil(sim.Time(horizon))
-			r := &runResult{history: eng.History(), eng: eng}
-			return []string{
-				"no controller (unstable)",
-				fmt.Sprintf("%.2f", stats.Mean(r.tailE2E(cfg.Warmup))),
-				fmt.Sprintf("%d", eng.QueueLen()),
-				"0",
-				fmt.Sprintf("%.0f", throughput(eng, horizon)),
-			}, nil
-		},
-		// Back pressure on the same fixed configuration.
-		func() ([]string, error) {
-			s := seed.Split("bp")
-			clock, eng, err := build(s)
-			if err != nil {
-				return nil, err
-			}
-			bp, err := baselines.NewBackPressure(eng, baselines.BPOptions{})
-			if err != nil {
-				return nil, err
-			}
-			if err := bp.Attach(); err != nil {
-				return nil, err
-			}
-			clock.RunUntil(sim.Time(horizon))
-			r := &runResult{history: eng.History(), eng: eng}
-			return []string{
-				"back pressure (PID)",
-				fmt.Sprintf("%.2f", stats.Mean(r.tailE2E(cfg.Warmup))),
-				fmt.Sprintf("%d", eng.QueueLen()),
-				fmt.Sprintf("%d", eng.DroppedByCap()),
-				fmt.Sprintf("%.0f", throughput(eng, horizon)),
-			}, nil
-		},
-		// NoStop from the same overloaded start.
-		func() ([]string, error) {
-			s := seed.Split("nostop")
-			clock := sim.NewClock()
-			wl := workload.NewLogisticRegression()
-			eng, err := engine.New(clock, engine.Options{
-				Workload: wl,
-				Trace:    bandTrace(wl, s),
-				Seed:     s.Split("engine"),
-				Initial:  overloaded,
-			})
-			if err != nil {
-				return nil, err
-			}
-			ctl, err := core.New(eng, core.Options{Seed: s.Split("controller")})
-			if err != nil {
-				return nil, err
-			}
-			if err := eng.Start(); err != nil {
-				return nil, err
-			}
-			if err := ctl.Attach(); err != nil {
-				return nil, err
-			}
-			clock.RunUntil(sim.Time(horizon))
-			r := &runResult{history: eng.History(), eng: eng, ctl: ctl}
-			return []string{
-				"NoStop (SPSA)",
-				fmt.Sprintf("%.2f", stats.Mean(r.tailE2E(cfg.Warmup))),
-				fmt.Sprintf("%d", eng.QueueLen()),
-				"0",
-				fmt.Sprintf("%.0f", throughput(eng, horizon)),
-			}, nil
-		},
+	// The three variants are independent runs from the same overloaded
+	// start: fan them out, each writing only its own row slot so the table
+	// order stays fixed.
+	variants := []struct{ label, controller, split string }{
+		{"no controller (unstable)", fleet.ControllerStatic, "plain"},
+		{"back pressure (PID)", fleet.ControllerBackPressure, "bp"},
+		{"NoStop (SPSA)", fleet.ControllerNoStop, "nostop"},
 	}
 	rows := make([][]string, len(variants))
 	if err := cfg.parallelFor(len(variants), func(i int) error {
-		row, err := variants[i]()
+		v := variants[i]
+		r, err := runOn("logreg", v.controller, horizon, seed.Split(v.split),
+			func(s *fleet.Setup) { s.Initial = overloaded })
 		if err != nil {
 			return err
 		}
-		rows[i] = row
+		rows[i] = []string{
+			v.label,
+			fmt.Sprintf("%.2f", stats.Mean(r.tailE2E(cfg.Warmup))),
+			fmt.Sprintf("%d", r.eng.QueueLen()),
+			// Only back pressure sets a cap; the others never drop.
+			fmt.Sprintf("%d", r.eng.DroppedByCap()),
+			fmt.Sprintf("%.0f", throughput(r.eng, horizon)),
+		}
 		return nil
 	}); err != nil {
 		return nil, err

@@ -6,10 +6,9 @@ import (
 	"sort"
 	"time"
 
-	"nostop/internal/baselines"
-	"nostop/internal/core"
 	"nostop/internal/engine"
 	"nostop/internal/faults"
+	"nostop/internal/fleet"
 	"nostop/internal/rng"
 	"nostop/internal/sim"
 	"nostop/internal/stats"
@@ -30,44 +29,6 @@ func ChaosPlan(horizon time.Duration) faults.Plan {
 		{Kind: faults.NodeCrash, At: at(0.64), Duration: dur(0.06), NodeID: 5},
 		{Kind: faults.IngestSpike, At: at(0.72), Duration: dur(0.04), Factor: 1.6},
 	}
-}
-
-// chaosRun is one variant's engine run under a fault plan.
-type chaosRun struct {
-	res *runResult
-	inj *faults.Injector
-}
-
-// runChaos builds an engine for the workload, attaches the given controller
-// (may be nil), injects the plan, and runs the horizon. Every variant
-// derives its trace from the same split path, so all see identical arrivals.
-func runChaos(wl workload.Workload, plan faults.Plan, horizon time.Duration,
-	seed *rng.Stream, initial engine.Config,
-	attach func(*engine.Engine) error) (*chaosRun, error) {
-	clock := sim.NewClock()
-	eng, err := engine.New(clock, engine.Options{
-		Workload: wl,
-		Trace:    bandTrace(wl, seed.Split("trace")),
-		Seed:     seed.Split("engine"),
-		Initial:  initial,
-	})
-	if err != nil {
-		return nil, err
-	}
-	inj, err := faults.Attach(eng, plan)
-	if err != nil {
-		return nil, err
-	}
-	if err := eng.Start(); err != nil {
-		return nil, err
-	}
-	if attach != nil {
-		if err := attach(eng); err != nil {
-			return nil, err
-		}
-	}
-	clock.RunUntil(sim.Time(horizon))
-	return &chaosRun{res: &runResult{history: eng.History(), eng: eng}, inj: inj}, nil
 }
 
 // SteadyE2E averages clean-batch end-to-end delay over [from, to); NaN when
@@ -164,74 +125,54 @@ func ChaosUnderPlan(cfg Config, wlName string, plan faults.Plan) (*Table, string
 			"failed", "retries", "replayed", "lost"},
 	}
 
-	type variant struct {
-		name    string
-		initial engine.Config
-		attach  func(*engine.Engine) (func() []string, error)
-	}
-	noExtra := func(*engine.Engine) (func() []string, error) { return nil, nil }
-	variants := []variant{
-		{"default static", engine.DefaultConfig(), noExtra},
-		{"back pressure (PID)", engine.DefaultConfig(), func(eng *engine.Engine) (func() []string, error) {
-			bp, err := baselines.NewBackPressure(eng, baselines.BPOptions{})
-			if err != nil {
-				return nil, err
-			}
-			return nil, bp.Attach()
-		}},
-		{"NoStop", engine.DefaultConfig(), func(eng *engine.Engine) (func() []string, error) {
-			ctl, err := core.New(eng, core.Options{Seed: seed.Split("controller")})
-			if err != nil {
-				return nil, err
-			}
-			if err := ctl.Attach(); err != nil {
-				return nil, err
-			}
-			note := func() []string {
-				if b := eng.ConfigBounds(); !b.Contains(ctl.Estimate()) {
-					return []string{fmt.Sprintf("NoStop estimate %v escaped engine bounds", ctl.Estimate())}
-				}
-				return []string{fmt.Sprintf(
-					"NoStop excluded %d fault batches, recalibrated %d times, estimate %v stayed in bounds",
-					ctl.FaultBatches(), ctl.Recalibrations(), ctl.Estimate())}
-			}
-			return note, nil
-		}},
-	}
-
 	var timeline string
-	for _, v := range variants {
-		var notes func() []string
-		run, err := runChaos(wl, plan, cfg.Horizon, seed.Split(v.name), v.initial,
-			func(eng *engine.Engine) error {
-				n, err := v.attach(eng)
-				notes = n
-				return err
-			})
+	for _, v := range []struct{ name, controller string }{
+		{"default static", fleet.ControllerStatic},
+		{"back pressure (PID)", fleet.ControllerBackPressure},
+		{"NoStop", fleet.ControllerNoStop},
+	} {
+		// Every variant derives its trace from the same split path, so all
+		// see identical arrivals.
+		vseed := seed.Split(v.name)
+		det, err := fleet.Assemble(fleet.Setup{
+			Workload:       wl, // shared: the published rows depend on its carried fit state (DESIGN.md §5c)
+			Trace:          bandTrace(wl, vseed.Split("trace")),
+			Seed:           vseed,
+			ControllerSeed: seed, // the experiment root, not the variant's stream
+			Plan:           plan,
+			Controller:     v.controller,
+		}, fleet.Observe{})
 		if err != nil {
 			return nil, "", err
 		}
-		eng := run.res.eng
-		pre := SteadyE2E(run.res.history, preFrom, preTo)
-		post := SteadyE2E(run.res.history, planEnd, sim.Time(cfg.Horizon))
+		res := finish(det, cfg.Horizon)
+		eng := res.eng
+		pre := SteadyE2E(res.history, preFrom, preTo)
+		post := SteadyE2E(res.history, planEnd, sim.Time(cfg.Horizon))
 		t.Rows = append(t.Rows, []string{
 			v.name,
 			fmtE2E(pre),
 			fmtE2E(post),
-			faultedDistribution(run.res.history, plan.Start()),
-			fmtRecovery(RecoveryTime(run.res.history, planEnd, pre)),
+			faultedDistribution(res.history, plan.Start()),
+			fmtRecovery(RecoveryTime(res.history, planEnd, pre)),
 			fmt.Sprintf("%d", eng.FailedBatches()),
 			fmt.Sprintf("%d", eng.TaskRetries()),
 			fmt.Sprintf("%d", eng.Redelivered()),
 			fmt.Sprintf("%d", eng.FailedRecords()),
 		})
-		if run.inj.Injected() != len(plan) {
-			t.Notes = append(t.Notes, fmt.Sprintf("%s: only %d/%d fault windows injected", v.name, run.inj.Injected(), len(plan)))
+		if res.inj.Injected() != len(plan) {
+			t.Notes = append(t.Notes, fmt.Sprintf("%s: only %d/%d fault windows injected", v.name, res.inj.Injected(), len(plan)))
 		}
-		if notes != nil {
-			t.Notes = append(t.Notes, notes()...)
+		if ctl := res.ctl; ctl != nil {
+			if !eng.ConfigBounds().Contains(ctl.Estimate()) {
+				t.Notes = append(t.Notes, fmt.Sprintf("NoStop estimate %v escaped engine bounds", ctl.Estimate()))
+			} else {
+				t.Notes = append(t.Notes, fmt.Sprintf(
+					"NoStop excluded %d fault batches, recalibrated %d times, estimate %v stayed in bounds",
+					ctl.FaultBatches(), ctl.Recalibrations(), ctl.Estimate()))
+			}
 		}
-		timeline = run.inj.String() // identical plan per variant; last (NoStop) kept
+		timeline = res.inj.String() // identical plan per variant; last (NoStop) kept
 	}
 	t.Notes = append(t.Notes,
 		"p50/p95 cover every batch completed from the first fault onset on (fault windows included)",

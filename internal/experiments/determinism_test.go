@@ -6,8 +6,7 @@ import (
 	"testing"
 	"time"
 
-	"nostop/internal/core"
-	"nostop/internal/engine"
+	"nostop/internal/fleet"
 	"nostop/internal/rng"
 	"nostop/internal/workload"
 )
@@ -96,21 +95,23 @@ func TestChaosHistoryByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := runChaos(wl, plan, horizon, rng.New(7).Split("det"), engine.DefaultConfig(),
-			func(eng *engine.Engine) error {
-				ctl, err := core.New(eng, core.Options{Seed: rng.New(7).Split("controller")})
-				if err != nil {
-					return err
-				}
-				return ctl.Attach()
-			})
+		seed := rng.New(7).Split("det")
+		det, err := fleet.Assemble(fleet.Setup{
+			Workload:       wl,
+			Trace:          bandTrace(wl, seed.Split("trace")),
+			Seed:           seed,
+			ControllerSeed: rng.New(7),
+			Plan:           plan,
+			Controller:     fleet.ControllerNoStop,
+		}, fleet.Observe{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(r.res.history) == 0 {
+		r := finish(det, horizon)
+		if len(r.history) == 0 {
 			t.Fatal("chaos run completed no batches")
 		}
-		return fmt.Sprintf("%+v", r.res.history), r.inj.String()
+		return fmt.Sprintf("%+v", r.history), r.inj.String()
 	}
 
 	h1, tl1 := run()

@@ -27,6 +27,7 @@ import (
 	"nostop/internal/cluster"
 	"nostop/internal/core"
 	"nostop/internal/engine"
+	"nostop/internal/faults"
 	"nostop/internal/fleet"
 	"nostop/internal/ratetrace"
 	"nostop/internal/rng"
@@ -149,12 +150,13 @@ func bandTrace(wl workload.Workload, seed *rng.Stream) ratetrace.Trace {
 	return ratetrace.NewUniformBand(min, max, 5*time.Second, seed.Split("trace-"+wl.Name()))
 }
 
-// runResult captures one engine run.
+// runResult captures one finished run.
 type runResult struct {
 	history []engine.BatchStats
 	eng     *engine.Engine
-	ctl     *core.Controller // nil unless NoStop ran
-	bo      *baselines.BayesOpt
+	ctl     *core.Controller    // nil unless NoStop ran
+	bo      *baselines.BayesOpt // nil unless BayesOpt ran
+	inj     *faults.Injector    // nil for a fault-free run
 }
 
 // tailE2E returns steady-state end-to-end delays (after warmup), skipping
@@ -171,100 +173,41 @@ func (r *runResult) tailE2E(warmup float64) []float64 {
 	return out
 }
 
-// runStatic executes a fixed configuration over the horizon.
-func runStatic(wlName string, trace ratetrace.Trace, cfg engine.Config, horizon time.Duration, seed *rng.Stream) (*runResult, error) {
-	clock := sim.NewClock()
+// newSetup is the harness's standard run of a named workload under a
+// registry controller: a fresh workload instance on its §6.2.2 band trace,
+// from the default configuration.
+func newSetup(wlName, controller string, seed *rng.Stream) (fleet.Setup, error) {
 	wl, err := workload.New(wlName)
 	if err != nil {
-		return nil, err
+		return fleet.Setup{}, err
 	}
-	if trace == nil {
-		trace = bandTrace(wl, seed)
-	}
-	eng, err := engine.New(clock, engine.Options{
-		Workload: wl,
-		Trace:    trace,
-		Seed:     seed.Split("engine"),
-		Initial:  cfg,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := eng.Start(); err != nil {
-		return nil, err
-	}
-	clock.RunUntil(sim.Time(horizon))
-	return &runResult{history: eng.History(), eng: eng}, nil
+	return fleet.Setup{Workload: wl, Trace: bandTrace(wl, seed), Seed: seed, Controller: controller}, nil
 }
 
-// runNoStop executes a NoStop-tuned run over the horizon.
-func runNoStop(wlName string, trace ratetrace.Trace, horizon time.Duration, seed *rng.Stream, mutate func(*core.Options)) (*runResult, error) {
-	clock := sim.NewClock()
-	wl, err := workload.New(wlName)
+// runOn runs newSetup's run over the horizon; edit, when non-nil, adjusts
+// the setup (trace, initial config, bounds, NoStop options) first.
+func runOn(wlName, controller string, horizon time.Duration, seed *rng.Stream, edit func(*fleet.Setup)) (*runResult, error) {
+	s, err := newSetup(wlName, controller, seed)
 	if err != nil {
 		return nil, err
 	}
-	if trace == nil {
-		trace = bandTrace(wl, seed)
+	if edit != nil {
+		edit(&s)
 	}
-	eng, err := engine.New(clock, engine.Options{
-		Workload: wl,
-		Trace:    trace,
-		Seed:     seed.Split("engine"),
-		Initial:  engine.DefaultConfig(),
-	})
+	det, err := fleet.Assemble(s, fleet.Observe{})
 	if err != nil {
 		return nil, err
 	}
-	copts := core.Options{Seed: seed.Split("controller")}
-	if mutate != nil {
-		mutate(&copts)
-	}
-	ctl, err := core.New(eng, copts)
-	if err != nil {
-		return nil, err
-	}
-	if err := eng.Start(); err != nil {
-		return nil, err
-	}
-	if err := ctl.Attach(); err != nil {
-		return nil, err
-	}
-	clock.RunUntil(sim.Time(horizon))
-	return &runResult{history: eng.History(), eng: eng, ctl: ctl}, nil
+	return finish(det, horizon), nil
 }
 
-// runBayesOpt executes a Bayesian-optimization-tuned run.
-func runBayesOpt(wlName string, trace ratetrace.Trace, horizon time.Duration, seed *rng.Stream) (*runResult, error) {
-	clock := sim.NewClock()
-	wl, err := workload.New(wlName)
-	if err != nil {
-		return nil, err
-	}
-	if trace == nil {
-		trace = bandTrace(wl, seed)
-	}
-	eng, err := engine.New(clock, engine.Options{
-		Workload: wl,
-		Trace:    trace,
-		Seed:     seed.Split("engine"),
-		Initial:  engine.DefaultConfig(),
-	})
-	if err != nil {
-		return nil, err
-	}
-	bo, err := baselines.NewBayesOpt(eng, baselines.BOOptions{Seed: seed.Split("bo")})
-	if err != nil {
-		return nil, err
-	}
-	if err := eng.Start(); err != nil {
-		return nil, err
-	}
-	if err := bo.Attach(); err != nil {
-		return nil, err
-	}
-	clock.RunUntil(sim.Time(horizon))
-	return &runResult{history: eng.History(), eng: eng, bo: bo}, nil
+// finish advances an assembled run to the horizon and captures it.
+func finish(det *fleet.RunDetail, horizon time.Duration) *runResult {
+	det.Engine.Clock().RunUntil(sim.Time(horizon))
+	r := &runResult{history: det.Engine.History(), eng: det.Engine, inj: det.Injector}
+	r.ctl, _ = det.Controller.(*core.Controller)
+	r.bo, _ = det.Controller.(*baselines.BayesOpt)
+	return r
 }
 
 // meanStd formats "m ± s".

@@ -6,6 +6,7 @@ import (
 
 	"nostop/internal/core"
 	"nostop/internal/engine"
+	"nostop/internal/fleet"
 	"nostop/internal/rng"
 	"nostop/internal/sim"
 	"nostop/internal/stats"
@@ -22,49 +23,6 @@ func blockBounds() engine.Bounds {
 	b := engine.DefaultBounds()
 	b.MinBlock, b.MaxBlock = 50*time.Millisecond, 2*time.Second
 	return b
-}
-
-// runTuned is runNoStop with an engine-options hook (extensions need
-// non-default bounds and failure injection).
-func runTuned(wlName string, horizon time.Duration, seed *rng.Stream,
-	eo func(*engine.Options), co func(*core.Options), during func(*sim.Clock, *engine.Engine)) (*runResult, error) {
-	clock := sim.NewClock()
-	wl, err := workload.New(wlName)
-	if err != nil {
-		return nil, err
-	}
-	eopts := engine.Options{
-		Workload: wl,
-		Trace:    bandTrace(wl, seed),
-		Seed:     seed.Split("engine"),
-		Initial:  engine.DefaultConfig(),
-	}
-	if eo != nil {
-		eo(&eopts)
-	}
-	eng, err := engine.New(clock, eopts)
-	if err != nil {
-		return nil, err
-	}
-	copts := core.Options{Seed: seed.Split("controller")}
-	if co != nil {
-		co(&copts)
-	}
-	ctl, err := core.New(eng, copts)
-	if err != nil {
-		return nil, err
-	}
-	if err := eng.Start(); err != nil {
-		return nil, err
-	}
-	if err := ctl.Attach(); err != nil {
-		return nil, err
-	}
-	if during != nil {
-		during(clock, eng)
-	}
-	clock.RunUntil(sim.Time(horizon))
-	return &runResult{history: eng.History(), eng: eng, ctl: ctl}, nil
 }
 
 // Extension3Param compares two-parameter NoStop against the §7 future-work
@@ -87,11 +45,12 @@ func Extension3Param(cfg Config) (*Table, error) {
 		e2es, iters := make([]float64, n), make([]float64, n)
 		finalCfgs := make([]engine.Config, n)
 		if err := cfg.parallelFor(n, func(rep int) error {
-			res, err := runTuned("logreg", cfg.Horizon,
+			res, err := runOn("logreg", fleet.ControllerNoStop, cfg.Horizon,
 				seed.Split(fmt.Sprintf("%s-%d", v.name, rep)),
-				func(o *engine.Options) { o.Bounds = blockBounds() },
-				func(o *core.Options) { o.TuneBlockInterval = v.tune },
-				nil)
+				func(s *fleet.Setup) {
+					s.Bounds = blockBounds()
+					s.NoStop = func(o *core.Options) { o.TuneBlockInterval = v.tune }
+				})
 			if err != nil {
 				return err
 			}
@@ -131,13 +90,13 @@ func ExtensionAutoGains(cfg Config) (*Table, error) {
 	if err := cfg.parallelFor(len(runs), func(i int) error {
 		name, rep := nameOf(wls[i/reps]), i%reps
 		repSeed := seed.Split(fmt.Sprintf("%s-%d", name, rep))
-		m, err := runTuned(name, cfg.Horizon, repSeed.Split("manual"), nil, nil, nil)
+		m, err := runOn(name, fleet.ControllerNoStop, cfg.Horizon, repSeed.Split("manual"), nil)
 		if err != nil {
 			return err
 		}
 		runs[i].manual = stats.Mean(m.tailE2E(cfg.Warmup))
-		a, err := runTuned(name, cfg.Horizon, repSeed.Split("auto"), nil,
-			func(o *core.Options) { o.AutoGains = true }, nil)
+		a, err := runOn(name, fleet.ControllerNoStop, cfg.Horizon, repSeed.Split("auto"),
+			func(s *fleet.Setup) { s.NoStop = func(o *core.Options) { o.AutoGains = true } })
 		if err != nil {
 			return err
 		}
@@ -169,30 +128,23 @@ func ExtensionNodeFailure(cfg Config) (*Table, error) {
 		Title:  "Extension: node failure mid-run (node 5 dies at half-horizon)",
 		Header: []string{"variant", "pre-failure e2e(s)", "post-failure e2e(s)", "final queue"},
 	}
-	for _, v := range []struct {
-		name  string
-		tuned bool
-	}{
-		{"fixed default config", false},
-		{"NoStop", true},
+	for _, v := range []struct{ name, controller string }{
+		{"fixed default config", fleet.ControllerStatic},
+		{"NoStop", fleet.ControllerNoStop},
 	} {
 		reps := cfg.Repetitions
 		pre, post, queue := make([]float64, reps), make([]float64, reps), make([]float64, reps)
 		if err := cfg.parallelFor(reps, func(rep int) error {
-			repSeed := seed.Split(fmt.Sprintf("%s-%d", v.name, rep))
-			inject := func(clock *sim.Clock, eng *engine.Engine) {
-				clock.At(sim.Time(cfg.Horizon/2), func() { _ = eng.FailNode(5) })
-			}
-			var res *runResult
-			var err error
-			if v.tuned {
-				res, err = runTuned("logreg", cfg.Horizon, repSeed, nil, nil, inject)
-			} else {
-				res, err = runStaticWithFailure("logreg", cfg.Horizon, repSeed)
-			}
+			s, err := newSetup("logreg", v.controller, seed.Split(fmt.Sprintf("%s-%d", v.name, rep)))
 			if err != nil {
 				return err
 			}
+			det, err := fleet.Assemble(s, fleet.Observe{})
+			if err != nil {
+				return err
+			}
+			det.Engine.Clock().At(sim.Time(cfg.Horizon/2), func() { _ = det.Engine.FailNode(5) })
+			res := finish(det, cfg.Horizon)
 			// Steady-state windows on both sides of the failure: the
 			// second quarter (post-convergence, pre-failure) and the
 			// final quarter (post-failure).
@@ -220,28 +172,4 @@ func ExtensionNodeFailure(cfg Config) (*Table, error) {
 	t.Notes = append(t.Notes,
 		"node 5 is a fast I5-10400 worker (25% of capacity); the engine reallocates surviving executors automatically")
 	return t, nil
-}
-
-// runStaticWithFailure mirrors runStatic plus the half-horizon failure.
-func runStaticWithFailure(wlName string, horizon time.Duration, seed *rng.Stream) (*runResult, error) {
-	clock := sim.NewClock()
-	wl, err := workload.New(wlName)
-	if err != nil {
-		return nil, err
-	}
-	eng, err := engine.New(clock, engine.Options{
-		Workload: wl,
-		Trace:    bandTrace(wl, seed),
-		Seed:     seed.Split("engine"),
-		Initial:  engine.DefaultConfig(),
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := eng.Start(); err != nil {
-		return nil, err
-	}
-	clock.At(sim.Time(horizon/2), func() { _ = eng.FailNode(5) })
-	clock.RunUntil(sim.Time(horizon))
-	return &runResult{history: eng.History(), eng: eng}, nil
 }

@@ -6,6 +6,7 @@ import (
 
 	"nostop/internal/core"
 	"nostop/internal/engine"
+	"nostop/internal/fleet"
 	"nostop/internal/ratetrace"
 	"nostop/internal/rng"
 	"nostop/internal/stats"
@@ -64,10 +65,11 @@ func Fig2(cfg Config) (*Table, error) {
 	points := make([]sweepPoint, len(intervals))
 	if err := cfg.parallelFor(len(intervals), func(i int) error {
 		interval := intervals[i]
-		res, err := runStatic("logreg",
-			ratetrace.NewUniformBand(min, max, 5*time.Second, seed.Split(fmt.Sprintf("trace-%d", interval))),
-			engine.Config{BatchInterval: time.Duration(interval) * time.Second, Executors: fig2Executors},
-			horizon, seed.Split(fmt.Sprintf("run-%d", interval)))
+		res, err := runOn("logreg", fleet.ControllerStatic, horizon, seed.Split(fmt.Sprintf("run-%d", interval)),
+			func(s *fleet.Setup) {
+				s.Trace = ratetrace.NewUniformBand(min, max, 5*time.Second, seed.Split(fmt.Sprintf("trace-%d", interval)))
+				s.Initial = engine.Config{BatchInterval: time.Duration(interval) * time.Second, Executors: fig2Executors}
+			})
 		if err != nil {
 			return err
 		}
@@ -128,10 +130,11 @@ func Fig3(cfg Config) (*Table, error) {
 	points := make([]sweepPoint, len(execCounts))
 	if err := cfg.parallelFor(len(execCounts), func(i int) error {
 		execs := execCounts[i]
-		res, err := runStatic("logreg",
-			ratetrace.NewUniformBand(min, max, 5*time.Second, seed.Split(fmt.Sprintf("trace-%d", execs))),
-			engine.Config{BatchInterval: fig3Interval, Executors: execs},
-			horizon, seed.Split(fmt.Sprintf("run-%d", execs)))
+		res, err := runOn("logreg", fleet.ControllerStatic, horizon, seed.Split(fmt.Sprintf("run-%d", execs)),
+			func(s *fleet.Setup) {
+				s.Trace = ratetrace.NewUniformBand(min, max, 5*time.Second, seed.Split(fmt.Sprintf("trace-%d", execs)))
+				s.Initial = engine.Config{BatchInterval: fig3Interval, Executors: execs}
+			})
 		if err != nil {
 			return err
 		}
@@ -207,7 +210,7 @@ func Fig6(cfg Config) (*Table, error) {
 	results := make([]*runResult, len(wls))
 	if err := cfg.parallelFor(len(wls), func(i int) error {
 		name := nameOf(wls[i])
-		res, err := runNoStop(name, nil, cfg.Horizon, seed.Split(name), nil)
+		res, err := runOn(name, fleet.ControllerNoStop, cfg.Horizon, seed.Split(name), nil)
 		if err != nil {
 			return err
 		}
@@ -250,7 +253,7 @@ func Fig6(cfg Config) (*Table, error) {
 func Fig6Series(cfg Config, wlName string) (interval, proc *stats.Series, err error) {
 	cfg = cfg.withDefaults()
 	seed := rng.New(cfg.Seed).Split("fig6")
-	res, err := runNoStop(wlName, nil, cfg.Horizon, seed.Split(wlName), nil)
+	res, err := runOn(wlName, fleet.ControllerNoStop, cfg.Horizon, seed.Split(wlName), nil)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -301,12 +304,12 @@ func Fig7(cfg Config) (*Table, error) {
 	if err := cfg.parallelFor(len(runs), func(i int) error {
 		name, rep := nameOf(wls[i/reps]), i%reps
 		repSeed := seed.Split(fmt.Sprintf("%s-%d", name, rep))
-		defRes, err := runStatic(name, nil, engine.DefaultConfig(), cfg.Horizon, repSeed.Split("default"))
+		defRes, err := runOn(name, fleet.ControllerStatic, cfg.Horizon, repSeed.Split("default"), nil)
 		if err != nil {
 			return err
 		}
 		runs[i].def = stats.Mean(defRes.tailE2E(cfg.Warmup))
-		tunedRes, err := runNoStop(name, nil, cfg.Horizon, repSeed.Split("nostop"), nil)
+		tunedRes, err := runOn(name, fleet.ControllerNoStop, cfg.Horizon, repSeed.Split("nostop"), nil)
 		if err != nil {
 			return err
 		}
@@ -355,14 +358,14 @@ func Fig8(cfg Config) (*Table, error) {
 	if err := cfg.parallelFor(len(runs), func(i int) error {
 		name, rep := nameOf(wls[i/reps]), i%reps
 		repSeed := seed.Split(fmt.Sprintf("%s-%d", name, rep))
-		ns, err := runNoStop(name, nil, cfg.Horizon, repSeed.Split("nostop"), nil)
+		ns, err := runOn(name, fleet.ControllerNoStop, cfg.Horizon, repSeed.Split("nostop"), nil)
 		if err != nil {
 			return err
 		}
 		runs[i].spsaE2E = stats.Mean(ns.tailE2E(cfg.Warmup))
 		runs[i].spsaSteps = float64(ns.ctl.ConfigureSteps())
 		runs[i].spsaTime = searchTimeNoStop(ns)
-		bo, err := runBayesOpt(name, nil, cfg.Horizon, repSeed.Split("bo"))
+		bo, err := runOn(name, fleet.ControllerBayesOpt, cfg.Horizon, repSeed.Split("bo"), nil)
 		if err != nil {
 			return err
 		}

@@ -8,9 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"nostop/internal/core"
-	"nostop/internal/engine"
-	"nostop/internal/faults"
 	"nostop/internal/fleet"
 	"nostop/internal/metrics"
 	"nostop/internal/rng"
@@ -80,36 +77,20 @@ func goldenObservedRun(t *testing.T) (prom, trace string) {
 		t.Fatal(err)
 	}
 	seed := rng.New(11).Split("golden")
-	clock := sim.NewClock()
 	reg := metrics.NewRegistry()
-	tr := tracing.New(clock, 0)
-	eng, err := engine.New(clock, engine.Options{
-		Workload: wl,
-		Trace:    bandTrace(wl, seed.Split("trace")),
-		Seed:     seed.Split("engine"),
-		Initial:  engine.DefaultConfig(),
-		Metrics:  reg,
-		Tracer:   tr,
-	})
+	det, err := fleet.Assemble(fleet.Setup{
+		Workload:       wl,
+		Trace:          bandTrace(wl, seed.Split("trace")),
+		Seed:           seed,
+		ControllerSeed: rng.New(11),
+		Plan:           ChaosPlan(horizon),
+		Controller:     fleet.ControllerNoStop,
+	}, fleet.Observe{Metrics: reg, Trace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	inj, err := faults.Attach(eng, ChaosPlan(horizon))
-	if err != nil {
-		t.Fatal(err)
-	}
-	inj.Observe(reg, tr)
-	if err := eng.Start(); err != nil {
-		t.Fatal(err)
-	}
-	ctl, err := core.New(eng, core.Options{Seed: rng.New(11).Split("controller"), Metrics: reg, Tracer: tr})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ctl.Attach(); err != nil {
-		t.Fatal(err)
-	}
-	clock.RunUntil(sim.Time(horizon))
+	eng, tr := det.Engine, det.Tracer
+	eng.Clock().RunUntil(sim.Time(horizon))
 	if len(eng.History()) == 0 {
 		t.Fatal("golden run completed no batches")
 	}

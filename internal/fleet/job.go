@@ -2,8 +2,6 @@ package fleet
 
 import (
 	"nostop/internal/core"
-	"nostop/internal/engine"
-	"nostop/internal/faults"
 	"nostop/internal/stats"
 	"nostop/internal/tenant"
 )
@@ -64,7 +62,8 @@ func Execute(job Job) (Summary, error) {
 }
 
 // summarize reduces a finished run to its Summary.
-func summarize(job Job, eng *engine.Engine, ctl *core.Controller, inj *faults.Injector) Summary {
+func summarize(job Job, det *RunDetail) Summary {
+	eng := det.Engine
 	history := eng.History()
 	start := int(float64(len(history)) * job.Warmup)
 	var e2e, proc, sched []float64
@@ -92,12 +91,12 @@ func summarize(job Job, eng *engine.Engine, ctl *core.Controller, inj *faults.In
 		FailedRecords:  eng.FailedRecords(),
 		TotalRecords:   eng.TotalRecords(),
 	}
-	if ctl != nil {
+	if ctl, ok := det.Controller.(*core.Controller); ok {
 		s.ConfigSteps = ctl.ConfigureSteps()
 		s.Phase = ctl.Phase().String()
 	}
-	if inj != nil {
-		s.FaultsInjected = inj.Injected()
+	if det.Injector != nil {
+		s.FaultsInjected = det.Injector.Injected()
 	}
 	return s
 }

@@ -3,14 +3,11 @@ package fleet
 import (
 	"fmt"
 
-	"nostop/internal/baselines"
 	"nostop/internal/core"
 	"nostop/internal/engine"
 	"nostop/internal/faults"
-	"nostop/internal/gptuner"
 	"nostop/internal/metrics"
 	"nostop/internal/ratetrace"
-	"nostop/internal/rltuner"
 	"nostop/internal/rng"
 	"nostop/internal/sim"
 	"nostop/internal/tenant"
@@ -39,15 +36,112 @@ type Observe struct {
 	Attach func(*engine.Engine) error
 }
 
-// RunDetail exposes the live objects of a completed observed execution, for
-// callers that need more than the Summary: the scenario harness reads the
-// batch history for SLO percentiles and first-violation instants, the
-// registry for counter-derived SLOs, and the tracer for span references.
+// RunDetail exposes the live objects of an assembled run, for callers that
+// need more than the Summary: the scenario harness reads the batch history
+// for SLO percentiles and first-violation instants, the registry for
+// counter-derived SLOs, and the tracer for span references.
 type RunDetail struct {
 	Engine     *engine.Engine
-	Controller *core.Controller // nil unless the nostop controller ran
-	Injector   *faults.Injector // nil for a fault-free job
+	Controller Controller       // nil for the static controller
+	Injector   *faults.Injector // nil for a fault-free run
 	Tracer     *tracing.Tracer  // nil unless Observe.Trace was set
+}
+
+// Setup describes one single-app run for Assemble. Each caller keeps its
+// own trace and seed derivation; Assemble only fixes the order in which the
+// run is built.
+type Setup struct {
+	Workload workload.Workload
+	Trace    ratetrace.Trace
+	// Seed roots the run and must be non-nil: the engine draws
+	// Seed.Split("engine").
+	Seed *rng.Stream
+	// ControllerSeed is the stream the controller factory splits its own
+	// stream from; nil means Seed.
+	ControllerSeed *rng.Stream
+	// Initial is the starting configuration; zero means
+	// engine.DefaultConfig().
+	Initial engine.Config
+	// Bounds is the engine's feasible region; zero means
+	// engine.DefaultBounds(). Ignored when Space is set.
+	Bounds engine.Bounds
+	// Space, when non-nil, is authoritative on the feasible region: the
+	// engine takes its bounds, Initial is clamped into them, and every
+	// controller — space-aware or not — tunes inside the same box.
+	Space *core.ConfigSpace
+	// Plan is the fault schedule; empty means a fault-free run.
+	Plan faults.Plan
+	// Controller is a registry name.
+	Controller string
+	// NoStop edits the nostop controller's options (see Build.NoStop).
+	NoStop func(*core.Options)
+}
+
+// Assemble builds one single-app run in the order every entry point
+// shares — fresh clock, engine, faults, Start, controller, attach hook —
+// and returns its live state with the clock at zero; the caller advances
+// it (det.Engine.Clock()). An unknown controller name fails before
+// anything is built.
+func Assemble(s Setup, obs Observe) (*RunDetail, error) {
+	info, ok := LookupController(s.Controller)
+	if !ok {
+		return nil, UnknownControllerError(s.Controller)
+	}
+	clock := sim.NewClock()
+	det := &RunDetail{}
+	if obs.Trace {
+		det.Tracer = tracing.New(clock, obs.TraceMaxEvents)
+	}
+	opts := engine.Options{
+		Workload: s.Workload,
+		Trace:    s.Trace,
+		Seed:     s.Seed.Split("engine"),
+		Initial:  s.Initial,
+		Bounds:   s.Bounds,
+		Metrics:  obs.Metrics,
+		Tracer:   det.Tracer,
+	}
+	if s.Space != nil {
+		if opts.Initial == (engine.Config{}) {
+			opts.Initial = engine.DefaultConfig()
+		}
+		opts.Bounds = s.Space.EngineBounds()
+		opts.Initial = opts.Bounds.Clamp(opts.Initial)
+	}
+	eng, err := engine.New(clock, opts)
+	if err != nil {
+		return nil, err
+	}
+	det.Engine = eng
+	if len(s.Plan) > 0 {
+		if det.Injector, err = faults.Attach(eng, s.Plan); err != nil {
+			return nil, err
+		}
+		det.Injector.Observe(obs.Metrics, det.Tracer)
+	}
+	if err := eng.Start(); err != nil {
+		return nil, err
+	}
+	if info.New != nil {
+		seed := s.ControllerSeed
+		if seed == nil {
+			seed = s.Seed
+		}
+		ctl, err := info.New(eng, Build{Seed: seed, Space: s.Space, Metrics: obs.Metrics, Tracer: det.Tracer, NoStop: s.NoStop})
+		if err != nil {
+			return nil, err
+		}
+		if err := ctl.Attach(); err != nil {
+			return nil, err
+		}
+		det.Controller = ctl
+	}
+	if obs.Attach != nil {
+		if err := obs.Attach(eng); err != nil {
+			return nil, err
+		}
+	}
+	return det, nil
 }
 
 // ExecuteObserved runs one job to completion like Execute, with optional
@@ -58,11 +152,6 @@ type RunDetail struct {
 func ExecuteObserved(job Job, obs Observe) (Summary, *RunDetail, error) {
 	if job.Mix != nil {
 		return executeMix(job, obs)
-	}
-	clock := sim.NewClock()
-	var tr *tracing.Tracer
-	if obs.Trace {
-		tr = tracing.New(clock, obs.TraceMaxEvents)
 	}
 	wl, err := workload.New(job.Workload)
 	if err != nil {
@@ -76,8 +165,6 @@ func ExecuteObserved(job Job, obs Observe) (Summary, *RunDetail, error) {
 	if trc.Min != 0 || trc.Max != 0 {
 		min, max = trc.Min, trc.Max
 	}
-	trace := ratetrace.NewUniformBand(min, max, trc.Period.D(), seed.Split("trace"))
-
 	initial := engine.DefaultConfig()
 	if job.Initial.Interval != 0 {
 		initial.BatchInterval = job.Initial.Interval.D()
@@ -86,102 +173,20 @@ func ExecuteObserved(job Job, obs Observe) (Summary, *RunDetail, error) {
 		initial.Executors = job.Initial.Executors
 	}
 
-	engOpts := engine.Options{
-		Workload: wl,
-		Trace:    trace,
-		Seed:     seed.Split("engine"),
-		Initial:  initial,
-		Metrics:  obs.Metrics,
-		Tracer:   tr,
-	}
-	if job.Space != nil {
-		// The widened space is authoritative on the engine's feasible
-		// region, so every controller — space-aware or not — tunes inside
-		// the same box.
-		engOpts.Bounds = job.Space.EngineBounds()
-		engOpts.Initial = engOpts.Bounds.Clamp(initial)
-	}
-	eng, err := engine.New(clock, engOpts)
+	det, err := Assemble(Setup{
+		Workload:   wl,
+		Trace:      ratetrace.NewUniformBand(min, max, trc.Period.D(), seed.Split("trace")),
+		Seed:       seed,
+		Initial:    initial,
+		Space:      job.Space,
+		Plan:       job.Plan.Faults,
+		Controller: job.Controller,
+	}, obs)
 	if err != nil {
 		return Summary{}, nil, err
 	}
-
-	var inj *faults.Injector
-	if len(job.Plan.Faults) > 0 {
-		if inj, err = faults.Attach(eng, job.Plan.Faults); err != nil {
-			return Summary{}, nil, err
-		}
-		inj.Observe(obs.Metrics, tr)
-	}
-	if err := eng.Start(); err != nil {
-		return Summary{}, nil, err
-	}
-
-	var ctl *core.Controller
-	switch job.Controller {
-	case ControllerStatic:
-	case ControllerNoStop:
-		copts := core.Options{
-			Seed:    seed.Split("controller"),
-			Metrics: obs.Metrics,
-			Tracer:  tr,
-		}
-		if job.Space != nil {
-			// SPSA tunes the block axis too when the space declares it.
-			if _, ok := job.Space.Axis(core.ParamBlockInterval); ok {
-				copts.TuneBlockInterval = true
-			}
-		}
-		if ctl, err = core.New(eng, copts); err != nil {
-			return Summary{}, nil, err
-		}
-		err = ctl.Attach()
-	case ControllerBackPressure:
-		var bp *baselines.BackPressure
-		if bp, err = baselines.NewBackPressure(eng, baselines.BPOptions{}); err != nil {
-			return Summary{}, nil, err
-		}
-		err = bp.Attach()
-	case ControllerBayesOpt:
-		var bo *baselines.BayesOpt
-		if bo, err = baselines.NewBayesOpt(eng, baselines.BOOptions{Seed: seed.Split("bo")}); err != nil {
-			return Summary{}, nil, err
-		}
-		err = bo.Attach()
-	case ControllerGP:
-		gopts := gptuner.Options{Seed: seed.Split("gp")}
-		if job.Space != nil {
-			gopts.Space = *job.Space
-		}
-		var gt *gptuner.Tuner
-		if gt, err = gptuner.New(eng, gopts); err != nil {
-			return Summary{}, nil, err
-		}
-		err = gt.Attach()
-	case ControllerRL:
-		ropts := rltuner.Options{Seed: seed.Split("rl")}
-		if job.Space != nil {
-			ropts.Space = *job.Space
-		}
-		var rt *rltuner.Tuner
-		if rt, err = rltuner.New(eng, ropts); err != nil {
-			return Summary{}, nil, err
-		}
-		err = rt.Attach()
-	default:
-		return Summary{}, nil, UnknownControllerError(job.Controller)
-	}
-	if err != nil {
-		return Summary{}, nil, err
-	}
-	if obs.Attach != nil {
-		if err := obs.Attach(eng); err != nil {
-			return Summary{}, nil, err
-		}
-	}
-
-	clock.RunUntil(sim.Time(job.Horizon))
-	return summarize(job, eng, ctl, inj), &RunDetail{Engine: eng, Controller: ctl, Injector: inj, Tracer: tr}, nil
+	det.Engine.Clock().RunUntil(sim.Time(job.Horizon))
+	return summarize(job, det), det, nil
 }
 
 // executeMix runs a multi-tenant job through tenant.Run and folds the

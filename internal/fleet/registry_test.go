@@ -3,6 +3,8 @@ package fleet
 import (
 	"strings"
 	"testing"
+
+	"nostop/internal/engine"
 )
 
 func TestRegistryCoversAllConstants(t *testing.T) {
@@ -40,6 +42,28 @@ func TestRegistryFaultOptIns(t *testing.T) {
 			t.Errorf("controller %s: ReconfiguresDuringFaults=%v, want %v",
 				info.Name, info.ReconfiguresDuringFaults, optIn[info.Name])
 		}
+	}
+}
+
+func TestRegistryFactories(t *testing.T) {
+	// static is the registry's only factory-less entry: Assemble attaches
+	// nothing for it and builds every other controller from its entry.
+	for _, info := range Controllers() {
+		if got, want := info.New == nil, info.Name == ControllerStatic; got != want {
+			t.Errorf("controller %s: nil factory = %v, want %v", info.Name, got, want)
+		}
+	}
+}
+
+func TestAssembleRejectsUnknownControllerFirst(t *testing.T) {
+	// The setup is empty (no workload, trace or seed), so any build step
+	// would fail or panic; the hook would fail the test.
+	_, err := Assemble(Setup{Controller: "pid"}, Observe{Attach: func(*engine.Engine) error {
+		t.Error("Assemble built a run for an unknown controller")
+		return nil
+	}})
+	if err == nil || err.Error() != UnknownControllerError("pid").Error() {
+		t.Errorf("Assemble(pid) error = %v, want %v", err, UnknownControllerError("pid"))
 	}
 }
 
