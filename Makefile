@@ -4,16 +4,24 @@
 
 GO ?= go
 
-.PHONY: build vet test race chaos bench fleet serve-soak trace golden fuzz-smoke escape-smoke ask-smoke tenants-smoke zoo-smoke experiments-smoke docs verify
+.PHONY: build gofmt vet test race chaos bench fleet serve-soak trace golden fuzz-smoke escape-smoke ask-smoke tenants-smoke zoo-smoke experiments-smoke docs verify
 
 build:
 	$(GO) build ./...
 
-## vet: standard go vet plus the repo's determinism-contract analyzers
-## (wallclock, randsource, maporder, floateq, simgoroutine, hotalloc,
-## lockguard, obscontract — see DESIGN.md §5d). -time prints load and
-## per-analyzer wall time so a pass that suddenly dominates is visible.
-vet:
+## gofmt: every Go file must be gofmt-clean. The analyzer fixtures under
+## internal/analysis/testdata/ are skipped: their tests pin diagnostic
+## positions, so they keep their layout.
+gofmt:
+	@files=$$(find . -path ./internal/analysis/testdata -prune -o -path './.*' -prune \
+		-o -name '*.go' -print | xargs gofmt -l); \
+	if [ -n "$$files" ]; then echo "gofmt -l lists files to format:"; echo "$$files"; exit 1; fi
+
+## vet: the gofmt check, standard go vet, and the repo's determinism-contract
+## analyzers (wallclock, randsource, maporder, floateq, simgoroutine,
+## hotalloc, lockguard, obscontract — see DESIGN.md §5d). -time prints load
+## and per-analyzer wall time so a pass that suddenly dominates is visible.
+vet: gofmt
 	$(GO) vet ./...
 	$(GO) run ./cmd/nostop-vet -time ./...
 
@@ -27,16 +35,11 @@ race:
 chaos:
 	$(GO) run ./cmd/nostop-chaos
 
-## bench: quick table regeneration plus the fleet scaling benchmark, which
-## writes BENCH_fleet.json (32-job sweep timed at -j 1 vs -j NumCPU, gated at
-## 1.2x on multi-core hosts), and the kernel hot-path benchmark, which writes
-## BENCH_kernel.json (see PERF.md).
+## bench: the simulator's benchmark, perfbench (declared by BENCHMARK.json,
+## see perfbench/README.md and docs/PERF.md): every workload for its default
+## 10 s, then the sim kernel's microbenchmarks.
 bench:
-	$(GO) run ./cmd/nostop-bench -quick
-	$(GO) run ./cmd/nostop-bench -experiment fleet -benchout BENCH_fleet.json -min-speedup 1.2
-	$(GO) run ./cmd/nostop-bench -experiment kernel -benchout BENCH_kernel.json
-	$(GO) run ./cmd/nostop-bench -experiment tenants -benchout BENCH_tenants.json
-	$(GO) run ./cmd/nostop-bench -experiment zoo -benchout BENCH_zoo.json
+	for w in sweep tenants zoo-observed service-soak; do bash perfbench/run.sh --workload $$w || exit 1; done
 	$(GO) test ./internal/sim/bench -bench . -benchmem
 
 ## golden: regenerate the golden-master artifacts after an INTENDED

@@ -6,577 +6,73 @@
 //	nostop-bench -experiment all
 //	nostop-bench -experiment fig7 -reps 5 -horizon 2h
 //	nostop-bench -experiment fig2 -csv > fig2.csv
+//
+// The simulator's performance benchmark is perfbench (perfbench/README.md).
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"runtime"
-	"runtime/pprof"
-	"sort"
 	"strings"
-	"time"
 
 	"nostop/internal/experiments"
-	"nostop/internal/fleet"
-	"nostop/internal/tenant"
 )
 
-var registry = map[string]func(experiments.Config) (*experiments.Table, error){
-	"fig2":           experiments.Fig2,
-	"fig3":           experiments.Fig3,
-	"fig5":           experiments.Fig5,
-	"fig6":           experiments.Fig6,
-	"fig7":           experiments.Fig7,
-	"fig8":           experiments.Fig8,
-	"backpressure":   experiments.BackPressure,
-	"abl-penalty":    experiments.AblationPenaltyRamp,
-	"abl-firstbatch": experiments.AblationFirstBatch,
-	"abl-window":     experiments.AblationWindow,
-	"abl-reset":      experiments.AblationReset,
-	"abl-gains":      experiments.AblationGains,
-	"abl-scaling":    experiments.AblationScaling,
-	"abl-stepclip":   experiments.AblationStepClip,
-	"abl-objective":  experiments.AblationObjective,
-	"ext-3param":     experiments.Extension3Param,
-	"ext-autogains":  experiments.ExtensionAutoGains,
-	"ext-failure":    experiments.ExtensionNodeFailure,
-	"chaos":          experiments.Chaos,
-}
-
-func names() string {
-	keys := make([]string, 0, len(registry))
-	for k := range registry {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return strings.Join(append([]string{"all", "table2", "fleet", "kernel", "tenants", "zoo"}, keys...), ", ")
-}
-
 func main() {
-	var (
-		name    = flag.String("experiment", "all", "experiment to run: "+names())
-		seed    = flag.Uint64("seed", 1, "root random seed")
-		reps    = flag.Int("reps", 0, "repetitions for averaged experiments (0: paper's 5)")
-		horizon = flag.Duration("horizon", 0, "virtual run duration (0: 2h)")
-		quick   = flag.Bool("quick", false, "use the reduced quick configuration")
-		csv     = flag.Bool("csv", false, "emit CSV instead of an aligned table")
-		bench   = flag.String("benchout", "", "output path (-experiment fleet: BENCH_fleet.json, kernel: BENCH_kernel.json)")
-		minSpd  = flag.Float64("min-speedup", 0, "fleet: fail when the host is multi-core and the j=1 vs j=N speedup falls below this floor (0: report only)")
-		record  = flag.Bool("record-baseline", false, "kernel: record this run's wall time as the baseline too")
-		compare = flag.String("compare", "", "kernel: compare against a prior BENCH_kernel.json and fail on >10% regression")
-		cpuprof = flag.String("cpuprofile", "", "write a CPU profile of the benchmark sweep to this file")
-	)
-	flag.Parse()
+	err := run(os.Args[1:], os.Stdout)
+	if errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "nostop-bench:", err)
+		os.Exit(1)
+	}
+}
 
+func run(args []string, stdout io.Writer) error {
+	valid := "all, " + strings.Join(experiments.Names(), ", ")
+	fs := flag.NewFlagSet("nostop-bench", flag.ContinueOnError)
+	var (
+		name    = fs.String("experiment", "all", "experiment to run: "+valid)
+		seed    = fs.Uint64("seed", 1, "root random seed")
+		reps    = fs.Int("reps", 0, "repetitions for averaged experiments (0: paper's 5)")
+		horizon = fs.Duration("horizon", 0, "virtual run duration (0: 2h)")
+		quick   = fs.Bool("quick", false, "use the reduced quick configuration")
+		csv     = fs.Bool("csv", false, "emit CSV instead of an aligned table")
+	)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	cfg := experiments.Config{Seed: *seed, Repetitions: *reps, Horizon: *horizon}
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
 	if *quick {
 		cfg = experiments.Quick()
 		cfg.Seed = *seed
 	}
 
-	switch *name {
-	case "all":
+	if *name == "all" {
 		if *csv {
-			fmt.Fprintln(os.Stderr, "nostop-bench: -csv requires a single experiment")
-			os.Exit(2)
+			return errors.New("-csv requires a single experiment")
 		}
-		if err := experiments.RunAll(os.Stdout, cfg); err != nil {
-			fmt.Fprintln(os.Stderr, "nostop-bench:", err)
-			os.Exit(1)
-		}
-	case "table2":
-		emit(experiments.Table2(), *csv)
-	case "fleet":
-		out := *bench
-		if out == "" {
-			out = "BENCH_fleet.json"
-		}
-		if err := runFleetBench(out, *minSpd); err != nil {
-			fmt.Fprintln(os.Stderr, "nostop-bench:", err)
-			os.Exit(1)
-		}
-	case "kernel":
-		out := *bench
-		if out == "" {
-			out = "BENCH_kernel.json"
-		}
-		if err := runKernelBench(out, *record, *compare, *cpuprof); err != nil {
-			fmt.Fprintln(os.Stderr, "nostop-bench:", err)
-			os.Exit(1)
-		}
-	case "tenants":
-		out := *bench
-		if out == "" {
-			out = "BENCH_tenants.json"
-		}
-		if err := runTenantsBench(out, *record, *compare); err != nil {
-			fmt.Fprintln(os.Stderr, "nostop-bench:", err)
-			os.Exit(1)
-		}
-	case "zoo":
-		out := *bench
-		if out == "" {
-			out = "BENCH_zoo.json"
-		}
-		if err := runZooBench(out, *record, *compare); err != nil {
-			fmt.Fprintln(os.Stderr, "nostop-bench:", err)
-			os.Exit(1)
-		}
-	default:
-		fn, ok := registry[*name]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "nostop-bench: unknown experiment %q (valid: %s)\n", *name, names())
-			os.Exit(2)
-		}
-		t, err := fn(cfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "nostop-bench:", err)
-			os.Exit(1)
-		}
-		emit(t, *csv)
+		return experiments.RunAll(stdout, cfg)
 	}
-}
-
-func emit(t *experiments.Table, csv bool) {
-	if csv {
-		t.CSV(os.Stdout)
-		return
+	e, ok := experiments.Lookup(*name)
+	if !ok {
+		return fmt.Errorf("unknown experiment %q (valid: %s)", *name, valid)
 	}
-	t.Render(os.Stdout)
-}
-
-// fleetBenchResult is the BENCH_fleet.json payload: a fixed 32-job sweep
-// timed serially and at full parallelism. The manifests_identical field
-// doubles as a determinism check — the speedup must come for free.
-type fleetBenchResult struct {
-	Jobs               int     `json:"jobs"`
-	NumCPU             int     `json:"numcpu"`
-	ParallelismHigh    int     `json:"parallelism_high"`
-	WallSecondsJ1      float64 `json:"wall_seconds_j1"`
-	WallSecondsJN      float64 `json:"wall_seconds_jn"`
-	Speedup            float64 `json:"speedup"`
-	ManifestsIdentical bool    `json:"manifests_identical"`
-}
-
-// runFleetBench times the fleet benchmark sweep at -j 1 vs -j NumCPU and
-// writes the result JSON. The sweep itself is fixed (4 workloads x 8 seeds,
-// static controller, 20m horizon = 32 jobs) so numbers are comparable
-// across machines; the speedup reflects the host's core count. A positive
-// minSpeedup turns the report into a gate on multi-core hosts — a baseline
-// recorded on a single-core box (speedup ~1) says nothing about parallel
-// scaling, so there the gate only prints a notice.
-func runFleetBench(outPath string, minSpeedup float64) error {
-	spec := fleet.Spec{
-		Name:        "bench-fleet",
-		Seeds:       []uint64{1, 2, 3, 4, 5, 6, 7, 8},
-		Workloads:   []string{"logreg", "linreg", "wordcount", "pageanalyze"},
-		Controllers: []string{fleet.ControllerStatic},
-		Horizon:     fleet.Duration(20 * time.Minute),
-		Warmup:      0.5,
-	}
-	run := func(j int) (manifest []byte, wall float64, err error) {
-		start := time.Now()
-		rep, err := fleet.Run(spec, fleet.Options{Parallelism: j})
-		if err != nil {
-			return nil, 0, err
-		}
-		wall = time.Since(start).Seconds()
-		manifest, err = rep.Manifest.Encode()
-		return manifest, wall, err
-	}
-	m1, t1, err := run(1)
+	t, err := e.Run(cfg)
 	if err != nil {
 		return err
 	}
-	// Floor at 2 so the worker-pool path (and its determinism) is always
-	// exercised, even on a single-core host where the speedup is ~1.
-	jn := runtime.NumCPU()
-	if jn < 2 {
-		jn = 2
-	}
-	mn, tn, err := run(jn)
-	if err != nil {
-		return err
-	}
-	res := fleetBenchResult{
-		Jobs:               len(spec.Seeds) * len(spec.Workloads),
-		NumCPU:             runtime.NumCPU(),
-		ParallelismHigh:    jn,
-		WallSecondsJ1:      t1,
-		WallSecondsJN:      tn,
-		Speedup:            t1 / tn,
-		ManifestsIdentical: string(m1) == string(mn),
-	}
-	data, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := fleet.WriteFileAtomic(outPath, append(data, '\n')); err != nil {
-		return err
-	}
-	fmt.Printf("fleet bench: %d jobs, j=1 %.1fs, j=%d %.1fs, speedup %.2fx, manifests identical: %v -> %s\n",
-		res.Jobs, t1, jn, tn, res.Speedup, res.ManifestsIdentical, outPath)
-	if !res.ManifestsIdentical {
-		return fmt.Errorf("fleet benchmark manifests diverged between j=1 and j=%d", jn)
-	}
-	if minSpeedup > 0 {
-		if res.NumCPU < 2 {
-			fmt.Printf("fleet bench: single-core host, speedup gate (>=%.2fx) not judged\n", minSpeedup)
-		} else if res.Speedup < minSpeedup {
-			return fmt.Errorf("fleet benchmark speedup %.2fx below the %.2fx floor on a %d-core host (parallel scaling regression)",
-				res.Speedup, minSpeedup, res.NumCPU)
-		}
-	}
-	return nil
-}
-
-// kernelBenchResult is the BENCH_kernel.json payload: the fixed Fig-7 fleet
-// sweep (4 workloads x {static, nostop} x 8 seeds, 20m horizon = 64 jobs)
-// timed at -j NumCPU. BaselineWallSeconds is the wall time recorded at the
-// pre-optimization commit on the same machine (-record-baseline); Reduction
-// is the fractional wall-clock win against it. ManifestSHA256 fingerprints
-// the merged manifest so a perf regeneration doubles as a byte-identical
-// output check.
-type kernelBenchResult struct {
-	Jobs                int     `json:"jobs"`
-	NumCPU              int     `json:"numcpu"`
-	Parallelism         int     `json:"parallelism"`
-	BaselineWallSeconds float64 `json:"baseline_wall_seconds"`
-	WallSeconds         float64 `json:"wall_seconds"`
-	Reduction           float64 `json:"reduction"`
-	ManifestSHA256      string  `json:"manifest_sha256"`
-}
-
-// kernelSpec is the fixed sweep behind -experiment kernel. It mirrors the
-// Fig 7 axes (every workload, untuned default vs NoStop) so the benchmark
-// exercises the full hot path: event kernel, broker ingest, engine batch
-// loop, and the SPSA controller.
-func kernelSpec() fleet.Spec {
-	return fleet.Spec{
-		Name:        "bench-kernel",
-		Seeds:       []uint64{1, 2, 3, 4, 5, 6, 7, 8},
-		Workloads:   []string{"logreg", "linreg", "wordcount", "pageanalyze"},
-		Controllers: []string{fleet.ControllerStatic, fleet.ControllerNoStop},
-		Horizon:     fleet.Duration(20 * time.Minute),
-		Warmup:      0.5,
-	}
-}
-
-// runKernelBench times the kernel sweep, carries the recorded baseline
-// forward (unless -record-baseline resets it), and optionally compares
-// against a previous result file, failing on a >10% wall-clock regression.
-func runKernelBench(outPath string, recordBaseline bool, comparePath, cpuprofPath string) error {
-	spec := kernelSpec()
-	jn := runtime.NumCPU()
-	if jn < 2 {
-		jn = 2
-	}
-	if cpuprofPath != "" {
-		f, err := os.Create(cpuprofPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return err
-		}
-		defer pprof.StopCPUProfile()
-	}
-	start := time.Now()
-	rep, err := fleet.Run(spec, fleet.Options{Parallelism: jn})
-	if err != nil {
-		return err
-	}
-	wall := time.Since(start).Seconds()
-	manifest, err := rep.Manifest.Encode()
-	if err != nil {
-		return err
-	}
-	res := kernelBenchResult{
-		Jobs:           len(rep.Manifest.Jobs),
-		NumCPU:         runtime.NumCPU(),
-		Parallelism:    jn,
-		WallSeconds:    wall,
-		ManifestSHA256: fmt.Sprintf("%x", sha256.Sum256(manifest)),
-	}
-	if prev, err := readKernelResult(outPath); err == nil && !recordBaseline {
-		res.BaselineWallSeconds = prev.BaselineWallSeconds
+	if *csv {
+		t.CSV(stdout)
 	} else {
-		res.BaselineWallSeconds = wall
-	}
-	if res.BaselineWallSeconds > 0 {
-		res.Reduction = 1 - res.WallSeconds/res.BaselineWallSeconds
-	}
-	data, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := fleet.WriteFileAtomic(outPath, append(data, '\n')); err != nil {
-		return err
-	}
-	fmt.Printf("kernel bench: %d jobs, j=%d, wall %.1fs, baseline %.1fs, reduction %.1f%% -> %s\n",
-		res.Jobs, jn, res.WallSeconds, res.BaselineWallSeconds, 100*res.Reduction, outPath)
-	if comparePath != "" {
-		prev, err := readKernelResult(comparePath)
-		if err != nil {
-			return fmt.Errorf("compare: %v", err)
-		}
-		ratio := res.WallSeconds / prev.WallSeconds
-		fmt.Printf("kernel bench compare: base %.1fs, head %.1fs, ratio %.3f\n",
-			prev.WallSeconds, res.WallSeconds, ratio)
-		if ratio > 1.10 {
-			return fmt.Errorf("kernel benchmark regressed %.1f%% (base %.1fs, head %.1fs)",
-				100*(ratio-1), prev.WallSeconds, res.WallSeconds)
-		}
+		t.Render(stdout)
 	}
 	return nil
-}
-
-// tenantsBenchResult is the BENCH_tenants.json payload: the fixed
-// 32-tenant / 1000-node / 100-partition synthetic mix timed end to end.
-// EventsPerSecond is processed records per wall-clock second (the
-// subsystem's throughput headline); AllocsPerEvent is heap allocations per
-// processed record across the whole run, the coarse-grained companion to
-// the per-package hotalloc budgets. BaselineWallSeconds carries forward
-// unless -record-baseline resets it; ReportsIdentical is the same-seed
-// determinism check riding along for free.
-type tenantsBenchResult struct {
-	Tenants             int     `json:"tenants"`
-	Nodes               int     `json:"nodes"`
-	Partitions          int     `json:"partitions"`
-	NumCPU              int     `json:"numcpu"`
-	Batches             int     `json:"batches"`
-	Records             int64   `json:"records"`
-	EventsPerSecond     float64 `json:"events_per_second"`
-	AllocsPerEvent      float64 `json:"allocs_per_event"`
-	BaselineWallSeconds float64 `json:"baseline_wall_seconds"`
-	WallSeconds         float64 `json:"wall_seconds"`
-	Reduction           float64 `json:"reduction"`
-	ReportSHA256        string  `json:"report_sha256"`
-	ReportsIdentical    bool    `json:"reports_identical"`
-}
-
-// tenantsMix is the fixed deployment behind -experiment tenants: the
-// synthetic 32-tenant mix (mixed trace kinds, including millions-of-users
-// population traces) on 1000 nodes with 100 broker partitions per topic —
-// the ISSUE-9 target scale.
-func tenantsMix() tenant.MixSpec {
-	mix := tenant.Synthetic(32, 1000, 4, tenant.AllocFairShare, tenant.Duration(30*time.Minute))
-	mix.Partitions = 100
-	return mix
-}
-
-// runTenantsBench runs the mix twice under the same seed (warm-up run
-// doubles as the byte-identical determinism check), times and
-// alloc-profiles the second run, carries the recorded baseline forward,
-// and optionally compares against a previous result file, failing on a
-// >10% wall-clock regression.
-func runTenantsBench(outPath string, recordBaseline bool, comparePath string) error {
-	mix := tenantsMix()
-	warm, err := tenant.Run(mix, 1, tenant.Observe{})
-	if err != nil {
-		return err
-	}
-	warmEnc, err := warm.Encode()
-	if err != nil {
-		return err
-	}
-
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	start := time.Now()
-	rep, err := tenant.Run(mix, 1, tenant.Observe{})
-	if err != nil {
-		return err
-	}
-	wall := time.Since(start).Seconds()
-	runtime.ReadMemStats(&after)
-	enc, err := rep.Encode()
-	if err != nil {
-		return err
-	}
-
-	res := tenantsBenchResult{
-		Tenants:          len(rep.Tenants),
-		Nodes:            rep.Nodes,
-		Partitions:       rep.Partitions,
-		NumCPU:           runtime.NumCPU(),
-		Batches:          rep.Cluster.TotalBatches,
-		Records:          rep.Cluster.TotalRecords,
-		WallSeconds:      wall,
-		ReportSHA256:     fmt.Sprintf("%x", sha256.Sum256(enc)),
-		ReportsIdentical: string(warmEnc) == string(enc),
-	}
-	if rep.Cluster.TotalRecords > 0 {
-		res.EventsPerSecond = float64(rep.Cluster.TotalRecords) / wall
-		res.AllocsPerEvent = float64(after.Mallocs-before.Mallocs) / float64(rep.Cluster.TotalRecords)
-	}
-	if prev, err := readTenantsResult(outPath); err == nil && !recordBaseline {
-		res.BaselineWallSeconds = prev.BaselineWallSeconds
-	} else {
-		res.BaselineWallSeconds = wall
-	}
-	if res.BaselineWallSeconds > 0 {
-		res.Reduction = 1 - res.WallSeconds/res.BaselineWallSeconds
-	}
-	data, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := fleet.WriteFileAtomic(outPath, append(data, '\n')); err != nil {
-		return err
-	}
-	fmt.Printf("tenants bench: %d tenants / %d nodes / %d partitions, %d batches, %.2fM events, wall %.1fs, %.2fM events/s, %.3f allocs/event, reports identical: %v -> %s\n",
-		res.Tenants, res.Nodes, res.Partitions, res.Batches,
-		float64(res.Records)/1e6, res.WallSeconds, res.EventsPerSecond/1e6,
-		res.AllocsPerEvent, res.ReportsIdentical, outPath)
-	if !res.ReportsIdentical {
-		return fmt.Errorf("tenants benchmark reports diverged between same-seed runs")
-	}
-	if comparePath != "" {
-		prev, err := readTenantsResult(comparePath)
-		if err != nil {
-			return fmt.Errorf("compare: %v", err)
-		}
-		ratio := res.WallSeconds / prev.WallSeconds
-		fmt.Printf("tenants bench compare: base %.1fs, head %.1fs, ratio %.3f\n",
-			prev.WallSeconds, res.WallSeconds, ratio)
-		if ratio > 1.10 {
-			return fmt.Errorf("tenants benchmark regressed %.1f%% (base %.1fs, head %.1fs)",
-				100*(ratio-1), prev.WallSeconds, res.WallSeconds)
-		}
-	}
-	return nil
-}
-
-// readTenantsResult loads a previous BENCH_tenants.json.
-func readTenantsResult(path string) (tenantsBenchResult, error) {
-	var res tenantsBenchResult
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return res, err
-	}
-	if err := json.Unmarshal(data, &res); err != nil {
-		return res, fmt.Errorf("%s: %v", path, err)
-	}
-	return res, nil
-}
-
-// zooBenchResult is the BENCH_zoo.json schema: the controller-zoo sweep
-// (every registered controller over the widened config space under the
-// chaos plan) timed end to end, with the same-seed determinism check riding
-// along.
-type zooBenchResult struct {
-	Controllers         int     `json:"controllers"`
-	Seeds               int     `json:"seeds"`
-	NumCPU              int     `json:"numcpu"`
-	BaselineWallSeconds float64 `json:"baseline_wall_seconds"`
-	WallSeconds         float64 `json:"wall_seconds"`
-	Reduction           float64 `json:"reduction"`
-	ReportSHA256        string  `json:"report_sha256"`
-	ReportsIdentical    bool    `json:"reports_identical"`
-}
-
-// zooBenchConfig is the fixed sweep behind -experiment zoo: every zoo
-// controller, two seeds, a 40-minute horizon — small enough for CI,
-// large enough that the tuners finish their searches.
-func zooBenchConfig() experiments.Config {
-	return experiments.Config{Seed: 1, Repetitions: 2, Horizon: 40 * time.Minute, Warmup: 0.5}
-}
-
-// runZooBench runs the zoo sweep twice under the same seed (the warm-up run
-// doubles as the byte-identical determinism check), times the second run,
-// carries the recorded baseline forward, and optionally compares against a
-// previous result file, failing on a >10% wall-clock regression.
-func runZooBench(outPath string, recordBaseline bool, comparePath string) error {
-	cfg := zooBenchConfig()
-	warmTab, err := experiments.ControllerZoo(cfg)
-	if err != nil {
-		return err
-	}
-	var warm strings.Builder
-	warmTab.Render(&warm)
-
-	start := time.Now()
-	tab, err := experiments.ControllerZoo(cfg)
-	if err != nil {
-		return err
-	}
-	wall := time.Since(start).Seconds()
-	var rendered strings.Builder
-	tab.Render(&rendered)
-
-	res := zooBenchResult{
-		Controllers:      len(experiments.ZooControllers()),
-		Seeds:            cfg.Repetitions,
-		NumCPU:           runtime.NumCPU(),
-		WallSeconds:      wall,
-		ReportSHA256:     fmt.Sprintf("%x", sha256.Sum256([]byte(rendered.String()))),
-		ReportsIdentical: warm.String() == rendered.String(),
-	}
-	if prev, err := readZooResult(outPath); err == nil && !recordBaseline {
-		res.BaselineWallSeconds = prev.BaselineWallSeconds
-	} else {
-		res.BaselineWallSeconds = wall
-	}
-	if res.BaselineWallSeconds > 0 {
-		res.Reduction = 1 - res.WallSeconds/res.BaselineWallSeconds
-	}
-	data, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := fleet.WriteFileAtomic(outPath, append(data, '\n')); err != nil {
-		return err
-	}
-	fmt.Printf("zoo bench: %d controllers x %d seeds, wall %.1fs, reports identical: %v -> %s\n",
-		res.Controllers, res.Seeds, res.WallSeconds, res.ReportsIdentical, outPath)
-	if !res.ReportsIdentical {
-		return fmt.Errorf("zoo reports diverged between same-seed runs")
-	}
-	if comparePath != "" {
-		prev, err := readZooResult(comparePath)
-		if err != nil {
-			return fmt.Errorf("compare: %v", err)
-		}
-		ratio := res.WallSeconds / prev.WallSeconds
-		fmt.Printf("zoo bench compare: base %.1fs, head %.1fs, ratio %.3f\n",
-			prev.WallSeconds, res.WallSeconds, ratio)
-		if ratio > 1.10 {
-			return fmt.Errorf("zoo benchmark regressed %.1f%% (base %.1fs, head %.1fs)",
-				100*(ratio-1), prev.WallSeconds, res.WallSeconds)
-		}
-	}
-	return nil
-}
-
-// readZooResult loads a previous BENCH_zoo.json.
-func readZooResult(path string) (zooBenchResult, error) {
-	var res zooBenchResult
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return res, err
-	}
-	if err := json.Unmarshal(data, &res); err != nil {
-		return res, fmt.Errorf("%s: %v", path, err)
-	}
-	return res, nil
-}
-
-// readKernelResult loads a previous BENCH_kernel.json.
-func readKernelResult(path string) (kernelBenchResult, error) {
-	var res kernelBenchResult
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return res, err
-	}
-	if err := json.Unmarshal(data, &res); err != nil {
-		return res, fmt.Errorf("%s: %v", path, err)
-	}
-	return res, nil
 }

@@ -41,15 +41,15 @@ func main() {
 		workloads   = flag.String("workloads", "logreg", "comma-separated workloads (logreg,linreg,wordcount,pageanalyze)")
 		controllers = flag.String("controllers", "static,nostop",
 			"comma-separated controllers ("+strings.Join(fleet.ControllerNames(), ",")+")")
-		seeds       = flag.String("seeds", "1-5", "seed list: comma-separated values and lo-hi ranges, e.g. 1,2,5-8")
-		horizon     = flag.Duration("horizon", 40*time.Minute, "virtual run duration per job")
-		warmup      = flag.Float64("warmup", 0.5, "fraction of each run discarded before measuring")
-		chaos       = flag.Bool("chaos", false, "also sweep the scripted chaos fault plan (vs fault-free)")
-		j           = flag.Int("j", 0, "worker pool size (0: NumCPU); affects wall time only, never results")
-		out         = flag.String("out", "fleet-out", "artifact directory")
-		resume      = flag.Bool("resume", false, "skip jobs with a valid cached artifact in -out")
-		quiet       = flag.Bool("quiet", false, "suppress per-job progress lines")
-		name        = flag.String("name", "", "sweep name recorded in the manifest")
+		seeds   = flag.String("seeds", "1-5", "seed list: comma-separated values and lo-hi ranges, e.g. 1,2,5-8")
+		horizon = flag.Duration("horizon", 40*time.Minute, "virtual run duration per job")
+		warmup  = flag.Float64("warmup", 0.5, "fraction of each run discarded before measuring")
+		chaos   = flag.Bool("chaos", false, "also sweep the scripted chaos fault plan (vs fault-free)")
+		j       = flag.Int("j", 0, "worker pool size (0: NumCPU); affects wall time only, never results")
+		out     = flag.String("out", "fleet-out", "artifact directory")
+		resume  = flag.Bool("resume", false, "skip jobs with a valid cached artifact in -out")
+		quiet   = flag.Bool("quiet", false, "suppress per-job progress lines")
+		name    = flag.String("name", "", "sweep name recorded in the manifest")
 	)
 	flag.Parse()
 

@@ -65,6 +65,9 @@ func main() {
 func run(out io.Writer, wlName, tuner string, horizon time.Duration, seedN uint64,
 	interval time.Duration, executors int, rateMin, rateMax float64, report time.Duration,
 	failNode int, failAt time.Duration, tracePath, promPath string) error {
+	if horizon <= 0 {
+		return fmt.Errorf("horizon %v must be positive", horizon)
+	}
 	if report <= 0 {
 		return fmt.Errorf("report period %v must be positive", report)
 	}

@@ -78,6 +78,11 @@ func TestRejectsBadTunerAndReport(t *testing.T) {
 			t.Errorf("-report %v accepted", report)
 		}
 	}
+	for _, horizon := range []time.Duration{0, -5 * time.Minute} {
+		if _, err := simulate(t, fleet.ControllerStatic, horizon, 5*time.Minute); err == nil {
+			t.Errorf("-horizon %v accepted", horizon)
+		}
+	}
 }
 
 // summaryLine returns the "summary: N batches, M records" line.

@@ -29,17 +29,17 @@ import (
 
 func main() {
 	var (
-		mixPath   = flag.String("mix", "", "mix spec JSON file (overrides the synthetic flags)")
-		tenants   = flag.Int("tenants", 8, "synthetic mix: tenant count")
-		nodes     = flag.Int("nodes", 64, "synthetic mix: worker nodes")
-		cores     = flag.Int("cores", 4, "synthetic mix: cores per worker")
+		mixPath    = flag.String("mix", "", "mix spec JSON file (overrides the synthetic flags)")
+		tenants    = flag.Int("tenants", 8, "synthetic mix: tenant count")
+		nodes      = flag.Int("nodes", 64, "synthetic mix: worker nodes")
+		cores      = flag.Int("cores", 4, "synthetic mix: cores per worker")
 		partitions = flag.Int("partitions", 0, "partitions per topic (0: mix default)")
-		allocator = flag.String("allocator", tenant.AllocFairShare, "allocator policy: priority, fair-share, or static")
-		horizon   = flag.Duration("horizon", 30*time.Minute, "simulated run length")
-		seed      = flag.Uint64("seed", 1, "root seed")
-		jsonOut   = flag.Bool("json", false, "print the JSON report instead of the human summary")
-		out       = flag.String("out", "", "also write the JSON report to this file (atomic)")
-		promOut   = flag.String("metrics", "", "write the final Prometheus metrics snapshot to this file")
+		allocator  = flag.String("allocator", tenant.AllocFairShare, "allocator policy: priority, fair-share, or static")
+		horizon    = flag.Duration("horizon", 30*time.Minute, "simulated run length")
+		seed       = flag.Uint64("seed", 1, "root seed")
+		jsonOut    = flag.Bool("json", false, "print the JSON report instead of the human summary")
+		out        = flag.String("out", "", "also write the JSON report to this file (atomic)")
+		promOut    = flag.String("metrics", "", "write the final Prometheus metrics snapshot to this file")
 	)
 	flag.Parse()
 

@@ -35,13 +35,22 @@ func main() {
 	)
 	flag.Parse()
 
-	tab, err := experiments.ControllerZoo(experiments.Config{
+	if *seeds < 1 {
+		fmt.Fprintf(os.Stderr, "nostop-zoo: -seeds %d must be at least 1\n", *seeds)
+		os.Exit(2)
+	}
+	cfg := experiments.Config{
 		Seed:        *seed,
 		Repetitions: *seeds,
 		Horizon:     *horizon,
 		Warmup:      *warmup,
 		Parallelism: *j,
-	})
+	}
+	if err := cfg.Validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "nostop-zoo: %v\n", err)
+		os.Exit(2)
+	}
+	tab, err := experiments.ControllerZoo(cfg)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "nostop-zoo: %v\n", err)
 		os.Exit(1)

@@ -95,6 +95,7 @@ func (p *Partition) Begin() int64 { return p.begin }
 func (p *Partition) End() int64 { return p.end }
 
 // appendCount appends n records without payloads.
+//
 //nostop:hotpath
 func (p *Partition) appendCount(n int64) {
 	p.end += n
@@ -344,6 +345,7 @@ func (b *Bus) NewProducer(topic string) (*Producer, error) {
 
 // Send appends one concrete record and returns it (with partition/offset
 // assigned).
+//
 //nostop:hotpath
 func (p *Producer) Send(key, value string, t sim.Time) Record {
 	part := p.topic.Partitions[p.next]
@@ -353,6 +355,7 @@ func (p *Producer) Send(key, value string, t sim.Time) Record {
 
 // SendCount appends n payload-less records spread as evenly as possible
 // across partitions. Used for bulk rate simulation.
+//
 //nostop:hotpath
 func (p *Producer) SendCount(n int64) {
 	if n <= 0 {
@@ -474,6 +477,7 @@ func (g *ConsumerGroup) Fetch(max int64) (int64, []Record, []OffsetRange) {
 // slices are reused across fetches. Release the chunk once its ranges are
 // committed (or abandoned); until then the chunk owns its payload copies, so
 // replay and retry see stable data. Returns nil when nothing is available.
+//
 //nostop:hotpath
 func (g *ConsumerGroup) FetchChunk(max int64) *Chunk {
 	c := g.chunkFree
@@ -496,6 +500,7 @@ func (g *ConsumerGroup) FetchChunk(max int64) *Chunk {
 
 // Release returns a chunk to the group's pool. The chunk and its slices
 // must not be used after release.
+//
 //nostop:hotpath
 func (g *ConsumerGroup) Release(c *Chunk) {
 	if c == nil {
@@ -572,6 +577,7 @@ func (g *ConsumerGroup) fetchInto(max int64, c *Chunk) {
 // Commit durably acknowledges processed ranges, advancing committed offsets.
 // Ranges may arrive out of order (a retried batch can finish after a later
 // one); committed only moves forward.
+//
 //nostop:hotpath
 func (g *ConsumerGroup) Commit(ranges []OffsetRange) {
 	var advanced int64
@@ -597,6 +603,7 @@ func (g *ConsumerGroup) Commit(ranges []OffsetRange) {
 // — the consumer's reaction to a partition outage killing its in-flight
 // fetch session. The span between the two offsets will be fetched again; it
 // is added to the redelivery counter and returned.
+//
 //nostop:hotpath
 func (g *ConsumerGroup) Rewind(partition int) int64 {
 	if partition < 0 || partition >= len(g.position) {

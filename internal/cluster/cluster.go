@@ -182,6 +182,7 @@ func (c *Cluster) Workers() []*NodeSpec {
 
 // live returns the cached live-worker list, rebuilding it only after a
 // failure transition invalidated it.
+//
 //nostop:hotpath
 func (c *Cluster) live() []*NodeSpec {
 	if c.liveWorkers == nil {

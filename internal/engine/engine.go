@@ -516,6 +516,7 @@ func (e *Engine) Stop() { e.stopped = true }
 func (e *Engine) AddListener(l Listener) { e.listeners = append(e.listeners, l) }
 
 // producerTick pushes trace arrivals since the previous tick into the topic.
+//
 //nostop:hotpath
 func (e *Engine) producerTick() {
 	if e.stopped {
@@ -572,6 +573,7 @@ func (e *Engine) effectiveCap(now sim.Time) float64 {
 // and schedules the next cut. Offsets are fetched uncommitted: the batch
 // commits its ranges only when it completes successfully, so an outage
 // replays anything in flight (at-least-once).
+//
 //nostop:hotpath
 func (e *Engine) cutBatch() {
 	if e.stopped {
@@ -609,6 +611,7 @@ func (e *Engine) cutBatch() {
 
 // applyConfig switches the live configuration; executor-count changes
 // reallocate and charge setup to the next scheduled batch.
+//
 //nostop:allow hotalloc -- reconfiguration boundary: runs once per config change, not per record
 func (e *Engine) applyConfig(cfg Config) {
 	changedExecs := cfg.Executors != e.cfg.Executors || len(e.execs) != cfg.Executors

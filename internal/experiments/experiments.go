@@ -14,6 +14,8 @@
 //	Fig8(cfg)      – SPSA vs Bayesian Optimization (5 runs)
 //	BackPressure(cfg) – NoStop vs Spark back-pressure (abstract's claim)
 //	Ablation*(cfg) – design-choice studies from DESIGN.md §4
+//
+// Experiments() names each of them once, in the order RunAll renders them.
 package experiments
 
 import (
@@ -55,6 +57,21 @@ type Config struct {
 	// fixed up front and results land in per-run slots, so the rendered
 	// tables are byte-identical at any parallelism.
 	Parallelism int
+}
+
+// Validate rejects a negative repetition count or horizon and a warmup
+// outside [0, 1). Zero fields pass: they mean their defaults.
+func (c Config) Validate() error {
+	if c.Repetitions < 0 {
+		return fmt.Errorf("experiments: negative repetitions %d", c.Repetitions)
+	}
+	if c.Horizon < 0 {
+		return fmt.Errorf("experiments: negative horizon %v", c.Horizon)
+	}
+	if !(c.Warmup >= 0 && c.Warmup < 1) {
+		return fmt.Errorf("experiments: warmup %.2f outside [0, 1)", c.Warmup)
+	}
+	return nil
 }
 
 func (c Config) withDefaults() Config {
@@ -237,19 +254,64 @@ func Table2() *Table {
 	return t
 }
 
+// Experiment is one named table or figure of the evaluation.
+type Experiment struct {
+	Name string
+	Run  func(Config) (*Table, error)
+}
+
+// Experiments lists every experiment in the order RunAll renders them. It
+// is the one mapping from experiment name to function: nostop-bench
+// -experiment looks names up here.
+func Experiments() []Experiment {
+	return []Experiment{
+		{"table2", func(Config) (*Table, error) { return Table2(), nil }},
+		{"fig2", Fig2},
+		{"fig3", Fig3},
+		{"fig5", Fig5},
+		{"fig6", Fig6},
+		{"fig7", Fig7},
+		{"fig8", Fig8},
+		{"backpressure", BackPressure},
+		{"abl-penalty", AblationPenaltyRamp},
+		{"abl-firstbatch", AblationFirstBatch},
+		{"abl-window", AblationWindow},
+		{"abl-reset", AblationReset},
+		{"abl-gains", AblationGains},
+		{"abl-scaling", AblationScaling},
+		{"abl-stepclip", AblationStepClip},
+		{"abl-objective", AblationObjective},
+		{"ext-3param", Extension3Param},
+		{"ext-autogains", ExtensionAutoGains},
+		{"ext-failure", ExtensionNodeFailure},
+		{"chaos", Chaos},
+	}
+}
+
+// Names returns every experiment name, in Experiments order.
+func Names() []string {
+	var names []string
+	for _, e := range Experiments() {
+		names = append(names, e.Name)
+	}
+	return names
+}
+
+// Lookup returns the experiment with the given name.
+func Lookup(name string) (Experiment, bool) {
+	for _, e := range Experiments() {
+		if e.Name == name {
+			return e, true
+		}
+	}
+	return Experiment{}, false
+}
+
 // RunAll executes every experiment at the given scale and renders them.
 func RunAll(w io.Writer, cfg Config) error {
 	cfg = cfg.withDefaults()
-	Table2().Render(w)
-	for _, run := range []func(Config) (*Table, error){
-		Fig2, Fig3, Fig5, Fig6, Fig7, Fig8, BackPressure,
-		AblationPenaltyRamp, AblationFirstBatch, AblationWindow,
-		AblationReset, AblationGains, AblationScaling, AblationStepClip,
-		AblationObjective,
-		Extension3Param, ExtensionAutoGains, ExtensionNodeFailure,
-		Chaos,
-	} {
-		t, err := run(cfg)
+	for _, e := range Experiments() {
+		t, err := e.Run(cfg)
 		if err != nil {
 			return err
 		}

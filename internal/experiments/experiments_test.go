@@ -262,6 +262,25 @@ func TestConfigDefaults(t *testing.T) {
 	if q.Repetitions != 1 {
 		t.Fatalf("Quick: %+v", q)
 	}
+	for _, ok := range []Config{{}, q, c} {
+		if err := ok.Validate(); err != nil {
+			t.Errorf("Validate(%+v) = %v", ok, err)
+		}
+	}
+	for _, tc := range []struct {
+		cfg  Config
+		want string
+	}{
+		{Config{Repetitions: -1}, "negative repetitions -1"},
+		{Config{Horizon: -5 * time.Minute}, "negative horizon -5m0s"},
+		{Config{Warmup: 1}, "warmup 1.00 outside [0, 1)"},
+		{Config{Warmup: 1.5}, "warmup 1.50 outside [0, 1)"},
+		{Config{Warmup: -0.5}, "warmup -0.50 outside [0, 1)"},
+	} {
+		if err := tc.cfg.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Validate(%+v) = %v, want error containing %q", tc.cfg, err, tc.want)
+		}
+	}
 }
 
 func TestRenderAligns(t *testing.T) {

@@ -212,6 +212,7 @@ type Counter struct {
 func (c *Counter) Inc() { c.Add(1) }
 
 // Add increases the counter by v; negative v panics (counters only go up).
+//
 //nostop:hotpath
 func (c *Counter) Add(v float64) {
 	if c == nil {
@@ -243,6 +244,7 @@ type Gauge struct {
 }
 
 // Set replaces the gauge value.
+//
 //nostop:hotpath
 func (g *Gauge) Set(v float64) {
 	if g == nil {
@@ -254,6 +256,7 @@ func (g *Gauge) Set(v float64) {
 }
 
 // Add shifts the gauge by v (may be negative).
+//
 //nostop:hotpath
 func (g *Gauge) Add(v float64) {
 	if g == nil {
@@ -286,6 +289,7 @@ type Histogram struct {
 // (Prometheus `le` semantics): a sample exactly on a bound counts into that
 // bound's bucket. Samples above the last bound only count toward +Inf.
 // NaN observations are dropped — they would poison the sum forever.
+//
 //nostop:hotpath
 func (h *Histogram) Observe(v float64) {
 	if h == nil || math.IsNaN(v) {

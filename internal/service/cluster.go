@@ -97,7 +97,7 @@ type Cluster struct {
 	started bool
 	// chaosMu serialises wall-mode supervisor operations (chaos injector
 	// goroutine vs shutdown).
-	chaosMu sync.Mutex
+	chaosMu   sync.Mutex
 	cKills    *metrics.Counter
 	cRestarts *metrics.Counter
 }
@@ -267,7 +267,7 @@ func (p *proc) build() (component, error) {
 }
 
 // Start builds and starts all three components (broker first, so the engine
-//'s first fetch finds it; the controller handshakes by itself).
+// 's first fetch finds it; the controller handshakes by itself).
 func (c *Cluster) Start() error {
 	if c.started {
 		return fmt.Errorf("service: cluster already started")

@@ -81,14 +81,14 @@ type ControllerService struct {
 // (the cache updates immediately, the RPC confirms asynchronously, and poll
 // failures surface as a freeze rather than a synchronous error).
 type EngineProxy struct {
-	svc       *ControllerService
-	clock     *sim.Clock
-	listeners []engine.Listener
-	cfg       engine.Config
-	bounds    engine.Bounds
-	queueLen  int
-	rateMean  float64
-	rateStd   float64
+	svc          *ControllerService
+	clock        *sim.Clock
+	listeners    []engine.Listener
+	cfg          engine.Config
+	bounds       engine.Bounds
+	queueLen     int
+	rateMean     float64
+	rateStd      float64
 	reconfigBusy bool
 }
 

@@ -355,20 +355,20 @@ func (s *EngineService) handleConfig(w http.ResponseWriter, r *http.Request) {
 // Snapshot implements component.
 func (s *EngineService) Snapshot() InvariantSnapshot {
 	return InvariantSnapshot{
-		Role:           PeerEngine,
-		Epoch:          s.o.Epoch,
-		VirtualSec:     secs(s.o.Clock.Now()),
-		FetchedRecords: s.fetched,
-		LostRecords:    s.lost,
-		Redelivered:    s.redelivered,
-		QueueLen:       s.eng.QueueLen(),
-		CommittedLag:   s.eng.CommittedLag(),
+		Role:            PeerEngine,
+		Epoch:           s.o.Epoch,
+		VirtualSec:      secs(s.o.Clock.Now()),
+		FetchedRecords:  s.fetched,
+		LostRecords:     s.lost,
+		Redelivered:     s.redelivered,
+		QueueLen:        s.eng.QueueLen(),
+		CommittedLag:    s.eng.CommittedLag(),
 		CommittedOffset: s.committedOffset(),
-		FailedRecords:  s.eng.FailedRecords(),
-		ListenerPanics: s.eng.ListenerPanics(),
-		Batches:        len(s.eng.History()),
-		Degraded:       s.degraded,
-		DegradedEnters: s.enters,
-		DegradedExits:  s.exits,
+		FailedRecords:   s.eng.FailedRecords(),
+		ListenerPanics:  s.eng.ListenerPanics(),
+		Batches:         len(s.eng.History()),
+		Degraded:        s.degraded,
+		DegradedEnters:  s.enters,
+		DegradedExits:   s.exits,
 	}
 }

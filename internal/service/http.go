@@ -61,8 +61,8 @@ func toBoundsJSON(b engine.Bounds) boundsJSON {
 
 func (b boundsJSON) bounds() engine.Bounds {
 	return engine.Bounds{
-		MinInterval: time.Duration(b.MinIntervalMs) * time.Millisecond,
-		MaxInterval: time.Duration(b.MaxIntervalMs) * time.Millisecond,
+		MinInterval:  time.Duration(b.MinIntervalMs) * time.Millisecond,
+		MaxInterval:  time.Duration(b.MaxIntervalMs) * time.Millisecond,
 		MinExecutors: b.MinExecutors, MaxExecutors: b.MaxExecutors,
 		MinBlock: time.Duration(b.MinBlockMs) * time.Millisecond,
 		MaxBlock: time.Duration(b.MaxBlockMs) * time.Millisecond,

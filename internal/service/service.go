@@ -147,11 +147,11 @@ type InvariantSnapshot struct {
 	DegradedExits  int64 `json:"degradedExits,omitempty"`
 
 	// Controller fields.
-	Frozen              bool  `json:"frozen,omitempty"`
-	SuppressedReconfigs int64 `json:"suppressedReconfigs,omitempty"`
-	Recalibrations      int   `json:"recalibrations,omitempty"`
-	Iterations          int   `json:"iterations,omitempty"`
-	ListenerPanicCount  int64 `json:"callbackPanics,omitempty"`
+	Frozen              bool   `json:"frozen,omitempty"`
+	SuppressedReconfigs int64  `json:"suppressedReconfigs,omitempty"`
+	Recalibrations      int    `json:"recalibrations,omitempty"`
+	Iterations          int    `json:"iterations,omitempty"`
+	ListenerPanicCount  int64  `json:"callbackPanics,omitempty"`
 	Phase               string `json:"phase,omitempty"`
 }
 

@@ -31,10 +31,10 @@ func newSoakCluster(t *testing.T, seed uint64) *Cluster {
 		Initial:  engine.Config{BatchInterval: 5 * time.Second, Executors: 8},
 		MaxFetch: 5000, // small budget so post-outage recovery visibly sheds
 		RPC: ClientOptions{
-			Timeout:     300 * time.Millisecond,
-			MaxAttempts: 2,
-			BackoffBase: 100 * time.Millisecond,
-			BackoffMax:  time.Second,
+			Timeout:          300 * time.Millisecond,
+			MaxAttempts:      2,
+			BackoffBase:      100 * time.Millisecond,
+			BackoffMax:       time.Second,
 			BreakerThreshold: 3,
 			BreakerCooldown:  2 * time.Second,
 		},

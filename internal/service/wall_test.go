@@ -29,10 +29,10 @@ func TestWallSoakSmoke(t *testing.T) {
 		Speedup:  20,
 		MaxFetch: 5000,
 		RPC: ClientOptions{
-			Timeout:     250 * time.Millisecond,
-			MaxAttempts: 2,
-			BackoffBase: 50 * time.Millisecond,
-			BackoffMax:  200 * time.Millisecond,
+			Timeout:          250 * time.Millisecond,
+			MaxAttempts:      2,
+			BackoffBase:      50 * time.Millisecond,
+			BackoffMax:       200 * time.Millisecond,
 			BreakerThreshold: 3,
 			BreakerCooldown:  500 * time.Millisecond,
 		},

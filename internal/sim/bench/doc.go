@@ -4,7 +4,7 @@
 //
 //	go test ./internal/sim/bench -bench . -benchmem
 //
-// The -benchmem allocation columns are the leading indicators for the
-// macro-level BENCH_kernel.json regression gate: any non-zero allocs/op on
-// these paths will show up as wall-clock loss on the fleet sweep.
+// The -benchmem allocation columns are leading indicators for perfbench's
+// end-to-end throughput: any non-zero allocs/op on these paths will show up
+// as wall-clock loss on every workload.
 package bench

@@ -273,6 +273,7 @@ func (c *Clock) At(t Time, fn func()) Event {
 
 // After schedules fn to run d after the current virtual time. Negative d
 // panics via At.
+//
 //nostop:hotpath
 func (c *Clock) After(d time.Duration, fn func()) Event {
 	return c.At(c.now+d, fn)
@@ -342,6 +343,7 @@ func (c *Clock) fifoPopFront() *node {
 // Cancel removes a scheduled event. Canceling an already-fired,
 // already-canceled, or zero event is a no-op: the generation stamp in the
 // handle detects a node that has moved on to a later incarnation.
+//
 //nostop:hotpath
 func (c *Clock) Cancel(e Event) {
 	n := e.n
@@ -404,6 +406,7 @@ func (c *Clock) peek() *node {
 
 // Step fires the earliest pending event and returns true, or returns false
 // if the queue is empty.
+//
 //nostop:hotpath
 func (c *Clock) Step() bool {
 	n := c.next()
@@ -423,6 +426,7 @@ func (c *Clock) Step() bool {
 // called, or the next event is due strictly after horizon. The clock is left
 // at min(horizon, time of last executed event); if the queue drains early the
 // clock advances to the horizon so periodic models can resume cleanly.
+//
 //nostop:hotpath
 func (c *Clock) RunUntil(horizon Time) {
 	c.stopped = false
@@ -439,6 +443,7 @@ func (c *Clock) RunUntil(horizon Time) {
 }
 
 // Run executes events until the queue drains or Stop is called.
+//
 //nostop:hotpath
 func (c *Clock) Run() {
 	c.stopped = false

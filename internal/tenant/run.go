@@ -85,12 +85,12 @@ type TenantReport struct {
 
 // ClusterReport aggregates the shared cluster's view of the run.
 type ClusterReport struct {
-	Nodes       int    `json:"nodes"`
-	WorkerCores int    `json:"worker_cores"`
-	UsedCores   int    `json:"used_cores"`
-	FreeCores   int    `json:"free_cores"`
-	TotalBatches int   `json:"total_batches"`
-	TotalRecords int64 `json:"total_records"`
+	Nodes        int     `json:"nodes"`
+	WorkerCores  int     `json:"worker_cores"`
+	UsedCores    int     `json:"used_cores"`
+	FreeCores    int     `json:"free_cores"`
+	TotalBatches int     `json:"total_batches"`
+	TotalRecords int64   `json:"total_records"`
 	MeanDelaySec float64 `json:"mean_delay_sec"`
 }
 
@@ -132,10 +132,10 @@ func (r *Report) Encode() ([]byte, error) {
 
 // runTenant is the live state of one tenant during a run.
 type runTenant struct {
-	spec TenantSpec
-	gate *Gate
-	ctl  *core.Controller
-	trace ratetrace.Trace
+	spec        TenantSpec
+	gate        *Gate
+	ctl         *core.Controller
+	trace       ratetrace.Trace
 	preemptions int
 }
 

@@ -269,6 +269,9 @@ func (m MixSpec) Validate() (MixSpec, error) {
 	if len(n.Tenants) == 0 {
 		return n, fmt.Errorf("tenant: mix %q has no tenants", n.Name)
 	}
+	if n.Horizon < 0 {
+		return n, fmt.Errorf("tenant: mix %q has negative horizon %v", n.Name, n.Horizon)
+	}
 	capacity := n.Nodes * n.CoresPerNode
 	if capacity < len(n.Tenants) {
 		return n, fmt.Errorf("tenant: mix %q has %d worker cores for %d tenants (need >= 1 core each)",

@@ -154,6 +154,7 @@ func TestMixValidateErrors(t *testing.T) {
 		{"max below initial", func(m *MixSpec) { m.Tenants[0].MaxExecutors = 2; m.Tenants[0].InitialExecutors = 6 }, "below initial"},
 		{"controller", func(m *MixSpec) { m.Tenants[0].Controller = "pid" }, "unknown controller"},
 		{"trace", func(m *MixSpec) { m.Tenants[0].Trace = TraceSpec{Kind: "constant"} }, "positive rate"},
+		{"horizon", func(m *MixSpec) { m.Horizon = Duration(-time.Minute) }, "negative horizon"},
 	}
 	for _, tc := range cases {
 		mix := smallMix(AllocFairShare)

@@ -132,6 +132,7 @@ func micros(ts sim.Time) int64 { return int64(ts / sim.Time(time.Microsecond)) }
 // Span records a complete span [start, start+dur) on the (pid, tid) lane.
 // Spans may be recorded after the fact (at completion time, when the
 // duration is known); the viewer orders by ts, not record order.
+//
 //nostop:hotpath
 func (t *Tracer) Span(pid, tid int, cat, name string, start sim.Time, dur time.Duration, args Args) {
 	if t == nil {
@@ -147,6 +148,7 @@ func (t *Tracer) Span(pid, tid int, cat, name string, start sim.Time, dur time.D
 
 // Instant records a zero-duration marker at the current virtual time with
 // thread scope.
+//
 //nostop:hotpath
 func (t *Tracer) Instant(pid, tid int, cat, name string, args Args) {
 	if t == nil {
@@ -159,6 +161,7 @@ func (t *Tracer) Instant(pid, tid int, cat, name string, args Args) {
 // Counter records a counter sample at the current virtual time; the viewer
 // renders each named series as a stacked area chart. Values must be
 // numeric.
+//
 //nostop:hotpath
 func (t *Tracer) Counter(pid int, name string, values Args) {
 	if t == nil {
