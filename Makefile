@@ -37,10 +37,11 @@ chaos:
 
 ## bench: the simulator's benchmark, perfbench (declared by BENCHMARK.json,
 ## see perfbench/README.md and docs/PERF.md): every workload for its default
-## 10 s, then the sim kernel's microbenchmarks.
+## 10 s, then the sim kernel's and the listener's microbenchmarks.
 bench:
 	for w in sweep tenants zoo-observed service-soak; do bash perfbench/run.sh --workload $$w || exit 1; done
 	$(GO) test ./internal/sim/bench -bench . -benchmem
+	$(GO) test ./internal/listener -run '^$$' -bench CollectorStatus -benchmem
 
 ## golden: regenerate the golden-master artifacts after an INTENDED
 ## output change. Review the diff before committing — these files are the

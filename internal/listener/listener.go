@@ -3,28 +3,42 @@
 // JSON status report, and serves live system status over HTTP so external
 // tooling can watch the optimization without touching the engine.
 //
+// # Running summaries
+//
+// A controller reads /status at every interval, so Status must not cost
+// more as the history grows. The Collector keeps what Status reports up to
+// date as each batch arrives: an integer sum of the processing delays, a
+// Welford accumulator fed the end-to-end delays in report order, and the
+// end-to-end delays in ascending order for the p95. Status reads them in
+// O(1) without allocating. Each value is bit for bit what stats.Mean and
+// stats.Summarize give over the retained reports; Welford's mean depends
+// on the order of its inputs, so when retention evicts the oldest report
+// the accumulator is rebuilt over the reports that remain.
+//
 // # Synchronisation contract
 //
 // The Collector sits between two worlds: the single-threaded simulation
 // kernel appends reports from its thread via the engine Listener callback,
-// while HTTP handlers read from server goroutines. The report buffer is
-// guarded by an RWMutex, so Reports, Latest, and the report-derived half of
-// Status are always internally consistent. Status additionally reads live
-// engine state (Config, QueueLen, Lag, rate window) WITHOUT holding the
-// engine still: callers that need the engine frozen while serving — any
-// real HTTP deployment against a running simulation — must serialise
-// handler execution against clock advancement externally, as
-// cmd/nostop-listen does with a lock middleware around every request.
-// Under that discipline /status and /metrics observe identical state:
-// Status.Batches, the legacy nostop_batches_total gauge, and the attached
-// registry's nostop_batches_completed_total counter all agree after every
-// batch (asserted by TestMetricsStatusAgree).
+// while HTTP handlers read from server goroutines. The report buffer and
+// its running summaries are guarded by an RWMutex (the fields say so, and
+// the lockguard analyzer enforces it), so Reports, Latest, and the
+// report-derived half of Status are always internally consistent. Status
+// additionally reads live engine state (Config, QueueLen, Lag, rate
+// window) WITHOUT holding the engine still: callers that need the engine
+// frozen while serving — any real HTTP deployment against a running
+// simulation — must serialise handler execution against clock advancement
+// externally, as cmd/nostop-listen does with a lock middleware around every
+// request. Under that discipline /status and /metrics observe identical
+// state: Status.Batches, the legacy nostop_batches_total gauge, and the
+// attached registry's nostop_batches_completed_total counter all agree
+// after every batch (asserted by TestMetricsStatusAgree).
 package listener
 
 import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"sort"
 	"strconv"
 	"sync"
 
@@ -89,19 +103,27 @@ type Status struct {
 // HTTP. It is safe for concurrent use: the simulation appends from its
 // thread while HTTP handlers read from server goroutines.
 type Collector struct {
-	eng *engine.Engine
+	eng     *engine.Engine
+	maxKeep int
 
 	mu      sync.RWMutex
-	reports []BatchReport
-	maxKeep int
-	reg     *metrics.Registry
+	reports []BatchReport     // guarded by mu
+	reg     *metrics.Registry // guarded by mu
+
+	// Running summaries of reports, kept by onBatch for Status.
+	procSum   int64        // guarded by mu; sum of ProcessingDelayMs
+	e2e       stats.Online // guarded by mu; EndToEndDelayMs in report order
+	e2eSorted []float64    // guarded by mu; EndToEndDelayMs ascending
 }
 
 // NewCollector attaches a collector to the engine. maxKeep bounds retained
-// reports (0 means 100000).
+// reports (0 means 100000; negative is rejected).
 func NewCollector(eng *engine.Engine, maxKeep int) (*Collector, error) {
 	if eng == nil {
 		return nil, fmt.Errorf("listener: nil engine")
+	}
+	if maxKeep < 0 {
+		return nil, fmt.Errorf("listener: maxKeep %d is negative", maxKeep)
 	}
 	if maxKeep == 0 {
 		maxKeep = 100000
@@ -129,14 +151,33 @@ func (c *Collector) Registry() *metrics.Registry {
 	return c.reg
 }
 
+// onBatch appends the batch's report and updates the running summaries,
+// evicting the oldest report at maxKeep.
 func (c *Collector) onBatch(bs engine.BatchStats) {
+	r := Report(bs)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if len(c.reports) == c.maxKeep {
+		old := c.reports[0]
 		copy(c.reports, c.reports[1:])
 		c.reports = c.reports[:len(c.reports)-1]
+		c.procSum -= old.ProcessingDelayMs
+		i := sort.SearchFloat64s(c.e2eSorted, float64(old.EndToEndDelayMs))
+		c.e2eSorted = append(c.e2eSorted[:i], c.e2eSorted[i+1:]...)
+		// Welford's mean cannot take an observation back exactly.
+		c.e2e.Reset()
+		for _, kept := range c.reports {
+			c.e2e.Add(float64(kept.EndToEndDelayMs))
+		}
 	}
-	c.reports = append(c.reports, Report(bs))
+	c.reports = append(c.reports, r)
+	c.procSum += r.ProcessingDelayMs
+	e2e := float64(r.EndToEndDelayMs)
+	c.e2e.Add(e2e)
+	i := sort.SearchFloat64s(c.e2eSorted, e2e)
+	c.e2eSorted = append(c.e2eSorted, 0)
+	copy(c.e2eSorted[i+1:], c.e2eSorted[i:])
+	c.e2eSorted[i] = e2e
 }
 
 // Reports returns a copy of the retained reports.
@@ -178,19 +219,22 @@ func (c *Collector) Latest() (BatchReport, bool) {
 	return c.reports[len(c.reports)-1], true
 }
 
-// Status computes the live summary.
+// Status returns the live summary in O(1) without allocating: the delay
+// figures come from the running summaries, not from the history.
+//
+//nostop:hotpath
 func (c *Collector) Status() Status {
 	c.mu.RLock()
-	var proc, e2e []float64
-	for _, r := range c.reports {
-		proc = append(proc, float64(r.ProcessingDelayMs))
-		e2e = append(e2e, float64(r.EndToEndDelayMs))
-	}
 	n := len(c.reports)
+	meanProc := 0.0
+	if n > 0 {
+		meanProc = float64(c.procSum) / float64(n)
+	}
+	meanE2E := c.e2e.Mean()
+	p95E2E := stats.Percentile(c.e2eSorted, 0.95)
 	c.mu.RUnlock()
 
 	cfg := c.eng.Config()
-	e2eSum := stats.Summarize(e2e)
 	return Status{
 		Batches:         n,
 		BatchIntervalMs: cfg.BatchInterval.Milliseconds(),
@@ -199,9 +243,9 @@ func (c *Collector) Status() Status {
 		LagRecords:      c.eng.Lag(),
 		RateMean:        c.eng.RecentRateMean(),
 		RateStd:         c.eng.RecentRateStd(),
-		MeanProcMs:      stats.Mean(proc),
-		MeanE2EMs:       e2eSum.Mean,
-		P95E2EMs:        e2eSum.P95,
+		MeanProcMs:      meanProc,
+		MeanE2EMs:       meanE2E,
+		P95E2EMs:        p95E2E,
 	}
 }
 

@@ -2,10 +2,13 @@ package listener
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
+	"math"
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -14,6 +17,7 @@ import (
 	"nostop/internal/ratetrace"
 	"nostop/internal/rng"
 	"nostop/internal/sim"
+	"nostop/internal/stats"
 	"nostop/internal/workload"
 )
 
@@ -40,10 +44,125 @@ func newRunningEngine(t *testing.T, horizon float64) (*engine.Engine, *Collector
 	return eng, col
 }
 
+// newIdleEngine builds an engine that is never started, for tests that
+// feed the collector directly.
+func newIdleEngine(t testing.TB) *engine.Engine {
+	t.Helper()
+	eng, err := engine.New(sim.NewClock(), engine.Options{
+		Workload: workload.NewWordCount(),
+		Trace:    ratetrace.Constant{Rate: 1000},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng
+}
+
+// feed hands n batches with seeded delays straight to the collector, about
+// half of them drawn from four tied values, so both running summaries and
+// the sorted slice see repeats.
+func feed(col *Collector, r *rng.Stream, n int) {
+	delay := func() time.Duration {
+		if r.Intn(2) == 0 {
+			return time.Duration(1+r.Intn(4)) * time.Second
+		}
+		return time.Duration(1+r.Intn(120000)) * time.Millisecond
+	}
+	var next int64
+	if latest, ok := col.Latest(); ok {
+		next = latest.BatchID + 1
+	}
+	for i := 0; i < n; i++ {
+		col.onBatch(engine.BatchStats{
+			ID:             next + int64(i),
+			ProcessingTime: delay(),
+			EndToEndDelay:  delay(),
+		})
+	}
+}
+
 func TestNewCollectorValidation(t *testing.T) {
 	if _, err := NewCollector(nil, 0); err == nil {
 		t.Error("nil engine accepted")
 	}
+	if _, err := NewCollector(newIdleEngine(t), -1); err == nil {
+		t.Error("negative maxKeep accepted")
+	}
+}
+
+// TestStatusMatchesFromScratch checks the running summaries against a
+// from-scratch computation over the retained reports after every batch,
+// bit for bit, when every batch evicts (maxKeep 1), when most do (5) and
+// when none does (the default).
+func TestStatusMatchesFromScratch(t *testing.T) {
+	for _, maxKeep := range []int{1, 5, 0} {
+		t.Run(fmt.Sprintf("maxKeep=%d", maxKeep), func(t *testing.T) {
+			col, err := NewCollector(newIdleEngine(t), maxKeep)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := rng.New(29)
+			for batch := 1; batch <= 2000; batch++ {
+				feed(col, r, 1)
+				reports := col.Reports()
+				proc := make([]float64, len(reports))
+				e2e := make([]float64, len(reports))
+				for i, rep := range reports {
+					proc[i] = float64(rep.ProcessingDelayMs)
+					e2e[i] = float64(rep.EndToEndDelayMs)
+				}
+				want := stats.Summarize(e2e)
+				st := col.Status()
+				for _, f := range []struct {
+					name      string
+					got, want float64
+				}{
+					{"MeanProcMs", st.MeanProcMs, stats.Mean(proc)},
+					{"MeanE2EMs", st.MeanE2EMs, want.Mean},
+					{"P95E2EMs", st.P95E2EMs, want.P95},
+				} {
+					if math.Float64bits(f.got) != math.Float64bits(f.want) {
+						t.Fatalf("batch %d (%d retained): %s = %v, from scratch %v",
+							batch, len(reports), f.name, f.got, f.want)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestStatusConcurrentWithBatches reads Status and Reports from several
+// goroutines while batches arrive, as HTTP handlers do against a running
+// simulation; under -race it checks that the running summaries are only
+// touched under the collector's lock.
+func TestStatusConcurrentWithBatches(t *testing.T) {
+	col, err := NewCollector(newIdleEngine(t), 50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if st := col.Status(); st.Batches > 50 || st.P95E2EMs < 0 {
+					t.Errorf("inconsistent status %+v", st)
+					return
+				}
+				_ = col.Reports()
+			}
+		}()
+	}
+	feed(col, rng.New(37), 2000)
+	close(stop)
+	wg.Wait()
 }
 
 func TestReportFields(t *testing.T) {
@@ -126,12 +245,7 @@ func TestCollectorEviction(t *testing.T) {
 }
 
 func TestLatestEmpty(t *testing.T) {
-	clock := sim.NewClock()
-	eng, _ := engine.New(clock, engine.Options{
-		Workload: workload.NewWordCount(),
-		Trace:    ratetrace.Constant{Rate: 1000},
-	})
-	col, _ := NewCollector(eng, 0)
+	col, _ := NewCollector(newIdleEngine(t), 0)
 	if _, ok := col.Latest(); ok {
 		t.Fatal("Latest on empty collector")
 	}
@@ -219,12 +333,7 @@ func TestHTTPEndpoints(t *testing.T) {
 }
 
 func TestHTTPLatestEmpty404(t *testing.T) {
-	clock := sim.NewClock()
-	eng, _ := engine.New(clock, engine.Options{
-		Workload: workload.NewWordCount(),
-		Trace:    ratetrace.Constant{Rate: 1000},
-	})
-	col, _ := NewCollector(eng, 0)
+	col, _ := NewCollector(newIdleEngine(t), 0)
 	srv := httptest.NewServer(col.Handler())
 	defer srv.Close()
 	resp, err := srv.Client().Get(srv.URL + "/batches/latest")

@@ -42,7 +42,8 @@ type EngineOptions struct {
 	// in-engine queue growth stays bounded while the un-fetched remainder
 	// waits durably on the broker (default 50000).
 	MaxFetch int64
-	// MaxKeep bounds listener report retention (0: listener default).
+	// MaxKeep bounds listener report retention (0: listener default;
+	// negative is rejected).
 	MaxKeep int
 	// Metrics is shared across components; Tracer feeds the embedded
 	// engine's lifecycle spans (sim mode only — it is not safe across

@@ -118,14 +118,14 @@ func (l *simLink) RoundTrip(req Request, done func(Response, error)) {
 			done(Response{}, ErrRefused)
 			return
 		}
-		var rd *bytes.Reader
-		if body != nil {
-			rd = bytes.NewReader(body)
-		} else {
-			rd = bytes.NewReader(nil)
+		// http.NewRequest, not httptest.NewRequest: the latter parses a
+		// request line through a fresh 4 KB bufio.Reader per delivery.
+		hreq, err := http.NewRequest(req.Method, req.Path, bytes.NewReader(body))
+		if err != nil {
+			done(Response{}, err)
+			return
 		}
 		rec := httptest.NewRecorder()
-		hreq := httptest.NewRequest(req.Method, req.Path, rd)
 		p.handler.ServeHTTP(rec, hreq)
 		resp := Response{Status: rec.Code, Body: append([]byte(nil), rec.Body.Bytes()...)}
 		l.n.clock.After(l.latency(), func() { done(resp, nil) })
