@@ -30,6 +30,7 @@ import (
 	"strings"
 	"time"
 
+	"nostop/internal/controllers"
 	"nostop/internal/experiments"
 	"nostop/internal/fleet"
 	"nostop/internal/metrics"
@@ -37,10 +38,10 @@ import (
 
 func main() {
 	var (
-		specPath    = flag.String("spec", "", "JSON sweep spec file (overrides the inline grid flags)")
-		workloads   = flag.String("workloads", "logreg", "comma-separated workloads (logreg,linreg,wordcount,pageanalyze)")
-		controllers = flag.String("controllers", "static,nostop",
-			"comma-separated controllers ("+strings.Join(fleet.ControllerNames(), ",")+")")
+		specPath  = flag.String("spec", "", "JSON sweep spec file (overrides the inline grid flags)")
+		workloads = flag.String("workloads", "logreg", "comma-separated workloads (logreg,linreg,wordcount,pageanalyze)")
+		ctls      = flag.String("controllers", "static,nostop",
+			"comma-separated controllers ("+strings.Join(controllers.Names(), ",")+")")
 		seeds   = flag.String("seeds", "1-5", "seed list: comma-separated values and lo-hi ranges, e.g. 1,2,5-8")
 		horizon = flag.Duration("horizon", 40*time.Minute, "virtual run duration per job")
 		warmup  = flag.Float64("warmup", 0.5, "fraction of each run discarded before measuring")
@@ -53,7 +54,7 @@ func main() {
 	)
 	flag.Parse()
 
-	spec, err := buildSpec(*specPath, *workloads, *controllers, *seeds, *horizon, *warmup, *chaos, *name)
+	spec, err := buildSpec(*specPath, *workloads, *ctls, *seeds, *horizon, *warmup, *chaos, *name)
 	if err != nil {
 		fatal(err)
 	}
@@ -99,7 +100,7 @@ func main() {
 }
 
 // buildSpec loads the spec file or assembles one from the inline grid flags.
-func buildSpec(path, workloads, controllers, seeds string, horizon time.Duration,
+func buildSpec(path, workloads, ctls, seeds string, horizon time.Duration,
 	warmup float64, chaos bool, name string) (fleet.Spec, error) {
 	var spec fleet.Spec
 	if path != "" {
@@ -118,7 +119,7 @@ func buildSpec(path, workloads, controllers, seeds string, horizon time.Duration
 		spec = fleet.Spec{
 			Seeds:       seedList,
 			Workloads:   splitList(workloads),
-			Controllers: splitList(controllers),
+			Controllers: splitList(ctls),
 			Horizon:     fleet.Duration(horizon),
 			Warmup:      warmup,
 		}

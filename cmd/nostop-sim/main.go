@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"nostop/internal/baselines"
+	"nostop/internal/controllers"
 	"nostop/internal/core"
 	"nostop/internal/engine"
 	"nostop/internal/fleet"
@@ -39,7 +40,7 @@ import (
 func main() {
 	var (
 		wlName    = flag.String("workload", "wordcount", "workload: logreg, linreg, wordcount, pageanalyze")
-		tuner     = flag.String("tuner", "nostop", "tuner: "+strings.Join(fleet.ControllerNames(), ", "))
+		tuner     = flag.String("tuner", "nostop", "tuner: "+strings.Join(controllers.Names(), ", "))
 		horizon   = flag.Duration("horizon", time.Hour, "virtual run duration")
 		seed      = flag.Uint64("seed", 1, "root random seed")
 		interval  = flag.Duration("interval", 0, "initial batch interval (default: engine default 30s)")

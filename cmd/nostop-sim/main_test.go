@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"nostop/internal/controllers"
 	"nostop/internal/fleet"
 )
 
@@ -30,7 +31,7 @@ func progressTimes(out string) []string {
 }
 
 func TestEveryRegisteredTunerRuns(t *testing.T) {
-	for _, name := range fleet.ControllerNames() {
+	for _, name := range controllers.Names() {
 		t.Run(name, func(t *testing.T) {
 			out, err := simulate(t, name, 10*time.Minute, 5*time.Minute)
 			if err != nil {
@@ -70,7 +71,7 @@ func TestRunEndsAtHorizonWhenReportDoesNotDivideIt(t *testing.T) {
 
 func TestRejectsBadTunerAndReport(t *testing.T) {
 	_, err := simulate(t, "x", 10*time.Minute, 5*time.Minute)
-	if err == nil || err.Error() != fleet.UnknownControllerError("x").Error() {
+	if err == nil || err.Error() != controllers.UnknownError("x").Error() {
 		t.Errorf("-tuner x: got %v, want the registry's unknown-controller error", err)
 	}
 	for _, report := range []time.Duration{0, -time.Minute} {

@@ -1,8 +1,9 @@
 // Command nostop-tenants runs a multi-tenant cluster simulation: N
 // streaming apps — each with its own topic, workload, trace, and per-app
-// SPSA controller — sharing one cluster, with the cluster-level allocator
-// arbitrating executor grants. It prints a per-tenant + cluster-wide
-// report; same mix and seed always produce the same bytes.
+// controller, any registered name — sharing one cluster, with the
+// cluster-level allocator arbitrating executor grants. It prints a
+// per-tenant + cluster-wide report; same mix and seed always produce the
+// same bytes.
 //
 // A mix comes either from a JSON spec file (-mix, see docs/TENANCY.md for
 // the format) or from the synthetic generator:

@@ -90,7 +90,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		bp, err := baselines.NewBackPressure(eng, baselines.BPOptions{})
+		bp, err := baselines.NewBackPressure(eng)
 		if err != nil {
 			log.Fatal(err)
 		}

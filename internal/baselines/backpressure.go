@@ -4,22 +4,18 @@ import (
 	"errors"
 	"math"
 
+	"nostop/internal/core"
 	"nostop/internal/engine"
 )
 
-// BPOptions tune the back-pressure controller. The gains default to Spark's
-// spark.streaming.backpressure.pid.* values.
-type BPOptions struct {
-	// Proportional gain; 0 means Spark's default 1.0.
-	Kp float64
-	// Integral gain on the backlog error; 0 means Spark's default 0.2.
-	Ki float64
-	// Derivative gain; 0 means Spark's default 0 (field kept for parity).
-	Kd float64
-	// MinRate floors the ingestion bound (records/second); 0 means 100,
-	// matching spark.streaming.backpressure.pid.minRate.
-	MinRate float64
-}
+// Spark's spark.streaming.backpressure.pid.* defaults: the proportional
+// and integral gains and the ingestion floor (records/second). Spark's
+// derivative gain is 0, so the estimator has no derivative term.
+const (
+	bpKp      = 1.0
+	bpKi      = 0.2
+	bpMinRate = 100
+)
 
 // BackPressure reproduces Spark Streaming's PID rate estimator
 // (PIDRateEstimator): after every completed batch it re-estimates the rate
@@ -30,31 +26,19 @@ type BPOptions struct {
 // throughput, while NoStop reconfigures so the system can absorb the full
 // stream.
 type BackPressure struct {
-	eng  *engine.Engine
-	opts BPOptions
+	host core.Host
 
 	latestRate float64
-	lastError  float64
-	lastTime   float64 // seconds
 	updates    int
 	attached   bool
 }
 
 // NewBackPressure builds the controller.
-func NewBackPressure(eng *engine.Engine, opts BPOptions) (*BackPressure, error) {
-	if eng == nil {
+func NewBackPressure(host core.Host) (*BackPressure, error) {
+	if host == nil {
 		return nil, errors.New("baselines: nil engine")
 	}
-	if opts.Kp == 0 {
-		opts.Kp = 1.0
-	}
-	if opts.Ki == 0 {
-		opts.Ki = 0.2
-	}
-	if opts.MinRate == 0 {
-		opts.MinRate = 100
-	}
-	return &BackPressure{eng: eng, opts: opts}, nil
+	return &BackPressure{host: host}, nil
 }
 
 // Attach registers the controller with the engine.
@@ -63,7 +47,7 @@ func (b *BackPressure) Attach() error {
 		return errors.New("baselines: already attached")
 	}
 	b.attached = true
-	b.eng.AddListener(engine.ListenerFunc(b.onBatch))
+	b.host.AddListener(engine.ListenerFunc(b.onBatch))
 	return nil
 }
 
@@ -76,14 +60,6 @@ func (b *BackPressure) onBatch(bs engine.BatchStats) {
 	if bs.Records == 0 || procSecs <= 0 {
 		return
 	}
-	now := bs.DoneAt.Seconds()
-	delaySinceUpdate := now - b.lastTime
-	if b.updates == 0 {
-		delaySinceUpdate = bs.Config.BatchInterval.Seconds()
-	}
-	if delaySinceUpdate <= 0 {
-		delaySinceUpdate = 1e-3
-	}
 	processingRate := float64(bs.Records) / procSecs
 	if b.latestRate == 0 {
 		// Bootstrap from the first observation, as Spark does.
@@ -91,16 +67,11 @@ func (b *BackPressure) onBatch(bs engine.BatchStats) {
 	}
 	err := b.latestRate - processingRate
 	histErr := bs.SchedulingDelay.Seconds() * processingRate / bs.Config.BatchInterval.Seconds()
-	dErr := (err - b.lastError) / delaySinceUpdate
-
-	newRate := b.latestRate - b.opts.Kp*err - b.opts.Ki*histErr - b.opts.Kd*dErr
-	newRate = math.Max(newRate, b.opts.MinRate)
+	newRate := math.Max(b.latestRate-bpKp*err-bpKi*histErr, bpMinRate)
 
 	b.latestRate = newRate
-	b.lastError = err
-	b.lastTime = now
 	b.updates++
-	b.eng.SetIngestCap(newRate)
+	b.host.SetIngestCap(newRate)
 }
 
 // Rate returns the current ingestion bound (records/second); 0 before the

@@ -215,7 +215,7 @@ func TestBackPressureStabilisesOverload(t *testing.T) {
 		o.Trace = ratetrace.Constant{Rate: 10000}
 		o.Initial = engine.Config{BatchInterval: 5 * time.Second, Executors: 4}
 	})
-	bp, err := NewBackPressure(eng, BPOptions{})
+	bp, err := NewBackPressure(eng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestBackPressureDoesNotThrottleStableSystem(t *testing.T) {
 	clock, eng := newEngine(t, func(o *engine.Options) {
 		o.Initial = engine.Config{BatchInterval: 10 * time.Second, Executors: 16}
 	})
-	bp, _ := NewBackPressure(eng, BPOptions{})
+	bp, _ := NewBackPressure(eng)
 	bp.Attach()
 	clock.RunUntil(sim.Time(sec(1800)))
 	// A healthy system processes faster than it ingests, so the PID cap
@@ -253,11 +253,11 @@ func TestBackPressureDoesNotThrottleStableSystem(t *testing.T) {
 }
 
 func TestBackPressureValidation(t *testing.T) {
-	if _, err := NewBackPressure(nil, BPOptions{}); err == nil {
+	if _, err := NewBackPressure(nil); err == nil {
 		t.Error("nil engine accepted")
 	}
 	_, eng := newEngine(t, nil)
-	bp, _ := NewBackPressure(eng, BPOptions{})
+	bp, _ := NewBackPressure(eng)
 	bp.Attach()
 	if err := bp.Attach(); err == nil {
 		t.Error("double attach accepted")

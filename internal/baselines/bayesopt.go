@@ -6,6 +6,7 @@ import (
 	"math"
 	"time"
 
+	"nostop/internal/core"
 	"nostop/internal/engine"
 	"nostop/internal/rng"
 	"nostop/internal/sim"
@@ -21,26 +22,19 @@ type BOOptions struct {
 	// MaxEvaluations stops the search after this many configuration
 	// evaluations; 0 means 40.
 	MaxEvaluations int
-	// MeasureBatches is the per-evaluation measurement window; 0 means 3
-	// (same as NoStop, for a fair Fig 8 comparison).
-	MeasureBatches int
-	// GridSteps is the per-dimension resolution of the EI maximisation
-	// grid; 0 means 25.
-	GridSteps int
-	// Rho is the Eq. 3 penalty coefficient used to score evaluations;
-	// 0 means 2 (NoStop's cap, so both tuners chase the same objective).
-	Rho float64
-	// EIStop pauses the search when the best expected improvement falls
-	// below this; 0 means 0.05 seconds.
-	EIStop float64
-	// DrainThreshold mirrors core.Options.DrainThreshold; 0 means 6.
-	DrainThreshold int
-	// LengthScale is the GP kernel length scale in normalised units;
-	// 0 means 4.
-	LengthScale float64
 	// Seed drives the initial design; nil means rng.New(7).
 	Seed *rng.Stream
 }
+
+// BayesOpt constants no caller varies.
+const (
+	boMeasureBatches = 3    // batches per evaluation: NoStop's window, for a fair Fig 8 comparison
+	boGridSteps      = 25   // per-axis resolution of the EI maximisation grid
+	boRho            = 2.0  // Eq. 3 penalty weight: NoStop's cap, so both tuners chase one objective
+	boEIStop         = 0.05 // stop searching below this expected improvement (seconds)
+	boDrainThreshold = 6    // batch-queue length that triggers a drain
+	boLengthScale    = 4.0  // GP kernel length scale in the paper's [1, 20] units
+)
 
 // Evaluation is one measured configuration.
 type Evaluation struct {
@@ -55,7 +49,7 @@ type Evaluation struct {
 // SPSA's, but each GP round evaluates only one configuration and the search
 // needs more configuration changes and more wall-clock time to settle.
 type BayesOpt struct {
-	eng  *engine.Engine
+	eng  core.System
 	opts BOOptions
 
 	intervalScale spsa.Scale
@@ -77,7 +71,7 @@ type BayesOpt struct {
 }
 
 // NewBayesOpt builds the controller. Call Attach after the engine starts.
-func NewBayesOpt(eng *engine.Engine, opts BOOptions) (*BayesOpt, error) {
+func NewBayesOpt(eng core.System, opts BOOptions) (*BayesOpt, error) {
 	if eng == nil {
 		return nil, errors.New("baselines: nil engine")
 	}
@@ -86,24 +80,6 @@ func NewBayesOpt(eng *engine.Engine, opts BOOptions) (*BayesOpt, error) {
 	}
 	if opts.MaxEvaluations == 0 {
 		opts.MaxEvaluations = 40
-	}
-	if opts.MeasureBatches == 0 {
-		opts.MeasureBatches = 3
-	}
-	if opts.GridSteps == 0 {
-		opts.GridSteps = 25
-	}
-	if opts.Rho == 0 {
-		opts.Rho = 2
-	}
-	if opts.EIStop == 0 {
-		opts.EIStop = 0.05
-	}
-	if opts.DrainThreshold == 0 {
-		opts.DrainThreshold = 6
-	}
-	if opts.LengthScale == 0 {
-		opts.LengthScale = 4
 	}
 	if opts.Seed == nil {
 		opts.Seed = rng.New(7)
@@ -198,7 +174,7 @@ func (b *BayesOpt) onBatch(bs engine.BatchStats) {
 	}
 	b.procAcc = append(b.procAcc, bs.ProcessingTime.Seconds())
 	b.totalAcc = append(b.totalAcc, bs.ProcessingTime.Seconds()+bs.SchedulingDelay.Seconds())
-	if q := b.eng.QueueLen(); q > b.opts.DrainThreshold {
+	if q := b.eng.QueueLen(); q > boDrainThreshold {
 		projected := stats.Mean(b.totalAcc) + float64(q)*stats.Mean(b.procAcc)
 		b.record(projected)
 		b.draining = true
@@ -208,7 +184,7 @@ func (b *BayesOpt) onBatch(bs engine.BatchStats) {
 		_ = b.eng.Reconfigure(engine.Config{BatchInterval: bb.MaxInterval, Executors: bb.MaxExecutors})
 		return
 	}
-	if len(b.totalAcc) < b.opts.MeasureBatches {
+	if len(b.totalAcc) < boMeasureBatches {
 		return
 	}
 	b.record(stats.Mean(b.totalAcc))
@@ -218,7 +194,7 @@ func (b *BayesOpt) onBatch(bs engine.BatchStats) {
 // record scores the just-measured configuration with Eq. 3.
 func (b *BayesOpt) record(measured float64) {
 	interval := b.current.BatchInterval.Seconds()
-	y := interval + b.opts.Rho*math.Max(0, measured-interval)
+	y := interval + boRho*math.Max(0, measured-interval)
 	b.evals = append(b.evals, Evaluation{Config: b.current, Y: y, At: b.eng.Clock().Now()})
 }
 
@@ -234,7 +210,7 @@ func (b *BayesOpt) next() {
 		return
 	}
 	cfg, ei, err := b.propose()
-	if err != nil || ei < b.opts.EIStop {
+	if err != nil || ei < boEIStop {
 		b.finish()
 		return
 	}
@@ -261,9 +237,9 @@ func (b *BayesOpt) propose() (engine.Config, float64, error) {
 			best = e.Y
 		}
 	}
-	// Normalised length scale: opts.LengthScale is expressed in the
-	// paper's [1,20] scale; our norm space is [0,1], so divide by 19.
-	gp, err := NewGP(b.opts.LengthScale/19, signal, math.Max(0.05*signal, 0.25))
+	// Normalised length scale: boLengthScale is expressed in the paper's
+	// [1,20] scale; our norm space is [0,1], so divide by 19.
+	gp, err := NewGP(boLengthScale/19, signal, math.Max(0.05*signal, 0.25))
 	if err != nil {
 		return engine.Config{}, 0, err
 	}
@@ -272,7 +248,7 @@ func (b *BayesOpt) propose() (engine.Config, float64, error) {
 	}
 	var bestCfg engine.Config
 	bestEI := -1.0
-	steps := b.opts.GridSteps
+	const steps = boGridSteps
 	for i := 0; i <= steps; i++ {
 		for j := 0; j <= steps; j++ {
 			x := []float64{float64(i) / float64(steps), float64(j) / float64(steps)}

@@ -30,6 +30,7 @@ import (
 	"nostop/internal/spsa"
 	"nostop/internal/stats"
 	"nostop/internal/tracing"
+	"nostop/internal/workload"
 )
 
 // System is the surface the controller needs from the streaming system it
@@ -57,6 +58,26 @@ type System interface {
 	RecentRateStd() float64
 	// Reconfigure requests a configuration change at the next boundary.
 	Reconfigure(engine.Config) error
+}
+
+// Host is the surface every registered controller tunes through: System
+// plus the runtime knobs Apply drives and their getters, the fault signal
+// and the workload. *engine.Engine satisfies it, and so does a tenant's
+// allocator gate. Service mode's proxy carries only System over its wire,
+// so it hosts the SPSA controller alone.
+type Host interface {
+	System
+	Actuator
+	// IngestCap, TaskMaxFailures and SpeculativeMultiplier read the
+	// runtime knobs back.
+	IngestCap() float64
+	TaskMaxFailures() int
+	SpeculativeMultiplier() float64
+	// FaultInEffect reports whether an injected fault is active now.
+	FaultInEffect() bool
+	// Workload is the app's cost model; gp and rl size their default space
+	// from its nominal rate band.
+	Workload() workload.Workload
 }
 
 // Phase is the controller's state-machine phase.
@@ -164,22 +185,14 @@ type Options struct {
 	// [1,40], executors [1,20]) instead of the shared [1,20] range
 	// (ablation).
 	RawScale bool
-	// Rho0, RhoStep, RhoMax configure the penalty ramp; zeros mean
-	// Algorithm 1's 1.0 / 0.1 / 2.0.
-	Rho0, RhoStep, RhoMax float64
+	// Rho0 and RhoMax bound the penalty ramp, which climbs by rhoStep per
+	// iteration; zeros mean Algorithm 1's 1.0 and 2.0.
+	Rho0, RhoMax float64
 	// NormLo/NormHi define the shared normalised parameter range of §5.1;
 	// zeros mean [1, 20] (§6.2.1).
 	NormLo, NormHi float64
 	// Seed drives the SPSA perturbation stream; nil means rng.New(2024).
 	Seed *rng.Stream
-	// ResetCooldown suppresses repeated §5.5 resets while one surge
-	// transition is still inside the rate window; 0 means 30s.
-	ResetCooldown time.Duration
-	// PauseMargin inflates the interval of the configuration held during
-	// a pause by this fraction, since the best-scored configuration sits
-	// on the stability edge by construction; 0 means 0.1, negative means
-	// no margin.
-	PauseMargin float64
 	// TuneBlockInterval adds the receiver block interval as a third SPSA
 	// dimension — the paper's §7 future work ("the SPSA algorithm is able
 	// to optimize multiple parameters simultaneously without additional
@@ -196,13 +209,6 @@ type Options struct {
 	AutoGains bool
 	// CalibrationBatches is the AutoGains observation window; 0 means 8.
 	CalibrationBatches int
-	// BudgetHold is how long an impeded-progress pause holds its
-	// configuration before re-opening the search (with the accumulated
-	// N-best knowledge intact). Unlike an N-best pause — a genuine
-	// convergence signal held until the system destabilises — a budget
-	// pause only means "nothing better found yet", so the controller
-	// re-checks periodically. 0 means 15 minutes.
-	BudgetHold time.Duration
 	// MaxSearchTime is the impeded-progress budget in virtual time: if no
 	// pause rule has fired this long after the last reset/resume, the
 	// controller holds the best configuration seen anyway. 0 means 25
@@ -214,13 +220,6 @@ type Options struct {
 	// anyway — §5.3.5's "impeded progress rules to guarantee optimization
 	// halt". 0 means 25; negative disables the budget.
 	MaxIterations int
-	// DrainDelay is the estimated queueing delay (queue length × recent
-	// batch processing time) that triggers emergency stabilisation; it
-	// complements DrainThreshold because the cost of a queued batch
-	// scales with the batch interval — at a 26s interval even a 6-batch
-	// queue already means minutes of scheduling delay. 0 means 75s;
-	// negative disables the time-based trigger.
-	DrainDelay time.Duration
 	// Metrics, when non-nil, receives the controller's SPSA step metrics
 	// (iterations, resets, pauses, ρ, gains, estimate — see
 	// docs/METRICS.md). Instrumentation is passive and cannot perturb a
@@ -229,17 +228,42 @@ type Options struct {
 	// Tracer, when non-nil, records perturbation/measurement windows and
 	// state-machine transitions as Chrome trace_event spans.
 	Tracer *tracing.Tracer
-	// DrainThreshold is the batch-queue length that triggers emergency
+}
+
+// Controller constants no caller varies.
+const (
+	// rhoStep is Algorithm 1's per-iteration penalty ramp.
+	rhoStep = 0.1
+	// resetCooldown suppresses repeated §5.5 resets while one surge
+	// transition is still inside the rate window.
+	resetCooldown = 30 * time.Second
+	// pauseMargin inflates the interval of the configuration held during
+	// a pause by this fraction, since the best-scored configuration sits
+	// on the stability edge by construction.
+	pauseMargin = 0.1
+	// budgetHold is how long an impeded-progress pause holds its
+	// configuration before re-opening the search (with the accumulated
+	// N-best knowledge intact). Unlike an N-best pause — a genuine
+	// convergence signal held until the system destabilises — a budget
+	// pause only means "nothing better found yet", so the controller
+	// re-checks periodically.
+	budgetHold = 15 * time.Minute
+	// drainThreshold is the batch-queue length that triggers emergency
 	// stabilisation: the probe is scored immediately with a
 	// queueing-projected delay and the system parks at the safe
-	// configuration until the queue empties. 0 means 6; negative disables
-	// draining (used by the ablation benchmarks). The paper does not
-	// spell out how its testbed recovers from a deeply-unstable probe;
-	// without this guard a backlog makes both probe measurements reflect
-	// the shared queue-drain time, the gradient degenerates to noise, and
-	// recovery becomes a slow random walk (see DESIGN.md §5).
-	DrainThreshold int
-}
+	// configuration until the queue empties. The paper does not spell out
+	// how its testbed recovers from a deeply-unstable probe; without this
+	// guard a backlog makes both probe measurements reflect the shared
+	// queue-drain time, the gradient degenerates to noise, and recovery
+	// becomes a slow random walk (see DESIGN.md §5).
+	drainThreshold = 10
+	// drainDelay is the estimated queueing delay (queue length × recent
+	// batch processing time) that also triggers emergency stabilisation;
+	// it complements drainThreshold because the cost of a queued batch
+	// scales with the batch interval — at a 26s interval even a 6-batch
+	// queue already means minutes of scheduling delay.
+	drainDelay = 75 * time.Second
+)
 
 // Iteration records one completed SPSA iteration for reports and Fig 6/8.
 type Iteration struct {
@@ -358,23 +382,8 @@ func New(eng System, opts Options) (*Controller, error) {
 	if approx.Unset(opts.Rho0) {
 		opts.Rho0 = 1
 	}
-	if approx.Unset(opts.RhoStep) {
-		opts.RhoStep = 0.1
-	}
 	if approx.Unset(opts.RhoMax) {
 		opts.RhoMax = 2
-	}
-	if opts.ResetCooldown == 0 {
-		opts.ResetCooldown = 30 * time.Second
-	}
-	if opts.DrainThreshold == 0 {
-		opts.DrainThreshold = 10
-	}
-	if opts.DrainDelay == 0 {
-		opts.DrainDelay = 75 * time.Second
-	}
-	if approx.Unset(opts.PauseMargin) {
-		opts.PauseMargin = 0.1
 	}
 	if opts.MaxIterations == 0 {
 		opts.MaxIterations = 25
@@ -382,14 +391,8 @@ func New(eng System, opts Options) (*Controller, error) {
 	if opts.MaxSearchTime == 0 {
 		opts.MaxSearchTime = 25 * time.Minute
 	}
-	if opts.BudgetHold == 0 {
-		opts.BudgetHold = 15 * time.Minute
-	}
 	if opts.CalibrationBatches == 0 {
 		opts.CalibrationBatches = 8
-	}
-	if opts.PauseMargin < 0 {
-		opts.PauseMargin = 0
 	}
 	if opts.Params == (spsa.Params{}) {
 		// §6.2.1: A=1, a=10, c=2 over the [1,20] normalised range. The
@@ -719,16 +722,9 @@ func (c *Controller) enterDrain(cont func()) {
 
 // overloaded reports whether the queue state warrants emergency
 // stabilisation: either the raw count threshold, or the projected queueing
-// delay (count × this batch's processing time) crossing DrainDelay.
+// delay (count × this batch's processing time) crossing drainDelay.
 func (c *Controller) overloaded(q int, bs engine.BatchStats) bool {
-	if c.opts.DrainThreshold > 0 && q > c.opts.DrainThreshold {
-		return true
-	}
-	if c.opts.DrainThreshold <= 0 {
-		return false // draining disabled entirely (ablation)
-	}
-	return c.opts.DrainDelay > 0 && q >= 3 &&
-		time.Duration(q)*bs.ProcessingTime > c.opts.DrainDelay
+	return q > drainThreshold || q >= 3 && time.Duration(q)*bs.ProcessingTime > drainDelay
 }
 
 // drain waits for the backlog to clear (at most the in-flight batch left),
@@ -749,7 +745,7 @@ func (c *Controller) rateChanged() bool {
 	if c.opts.RateStdThreshold < 0 {
 		return false // reset rule disabled (ablation)
 	}
-	if c.everReset && c.eng.Clock().Now()-c.lastReset < sim.Time(c.opts.ResetCooldown) {
+	if c.everReset && c.eng.Clock().Now()-c.lastReset < sim.Time(resetCooldown) {
 		return false // one surge transition = one reset
 	}
 	if approx.Unset(c.rateThresh) {
@@ -859,7 +855,7 @@ func (c *Controller) finishIteration(yPlus, yMinus float64) {
 	if err != nil {
 		panic(fmt.Sprintf("core: update without perturb: %v", err)) // state machine invariant
 	}
-	c.rho = math.Min(c.rho+c.opts.RhoStep, c.opts.RhoMax)
+	c.rho = math.Min(c.rho+rhoStep, c.opts.RhoMax)
 	est := c.fromNorm(theta)
 	it := Iteration{
 		K:          c.opt.K(),
@@ -901,7 +897,7 @@ func (c *Controller) finishIteration(yPlus, yMinus float64) {
 		// a configuration measured during a low-rate dwell needs
 		// headroom proportional to the band's spread to survive its top
 		// (for a uniform band, max/mean − 1 = √3·std/mean).
-		margin := c.opts.PauseMargin
+		margin := pauseMargin
 		if mean := c.eng.RecentRateMean(); mean > 0 {
 			if adaptive := 1.8 * c.eng.RecentRateStd() / mean; adaptive > margin {
 				margin = adaptive
@@ -994,7 +990,7 @@ func (c *Controller) pauseReady() (cfg engine.Config, permanent, ok bool) {
 // measurement window additively while the system stays optimal (§5.4), and
 // resume optimization if the constraint is violated.
 func (c *Controller) monitor(bs engine.BatchStats) {
-	if c.budgetPause && c.eng.Clock().Now()-c.pausedAt > sim.Time(c.opts.BudgetHold) {
+	if c.budgetPause && c.eng.Clock().Now()-c.pausedAt > sim.Time(budgetHold) {
 		// A provisional hold expires: re-open the search from the held
 		// configuration with warm gains. The N-best list is knowledge,
 		// not hypothesis — it stays.

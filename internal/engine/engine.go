@@ -1034,6 +1034,15 @@ func (e *Engine) LiveExecutors() int { return len(e.execs) }
 // Config returns the live configuration.
 func (e *Engine) Config() Config { return e.cfg }
 
+// TargetConfig returns the configuration the engine runs after its next
+// batch boundary: the pending request if there is one, else the live one.
+func (e *Engine) TargetConfig() Config {
+	if e.pending != nil {
+		return *e.pending
+	}
+	return e.cfg
+}
+
 // ConfigBounds returns the feasible region.
 func (e *Engine) ConfigBounds() Bounds { return e.opts.Bounds }
 

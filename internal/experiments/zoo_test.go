@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"testing"
 
+	"nostop/internal/controllers"
 	"nostop/internal/core"
 	"nostop/internal/fleet"
 )
@@ -30,8 +31,8 @@ func TestZooSpaceDeclaresWidenedAxes(t *testing.T) {
 
 func TestZooLineupIsRegistered(t *testing.T) {
 	for _, ctl := range ZooControllers() {
-		if !fleet.KnownController(ctl) {
-			t.Errorf("zoo controller %s not in the fleet registry", ctl)
+		if _, ok := controllers.Lookup(ctl); !ok {
+			t.Errorf("zoo controller %s not in the controller registry", ctl)
 		}
 	}
 }

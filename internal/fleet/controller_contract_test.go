@@ -6,10 +6,12 @@ import (
 	"testing"
 	"time"
 
+	"nostop/internal/controllers"
 	"nostop/internal/core"
 	"nostop/internal/engine"
 	"nostop/internal/faults"
 	"nostop/internal/sim"
+	"nostop/internal/tenant"
 )
 
 // contractPlan is the inline chaos plan every conformance run shares: a
@@ -54,7 +56,7 @@ func TestControllerContractManifestInvariance(t *testing.T) {
 		Name:        "controller-contract",
 		Seeds:       []uint64{1, 2},
 		Workloads:   []string{"logreg"},
-		Controllers: ControllerNames(),
+		Controllers: controllers.Names(),
 		Horizon:     Duration(8 * time.Minute),
 		Warmup:      0.5,
 		Plans:       []NamedPlan{{Name: "chaos", Faults: contractPlan()}},
@@ -84,7 +86,7 @@ func TestControllerContractManifestInvariance(t *testing.T) {
 	for _, rec := range serial.Manifest.Jobs {
 		batches[rec.Job.Controller] += rec.Summary.Batches
 	}
-	for _, name := range ControllerNames() {
+	for _, name := range controllers.Names() {
 		if batches[name] == 0 {
 			t.Errorf("controller %s produced no batches", name)
 		}
@@ -98,7 +100,7 @@ func TestControllerContractManifestInvariance(t *testing.T) {
 func TestControllerContractBounds(t *testing.T) {
 	space := contractSpace()
 	bounds := space.EngineBounds()
-	for _, info := range Controllers() {
+	for _, info := range controllers.All() {
 		info := info
 		t.Run(info.Name, func(t *testing.T) {
 			violations := 0
@@ -155,7 +157,7 @@ func TestControllerContractBounds(t *testing.T) {
 func TestControllerContractNoReconfigDuringFaults(t *testing.T) {
 	space := contractSpace()
 	plan := contractPlan()
-	for _, info := range Controllers() {
+	for _, info := range controllers.All() {
 		info := info
 		if info.ReconfiguresDuringFaults {
 			continue
@@ -197,5 +199,56 @@ func TestControllerContractNoReconfigDuringFaults(t *testing.T) {
 				t.Errorf("tuned controller %s never reconfigured", info.Name)
 			}
 		})
+	}
+}
+
+// TestControllerContractTenantMix runs every registered controller as one
+// tenant of a contended mix — tenant i runs controllers.Names()[i], so a
+// newly registered controller is covered with no test edit. The mix must
+// validate, run, and reproduce its report byte for byte under the same
+// seed; at the horizon no tenant's engine may be configured (live or
+// pending) beyond its grant, and every tuner that reconfigures must have
+// done so.
+func TestControllerContractTenantMix(t *testing.T) {
+	names := controllers.Names()
+	mix := tenant.Synthetic(len(names), 6, 2, tenant.AllocFairShare, tenant.Duration(20*time.Minute))
+	for i := range mix.Tenants {
+		mix.Tenants[i].Controller = names[i]
+	}
+	if _, err := mix.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	run := func() (*tenant.Report, *tenant.Detail, []byte) {
+		rep, det, err := tenant.RunDetailed(mix, 1, tenant.Observe{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := rep.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep, det, out
+	}
+	rep, det, first := run()
+	if _, _, again := run(); !bytes.Equal(first, again) {
+		t.Error("same seed, different tenant-mix report")
+	}
+	if len(rep.Tenants) != len(names) {
+		t.Fatalf("report has %d tenants, want %d", len(rep.Tenants), len(names))
+	}
+	for _, tr := range rep.Tenants {
+		// A grant shrunk at the horizon reaches the engine at its next
+		// batch boundary, so the check reads the configuration the engine
+		// is set to run, not the one it ran last.
+		if got := det.Engines[tr.Name].TargetConfig().Executors; got > tr.Grant {
+			t.Errorf("tenant %s (%s): %d executors configured against a grant of %d",
+				tr.Name, tr.Controller, got, tr.Grant)
+		}
+		// Back pressure acts on the ingest cap alone, never the
+		// configuration; every other tuner must have reconfigured.
+		info, _ := controllers.Lookup(tr.Controller)
+		if info.New != nil && info.Name != controllers.BackPressure && tr.Reconfigs == 0 {
+			t.Errorf("tenant %s (%s) never reconfigured", tr.Name, tr.Controller)
+		}
 	}
 }

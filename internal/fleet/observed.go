@@ -3,6 +3,7 @@ package fleet
 import (
 	"fmt"
 
+	"nostop/internal/controllers"
 	"nostop/internal/core"
 	"nostop/internal/engine"
 	"nostop/internal/faults"
@@ -42,9 +43,9 @@ type Observe struct {
 // counter-derived SLOs, and the tracer for span references.
 type RunDetail struct {
 	Engine     *engine.Engine
-	Controller Controller       // nil for the static controller
-	Injector   *faults.Injector // nil for a fault-free run
-	Tracer     *tracing.Tracer  // nil unless Observe.Trace was set
+	Controller controllers.Controller // nil for the static controller
+	Injector   *faults.Injector       // nil for a fault-free run
+	Tracer     *tracing.Tracer        // nil unless Observe.Trace was set
 }
 
 // Setup describes one single-app run for Assemble. Each caller keeps its
@@ -73,7 +74,8 @@ type Setup struct {
 	Plan faults.Plan
 	// Controller is a registry name.
 	Controller string
-	// NoStop edits the nostop controller's options (see Build.NoStop).
+	// NoStop edits the nostop controller's options (see
+	// controllers.Build.NoStop).
 	NoStop func(*core.Options)
 }
 
@@ -83,9 +85,9 @@ type Setup struct {
 // it (det.Engine.Clock()). An unknown controller name fails before
 // anything is built.
 func Assemble(s Setup, obs Observe) (*RunDetail, error) {
-	info, ok := LookupController(s.Controller)
+	info, ok := controllers.Lookup(s.Controller)
 	if !ok {
-		return nil, UnknownControllerError(s.Controller)
+		return nil, controllers.UnknownError(s.Controller)
 	}
 	clock := sim.NewClock()
 	det := &RunDetail{}
@@ -122,19 +124,15 @@ func Assemble(s Setup, obs Observe) (*RunDetail, error) {
 	if err := eng.Start(); err != nil {
 		return nil, err
 	}
-	if info.New != nil {
-		seed := s.ControllerSeed
-		if seed == nil {
-			seed = s.Seed
-		}
-		ctl, err := info.New(eng, Build{Seed: seed, Space: s.Space, Metrics: obs.Metrics, Tracer: det.Tracer, NoStop: s.NoStop})
-		if err != nil {
-			return nil, err
-		}
-		if err := ctl.Attach(); err != nil {
-			return nil, err
-		}
-		det.Controller = ctl
+	seed := s.ControllerSeed
+	if seed == nil {
+		seed = s.Seed
+	}
+	det.Controller, err = info.Attach(eng, controllers.Build{
+		Seed: seed, Space: s.Space, Metrics: obs.Metrics, Tracer: det.Tracer, NoStop: s.NoStop,
+	})
+	if err != nil {
+		return nil, err
 	}
 	if obs.Attach != nil {
 		if err := obs.Attach(eng); err != nil {

@@ -4,31 +4,26 @@ import (
 	"strings"
 	"testing"
 
+	"nostop/internal/controllers"
 	"nostop/internal/engine"
 )
 
 func TestRegistryCoversAllConstants(t *testing.T) {
 	for _, name := range []string{ControllerStatic, ControllerNoStop, ControllerBackPressure,
 		ControllerBayesOpt, ControllerGP, ControllerRL} {
-		if !KnownController(name) {
-			t.Errorf("constant %q not registered", name)
-		}
-		info, ok := LookupController(name)
+		info, ok := controllers.Lookup(name)
 		if !ok || info.Name != name {
-			t.Errorf("LookupController(%q) = %+v, %v", name, info, ok)
+			t.Errorf("constant %q: Lookup = %+v, %v", name, info, ok)
 		}
 		if info.Summary == "" {
 			t.Errorf("controller %q has no summary", name)
 		}
 	}
-	if KnownController("pid") {
-		t.Error("unregistered name accepted")
+	if _, ok := controllers.Lookup("pid"); ok {
+		t.Error("Lookup found an unregistered name")
 	}
-	if _, ok := LookupController("pid"); ok {
-		t.Error("LookupController found an unregistered name")
-	}
-	if got, want := len(ControllerNames()), len(Controllers()); got != want {
-		t.Errorf("ControllerNames has %d entries, Controllers %d", got, want)
+	if got, want := len(controllers.Names()), len(controllers.All()); got != want {
+		t.Errorf("Names has %d entries, All %d", got, want)
 	}
 }
 
@@ -37,7 +32,7 @@ func TestRegistryFaultOptIns(t *testing.T) {
 	// fault window; every controller added since is failure-aware. Widening
 	// this set is an explicit conformance decision, not a default.
 	optIn := map[string]bool{ControllerBackPressure: true, ControllerBayesOpt: true}
-	for _, info := range Controllers() {
+	for _, info := range controllers.All() {
 		if info.ReconfiguresDuringFaults != optIn[info.Name] {
 			t.Errorf("controller %s: ReconfiguresDuringFaults=%v, want %v",
 				info.Name, info.ReconfiguresDuringFaults, optIn[info.Name])
@@ -48,7 +43,7 @@ func TestRegistryFaultOptIns(t *testing.T) {
 func TestRegistryFactories(t *testing.T) {
 	// static is the registry's only factory-less entry: Assemble attaches
 	// nothing for it and builds every other controller from its entry.
-	for _, info := range Controllers() {
+	for _, info := range controllers.All() {
 		if got, want := info.New == nil, info.Name == ControllerStatic; got != want {
 			t.Errorf("controller %s: nil factory = %v, want %v", info.Name, got, want)
 		}
@@ -62,13 +57,13 @@ func TestAssembleRejectsUnknownControllerFirst(t *testing.T) {
 		t.Error("Assemble built a run for an unknown controller")
 		return nil
 	}})
-	if err == nil || err.Error() != UnknownControllerError("pid").Error() {
-		t.Errorf("Assemble(pid) error = %v, want %v", err, UnknownControllerError("pid"))
+	if err == nil || err.Error() != controllers.UnknownError("pid").Error() {
+		t.Errorf("Assemble(pid) error = %v, want %v", err, controllers.UnknownError("pid"))
 	}
 }
 
 func TestUnknownControllerErrorListsRegistry(t *testing.T) {
-	err := UnknownControllerError("pid")
+	err := controllers.UnknownError("pid")
 	if err == nil {
 		t.Fatal("nil error")
 	}
@@ -76,7 +71,7 @@ func TestUnknownControllerErrorListsRegistry(t *testing.T) {
 	if !strings.Contains(msg, `"pid"`) {
 		t.Errorf("error %q does not name the offender", msg)
 	}
-	for _, name := range ControllerNames() {
+	for _, name := range controllers.Names() {
 		if !strings.Contains(msg, name) {
 			t.Errorf("error %q does not list %s", msg, name)
 		}

@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"time"
 
+	"nostop/internal/controllers"
 	"nostop/internal/core"
 	"nostop/internal/faults"
 	"nostop/internal/tenant"
@@ -139,24 +140,16 @@ func (s Static) label() string {
 	return fmt.Sprintf("%v/%d", s.Interval, s.Executors)
 }
 
-// Controllers the fleet can attach to a run. The authoritative list —
-// including per-controller conformance metadata — is the registry in
-// registry.go; these constants are the names it registers.
+// Controllers the fleet can attach to a run: the names the registry in
+// internal/controllers registers, which also holds the per-controller
+// conformance metadata.
 const (
-	// ControllerStatic holds the initial configuration for the whole run.
-	ControllerStatic = "static"
-	// ControllerNoStop attaches the paper's SPSA controller.
-	ControllerNoStop = "nostop"
-	// ControllerBackPressure attaches Spark's PID back-pressure baseline.
-	ControllerBackPressure = "backpressure"
-	// ControllerBayesOpt attaches the Bayesian-optimization baseline.
-	ControllerBayesOpt = "bo"
-	// ControllerGP attaches the uncertainty-aware GP tuner over the
-	// widened config space (internal/gptuner).
-	ControllerGP = "gp"
-	// ControllerRL attaches the tabular Q-learning tuner over the widened
-	// config space (internal/rltuner).
-	ControllerRL = "rl"
+	ControllerStatic       = controllers.Static
+	ControllerNoStop       = controllers.NoStop
+	ControllerBackPressure = controllers.BackPressure
+	ControllerBayesOpt     = controllers.BayesOpt
+	ControllerGP           = controllers.GP
+	ControllerRL           = controllers.RL
 )
 
 // Spec is a declarative sweep: the cross product of every axis below, one
@@ -248,8 +241,8 @@ func (s Spec) Validate() error {
 		}
 	}
 	for _, c := range s.Controllers {
-		if !KnownController(c) {
-			return UnknownControllerError(c)
+		if _, ok := controllers.Lookup(c); !ok {
+			return controllers.UnknownError(c)
 		}
 	}
 	if s.Space != nil {

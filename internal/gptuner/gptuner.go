@@ -9,7 +9,7 @@
 // What "uncertainty-aware" adds over plain Bayesian optimization here:
 // configuration changes are gated on the surrogate's predictive variance.
 // A candidate that maximizes expected improvement but whose predictive
-// standard deviation exceeds StdGate x the observed signal deviation is NOT
+// standard deviation exceeds stdGate x the observed signal deviation is NOT
 // applied to the live system; the tuner instead evaluates the best
 // candidate the gate admits, and only relaxes to the lowest-variance
 // candidate when nothing passes. On a production stream an exploratory
@@ -49,63 +49,20 @@ type Options struct {
 	InitialDesign int
 	// MaxEvaluations bounds the total measured configurations (default 30).
 	MaxEvaluations int
-	// MeasureBatches is the clean-batch window per evaluation (default 3).
-	MeasureBatches int
-	// Candidates is the number of lattice points sampled per acquisition
-	// round (default 128) — a seeded random search, since the widened
-	// lattice is too large to grid-scan.
-	Candidates int
-	// Rho is Eq. 3's delay-overrun weight (default 2).
-	Rho float64
-	// EIStop ends the search when the best admissible expected improvement
-	// falls below it (default 0.05, matching the BayesOpt baseline).
-	EIStop float64
-	// StdGate is the predictive-variance gate: a candidate is admissible
-	// only if its posterior std is at most StdGate x the sample std of the
-	// observed objectives (default 0.8).
-	StdGate float64
-	// LengthScale is the RBF length scale in the paper's [1, 20] interval
-	// scale (default 4, normalized by /19 like the BayesOpt baseline).
-	LengthScale float64
-	// DrainThreshold is the queue depth that triggers an emergency jump to
-	// the safest point in the space (default 10). Negative disables.
-	DrainThreshold int
 }
 
-// withDefaults resolves zero options.
-func (o Options) withDefaults() Options {
-	if o.Seed == nil {
-		o.Seed = rng.New(13)
-	}
-	if o.InitialDesign == 0 {
-		o.InitialDesign = 6
-	}
-	if o.MaxEvaluations == 0 {
-		o.MaxEvaluations = 30
-	}
-	if o.MeasureBatches == 0 {
-		o.MeasureBatches = 3
-	}
-	if o.Candidates == 0 {
-		o.Candidates = 128
-	}
-	if o.Rho == 0 {
-		o.Rho = 2
-	}
-	if o.EIStop == 0 {
-		o.EIStop = 0.05
-	}
-	if o.StdGate == 0 {
-		o.StdGate = 0.8
-	}
-	if o.LengthScale == 0 {
-		o.LengthScale = 4
-	}
-	if o.DrainThreshold == 0 {
-		o.DrainThreshold = 10
-	}
-	return o
-}
+// Tuner constants no caller varies. An acquisition round is a seeded
+// random search over candidates lattice points, since the widened lattice
+// is too large to grid-scan.
+const (
+	measureBatches = 3    // clean batches per evaluation
+	candidates     = 128  // lattice points sampled per acquisition round
+	rho            = 2.0  // Eq. 3's delay-overrun weight
+	eiStop         = 0.05 // stop below this admissible expected improvement (the BayesOpt baseline's value)
+	stdGate        = 0.8  // admit a candidate only if its posterior std is at most stdGate x the objectives' std
+	lengthScale    = 4.0  // RBF length scale in the paper's [1, 20] scale, normalized by /19 like BayesOpt
+	drainThreshold = 10   // queue depth that triggers a jump to the safest point in the space
+)
 
 // Evaluation is one measured configuration.
 type Evaluation struct {
@@ -116,7 +73,7 @@ type Evaluation struct {
 
 // Tuner is the attached uncertainty-aware GP controller.
 type Tuner struct {
-	eng   *engine.Engine
+	eng   core.Host
 	opts  Options
 	space core.ConfigSpace
 	vals  [][]float64
@@ -140,8 +97,16 @@ type Tuner struct {
 
 // New builds a tuner for eng, intersecting the space with the engine's
 // bounds and validating it.
-func New(eng *engine.Engine, opts Options) (*Tuner, error) {
-	opts = opts.withDefaults()
+func New(eng core.Host, opts Options) (*Tuner, error) {
+	if opts.Seed == nil {
+		opts.Seed = rng.New(13)
+	}
+	if opts.InitialDesign == 0 {
+		opts.InitialDesign = 6
+	}
+	if opts.MaxEvaluations == 0 {
+		opts.MaxEvaluations = 30
+	}
 	space := opts.Space
 	if len(space.Axes) == 0 {
 		_, peak := eng.Workload().RateBand()
@@ -237,7 +202,7 @@ func (t *Tuner) onBatch(bs engine.BatchStats) {
 		return
 	}
 	t.acc = append(t.acc, bs.ProcessingTime.Seconds()+bs.SchedulingDelay.Seconds())
-	if q := t.eng.QueueLen(); t.opts.DrainThreshold > 0 && q > t.opts.DrainThreshold {
+	if q := t.eng.QueueLen(); q > drainThreshold {
 		// Emergency: score the point with its projected drain cost and
 		// stabilize at the safest corner of the space (if no fault is in
 		// effect — during one we just wait for the queue to clear).
@@ -252,7 +217,7 @@ func (t *Tuner) onBatch(bs engine.BatchStats) {
 		}
 		return
 	}
-	if len(t.acc) < t.opts.MeasureBatches {
+	if len(t.acc) < measureBatches {
 		return
 	}
 	t.record(stats.Mean(t.acc))
@@ -262,7 +227,7 @@ func (t *Tuner) onBatch(bs engine.BatchStats) {
 // record scores the just-measured configuration with Eq. 3.
 func (t *Tuner) record(measured float64) {
 	interval := t.current.BatchInterval.Seconds()
-	y := interval + t.opts.Rho*math.Max(0, measured-interval)
+	y := interval + rho*math.Max(0, measured-interval)
 	t.evals = append(t.evals, Evaluation{Config: t.current, X: t.space.Norm(t.current), Y: y})
 }
 
@@ -284,7 +249,7 @@ func (t *Tuner) next() {
 		return
 	}
 	cfg, ei, err := t.propose()
-	if err != nil || ei < t.opts.EIStop {
+	if err != nil || ei < eiStop {
 		t.finish()
 		return
 	}
@@ -312,14 +277,14 @@ func (t *Tuner) propose() (core.FullConfig, float64, error) {
 	if signal < 1 {
 		signal = 1
 	}
-	gp, err := baselines.NewGP(t.opts.LengthScale/19, signal, math.Max(0.05*signal, 0.25))
+	gp, err := baselines.NewGP(lengthScale/19, signal, math.Max(0.05*signal, 0.25))
 	if err != nil {
 		return core.FullConfig{}, 0, err
 	}
 	if err := gp.Fit(xs, ys); err != nil {
 		return core.FullConfig{}, 0, err
 	}
-	gate := t.opts.StdGate * o.Std()
+	gate := stdGate * o.Std()
 	type cand struct {
 		cfg core.FullConfig
 		ei  float64
@@ -328,7 +293,7 @@ func (t *Tuner) propose() (core.FullConfig, float64, error) {
 	var bestAll, bestAdm, calmest cand
 	bestAll.ei, bestAdm.ei = -1, -1
 	calmest.std = math.Inf(1)
-	for c := 0; c < t.opts.Candidates; c++ {
+	for c := 0; c < candidates; c++ {
 		idx := make([]int, len(t.vals))
 		for i := range idx {
 			idx[i] = t.seed.Intn(len(t.vals[i]))
@@ -348,7 +313,7 @@ func (t *Tuner) propose() (core.FullConfig, float64, error) {
 			calmest = cand{cfg, ei, std}
 		}
 	}
-	if bestAll.ei < t.opts.EIStop {
+	if bestAll.ei < eiStop {
 		return core.FullConfig{}, bestAll.ei, nil // search has dried up
 	}
 	if bestAll.std <= gate {
@@ -357,9 +322,9 @@ func (t *Tuner) propose() (core.FullConfig, float64, error) {
 	// The EI maximizer is too uncertain to inflict on the live system.
 	t.gated++
 	if bestAdm.ei >= 0 {
-		return bestAdm.cfg, math.Max(bestAdm.ei, t.opts.EIStop), nil
+		return bestAdm.cfg, math.Max(bestAdm.ei, eiStop), nil
 	}
-	return calmest.cfg, math.Max(calmest.ei, t.opts.EIStop), nil
+	return calmest.cfg, math.Max(calmest.ei, eiStop), nil
 }
 
 // finish applies the best observed configuration and stops searching.

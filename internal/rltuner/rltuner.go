@@ -46,68 +46,25 @@ type Options struct {
 	Space core.ConfigSpace
 	// Seed drives epsilon-greedy exploration. Nil: rng.New(11).
 	Seed *rng.Stream
-	// MeasureBatches is the clean-batch window per decision (default 3).
-	MeasureBatches int
-	// Alpha is the Q-learning rate (default 0.3).
-	Alpha float64
-	// Gamma is the discount factor (default 0.6).
-	Gamma float64
-	// Epsilon is the initial exploration probability (default 0.25); it
-	// decays multiplicatively by EpsilonDecay (default 0.99) per decision
-	// down to EpsilonMin (default 0.02).
-	Epsilon      float64
-	EpsilonDecay float64
-	EpsilonMin   float64
-	// Rho is Eq. 3's delay-overrun weight (default 2, the paper's value).
-	Rho float64
-	// RewardScale divides the Eq. 3 cost before clipping (default 30s, so
-	// a window costing one default batch interval scores about -1).
-	RewardScale float64
-	// DrainThreshold is the queue depth that triggers an emergency jump to
-	// the safest lattice point (default 10, matching the §5.4 controller).
-	// Negative disables draining.
-	DrainThreshold int
 }
 
-// withDefaults resolves zero options.
-func (o Options) withDefaults() Options {
-	if o.Seed == nil {
-		o.Seed = rng.New(11)
-	}
-	if o.MeasureBatches == 0 {
-		o.MeasureBatches = 3
-	}
-	if o.Alpha == 0 {
-		o.Alpha = 0.3
-	}
-	if o.Gamma == 0 {
-		o.Gamma = 0.6
-	}
-	if o.Epsilon == 0 {
-		o.Epsilon = 0.25
-	}
-	if o.EpsilonDecay == 0 {
-		o.EpsilonDecay = 0.99
-	}
-	if o.EpsilonMin == 0 {
-		o.EpsilonMin = 0.02
-	}
-	if o.Rho == 0 {
-		o.Rho = 2
-	}
-	if o.RewardScale == 0 {
-		o.RewardScale = 30
-	}
-	if o.DrainThreshold == 0 {
-		o.DrainThreshold = 10
-	}
-	return o
-}
+// Tuner constants no caller varies. Exploration starts at epsilon and
+// decays multiplicatively by epsilonDecay per decision down to epsilonMin.
+const (
+	measureBatches = 3    // clean batches per decision
+	alpha          = 0.3  // Q-learning rate
+	gamma          = 0.6  // discount factor
+	epsilon        = 0.25 // initial exploration probability
+	epsilonDecay   = 0.99
+	epsilonMin     = 0.02
+	rho            = 2.0  // Eq. 3's delay-overrun weight (the paper's value)
+	rewardScale    = 30.0 // seconds: a window costing one default batch interval scores about -1
+	drainThreshold = 10   // queue depth that triggers a jump to the safest lattice point (the §5.4 controller's value)
+)
 
 // Tuner is the attached Q-learning controller.
 type Tuner struct {
-	eng   *engine.Engine
-	opts  Options
+	eng   core.Host
 	space core.ConfigSpace
 	vals  [][]float64 // per-axis lattice values
 	idx   []int       // current lattice coordinate
@@ -128,8 +85,11 @@ type Tuner struct {
 
 // New builds a tuner for eng. The options' space (or the default widened
 // space) is intersected with the engine's bounds and validated.
-func New(eng *engine.Engine, opts Options) (*Tuner, error) {
-	opts = opts.withDefaults()
+func New(eng core.Host, opts Options) (*Tuner, error) {
+	seed := opts.Seed
+	if seed == nil {
+		seed = rng.New(11)
+	}
 	space := opts.Space
 	if len(space.Axes) == 0 {
 		_, peak := eng.Workload().RateBand()
@@ -139,22 +99,20 @@ func New(eng *engine.Engine, opts Options) (*Tuner, error) {
 	if err := space.Validate(); err != nil {
 		return nil, err
 	}
-	t := &Tuner{
-		eng:    eng,
-		opts:   opts,
-		space:  space,
-		vals:   space.Lattice(),
-		table:  nil,
-		seed:   opts.Seed.Split("rl"),
-		eps:    opts.Epsilon,
-		state:  -1,
-		action: -1,
-	}
-	table, err := NewQTable(numStates, 2*len(space.Axes)+1, opts.Alpha, opts.Gamma)
+	table, err := NewQTable(numStates, 2*len(space.Axes)+1, alpha, gamma)
 	if err != nil {
 		return nil, err
 	}
-	t.table = table
+	t := &Tuner{
+		eng:    eng,
+		space:  space,
+		vals:   space.Lattice(),
+		table:  table,
+		seed:   seed.Split("rl"),
+		eps:    epsilon,
+		state:  -1,
+		action: -1,
+	}
 	t.idx = t.initialCoord()
 	return t, nil
 }
@@ -249,12 +207,12 @@ func (t *Tuner) onBatch(bs engine.BatchStats) {
 		return
 	}
 	queue := t.eng.QueueLen()
-	if t.opts.DrainThreshold > 0 && queue > t.opts.DrainThreshold && !t.eng.FaultInEffect() {
+	if queue > drainThreshold && !t.eng.FaultInEffect() {
 		t.drain(queue)
 		return
 	}
 	t.acc = append(t.acc, bs.ProcessingTime.Seconds()+bs.SchedulingDelay.Seconds())
-	if len(t.acc) < t.opts.MeasureBatches {
+	if len(t.acc) < measureBatches {
 		return
 	}
 	interval := bs.Config.BatchInterval.Seconds()
@@ -278,8 +236,8 @@ func (t *Tuner) onBatch(bs engine.BatchStats) {
 
 // reward maps the window's Eq. 3 cost to a bounded reward in [-3, 0].
 func (t *Tuner) reward(interval, measured float64) float64 {
-	y := interval + t.opts.Rho*math.Max(0, measured-interval)
-	r := -y / t.opts.RewardScale
+	y := interval + rho*math.Max(0, measured-interval)
+	r := -y / rewardScale
 	if r < -3 {
 		r = -3
 	}
@@ -298,10 +256,10 @@ func (t *Tuner) decide(state int) {
 		a = t.table.Best(state)
 	}
 	t.state, t.action = state, a
-	if t.eps > t.opts.EpsilonMin {
-		t.eps *= t.opts.EpsilonDecay
-		if t.eps < t.opts.EpsilonMin {
-			t.eps = t.opts.EpsilonMin
+	if t.eps > epsilonMin {
+		t.eps *= epsilonDecay
+		if t.eps < epsilonMin {
+			t.eps = epsilonMin
 		}
 	}
 	if a == 0 {

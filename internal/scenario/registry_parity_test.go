@@ -3,13 +3,14 @@ package scenario
 import (
 	"testing"
 
+	"nostop/internal/controllers"
 	"nostop/internal/fleet"
 )
 
 // TestUnknownControllerErrorMatchesFleet locks the shared-registry fix: a
 // scenario spec and a fleet spec naming the same unknown controller must
 // fail with byte-identical error text, because both validations consult
-// fleet's controller registry.
+// the one controller registry.
 func TestUnknownControllerErrorMatchesFleet(t *testing.T) {
 	spec := testSpec()
 	spec.Controller = "pid"
@@ -29,7 +30,7 @@ func TestUnknownControllerErrorMatchesFleet(t *testing.T) {
 		t.Fatalf("error text diverged:\nscenario: %s\nfleet:    %s", scenErr, fleetErr)
 	}
 	// Every registered name passes the scenario-side check too.
-	for _, name := range fleet.ControllerNames() {
+	for _, name := range controllers.Names() {
 		spec := testSpec()
 		spec.Controller = name
 		if err := spec.Validate(); err != nil {

@@ -31,6 +31,7 @@ import (
 	"strings"
 	"time"
 
+	"nostop/internal/controllers"
 	"nostop/internal/core"
 	"nostop/internal/faults"
 	"nostop/internal/fleet"
@@ -141,9 +142,9 @@ type Spec struct {
 	// Workload is the registry name (logreg, linreg, wordcount,
 	// pageanalyze).
 	Workload string `json:"workload"`
-	// Controller is the deployment's tuner, one of the fleet controller
-	// registry names (fleet.ControllerNames; catalog in
-	// docs/CONTROLLERS.md). Empty means static.
+	// Controller is the deployment's tuner, one of the controller registry
+	// names (controllers.Names; catalog in docs/CONTROLLERS.md). Empty
+	// means static.
 	Controller string `json:"controller,omitempty"`
 	// Seeds are the replication seeds ("1-5" or [1, 2, 3]).
 	Seeds Seeds `json:"seeds"`
@@ -393,11 +394,11 @@ func (s Spec) Validate() error {
 	if err := plan.Validate(); err != nil {
 		return fmt.Errorf("scenario: %v", err)
 	}
-	// Controller names come from the shared fleet registry, and the
-	// rejection is fleet's own error verbatim: an unknown controller fails
-	// with identical text whether a fleet spec or a scenario spec named it.
-	if !fleet.KnownController(s.Controller) {
-		return fleet.UnknownControllerError(s.Controller)
+	// Controller names come from the shared registry, and the rejection is
+	// the registry's own error verbatim: an unknown controller fails with
+	// identical text whether a fleet spec or a scenario spec named it.
+	if _, ok := controllers.Lookup(s.Controller); !ok {
+		return controllers.UnknownError(s.Controller)
 	}
 	if err := s.fleetSpec().Validate(); err != nil {
 		return fmt.Errorf("scenario: %v", err)

@@ -47,11 +47,10 @@ type ClusterConfig struct {
 	// Workload and Trace drive the system (both required).
 	Workload workload.Workload
 	Trace    ratetrace.Trace
-	// Initial/Bounds configure the engine; Core the SPSA controller
-	// (its Seed/Metrics/Tracer fields are supervisor-managed).
+	// Initial/Bounds configure the engine; Initial is also the SPSA
+	// controller's θ_initial.
 	Initial engine.Config
 	Bounds  engine.Bounds
-	Core    core.Options
 	// Service-loop periods (virtual time; zeros pick component defaults).
 	FetchInterval  time.Duration
 	CommitInterval time.Duration
@@ -213,6 +212,11 @@ func (p *proc) runLocked(fn func()) {
 // build constructs a proc's component for the current epoch.
 func (p *proc) build() (component, error) {
 	c := p.c
+	// Only sim mode traces: the tracer is not goroutine-safe.
+	var tracer *tracing.Tracer
+	if c.cfg.Mode == ModeSim {
+		tracer = c.cfg.Tracer
+	}
 	switch p.name {
 	case PeerBroker:
 		return NewBrokerService(BrokerOptions{
@@ -222,10 +226,6 @@ func (p *proc) build() (component, error) {
 			Metrics: c.reg,
 		}), nil
 	case PeerEngine:
-		var tracer *tracing.Tracer
-		if c.cfg.Mode == ModeSim {
-			tracer = c.cfg.Tracer
-		}
 		return NewEngineService(EngineOptions{
 			Clock:          p.clock,
 			Seed:           c.root.Split(fmt.Sprintf("engine/epoch-%d", p.epoch)),
@@ -242,25 +242,19 @@ func (p *proc) build() (component, error) {
 			Sink:           c.sink,
 		})
 	case PeerController:
-		coreOpts := c.cfg.Core
-		coreOpts.Seed = c.root.Split(fmt.Sprintf("spsa/epoch-%d", p.epoch))
-		coreOpts.Metrics = c.reg
-		if c.cfg.Mode == ModeSim {
-			coreOpts.Tracer = c.cfg.Tracer
-		} else {
-			coreOpts.Tracer = nil
-		}
-		if coreOpts.Initial == (engine.Config{}) {
-			coreOpts.Initial = c.cfg.Initial
-		}
 		return NewControllerService(ControllerOptions{
 			Clock:        p.clock,
 			Engine:       c.client(p, PeerEngine),
 			Epoch:        p.epoch,
 			PollInterval: c.cfg.PollInterval,
-			Core:         coreOpts,
-			Metrics:      c.reg,
-			Sink:         c.sink,
+			Core: core.Options{
+				Initial: c.cfg.Initial,
+				Seed:    c.root.Split(fmt.Sprintf("spsa/epoch-%d", p.epoch)),
+				Metrics: c.reg,
+				Tracer:  tracer,
+			},
+			Metrics: c.reg,
+			Sink:    c.sink,
 		})
 	}
 	return nil, fmt.Errorf("service: unknown component %q", p.name)

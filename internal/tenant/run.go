@@ -5,10 +5,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
-	"time"
 
 	"nostop/internal/broker"
 	"nostop/internal/cluster"
+	"nostop/internal/controllers"
 	"nostop/internal/core"
 	"nostop/internal/engine"
 	"nostop/internal/metrics"
@@ -42,8 +42,6 @@ type Observe struct {
 type Detail struct {
 	// Engines maps tenant name to its engine.
 	Engines map[string]*engine.Engine
-	// Gates maps tenant name to its allocator gate.
-	Gates map[string]*Gate
 	// Tracer is non-nil iff Observe.Trace was set.
 	Tracer *tracing.Tracer
 }
@@ -134,7 +132,6 @@ func (r *Report) Encode() ([]byte, error) {
 type runTenant struct {
 	spec        TenantSpec
 	gate        *Gate
-	ctl         *core.Controller
 	trace       ratetrace.Trace
 	preemptions int
 }
@@ -198,10 +195,6 @@ func RunDetailed(mix MixSpec, seed uint64, obs Observe) (*Report, *Detail, error
 			BatchInterval: spec.BatchInterval.D(),
 			Executors:     grants[i],
 		}
-		maxExec := spec.MaxExecutors
-		if maxExec > capacity {
-			maxExec = capacity
-		}
 		eng, err := engine.New(clock, engine.Options{
 			Workload:   wl,
 			Trace:      trace,
@@ -212,12 +205,9 @@ func RunDetailed(mix MixSpec, seed uint64, obs Observe) (*Report, *Detail, error
 			Partitions: m.Partitions,
 			Seed:       ts.Split("engine"),
 			Initial:    initial,
-			Bounds: engine.Bounds{
-				MinInterval: 1 * time.Second, MaxInterval: 40 * time.Second,
-				MinExecutors: 1, MaxExecutors: maxExec,
-			},
-			Metrics: obs.Metrics,
-			Tracer:  tracer,
+			Bounds:     engineBounds(spec, capacity),
+			Metrics:    obs.Metrics,
+			Tracer:     tracer,
 		})
 		if err != nil {
 			return nil, nil, fmt.Errorf("tenant %q: %w", spec.Name, err)
@@ -234,20 +224,14 @@ func RunDetailed(mix MixSpec, seed uint64, obs Observe) (*Report, *Detail, error
 		if err := eng.Start(); err != nil {
 			return nil, nil, fmt.Errorf("tenant %q: %w", spec.Name, err)
 		}
-		if spec.Controller == "nostop" {
-			ctl, err := core.New(gate, core.Options{
-				Initial: initial,
-				Seed:    ts.Split("controller"),
-				Metrics: obs.Metrics,
-				Tracer:  tracer,
-			})
-			if err != nil {
-				return nil, nil, fmt.Errorf("tenant %q: %w", spec.Name, err)
-			}
-			if err := ctl.Attach(); err != nil {
-				return nil, nil, fmt.Errorf("tenant %q: %w", spec.Name, err)
-			}
-			rt.ctl = ctl
+		info, _ := controllers.Lookup(spec.Controller) // Validate checked the name
+		if _, err := info.Attach(gate, controllers.Build{
+			Seed:    ts,
+			Metrics: obs.Metrics,
+			Tracer:  tracer,
+			NoStop:  func(o *core.Options) { o.Initial = initial },
+		}); err != nil {
+			return nil, nil, fmt.Errorf("tenant %q: %w", spec.Name, err)
 		}
 		tenants[i] = rt
 	}
@@ -301,7 +285,7 @@ func RunDetailed(mix MixSpec, seed uint64, obs Observe) (*Report, *Detail, error
 	warmup := sim.Time(m.Warmup.D())
 	totalDelay, totalSteady := 0.0, 0
 	for _, rt := range tenants {
-		eng := rt.gate.Engine()
+		eng := rt.gate.Engine
 		hist := eng.History()
 		tr := TenantReport{
 			Name:           rt.spec.Name,
@@ -359,12 +343,10 @@ func RunDetailed(mix MixSpec, seed uint64, obs Observe) (*Report, *Detail, error
 	}
 	det := &Detail{
 		Engines: make(map[string]*engine.Engine, len(tenants)),
-		Gates:   make(map[string]*Gate, len(tenants)),
 		Tracer:  tracer,
 	}
 	for _, rt := range tenants {
-		det.Engines[rt.spec.Name] = rt.gate.Engine()
-		det.Gates[rt.spec.Name] = rt.gate
+		det.Engines[rt.spec.Name] = rt.gate.Engine
 	}
 	return rep, det, nil
 }

@@ -1,8 +1,9 @@
 // Package tenant implements the multi-tenant cluster subsystem: N
 // independent streaming apps — each with its own topic, workload, arrival
-// trace, SLO class, and per-app SPSA controller — sharing one cluster
-// scaled to O(1000) nodes, with a cluster-level allocator arbitrating
-// executor grants between the competing controllers.
+// trace, SLO class, and per-app controller from the registry in
+// internal/controllers — sharing one cluster scaled to O(1000) nodes, with
+// a cluster-level allocator arbitrating executor grants between the
+// competing controllers.
 //
 // This is the shape the ROADMAP north star calls for: the paper evaluates
 // one app on the 5-node Table 2 testbed, but a production deployment
@@ -18,6 +19,8 @@ import (
 	"sort"
 	"time"
 
+	"nostop/internal/controllers"
+	"nostop/internal/engine"
 	"nostop/internal/ratetrace"
 	"nostop/internal/rng"
 	"nostop/internal/sim"
@@ -161,8 +164,9 @@ type TenantSpec struct {
 	// Workload is a workload.New name (logreg, linreg, wordcount,
 	// pageanalyze).
 	Workload string `json:"workload"`
-	// Controller is "static" (pinned initial config) or "nostop" (per-app
-	// SPSA). Defaults to "nostop".
+	// Controller is any registered controller name (see
+	// controllers.Names); "static" pins the initial configuration.
+	// Defaults to "nostop".
 	Controller string `json:"controller,omitempty"`
 	// Priority orders tenants under the priority allocator: higher wins.
 	Priority int `json:"priority,omitempty"`
@@ -239,7 +243,7 @@ func (m MixSpec) normalized() MixSpec {
 	for i := range tenants {
 		t := &tenants[i]
 		if t.Controller == "" {
-			t.Controller = "nostop"
+			t.Controller = controllers.NoStop
 		}
 		if t.Weight == 0 {
 			t.Weight = 1
@@ -298,16 +302,40 @@ func (m MixSpec) Validate() (MixSpec, error) {
 			return n, fmt.Errorf("tenant: %q max_executors %d below initial %d",
 				t.Name, t.MaxExecutors, t.InitialExecutors)
 		}
-		switch t.Controller {
-		case "static", "nostop":
-		default:
-			return n, fmt.Errorf("tenant: %q has unknown controller %q", t.Name, t.Controller)
+		b := engineBounds(t, capacity)
+		if t.InitialExecutors < b.MinExecutors {
+			return n, fmt.Errorf("tenant: %q initial_executors %d below %d",
+				t.Name, t.InitialExecutors, b.MinExecutors)
+		}
+		if iv := t.BatchInterval.D(); iv < b.MinInterval || iv > b.MaxInterval {
+			return n, fmt.Errorf("tenant: %q batch_interval %v outside [%v, %v]",
+				t.Name, iv, b.MinInterval, b.MaxInterval)
+		}
+		info, ok := controllers.Lookup(t.Controller)
+		if !ok {
+			return n, fmt.Errorf("tenant: %q: %w", t.Name, controllers.UnknownError(t.Controller))
+		}
+		if info.New != nil && b.MaxExecutors < 2 {
+			// A tuner needs room to move: SPSA, for one, cannot scale a
+			// one-point executor range.
+			return n, fmt.Errorf("tenant: %q controller %q needs max_executors >= 2, got %d",
+				t.Name, t.Controller, b.MaxExecutors)
 		}
 		if _, err := t.Trace.Build(rng.New(1)); err != nil {
 			return n, fmt.Errorf("tenant: %q trace: %w", t.Name, err)
 		}
 	}
 	return n, nil
+}
+
+// engineBounds is a tenant engine's feasible region: every tenant shares
+// the batch-interval range, and its executor ceiling is max_executors
+// capped at the cluster's worker cores.
+func engineBounds(t TenantSpec, capacity int) engine.Bounds {
+	return engine.Bounds{
+		MinInterval: time.Second, MaxInterval: 40 * time.Second,
+		MinExecutors: 1, MaxExecutors: min(t.MaxExecutors, capacity),
+	}
 }
 
 // TenantNames returns the spec'd tenant names in canonical (sorted) order —
@@ -325,9 +353,9 @@ func (m MixSpec) TenantNames() []string {
 // cluster — the generator behind `cmd/nostop-tenants -tenants N`, the
 // 1000-node determinism test, and the tenants benchmark. Tenants cycle
 // through the four workloads, three trace shapes (including a
-// millions-of-users population trace), both controllers, and a spread of
-// priorities and weights, so even a large synthetic mix exercises every
-// allocator code path.
+// millions-of-users population trace), the static and nostop controllers,
+// and a spread of priorities and weights, so even a large synthetic mix
+// exercises every allocator code path.
 func Synthetic(n, nodes, coresPerNode int, allocator string, horizon Duration) MixSpec {
 	m := MixSpec{
 		Name:         fmt.Sprintf("synthetic-%d", n),
@@ -362,7 +390,7 @@ func Synthetic(n, nodes, coresPerNode int, allocator string, horizon Duration) M
 				}}
 		}
 		if i%4 == 3 {
-			t.Controller = "static"
+			t.Controller = controllers.Static
 		}
 		m.Tenants = append(m.Tenants, t)
 	}

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"nostop/internal/controllers"
 )
 
 // smallMix is a fast two-tenant mix with contended capacity: steady demands
@@ -152,7 +154,14 @@ func TestMixValidateErrors(t *testing.T) {
 		{"allocator", func(m *MixSpec) { m.Allocator = "lottery" }, "unknown allocator"},
 		{"dup name", func(m *MixSpec) { m.Tenants[1].Name = m.Tenants[0].Name }, "duplicate"},
 		{"max below initial", func(m *MixSpec) { m.Tenants[0].MaxExecutors = 2; m.Tenants[0].InitialExecutors = 6 }, "below initial"},
-		{"controller", func(m *MixSpec) { m.Tenants[0].Controller = "pid" }, "unknown controller"},
+		{"controller", func(m *MixSpec) { m.Tenants[0].Controller = "pid" }, controllers.UnknownError("pid").Error()},
+		{"initial below one", func(m *MixSpec) { m.Tenants[0].InitialExecutors = -2; m.Tenants[0].MaxExecutors = 5 }, "initial_executors -2 below 1"},
+		{"interval below bounds", func(m *MixSpec) { m.Tenants[0].BatchInterval = Duration(time.Millisecond) }, "batch_interval 1ms outside [1s, 40s]"},
+		{"negative interval", func(m *MixSpec) { m.Tenants[0].BatchInterval = Duration(-5 * time.Second) }, "batch_interval -5s outside [1s, 40s]"},
+		{"tuned single executor", func(m *MixSpec) {
+			m.Tenants[0].Controller = controllers.NoStop
+			m.Tenants[0].InitialExecutors, m.Tenants[0].MaxExecutors = 1, 1
+		}, `controller "nostop" needs max_executors >= 2, got 1`},
 		{"trace", func(m *MixSpec) { m.Tenants[0].Trace = TraceSpec{Kind: "constant"} }, "positive rate"},
 		{"horizon", func(m *MixSpec) { m.Horizon = Duration(-time.Minute) }, "negative horizon"},
 	}
@@ -162,6 +171,12 @@ func TestMixValidateErrors(t *testing.T) {
 		if _, err := mix.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: Validate() = %v, want error containing %q", tc.name, err, tc.want)
 		}
+	}
+	// A static tenant never moves, so one executor is enough for it.
+	mix := smallMix(AllocFairShare)
+	mix.Tenants[0].InitialExecutors, mix.Tenants[0].MaxExecutors = 1, 1
+	if _, err := mix.Validate(); err != nil {
+		t.Errorf("static single-executor tenant rejected: %v", err)
 	}
 }
 
