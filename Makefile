@@ -37,11 +37,12 @@ chaos:
 
 ## bench: the simulator's benchmark, perfbench (declared by BENCHMARK.json,
 ## see perfbench/README.md and docs/PERF.md): every workload for its default
-## 10 s, then the sim kernel's and the listener's microbenchmarks.
+## 10 s, then the sim kernel's and the listener's microbenchmarks (/status
+## and the polled replies' wire codecs).
 bench:
 	for w in sweep tenants zoo-observed service-soak; do bash perfbench/run.sh --workload $$w || exit 1; done
 	$(GO) test ./internal/sim/bench -bench . -benchmem
-	$(GO) test ./internal/listener -run '^$$' -bench CollectorStatus -benchmem
+	$(GO) test ./internal/listener -run '^$$' -bench 'CollectorStatus|Wire' -benchmem
 
 ## golden: regenerate the golden-master artifacts after an INTENDED
 ## output change. Review the diff before committing — these files are the
@@ -55,6 +56,9 @@ fuzz-smoke:
 	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzEventQueue -fuzztime 30s
 	$(GO) test ./internal/fleet -run '^$$' -fuzz FuzzFleetSpec -fuzztime 30s
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzConfigSpace -fuzztime 30s
+	$(GO) test ./internal/scenario -run '^$$' -fuzz FuzzScenarioSpec -fuzztime 30s
+	$(GO) test ./internal/tenant -run '^$$' -fuzz FuzzMixSpec -fuzztime 30s
+	$(GO) test ./internal/service -run '^$$' -fuzz FuzzWireDecoders -fuzztime 30s
 
 ## fleet: small parallel sweep with resume — the nostop-fleet smoke path.
 fleet:

@@ -35,7 +35,6 @@
 package listener
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"sort"
@@ -187,13 +186,15 @@ func (c *Collector) Reports() []BatchReport {
 	return append([]BatchReport(nil), c.reports...)
 }
 
-// ReportsSince returns the retained reports with BatchID strictly greater
-// than after, in completion order — the incremental-poll primitive a remote
-// controller uses to tail the batch stream without re-reading history.
-// Batch IDs are monotone, so a binary search finds the cut point.
-func (c *Collector) ReportsSince(after int64) []BatchReport {
+// appendReportsSince appends the JSON of the retained reports with BatchID
+// strictly greater than after, in completion order — the incremental poll
+// a remote controller tails the batch stream with. It encodes from the
+// retained slice under the read lock instead of copying it first; nil
+// (rendered null) when there are none.
+func (c *Collector) appendReportsSince(buf []byte, after int64) ([]byte, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
+	// Batch IDs are monotone, so a binary search finds the cut point.
 	lo, hi := 0, len(c.reports)
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -204,9 +205,9 @@ func (c *Collector) ReportsSince(after int64) []BatchReport {
 		}
 	}
 	if lo == len(c.reports) {
-		return nil
+		return AppendReports(buf, nil)
 	}
-	return append([]BatchReport(nil), c.reports[lo:]...)
+	return AppendReports(buf, c.reports[lo:])
 }
 
 // Latest returns the most recent report; ok is false when none exist.
@@ -287,20 +288,22 @@ func (c *Collector) Handler() http.Handler {
 		}
 	})
 	mux.HandleFunc("GET /status", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, c.Status())
+		st := c.Status()
+		reply(w, func(buf []byte) ([]byte, error) { return AppendStatus(buf, st) })
 	})
 	mux.HandleFunc("GET /batches", func(w http.ResponseWriter, r *http.Request) {
-		if sinceStr := r.URL.Query().Get("since"); sinceStr != "" {
+		q := r.URL.Query()
+		if sinceStr := q.Get("since"); sinceStr != "" {
 			since, err := strconv.ParseInt(sinceStr, 10, 64)
 			if err != nil {
 				http.Error(w, "bad since parameter", http.StatusBadRequest)
 				return
 			}
-			writeJSON(w, c.ReportsSince(since))
+			reply(w, func(buf []byte) ([]byte, error) { return c.appendReportsSince(buf, since) })
 			return
 		}
 		reports := c.Reports()
-		if lastStr := r.URL.Query().Get("last"); lastStr != "" {
+		if lastStr := q.Get("last"); lastStr != "" {
 			last, err := strconv.Atoi(lastStr)
 			if err != nil || last < 0 {
 				http.Error(w, "bad last parameter", http.StatusBadRequest)
@@ -310,7 +313,7 @@ func (c *Collector) Handler() http.Handler {
 				reports = reports[len(reports)-last:]
 			}
 		}
-		writeJSON(w, reports)
+		reply(w, func(buf []byte) ([]byte, error) { return AppendReports(buf, reports) })
 	})
 	mux.HandleFunc("GET /batches/latest", func(w http.ResponseWriter, r *http.Request) {
 		latest, ok := c.Latest()
@@ -318,16 +321,7 @@ func (c *Collector) Handler() http.Handler {
 			http.Error(w, "no batches yet", http.StatusNotFound)
 			return
 		}
-		writeJSON(w, latest)
+		reply(w, func(buf []byte) ([]byte, error) { return appendReport(buf, &latest) })
 	})
 	return mux
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
 }

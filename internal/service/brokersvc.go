@@ -1,7 +1,6 @@
 package service
 
 import (
-	"encoding/json"
 	"net/http"
 
 	"nostop/internal/metrics"
@@ -55,6 +54,7 @@ type BrokerService struct {
 	consumer  string
 	rewinds   int64
 	mux       *http.ServeMux
+	out       []byte // reply scratch, reused: handlers run one at a time
 
 	cFetches *metrics.Counter
 	cServed  *metrics.Counter
@@ -146,7 +146,7 @@ func (b *BrokerService) gen() {
 
 func (b *BrokerService) handleFetch(w http.ResponseWriter, r *http.Request) {
 	var req fetchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeBody(r.Body, &req); err != nil {
 		http.Error(w, "bad fetch request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -190,14 +190,15 @@ func (b *BrokerService) handleFetch(w http.ResponseWriter, r *http.Request) {
 	from := b.served
 	b.served += n
 	b.cServed.Add(float64(n))
-	writeJSON(w, fetchResponse{
+	b.out = fetchResponse{
 		From: from, Count: n, Head: b.head, Committed: b.committed, Epoch: b.o.Epoch,
-	})
+	}.appendJSON(b.out[:0])
+	writeReply(w, b.out)
 }
 
 func (b *BrokerService) handleCommit(w http.ResponseWriter, r *http.Request) {
 	var req commitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeBody(r.Body, &req); err != nil {
 		http.Error(w, "bad commit request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -205,7 +206,8 @@ func (b *BrokerService) handleCommit(w http.ResponseWriter, r *http.Request) {
 		b.committed = req.Committed
 		b.gCommit.Set(float64(b.committed))
 	}
-	writeJSON(w, commitRequest{Committed: b.committed})
+	b.out = commitRequest{Committed: b.committed}.appendJSON(b.out[:0])
+	writeReply(w, b.out)
 }
 
 func (b *BrokerService) handleHealthz(w http.ResponseWriter, r *http.Request) {

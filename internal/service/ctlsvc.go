@@ -44,8 +44,8 @@ type ControllerOptions struct {
 // configuration when the listener is unreachable"): when a poll fails the
 // controller freezes — Reconfigure calls are suppressed so the engine keeps
 // the last configuration that was known to work — and on the first
-// successful poll after recovery it resumes, marking that poll's batches
-// FaultActive. The core's failure-aware admission (PR 5) then excludes the
+// successful poll after recovery it resumes, marking the batches of the
+// first poll that delivers any FaultActive. The core's failure-aware admission (PR 5) then excludes the
 // outage-window batches from SPSA measurements and re-calibrates on the
 // first clean batch, exactly as it does for co-located fault windows.
 type ControllerService struct {
@@ -65,7 +65,12 @@ type ControllerService struct {
 	suppressed int64
 	panics     int64
 	markNext   bool
-	lastBatch  int64
+	// last is the report delivered to the core most recently; its BatchID
+	// is -1 before the first. IDs restart at 0 in every engine
+	// incarnation, so the ID alone cannot tell a restarted engine from the
+	// one it came from.
+	last    listener.BatchReport
+	reports []listener.BatchReport // poll scratch, reused
 
 	cFreeze     *metrics.Counter
 	cResume     *metrics.Counter
@@ -148,7 +153,7 @@ func NewControllerService(o ControllerOptions) (*ControllerService, error) {
 	if o.PollInterval <= 0 {
 		o.PollInterval = time.Second
 	}
-	s := &ControllerService{o: o, lastBatch: -1}
+	s := &ControllerService{o: o, last: listener.BatchReport{BatchID: -1}}
 	s.proxy = &EngineProxy{svc: s, clock: o.Clock}
 	if reg := o.Metrics; reg != nil {
 		s.cFreeze = reg.Counter("nostop_service_degraded_transitions_total", "Degradation transitions",
@@ -218,7 +223,7 @@ func (s *ControllerService) pollTick() {
 			return
 		}
 		var st listener.Status
-		if err := json.Unmarshal(body, &st); err != nil {
+		if err := listener.DecodeStatus(body, &st); err != nil {
 			s.pollFailed(err)
 			return
 		}
@@ -268,8 +273,17 @@ func (s *ControllerService) handshake() {
 	})
 }
 
+// pollBatches tails the engine's batch stream. Once a report has been
+// delivered it asks for one report of overlap: the same engine answers
+// with that report first, and any other answer means the engine restarted,
+// so the cursor resets and the next poll takes the new engine's whole
+// history. This costs no extra RPC and no field on the wire.
 func (s *ControllerService) pollBatches() {
-	path := fmt.Sprintf("/batches?since=%d", s.lastBatch)
+	since := s.last.BatchID
+	if since >= 0 {
+		since--
+	}
+	path := fmt.Sprintf("/batches?since=%d", since)
 	s.o.Engine.Call("GET", path, nil, func(body []byte, err error) {
 		if s.stopped {
 			s.busy = false
@@ -279,26 +293,43 @@ func (s *ControllerService) pollBatches() {
 			s.pollFailed(err)
 			return
 		}
-		var reports []listener.BatchReport
-		if err := json.Unmarshal(body, &reports); err != nil {
+		reports, err := listener.DecodeReports(body, s.reports[:0])
+		if err != nil {
 			s.pollFailed(err)
 			return
 		}
+		s.reports = reports
 		s.resume()
+		if s.last.BatchID >= 0 {
+			if len(reports) == 0 || reports[0] != s.last {
+				// The batches the new engine cut so far went unseen, as
+				// in an outage: mark them FaultActive on delivery.
+				s.last = listener.BatchReport{BatchID: -1}
+				s.markNext = true
+				s.busy = false
+				s.o.Sink.instant(PidServiceController, TidDegrade, "degrade", "controller-engine-restarted", nil)
+				return
+			}
+			reports = reports[1:]
+		}
 		mark := s.markNext
-		s.markNext = false
+		if len(reports) > 0 {
+			// The mark holds until a poll delivers: a restarted engine
+			// that has not completed a batch yet answers with nothing.
+			s.markNext = false
+		}
 		for _, r := range reports {
 			bs := toBatchStats(r)
 			if mark {
-				// First poll after an outage: these batches completed (or
-				// piled up) while the controller was blind. Marking them
+				// First delivery after an outage: these batches completed
+				// (or piled up) while the controller was blind. Marking them
 				// FaultActive routes them through the core's failure-aware
 				// admission — excluded from measurements, re-calibration on
 				// the first clean batch after them.
 				bs.FaultActive = true
 			}
 			s.deliver(bs)
-			s.lastBatch = r.BatchID
+			s.last = r
 		}
 		s.busy = false
 	})

@@ -221,11 +221,11 @@ func (s *EngineService) fetchTick() {
 		return
 	}
 	s.fetchBusy = true
-	body, _ := json.Marshal(fetchRequest{
+	body := fetchRequest{
 		Consumer:  s.instance,
 		Committed: s.committedOffset(),
 		Max:       s.o.MaxFetch,
-	})
+	}.appendJSON(nil)
 	s.o.Broker.Call("POST", "/fetch", body, func(respBody []byte, err error) {
 		s.fetchBusy = false
 		if s.stopped {
@@ -237,7 +237,7 @@ func (s *EngineService) fetchTick() {
 			return
 		}
 		var resp fetchResponse
-		if err := json.Unmarshal(respBody, &resp); err != nil {
+		if err := unmarshal(respBody, &resp); err != nil {
 			s.cFetchErr.Inc()
 			return
 		}
@@ -293,7 +293,7 @@ func (s *EngineService) commitTick() {
 		return
 	}
 	s.commitBusy = true
-	body, _ := json.Marshal(commitRequest{Committed: c})
+	body := commitRequest{Committed: c}.appendJSON(nil)
 	s.o.Broker.Call("POST", "/commit", body, func(_ []byte, err error) {
 		s.commitBusy = false
 		if err == nil {

@@ -237,3 +237,53 @@ func TestEngineRestartRedelivery(t *testing.T) {
 		t.Fatalf("invariant violations: %v", v)
 	}
 }
+
+// TestControllerFollowsEngineRestart: batch IDs restart at 0 in every
+// engine incarnation, so a controller whose cursor points into the old
+// incarnation's ID space must notice the restart and take the new engine's
+// batches, not wait until the new IDs overtake the old cursor.
+func TestControllerFollowsEngineRestart(t *testing.T) {
+	c := newSoakCluster(t, 7)
+	if err := c.Start(); err != nil {
+		t.Fatal(err)
+	}
+	clock := c.Clock()
+	restart := sim.Time(615 * time.Second)
+	clock.At(sim.Time(600*time.Second), func() { c.KillPeer(PeerEngine) })
+	clock.At(restart, func() { c.RestartPeer(PeerEngine) })
+	ctl := c.Component(PeerController).(*ControllerService)
+	var after []engine.BatchStats // delivered to the controller after the restart
+	ctl.proxy.AddListener(engine.ListenerFunc(func(bs engine.BatchStats) {
+		if clock.Now() > restart {
+			after = append(after, bs)
+		}
+	}))
+	c.RunSim(1200 * time.Second)
+	c.Stop()
+
+	history := c.Component(PeerEngine).(*EngineService).Engine().History()
+	if len(history) < 50 {
+		t.Fatalf("restarted engine completed %d batches, want a long run", len(history))
+	}
+	last := history[len(history)-1].ID
+	// The controller polls every second; it may trail by the batch the
+	// engine completed since its last poll.
+	if cursor := ctl.last.BatchID; cursor < last-1 || cursor > last {
+		t.Fatalf("controller cursor %d, restarted engine's last batch %d", cursor, last)
+	}
+	if len(after) < len(history)-1 {
+		t.Fatalf("controller was delivered %d batches after the restart; the new engine completed %d",
+			len(after), len(history))
+	}
+	for i, bs := range after {
+		if bs.ID != int64(i) {
+			t.Fatalf("delivery %d after the restart was batch %d: want the new engine's IDs in order from 0", i, bs.ID)
+		}
+	}
+	// The new engine's first batches carry the backlog the broker
+	// redelivers; the controller saw none of them cut, so they reach the
+	// core marked FaultActive, however many empty polls came first.
+	if !after[0].FaultActive {
+		t.Fatalf("first delivery after the restart (batch %d) not marked FaultActive", after[0].ID)
+	}
+}

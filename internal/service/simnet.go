@@ -3,7 +3,6 @@ package service
 import (
 	"bytes"
 	"net/http"
-	"net/http/httptest"
 	"time"
 
 	"nostop/internal/rng"
@@ -34,6 +33,48 @@ type simLink struct {
 	lat      *rng.Stream
 	drop     *rng.Stream
 	fault    LinkFault
+	rw       simResponse
+}
+
+// simResponse is the http.ResponseWriter a link reuses for every delivery
+// it makes; deliveries run one at a time on the event loop, and each copies
+// the body out before the next begins. The status defaults to 200, the
+// first WriteHeader wins, and Write implies 200.
+type simResponse struct {
+	header http.Header
+	code   int
+	body   bytes.Buffer
+}
+
+// Header implements http.ResponseWriter.
+func (r *simResponse) Header() http.Header { return r.header }
+
+// WriteHeader implements http.ResponseWriter.
+func (r *simResponse) WriteHeader(code int) {
+	if r.code == 0 {
+		r.code = code
+	}
+}
+
+// Write implements http.ResponseWriter.
+func (r *simResponse) Write(p []byte) (int, error) {
+	r.WriteHeader(http.StatusOK)
+	return r.body.Write(p)
+}
+
+// reset readies the writer for the next delivery.
+func (r *simResponse) reset() {
+	clear(r.header)
+	r.code = 0
+	r.body.Reset()
+}
+
+// status is the delivered status code.
+func (r *simResponse) status() int {
+	if r.code == 0 {
+		return http.StatusOK
+	}
+	return r.code
 }
 
 // NewSimNet builds a network on the shared clock. seed feeds per-link
@@ -80,7 +121,7 @@ func (n *SimNet) link(from, to string) *simLink {
 	key := from + "->" + to
 	l := n.links[key]
 	if l == nil {
-		l = &simLink{n: n, from: from, to: to}
+		l = &simLink{n: n, from: from, to: to, rw: simResponse{header: make(http.Header)}}
 		if n.seed != nil {
 			l.lat = n.seed.Split("net/lat/" + key)
 			l.drop = n.seed.Split("net/drop/" + key)
@@ -125,9 +166,10 @@ func (l *simLink) RoundTrip(req Request, done func(Response, error)) {
 			done(Response{}, err)
 			return
 		}
-		rec := httptest.NewRecorder()
-		p.handler.ServeHTTP(rec, hreq)
-		resp := Response{Status: rec.Code, Body: append([]byte(nil), rec.Body.Bytes()...)}
+		rw := &l.rw
+		rw.reset()
+		p.handler.ServeHTTP(rw, hreq)
+		resp := Response{Status: rw.status(), Body: append([]byte(nil), rw.body.Bytes()...)}
 		l.n.clock.After(l.latency(), func() { done(resp, nil) })
 	})
 }

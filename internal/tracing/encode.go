@@ -16,7 +16,8 @@ package tracing
 import (
 	"encoding/json"
 	"sort"
-	"unicode/utf8"
+
+	"nostop/internal/jsonwire"
 )
 
 // appendEvent appends the JSON encoding of e, matching json.Marshal(&e)
@@ -24,26 +25,26 @@ import (
 // escaping).
 func appendEvent(buf []byte, e *Event) ([]byte, error) {
 	buf = append(buf, `{"name":`...)
-	buf = appendString(buf, e.Name)
+	buf = jsonwire.AppendString(buf, e.Name)
 	if e.Cat != "" {
 		buf = append(buf, `,"cat":`...)
-		buf = appendString(buf, e.Cat)
+		buf = jsonwire.AppendString(buf, e.Cat)
 	}
 	buf = append(buf, `,"ph":`...)
-	buf = appendString(buf, e.Ph)
+	buf = jsonwire.AppendString(buf, e.Ph)
 	buf = append(buf, `,"ts":`...)
-	buf = appendInt(buf, e.Ts)
+	buf = jsonwire.AppendInt(buf, e.Ts)
 	if e.Dur != nil {
 		buf = append(buf, `,"dur":`...)
-		buf = appendInt(buf, *e.Dur)
+		buf = jsonwire.AppendInt(buf, *e.Dur)
 	}
 	buf = append(buf, `,"pid":`...)
-	buf = appendInt(buf, int64(e.Pid))
+	buf = jsonwire.AppendInt(buf, int64(e.Pid))
 	buf = append(buf, `,"tid":`...)
-	buf = appendInt(buf, int64(e.Tid))
+	buf = jsonwire.AppendInt(buf, int64(e.Tid))
 	if e.S != "" {
 		buf = append(buf, `,"s":`...)
-		buf = appendString(buf, e.S)
+		buf = jsonwire.AppendString(buf, e.S)
 	}
 	if len(e.Args) > 0 {
 		buf = append(buf, `,"args":`...)
@@ -77,7 +78,7 @@ func appendArgs(buf []byte, args Args) ([]byte, error) {
 		if i > 0 {
 			buf = append(buf, ',')
 		}
-		buf = appendString(buf, k)
+		buf = jsonwire.AppendString(buf, k)
 		buf = append(buf, ':')
 		var err error
 		buf, err = appendValue(buf, args[k])
@@ -102,27 +103,27 @@ func appendValue(buf []byte, v any) ([]byte, error) {
 		}
 		return append(buf, `false`...), nil
 	case string:
-		return appendString(buf, x), nil
+		return jsonwire.AppendString(buf, x), nil
 	case int:
-		return appendInt(buf, int64(x)), nil
+		return jsonwire.AppendInt(buf, int64(x)), nil
 	case int8:
-		return appendInt(buf, int64(x)), nil
+		return jsonwire.AppendInt(buf, int64(x)), nil
 	case int16:
-		return appendInt(buf, int64(x)), nil
+		return jsonwire.AppendInt(buf, int64(x)), nil
 	case int32:
-		return appendInt(buf, int64(x)), nil
+		return jsonwire.AppendInt(buf, int64(x)), nil
 	case int64:
-		return appendInt(buf, x), nil
+		return jsonwire.AppendInt(buf, x), nil
 	case uint:
-		return appendUint(buf, uint64(x)), nil
+		return jsonwire.AppendUint(buf, uint64(x)), nil
 	case uint8:
-		return appendUint(buf, uint64(x)), nil
+		return jsonwire.AppendUint(buf, uint64(x)), nil
 	case uint16:
-		return appendUint(buf, uint64(x)), nil
+		return jsonwire.AppendUint(buf, uint64(x)), nil
 	case uint32:
-		return appendUint(buf, uint64(x)), nil
+		return jsonwire.AppendUint(buf, uint64(x)), nil
 	case uint64:
-		return appendUint(buf, x), nil
+		return jsonwire.AppendUint(buf, x), nil
 	default:
 		blob, err := json.Marshal(v)
 		if err != nil {
@@ -130,105 +131,4 @@ func appendValue(buf []byte, v any) ([]byte, error) {
 		}
 		return append(buf, blob...), nil
 	}
-}
-
-// appendInt formats a signed integer (json renders integers as plain
-// decimal).
-func appendInt(buf []byte, v int64) []byte {
-	if v < 0 {
-		buf = append(buf, '-')
-		return appendUint(buf, uint64(-v))
-	}
-	return appendUint(buf, uint64(v))
-}
-
-func appendUint(buf []byte, v uint64) []byte {
-	var tmp [20]byte
-	i := len(tmp)
-	for {
-		i--
-		tmp[i] = byte('0' + v%10)
-		v /= 10
-		if v == 0 {
-			break
-		}
-	}
-	return append(buf, tmp[i:]...)
-}
-
-const hexDigits = "0123456789abcdef"
-
-// jsonSafe marks bytes encoding/json emits verbatim inside a string: ASCII
-// printables except '"', '\\', and the HTML-escaped '<', '>', '&'.
-var jsonSafe = [256]bool{}
-
-func init() {
-	for c := 0x20; c < 0x7f; c++ {
-		jsonSafe[c] = true
-	}
-	jsonSafe['"'] = false
-	jsonSafe['\\'] = false
-	jsonSafe['<'] = false
-	jsonSafe['>'] = false
-	jsonSafe['&'] = false
-}
-
-// appendString appends a JSON string literal exactly as encoding/json's
-// default (HTML-escaping) encoder renders it: '<', '>', '&' as <-style
-// escapes, control characters escaped (with \n, \r, \t shorthands), U+2028
-// and U+2029 escaped, and invalid UTF-8 replaced by �.
-func appendString(buf []byte, s string) []byte {
-	buf = append(buf, '"')
-	start := 0
-	for i := 0; i < len(s); {
-		if b := s[i]; b < utf8.RuneSelf {
-			if jsonSafe[b] {
-				i++
-				continue
-			}
-			buf = append(buf, s[start:i]...)
-			switch b {
-			case '\\':
-				buf = append(buf, '\\', '\\')
-			case '"':
-				buf = append(buf, '\\', '"')
-			case '\b':
-				buf = append(buf, '\\', 'b')
-			case '\f':
-				buf = append(buf, '\\', 'f')
-			case '\n':
-				buf = append(buf, '\\', 'n')
-			case '\r':
-				buf = append(buf, '\\', 'r')
-			case '\t':
-				buf = append(buf, '\\', 't')
-			default:
-				// Control characters and the HTML trio.
-				buf = append(buf, '\\', 'u', '0', '0', hexDigits[b>>4], hexDigits[b&0xf])
-			}
-			i++
-			start = i
-			continue
-		}
-		r, size := utf8.DecodeRuneInString(s[i:])
-		if r == utf8.RuneError && size == 1 {
-			// encoding/json emits the six-character escape for invalid UTF-8.
-			buf = append(buf, s[start:i]...)
-			buf = append(buf, `\ufffd`...)
-			i++
-			start = i
-			continue
-		}
-		if r == '\u2028' || r == '\u2029' {
-			buf = append(buf, s[start:i]...)
-			buf = append(buf, `\u202`...)
-			buf = append(buf, hexDigits[r&0xf])
-			i += size
-			start = i
-			continue
-		}
-		i += size
-	}
-	buf = append(buf, s[start:]...)
-	return append(buf, '"')
 }
