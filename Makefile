@@ -31,18 +31,23 @@ test:
 race:
 	$(GO) test -race ./...
 
-## chaos: replay the scripted fault plan against all three variants.
+## chaos: replay the scripted fault plan against all three variants over a
+## 40-minute horizon, then print the plan and the NoStop run's timeline.
 chaos:
-	$(GO) run ./cmd/nostop-chaos
+	$(GO) run ./cmd/nostop-bench -experiment chaos -horizon 40m
 
 ## bench: the simulator's benchmark, perfbench (declared by BENCHMARK.json,
 ## see perfbench/README.md and docs/PERF.md): every workload for its default
-## 10 s, then the sim kernel's and the listener's microbenchmarks (/status
-## and the polled replies' wire codecs).
+## 10 s, then the microbenchmarks: the sim kernel's, the listener's (/status
+## and the polled replies' wire codecs), and the substrates' (an engine
+## hour, an SPSA step, a GP fit, a Cholesky factorization, one batch per
+## workload).
 bench:
 	for w in sweep tenants zoo-observed service-soak; do bash perfbench/run.sh --workload $$w || exit 1; done
 	$(GO) test ./internal/sim/bench -bench . -benchmem
 	$(GO) test ./internal/listener -run '^$$' -bench 'CollectorStatus|Wire' -benchmem
+	$(GO) test ./internal/engine ./internal/spsa ./internal/baselines ./internal/linalg ./internal/workload \
+		-run '^$$' -bench . -benchmem
 
 ## golden: regenerate the golden-master artifacts after an INTENDED
 ## output change. Review the diff before committing — these files are the
@@ -100,20 +105,20 @@ tenants-smoke:
 docs:
 	$(GO) test -run 'TestDocs' -count=1 .
 
-## zoo-smoke: the controller-zoo smoke — the five-controller chaos sweep
-## over the widened config space under the race detector, then a plain
-## same-seed rerun at a different parallelism whose rendered report must
-## compare byte-identical (the cross-controller determinism contract at CLI
-## granularity).
+## zoo-smoke: the controller-zoo smoke — nostop-bench's five-controller
+## chaos sweep over the widened config space under the race detector, then a
+## plain same-seed rerun at a different parallelism whose rendered report
+## must compare byte-identical (the cross-controller determinism contract at
+## CLI granularity).
 zoo-smoke:
-	$(GO) run -race ./cmd/nostop-zoo -seeds 2 -horizon 20m -j 8 -out /tmp/nostop-zoo-a.txt
-	$(GO) run ./cmd/nostop-zoo -seeds 2 -horizon 20m -j 1 -out /tmp/nostop-zoo-b.txt
+	$(GO) run -race ./cmd/nostop-bench -experiment zoo -reps 2 -horizon 20m -j 8 > /tmp/nostop-zoo-a.txt
+	$(GO) run ./cmd/nostop-bench -experiment zoo -reps 2 -horizon 20m -j 1 > /tmp/nostop-zoo-b.txt
 	cmp /tmp/nostop-zoo-a.txt /tmp/nostop-zoo-b.txt
 
 ## experiments-smoke: regenerate every table and figure at the paper's scale
 ## and compare the output byte for byte with the checked-in
-## experiments_full.txt. The chaos, back-pressure, ablation and extension
-## tables have no golden of their own; this is what pins them.
+## experiments_full.txt. The chaos, back-pressure, ablation, extension and
+## zoo tables have no golden of their own; this is what pins them.
 experiments-smoke:
 	$(GO) run ./cmd/nostop-bench -experiment all | cmp - experiments_full.txt
 

@@ -38,7 +38,7 @@ func TestDefaultConfigScopes(t *testing.T) {
 		{"simgoroutine", "nostop/cmd/nostop-listen", false},
 
 		{"randsource", "nostop/internal/rng", true}, // global-func ban still applies inside rng
-		{"randsource", "nostop/cmd/nostop-chaos", true},
+		{"randsource", "nostop/cmd/nostop-bench", true},
 		{"maporder", "nostop", true},
 		{"maporder", "nostop/cmd/nostop-bench", true},
 

@@ -281,3 +281,28 @@ func TestEvaluationObjectiveConsistent(t *testing.T) {
 		t.Fatal("no evaluation scored as stable; objective wiring suspect")
 	}
 }
+
+// BenchmarkGPFitPredict measures fitting the GP to 40 two-dimensional
+// observations and predicting one point.
+func BenchmarkGPFitPredict(b *testing.B) {
+	r := rng.New(9)
+	xs := make([][]float64, 40)
+	ys := make([]float64, 40)
+	for i := range xs {
+		xs[i] = []float64{r.Float64(), r.Float64()}
+		ys[i] = r.Norm(10, 3)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		gp, err := NewGP(0.2, 9, 0.5)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := gp.Fit(xs, ys); err != nil {
+			b.Fatal(err)
+		}
+		if _, v := gp.Predict([]float64{0.5, 0.5}); v <= 0 {
+			b.Fatal("bad variance")
+		}
+	}
+}

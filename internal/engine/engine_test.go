@@ -461,3 +461,31 @@ func TestParallelismCappedByPartitions(t *testing.T) {
 		t.Fatalf("partition cap not applied: %v", h[0].ProcessingTime)
 	}
 }
+
+// BenchmarkEngineHour measures simulating one virtual hour of a WordCount
+// stream on a fixed configuration, the unit of work behind every
+// experiment.
+func BenchmarkEngineHour(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		clock := sim.NewClock()
+		seed := rng.New(uint64(i + 1))
+		wl := workload.NewWordCount()
+		lo, hi := wl.RateBand()
+		eng, err := New(clock, Options{
+			Workload: wl,
+			Trace:    ratetrace.NewUniformBand(lo, hi, 5*time.Second, seed.Split("t")),
+			Seed:     seed.Split("e"),
+			Initial:  Config{BatchInterval: 10 * time.Second, Executors: 12},
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := eng.Start(); err != nil {
+			b.Fatal(err)
+		}
+		clock.RunUntil(sim.Time(time.Hour))
+		if len(eng.History()) == 0 {
+			b.Fatal("no batches")
+		}
+	}
+}

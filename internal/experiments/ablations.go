@@ -39,23 +39,22 @@ func ablationRun(cfg Config, seed *rng.Stream, mutate func(*core.Options)) (e2e,
 	return stats.Mean(e2es), stats.Mean(its), stats.Mean(drs), nil
 }
 
-// AblationPenaltyRamp studies Algorithm 1's ρ ramp (1 → 2 by +0.1) against
-// fixed penalties.
-func AblationPenaltyRamp(cfg Config) (*Table, error) {
+// variant is one row of an option ablation: its label and the NoStop
+// option mutation it runs under (nil: the paper's defaults).
+type variant struct {
+	name   string
+	mutate func(*core.Options)
+}
+
+// optionAblation scores each variant with ablationRun on its own split of
+// the named seed and tabulates the scorecard, one row per variant.
+func optionAblation(cfg Config, split, title string, variants []variant, notes ...string) (*Table, error) {
 	cfg = cfg.withDefaults()
-	seed := rng.New(cfg.Seed).Split("abl-rho")
+	seed := rng.New(cfg.Seed).Split(split)
 	t := &Table{
-		Title:  "Ablation: penalty coefficient ρ (Algorithm 1 ramps 1→2)",
+		Title:  title,
 		Header: []string{"variant", "steady e2e(s)", "iterations", "drains"},
-	}
-	variants := []struct {
-		name   string
-		mutate func(*core.Options)
-	}{
-		{"ramp 1→2 (paper)", nil},
-		{"fixed ρ=1", func(o *core.Options) { o.Rho0, o.RhoMax = 1, 1 }},
-		{"fixed ρ=2", func(o *core.Options) { o.Rho0, o.RhoMax = 2, 2 }},
-		{"fixed ρ=8", func(o *core.Options) { o.Rho0, o.RhoMax = 8, 8 }},
+		Notes:  notes,
 	}
 	for _, v := range variants {
 		e2e, iters, drains, err := ablationRun(cfg, seed.Split(v.name), v.mutate)
@@ -65,62 +64,36 @@ func AblationPenaltyRamp(cfg Config) (*Table, error) {
 		t.Rows = append(t.Rows, []string{v.name, fmt.Sprintf("%.2f", e2e),
 			fmt.Sprintf("%.1f", iters), fmt.Sprintf("%.1f", drains)})
 	}
-	t.Notes = append(t.Notes, "§4.2.2: small early ρ avoids huge early gradients; the cap keeps the interval goal dominant")
 	return t, nil
+}
+
+// AblationPenaltyRamp studies Algorithm 1's ρ ramp (1 → 2 by +0.1) against
+// fixed penalties.
+func AblationPenaltyRamp(cfg Config) (*Table, error) {
+	return optionAblation(cfg, "abl-rho", "Ablation: penalty coefficient ρ (Algorithm 1 ramps 1→2)", []variant{
+		{"ramp 1→2 (paper)", nil},
+		{"fixed ρ=1", func(o *core.Options) { o.Rho0, o.RhoMax = 1, 1 }},
+		{"fixed ρ=2", func(o *core.Options) { o.Rho0, o.RhoMax = 2, 2 }},
+		{"fixed ρ=8", func(o *core.Options) { o.Rho0, o.RhoMax = 8, 8 }},
+	}, "§4.2.2: small early ρ avoids huge early gradients; the cap keeps the interval goal dominant")
 }
 
 // AblationFirstBatch studies the §5.4 exclusion of the first batch after a
 // reconfiguration.
 func AblationFirstBatch(cfg Config) (*Table, error) {
-	cfg = cfg.withDefaults()
-	seed := rng.New(cfg.Seed).Split("abl-firstbatch")
-	t := &Table{
-		Title:  "Ablation: §5.4 first-batch-after-reconfig exclusion",
-		Header: []string{"variant", "steady e2e(s)", "iterations", "drains"},
-	}
-	for _, v := range []struct {
-		name   string
-		mutate func(*core.Options)
-	}{
+	return optionAblation(cfg, "abl-firstbatch", "Ablation: §5.4 first-batch-after-reconfig exclusion", []variant{
 		{"exclude (paper)", nil},
 		{"include", func(o *core.Options) { o.IncludeReconfigBatches = true }},
-	} {
-		e2e, iters, drains, err := ablationRun(cfg, seed.Split(v.name), v.mutate)
-		if err != nil {
-			return nil, err
-		}
-		t.Rows = append(t.Rows, []string{v.name, fmt.Sprintf("%.2f", e2e),
-			fmt.Sprintf("%.1f", iters), fmt.Sprintf("%.1f", drains)})
-	}
-	t.Notes = append(t.Notes, "reconfiguration batches carry executor-registration cost and bias measurements upward")
-	return t, nil
+	}, "reconfiguration batches carry executor-registration cost and bias measurements upward")
 }
 
 // AblationWindow studies the §5.4 additive-increase measurement window.
 func AblationWindow(cfg Config) (*Table, error) {
-	cfg = cfg.withDefaults()
-	seed := rng.New(cfg.Seed).Split("abl-window")
-	t := &Table{
-		Title:  "Ablation: §5.4 additive-increase measurement window",
-		Header: []string{"variant", "steady e2e(s)", "iterations", "drains"},
-	}
-	for _, v := range []struct {
-		name   string
-		mutate func(*core.Options)
-	}{
+	return optionAblation(cfg, "abl-window", "Ablation: §5.4 additive-increase measurement window", []variant{
 		{"grow 3→10 (paper)", nil},
 		{"fixed 3", func(o *core.Options) { o.MeasureBatches, o.MeasureBatchesMax = 3, 3 }},
 		{"fixed 10", func(o *core.Options) { o.MeasureBatches, o.MeasureBatchesMax = 10, 10 }},
-	} {
-		e2e, iters, drains, err := ablationRun(cfg, seed.Split(v.name), v.mutate)
-		if err != nil {
-			return nil, err
-		}
-		t.Rows = append(t.Rows, []string{v.name, fmt.Sprintf("%.2f", e2e),
-			fmt.Sprintf("%.1f", iters), fmt.Sprintf("%.1f", drains)})
-	}
-	t.Notes = append(t.Notes, "a larger window slows each iteration; growth-while-paused damps spurious re-optimization only")
-	return t, nil
+	}, "a larger window slows each iteration; growth-while-paused damps spurious re-optimization only")
 }
 
 // AblationReset studies the §5.5 reset rule under a traffic surge.
@@ -138,10 +111,7 @@ func AblationReset(cfg Config) (*Table, error) {
 			Duration: cfg.Horizon / 2, // the surge persists to the horizon
 		}
 	}
-	for _, v := range []struct {
-		name   string
-		mutate func(*core.Options)
-	}{
+	for _, v := range []variant{
 		{"reset enabled (paper)", nil},
 		{"reset disabled", func(o *core.Options) { o.RateStdThreshold = -1 }},
 	} {
@@ -202,57 +172,22 @@ func AblationGains(cfg Config) (*Table, error) {
 // AblationScaling studies §5.1's min-max normalisation of both parameters
 // into a shared range.
 func AblationScaling(cfg Config) (*Table, error) {
-	cfg = cfg.withDefaults()
-	seed := rng.New(cfg.Seed).Split("abl-scale")
-	t := &Table{
-		Title:  "Ablation: §5.1 shared-range parameter scaling",
-		Header: []string{"variant", "steady e2e(s)", "iterations", "drains"},
-	}
-	for _, v := range []struct {
-		name   string
-		mutate func(*core.Options)
-	}{
+	return optionAblation(cfg, "abl-scale", "Ablation: §5.1 shared-range parameter scaling", []variant{
 		{"scaled to [1,20] (paper)", nil},
 		{"raw physical ranges", func(o *core.Options) { o.RawScale = true }},
-	} {
-		e2e, iters, drains, err := ablationRun(cfg, seed.Split(v.name), v.mutate)
-		if err != nil {
-			return nil, err
-		}
-		t.Rows = append(t.Rows, []string{v.name, fmt.Sprintf("%.2f", e2e),
-			fmt.Sprintf("%.1f", iters), fmt.Sprintf("%.1f", drains)})
-	}
-	t.Notes = append(t.Notes, "without scaling one step size must serve a 39s range and a 19-executor range simultaneously")
-	return t, nil
+	}, "without scaling one step size must serve a 39s range and a 19-executor range simultaneously")
 }
 
 // AblationStepClip studies the step-clipping safeguard this reproduction
 // adds to SPSA (see DESIGN.md §5): without it, one noisy early gradient can
 // fling the configuration across the whole space and destabilise the system.
 func AblationStepClip(cfg Config) (*Table, error) {
-	cfg = cfg.withDefaults()
-	seed := rng.New(cfg.Seed).Split("abl-clip")
-	t := &Table{
-		Title:  "Ablation: SPSA step clipping (reproduction safeguard)",
-		Header: []string{"variant", "steady e2e(s)", "iterations", "drains"},
-	}
-	for _, v := range []struct {
-		name   string
-		mutate func(*core.Options)
-	}{
+	return optionAblation(cfg, "abl-clip", "Ablation: SPSA step clipping (reproduction safeguard)", []variant{
 		{"clip at 4 norm units (default)", nil},
 		{"no clipping", func(o *core.Options) {
 			o.Params = spsa.Params{A: 1, Aa: 10, C: 2, Alpha: 0.602, Gamma: 0.101}
 		}},
-	} {
-		e2e, iters, drains, err := ablationRun(cfg, seed.Split(v.name), v.mutate)
-		if err != nil {
-			return nil, err
-		}
-		t.Rows = append(t.Rows, []string{v.name, fmt.Sprintf("%.2f", e2e),
-			fmt.Sprintf("%.1f", iters), fmt.Sprintf("%.1f", drains)})
-	}
-	return t, nil
+	})
 }
 
 // BackPressure contrasts NoStop with Spark's PID back-pressure on an
@@ -316,27 +251,8 @@ func throughput(eng *engine.Engine, horizon time.Duration) float64 {
 // (batch interval + penalty), whose stable-region value is constant in the
 // executor dimension and leaves SPSA without gradient there.
 func AblationObjective(cfg Config) (*Table, error) {
-	cfg = cfg.withDefaults()
-	seed := rng.New(cfg.Seed).Split("abl-objective")
-	t := &Table{
-		Title:  "Ablation: measured objective form (§4.2.2)",
-		Header: []string{"variant", "steady e2e(s)", "iterations", "drains"},
-	}
-	for _, v := range []struct {
-		name   string
-		mutate func(*core.Options)
-	}{
+	return optionAblation(cfg, "abl-objective", "Ablation: measured objective form (§4.2.2)", []variant{
 		{"e2e + penalty (default)", nil},
 		{"Eq. 3 literal (interval + penalty)", func(o *core.Options) { o.Objective = core.ObjectiveEq3 }},
-	} {
-		e2e, iters, drains, err := ablationRun(cfg, seed.Split(v.name), v.mutate)
-		if err != nil {
-			return nil, err
-		}
-		t.Rows = append(t.Rows, []string{v.name, fmt.Sprintf("%.2f", e2e),
-			fmt.Sprintf("%.1f", iters), fmt.Sprintf("%.1f", drains)})
-	}
-	t.Notes = append(t.Notes,
-		"Eq. 3 is flat across stable configurations, so the executor estimate random-walks until it destabilises the system")
-	return t, nil
+	}, "Eq. 3 is flat across stable configurations, so the executor estimate random-walks until it destabilises the system")
 }

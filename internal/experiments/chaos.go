@@ -31,6 +31,35 @@ func ChaosPlan(horizon time.Duration) faults.Plan {
 	}
 }
 
+// ChaosPlanFor returns the plan a chaos run replays under cfg: ChaosPlan
+// for mode "scripted", or for mode "chaos" a random schedule drawn from
+// cfg.Seed, whose faults come closer together and hit harder as intensity
+// grows past 1.
+func ChaosPlanFor(cfg Config, mode string, intensity float64) (faults.Plan, error) {
+	cfg = cfg.withDefaults()
+	if intensity <= 0 {
+		return nil, fmt.Errorf("experiments: chaos intensity %v must be positive", intensity)
+	}
+	switch mode {
+	case "scripted":
+		return ChaosPlan(cfg.Horizon), nil
+	case "chaos":
+	default:
+		return nil, fmt.Errorf("experiments: unknown chaos mode %q (valid: scripted, chaos)", mode)
+	}
+	plan := faults.Chaos(rng.New(cfg.Seed).Split("chaos-plan"), faults.ChaosOptions{
+		Horizon:     cfg.Horizon,
+		MeanGap:     time.Duration(float64(cfg.Horizon) / (10 * intensity)),
+		MaxStraggle: 2 + 4*intensity,
+		MaxTaskFail: min(0.9, 0.5*intensity),
+		MaxSpike:    1.3 + 1.2*intensity,
+	})
+	if len(plan) == 0 {
+		return nil, fmt.Errorf("experiments: chaos generated no faults over %v; raise the horizon or the intensity", cfg.Horizon)
+	}
+	return plan, nil
+}
+
 // SteadyE2E averages clean-batch end-to-end delay over [from, to); NaN when
 // no clean batch completed in the window.
 func SteadyE2E(history []engine.BatchStats, from, to sim.Time) float64 {
@@ -100,9 +129,9 @@ func Chaos(cfg Config) (*Table, error) {
 	return t, err
 }
 
-// ChaosUnderPlan is Chaos parameterized by workload and fault plan (the
-// nostop-chaos command feeds it seeded random plans). The returned string is
-// the NoStop run's injected fault timeline.
+// ChaosUnderPlan is Chaos parameterized by workload and fault plan
+// (nostop-bench -experiment chaos feeds it ChaosPlanFor's plan). The
+// returned string is the NoStop run's injected fault timeline.
 func ChaosUnderPlan(cfg Config, wlName string, plan faults.Plan) (*Table, string, error) {
 	cfg = cfg.withDefaults()
 	seed := rng.New(cfg.Seed).Split("chaos")

@@ -1,7 +1,7 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§6) against the simulated substrate. Each experiment returns
-// a structured result with a text renderer, so the nostop-bench command and
-// the benchmark harness print the same rows/series the paper reports.
+// a structured result with a text and a CSV renderer; the nostop-bench
+// command is the one way to run them.
 //
 // Per-experiment index (see DESIGN.md §3 for the mapping discussion):
 //
@@ -14,6 +14,9 @@
 //	Fig8(cfg)      – SPSA vs Bayesian Optimization (5 runs)
 //	BackPressure(cfg) – NoStop vs Spark back-pressure (abstract's claim)
 //	Ablation*(cfg) – design-choice studies from DESIGN.md §4
+//	Extension*(cfg) – the paper's §7 future work, implemented
+//	Chaos(cfg)     – recovery under a fault plan (DESIGN.md §5c)
+//	ControllerZoo(cfg) – every zoo controller under the chaos plan (§5k)
 //
 // Experiments() names each of them once, in the order RunAll renders them.
 package experiments
@@ -59,14 +62,17 @@ type Config struct {
 	Parallelism int
 }
 
-// Validate rejects a negative repetition count or horizon and a warmup
-// outside [0, 1). Zero fields pass: they mean their defaults.
+// Validate rejects a negative repetition count, horizon or parallelism and
+// a warmup outside [0, 1). Zero fields pass: they mean their defaults.
 func (c Config) Validate() error {
 	if c.Repetitions < 0 {
 		return fmt.Errorf("experiments: negative repetitions %d", c.Repetitions)
 	}
 	if c.Horizon < 0 {
 		return fmt.Errorf("experiments: negative horizon %v", c.Horizon)
+	}
+	if c.Parallelism < 0 {
+		return fmt.Errorf("experiments: negative parallelism %d", c.Parallelism)
 	}
 	if !(c.Warmup >= 0 && c.Warmup < 1) {
 		return fmt.Errorf("experiments: warmup %.2f outside [0, 1)", c.Warmup)
@@ -285,6 +291,7 @@ func Experiments() []Experiment {
 		{"ext-autogains", ExtensionAutoGains},
 		{"ext-failure", ExtensionNodeFailure},
 		{"chaos", Chaos},
+		{"zoo", ControllerZoo},
 	}
 }
 

@@ -213,31 +213,26 @@ func TestBackPressureContrast(t *testing.T) {
 	}
 }
 
-func TestAblationsRun(t *testing.T) {
-	cfg := quick()
-	cfg.Horizon = 40 * time.Minute
-	for name, fn := range map[string]func(Config) (*Table, error){
-		"penalty":    AblationPenaltyRamp,
-		"firstbatch": AblationFirstBatch,
-		"window":     AblationWindow,
-		"reset":      AblationReset,
-		"scaling":    AblationScaling,
-		"stepclip":   AblationStepClip,
-	} {
-		tab, err := fn(cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if len(tab.Rows) < 2 {
-			t.Fatalf("%s: only %d rows", name, len(tab.Rows))
-		}
-		for _, row := range tab.Rows {
-			for _, c := range row {
-				if c == "" {
-					t.Fatalf("%s: empty cell in %v", name, row)
+// TestEveryExperimentRuns runs every named experiment at Quick() scale:
+// no error, at least two rows, and no empty cell.
+func TestEveryExperimentRuns(t *testing.T) {
+	for _, e := range Experiments() {
+		t.Run(e.Name, func(t *testing.T) {
+			tab, err := e.Run(Quick())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(tab.Rows) < 2 {
+				t.Fatalf("only %d rows", len(tab.Rows))
+			}
+			for _, row := range tab.Rows {
+				for _, c := range row {
+					if c == "" {
+						t.Fatalf("empty cell in %v", row)
+					}
 				}
 			}
-		}
+		})
 	}
 }
 
@@ -273,6 +268,7 @@ func TestConfigDefaults(t *testing.T) {
 	}{
 		{Config{Repetitions: -1}, "negative repetitions -1"},
 		{Config{Horizon: -5 * time.Minute}, "negative horizon -5m0s"},
+		{Config{Parallelism: -1}, "negative parallelism -1"},
 		{Config{Warmup: 1}, "warmup 1.00 outside [0, 1)"},
 		{Config{Warmup: 1.5}, "warmup 1.50 outside [0, 1)"},
 		{Config{Warmup: -0.5}, "warmup -0.50 outside [0, 1)"},

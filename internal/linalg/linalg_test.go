@@ -273,3 +273,23 @@ func TestNewMatrixBadShapePanics(t *testing.T) {
 	}()
 	NewMatrix(0, 1)
 }
+
+// BenchmarkCholesky32 measures factoring a 32×32 positive-definite matrix.
+func BenchmarkCholesky32(b *testing.B) {
+	r := rng.New(4)
+	n := 32
+	base := NewMatrix(n, n)
+	for i := range base.Data {
+		base.Data[i] = r.Norm(0, 1)
+	}
+	a := base.Transpose().Mul(base)
+	for i := 0; i < n; i++ {
+		a.Set(i, i, a.At(i, i)+float64(n))
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewCholesky(a); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -407,3 +407,23 @@ func TestResetAtWarmRestart(t *testing.T) {
 		t.Fatal("negative warm restart accepted")
 	}
 }
+
+// BenchmarkSPSAIteration measures one perturb-and-update step on a
+// two-parameter problem.
+func BenchmarkSPSAIteration(b *testing.B) {
+	opt, err := New([]float64{10, 10}, []float64{1, 1}, []float64{20, 20},
+		DefaultParams(19, 2), rng.New(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		plus, minus, err := opt.Perturb()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := opt.Update(plus[0]+plus[1], minus[0]+minus[1]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -266,3 +266,18 @@ func TestGenValueDeterministicPerStream(t *testing.T) {
 		}
 	}
 }
+
+// benchBatch measures one ProcessBatch call over 1000 generated records.
+func benchBatch(b *testing.B, w Workload) {
+	recs := genBatch(w, 1000, 3)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if res := w.ProcessBatch(recs); res.Records == 0 {
+			b.Fatal("no records")
+		}
+	}
+}
+
+func BenchmarkWordCountBatch(b *testing.B)   { benchBatch(b, NewWordCount()) }
+func BenchmarkLogRegSGDBatch(b *testing.B)   { benchBatch(b, NewLogisticRegression()) }
+func BenchmarkPageAnalyzeBatch(b *testing.B) { benchBatch(b, NewPageAnalyze()) }
