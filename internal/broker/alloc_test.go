@@ -1,6 +1,7 @@
 package broker
 
 import (
+	"fmt"
 	"testing"
 
 	"nostop/internal/sim"
@@ -76,5 +77,31 @@ func TestAllocsFetchChunkCycle(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("fetch/commit/release cycle allocates %.1f/op, want 0", allocs)
+	}
+}
+
+// BenchmarkSendCount measures one producer tick: a SendCount of a typical
+// tick's records (a 150k rec/s stream at 100 ms) to a topic of 48
+// partitions (sweep's) or 100 (tenants').
+func BenchmarkSendCount(b *testing.B) {
+	for _, parts := range []int{48, 100} {
+		b.Run(fmt.Sprintf("partitions=%d", parts), func(b *testing.B) {
+			bus, err := NewBus([]int{1, 2, 3, 4})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := bus.CreateTopic("in", parts, 0); err != nil {
+				b.Fatal(err)
+			}
+			prod, err := bus.NewProducer("in")
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				prod.SendCount(15007)
+			}
+		})
 	}
 }

@@ -36,8 +36,10 @@ type Record struct {
 // thread in deterministic event order; implementations must not mutate
 // broker state. A nil observer disables notification.
 type Observer interface {
-	// OnAppend fires after records are appended to a partition log.
-	OnAppend(topic string, partition int, n int64)
+	// OnAppend fires once per produce call (Send or a SendCount of n > 0)
+	// after n records are appended to the topic, however they are spread
+	// over its partitions.
+	OnAppend(topic string, n int64)
 	// OnFetch fires after a consumer-group fetch consumes n records over
 	// the given offset ranges.
 	OnFetch(topic string, n int64, ranges []OffsetRange)
@@ -58,8 +60,10 @@ type Partition struct {
 	ID     int
 	Broker *Broker
 
-	begin, end int64 // log spans offsets [begin, end)
-	down       bool  // outage: the partition leader is unreachable
+	// The log spans offsets [begin, End()): end plus the records of the
+	// topic's pending SendCount window that fall on this partition.
+	begin, end int64
+	down       bool // outage: the partition leader is unreachable
 	obs        Observer
 	top        *Topic // owning topic, for incremental aggregate accounting
 
@@ -91,38 +95,12 @@ func (p *Partition) Down() bool { return p.down }
 // Begin returns the first retained offset (0 in this in-memory model).
 func (p *Partition) Begin() int64 { return p.begin }
 
-// End returns the next offset to be written.
-func (p *Partition) End() int64 { return p.end }
+// End returns the next offset to be written. O(1): it adds the partition's
+// share of the topic's pending SendCount window.
+func (p *Partition) End() int64 { return p.end + p.top.owed(p.ID) }
 
-// appendCount appends n records without payloads.
-//
-//nostop:hotpath
-func (p *Partition) appendCount(n int64) {
-	p.end += n
-	if t := p.top; t != nil {
-		t.totalEnd += n
-		if t.acct != nil {
-			t.acct.Produced += n
-		}
-	}
-	if p.obs != nil && n > 0 {
-		p.obs.OnAppend(p.Topic, p.ID, n)
-	}
-}
-
-// appendRecord appends one concrete record, retaining it in the sample ring.
-func (p *Partition) appendRecord(key, value string, t sim.Time) Record {
-	rec := Record{Partition: p.ID, Offset: p.end, Key: key, Value: value, Time: t}
-	p.end++
-	if top := p.top; top != nil {
-		top.totalEnd++
-		if top.acct != nil {
-			top.acct.Produced++
-		}
-	}
-	if p.obs != nil {
-		p.obs.OnAppend(p.Topic, p.ID, 1)
-	}
+// retain keeps a produced payload record in the sample ring.
+func (p *Partition) retain(rec Record) {
 	if cap(p.samples) > 0 {
 		if len(p.samples) < cap(p.samples) {
 			p.samples = append(p.samples, rec)
@@ -131,7 +109,6 @@ func (p *Partition) appendRecord(key, value string, t sim.Time) Record {
 			p.sampleHead = (p.sampleHead + 1) % cap(p.samples)
 		}
 	}
-	return rec
 }
 
 // SampleTail returns up to max of the most recently retained payload records,
@@ -198,6 +175,16 @@ type Topic struct {
 	// partition on every batch cut.
 	totalEnd  int64 // sum of partition end offsets
 	downCount int   // partitions currently in outage
+
+	// The pending window: records produced but not yet added to the
+	// partitions' end fields. Round-robin remainders of successive sends
+	// from one cursor tile the ring contiguously, so k sends amount to
+	// pendBase records on every partition plus one more on the pendRem
+	// partitions from pendStart on (pendRem < len(Partitions)). A produce
+	// call is then O(1) whatever the partition count; owed gives one
+	// partition's share, and fetches spread the window before they scan.
+	pendBase, pendRem int64
+	pendStart         int
 
 	// acct, when non-nil, is the owning tenant's bus-level account; the
 	// produce/fetch/commit/rewind paths tick it alongside totalEnd.
@@ -323,6 +310,38 @@ func (b *Bus) Topic(name string) (*Topic, error) {
 // number of records ever produced to it.
 func (t *Topic) TotalEnd() int64 { return t.totalEnd }
 
+// owed returns partition i's share of the pending window.
+func (t *Topic) owed(i int) int64 {
+	k := i - t.pendStart
+	if k < 0 {
+		k += len(t.Partitions)
+	}
+	if int64(k) < t.pendRem {
+		return t.pendBase + 1
+	}
+	return t.pendBase
+}
+
+// spread adds the pending window to the partitions' end fields and empties
+// it, after which each partition's end field is its End. Partition ends
+// read the same before and after.
+func (t *Topic) spread() {
+	if t.pendBase == 0 && t.pendRem == 0 {
+		return
+	}
+	for _, p := range t.Partitions {
+		p.end += t.pendBase
+	}
+	i := t.pendStart
+	for k := int64(0); k < t.pendRem; k++ {
+		t.Partitions[i].end++
+		if i++; i == len(t.Partitions) {
+			i = 0
+		}
+	}
+	t.pendBase, t.pendRem = 0, 0
+}
+
 // DownPartitions returns how many partitions are currently in outage — the
 // O(1) any-partition-down check the engine's per-batch fault probe relies on.
 func (t *Topic) DownPartitions() int { return t.downCount }
@@ -343,36 +362,57 @@ func (b *Bus) NewProducer(topic string) (*Producer, error) {
 	return &Producer{topic: t}, nil
 }
 
-// Send appends one concrete record and returns it (with partition/offset
-// assigned).
+// Send appends one concrete record to the partition at the producer's
+// cursor, retains it in that partition's sample ring and returns it (with
+// partition/offset assigned). Accounting-wise it is SendCount(1).
 //
 //nostop:hotpath
 func (p *Producer) Send(key, value string, t sim.Time) Record {
 	part := p.topic.Partitions[p.next]
-	p.next = (p.next + 1) % len(p.topic.Partitions)
-	return part.appendRecord(key, value, t)
+	rec := Record{Partition: part.ID, Offset: part.End(), Key: key, Value: value, Time: t}
+	p.SendCount(1)
+	part.retain(rec)
+	return rec
 }
 
 // SendCount appends n payload-less records spread as evenly as possible
-// across partitions. Used for bulk rate simulation.
+// across partitions, round-robin from the producer's cursor: every
+// partition gets n/P, and the n%P partitions from the cursor on get one
+// more. Used for bulk rate simulation, once per producer tick.
+//
+// It is O(1) and allocation-free: the records join the topic's pending
+// window (see Topic), and the observer's OnAppend fires once with n. The
+// window is spread onto the partitions, in O(P), by the next fetch, or
+// first here by a producer whose cursor does not continue it (a second
+// producer on the topic).
 //
 //nostop:hotpath
 func (p *Producer) SendCount(n int64) {
 	if n <= 0 {
 		return
 	}
-	parts := int64(len(p.topic.Partitions))
-	base := n / parts
+	t := p.topic
+	parts := int64(len(t.Partitions))
+	if t.pendRem > 0 && (int64(t.pendStart)+t.pendRem)%parts != int64(p.next) {
+		t.spread()
+	}
+	if t.pendRem == 0 {
+		t.pendStart = p.next
+	}
 	rem := n % parts
-	for i := int64(0); i < parts; i++ {
-		idx := (int64(p.next) + i) % parts
-		cnt := base
-		if i < rem {
-			cnt++
-		}
-		p.topic.Partitions[idx].appendCount(cnt)
+	t.pendBase += n / parts
+	if t.pendRem += rem; t.pendRem >= parts {
+		t.pendBase++
+		t.pendRem -= parts
 	}
 	p.next = int((int64(p.next) + rem) % parts)
+	t.totalEnd += n
+	if t.acct != nil {
+		t.acct.Produced += n
+	}
+	if t.obs != nil {
+		t.obs.OnAppend(t.Name, n)
+	}
 }
 
 // OffsetRange identifies a consumed span [From, To) of one partition — the
@@ -513,6 +553,8 @@ func (g *ConsumerGroup) Release(c *Chunk) {
 // fetchInto is the fetch core shared by Fetch and FetchChunk: it appends
 // consumed payloads and ranges to the chunk's slices and advances positions.
 func (g *ConsumerGroup) fetchInto(max int64, c *Chunk) {
+	// The scans below read each partition's end field as its end.
+	g.topic.spread()
 	var avail int64
 	if g.topic.downCount == 0 {
 		// Healthy path: no partition is down, so availability is just the
@@ -521,7 +563,7 @@ func (g *ConsumerGroup) fetchInto(max int64, c *Chunk) {
 	} else {
 		for i, p := range g.topic.Partitions {
 			if !p.down {
-				avail += p.End() - g.position[i]
+				avail += p.end - g.position[i]
 			}
 		}
 	}
@@ -533,7 +575,9 @@ func (g *ConsumerGroup) fetchInto(max int64, c *Chunk) {
 		return
 	}
 	var consumed int64
-	// Consume proportionally round-robin across partitions.
+	// Take partitions greedily in index order: each live partition gives
+	// all it has until want is met, so a capped fetch drains the low
+	// indices first.
 	for i, p := range g.topic.Partitions {
 		if consumed >= want {
 			break
@@ -541,7 +585,7 @@ func (g *ConsumerGroup) fetchInto(max int64, c *Chunk) {
 		if p.down {
 			continue
 		}
-		lag := p.End() - g.position[i]
+		lag := p.end - g.position[i]
 		if lag == 0 {
 			continue
 		}

@@ -22,7 +22,7 @@ func TestAllocsObservation(t *testing.T) {
 	}
 	ranges := []broker.OffsetRange{{Partition: 0, From: 0, To: 10}}
 	allocs := testing.AllocsPerRun(1000, func() {
-		o.OnAppend("in", 0, 5)
+		o.OnAppend("in", 5)
 		o.OnFetch("in", 10, ranges)
 		o.OnCommit("in", 10, ranges)
 		o.OnRewind("in", 0, 3)

@@ -129,10 +129,12 @@ func newObsState(reg *metrics.Registry, tr *tracing.Tracer) *obsState {
 	return o
 }
 
-// OnAppend implements broker.Observer (producer→partition appends).
+// OnAppend implements broker.Observer (one call per produce). The counter
+// takes the call's total: integer sums below 2^53 add exactly in float64,
+// so it reads the same as per-partition adds did.
 //
 //nostop:hotpath
-func (o *obsState) OnAppend(topic string, partition int, n int64) {
+func (o *obsState) OnAppend(topic string, n int64) {
 	if o == nil {
 		return
 	}

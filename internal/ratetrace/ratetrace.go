@@ -48,12 +48,10 @@ type UniformBand struct {
 	Dwell    time.Duration
 	seed     *rng.Stream
 
-	// Single-slot memo: deriving a per-slot stream seeds a fresh
-	// math/rand source (a 607-word lagged-Fibonacci fill), which profiling
-	// shows dominating whole-fleet runs when RateAt is hit every producer
-	// tick. Ticks land in the same dwell slot for seconds at a time, so
-	// caching the last slot's rate removes ~all of that cost while staying
-	// bit-identical (the rate is still a pure function of the slot index).
+	// Single-slot memo: RateAt is hit every producer tick and ticks land in
+	// the same dwell slot for seconds at a time, so the last slot's rate
+	// saves hashing the slot's stream name on nearly every call. It stays
+	// bit-identical: the rate is a pure function of the slot index.
 	cacheSlot int64
 	cacheRate float64
 	cacheOK   bool
@@ -70,15 +68,17 @@ func NewUniformBand(min, max float64, dwell time.Duration, seed *rng.Stream) *Un
 	return &UniformBand{Min: min, Max: max, Dwell: dwell, seed: seed}
 }
 
-// RateAt implements Trace.
+// RateAt implements Trace. A slot's rate is the first draw of the stream
+// split off as "slot-<index>", so lookups are order-independent;
+// SplitFloat64 computes that draw without building the stream.
+//
+//nostop:hotpath
 func (u *UniformBand) RateAt(t sim.Time) float64 {
 	slot := int64(t / sim.Time(u.Dwell))
 	if u.cacheOK && slot == u.cacheSlot {
 		return u.cacheRate
 	}
-	// Derive a per-slot stream so lookups are order-independent.
-	s := u.seed.Split(fmt.Sprintf("slot-%d", slot))
-	rate := u.Min + (u.Max-u.Min)*s.Float64()
+	rate := u.Min + (u.Max-u.Min)*u.seed.SplitFloat64("slot-", slot)
 	u.cacheSlot, u.cacheRate, u.cacheOK = slot, rate, true
 	return rate
 }
@@ -326,7 +326,7 @@ func (s Scaled) NextChange(t sim.Time) sim.Time {
 	if st, ok := s.Inner.(Stepper); ok {
 		return st.NextChange(t)
 	}
-	return t + 1 // unknown inner: force fine sampling in RecordsIn
+	return t + 1 // not piecewise constant: the rate may change at any instant
 }
 
 // NextChange implements Stepper by delegating to the inner trace. Clamping a
@@ -339,14 +339,15 @@ func (c Clamped) NextChange(t sim.Time) sim.Time {
 }
 
 // RecordsIn integrates a trace over [from, to), returning the (fractional)
-// number of records arriving in the interval. Traces implementing Stepper
-// integrate exactly segment by segment; other traces (e.g. Sine) fall back
-// to midpoint sampling at millisecond resolution.
+// number of records arriving in the interval. Piecewise-constant traces
+// integrate exactly segment by segment; other traces (e.g. Sine, or Scaled
+// and Clamped around one) fall back to midpoint sampling at millisecond
+// resolution.
 func RecordsIn(tr Trace, from, to sim.Time) float64 {
 	if to <= from {
 		return 0
 	}
-	if st, ok := tr.(Stepper); ok {
+	if st, ok := piecewise(tr); ok {
 		total := 0.0
 		for t := from; t < to; {
 			next := st.NextChange(t)
@@ -373,6 +374,27 @@ func RecordsIn(tr Trace, from, to sim.Time) float64 {
 		t = next
 	}
 	return total
+}
+
+// wrapper is implemented by traces that transform an inner trace (Scaled,
+// Clamped).
+type wrapper interface{ inner() Trace }
+
+func (s Scaled) inner() Trace  { return s.Inner }
+func (c Clamped) inner() Trace { return c.Inner }
+
+// piecewise returns tr's Stepper when tr is piecewise constant. A wrapper
+// implements Stepper whatever it wraps, but is piecewise constant only when
+// its inner trace is; around any other trace its NextChange steps 1 ns at
+// a time.
+func piecewise(tr Trace) (Stepper, bool) {
+	if w, ok := tr.(wrapper); ok {
+		if _, ok := piecewise(w.inner()); !ok {
+			return nil, false
+		}
+	}
+	st, ok := tr.(Stepper)
+	return st, ok
 }
 
 // Sample evaluates the trace every interval over [0, horizon) and returns

@@ -1,6 +1,7 @@
 package ratetrace
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -306,3 +307,64 @@ func TestPaperWorkloadBands(t *testing.T) {
 }
 
 func near(a, b, eps float64) bool { return math.Abs(a-b) <= eps }
+
+// TestUniformBandMatchesSplitStream pins the closed-form slot draw to its
+// definition: slot n's rate is Min + (Max−Min) times the first Float64 of
+// the stream split off as "slot-n".
+func TestUniformBandMatchesSplitStream(t *testing.T) {
+	for _, seed := range []*rng.Stream{rng.New(1), rng.New(7919).Split("trace"),
+		rng.New(77).Split("fleet").Split("LogisticRegression")} {
+		u := NewUniformBand(7000, 13000, time.Second, seed)
+		for slot := int64(-50); slot <= 20000; slot++ {
+			want := 7000 + 6000*seed.Split(fmt.Sprintf("slot-%d", slot)).Float64()
+			if got := u.RateAt(sim.Time(slot) * sim.Time(time.Second)); got != want {
+				t.Fatalf("%s slot %d: RateAt %v, want %v", seed.Name(), slot, got, want)
+			}
+		}
+	}
+}
+
+// countingSine is a non-Stepper trace that counts its RateAt calls.
+type countingSine struct {
+	Sine
+	calls *int
+}
+
+func (c countingSine) RateAt(t sim.Time) float64 {
+	*c.calls++
+	return c.Sine.RateAt(t)
+}
+
+// TestRecordsInWrappedSmoothTrace: Scaled and Clamped around a trace that
+// is not piecewise constant integrate with the millisecond midpoint rule,
+// as the bare trace does, not in 1 ns steps.
+func TestRecordsInWrappedSmoothTrace(t *testing.T) {
+	calls := 0
+	inner := countingSine{Sine: Sine{Mean: 1000, Amplitude: 800, Period: 7 * time.Second}, calls: &calls}
+	from, to := sec(3.25), sec(3.35)
+	bare := RecordsIn(inner, from, to)
+	for _, tr := range []Trace{
+		Scaled{Inner: inner, Factor: 2},
+		&Scaled{Inner: inner, Factor: 2},
+		Clamped{Inner: inner, Min: 0, Max: 1e9},
+		Scaled{Inner: Clamped{Inner: inner, Min: 0, Max: 1e9}, Factor: 2},
+	} {
+		calls = 0
+		got := RecordsIn(tr, from, to)
+		if calls > 100 {
+			t.Errorf("%s: %d inner RateAt calls over 100 ms, want at most 100", tr.Describe(), calls)
+		}
+		want := bare
+		if _, clampOnly := tr.(Clamped); !clampOnly {
+			want = 2 * bare
+		}
+		if math.Abs(got-want) > 1e-9*want {
+			t.Errorf("%s: RecordsIn %v, want %v", tr.Describe(), got, want)
+		}
+	}
+	// A wrapper around a piecewise-constant trace still integrates exactly.
+	s := Surge{Base: 100, Peak: 1000, Start: sec(2), Duration: 3 * time.Second}
+	if got := RecordsIn(Scaled{Inner: s, Factor: 2}, sec(1.5), sec(6.5)); !near(got, 6400, 1e-9) {
+		t.Errorf("Scaled surge RecordsIn=%v want 6400", got)
+	}
+}

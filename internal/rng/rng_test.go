@@ -1,7 +1,10 @@
 package rng
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -202,6 +205,135 @@ func TestIntnRange(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		if v := s.Intn(7); v < 0 || v >= 7 {
 			t.Fatalf("Intn(7) = %d", v)
+		}
+	}
+}
+
+// edgeSeeds are the seeds where math/rand's seeding branches: zero (mapped
+// to 89482311), the modulus 2^31−1 and its negative (both reduce to zero),
+// 89482311 itself, and the int64 extremes.
+var edgeSeeds = []int64{0, 1, -1, 1<<31 - 1, -(1<<31 - 1), 1 << 31, 89482311,
+	math.MinInt64, math.MaxInt64}
+
+// TestFirstInt63MatchesMathRand checks the closed-form first draw against a
+// seeded math/rand source on the edge seeds and 100,000 random ones.
+func TestFirstInt63MatchesMathRand(t *testing.T) {
+	src := rand.NewSource(0)
+	check := func(seed int64) {
+		src.Seed(seed)
+		if got, want := firstInt63(seed), src.Int63(); got != want {
+			t.Fatalf("firstInt63(%d) = %d, want %d", seed, got, want)
+		}
+	}
+	for _, seed := range edgeSeeds {
+		check(seed)
+	}
+	r := New(2053).Split("rng/first-int63").Rand()
+	for i := 0; i < 100000; i++ {
+		check(int64(r.Uint64()))
+	}
+}
+
+// TestSplitFloat64MatchesSplit checks the closed-form per-index draw
+// against building the child stream by name, over nested stream paths,
+// prefixes (empty and multi-byte included) and indices from the int64
+// extremes to random ones.
+func TestSplitFloat64MatchesSplit(t *testing.T) {
+	r := New(4099).Split("rng/split-float64").Rand()
+	indices := []int64{0, 1, -1, 9, 10, -10, 99, 100, math.MinInt64, math.MaxInt64, math.MinInt64 + 1}
+	for k := 0; k < 200; k++ {
+		indices = append(indices, r.Int63n(1<<40)-1<<39, int64(r.Uint64()))
+	}
+	streams := []*Stream{New(0), New(1), New(math.MaxUint64), New(7).Split("trace"),
+		New(42).Split("fleet").Split("job-3"), New(9).Split("")}
+	for _, s := range streams {
+		for _, prefix := range []string{"slot-", "", "é/\x00"} {
+			for _, i := range indices {
+				want := s.Split(prefix + strconv.FormatInt(i, 10)).Float64()
+				if got := s.SplitFloat64(prefix, i); got != want {
+					t.Fatalf("%s.SplitFloat64(%q, %d) = %v, want %v", s.Name(), prefix, i, got, want)
+				}
+			}
+		}
+		// The resample fallback no search will reach draws the same value.
+		if got, want := s.resampledFloat64("slot-", []byte("-12")), s.Split("slot--12").Float64(); got != want {
+			t.Fatalf("%s.resampledFloat64 = %v, want %v", s.Name(), got, want)
+		}
+	}
+}
+
+func TestAllocsSplitFloat64(t *testing.T) {
+	s := New(5).Split("trace")
+	i := int64(0)
+	allocs := testing.AllocsPerRun(1000, func() {
+		i++
+		s.SplitFloat64("slot-", i)
+	})
+	if allocs != 0 {
+		t.Fatalf("SplitFloat64 allocates %.1f/op, want 0", allocs)
+	}
+}
+
+// eager seeds s's source at once, as New and Split did before the source
+// became lazy.
+func eager(s *Stream) *Stream {
+	s.r = rand.New(rand.NewSource(int64(s.seed)))
+	return s
+}
+
+// TestLazySourceLockstep drives a lazily seeded stream and an eagerly
+// seeded one through the same random sequences of every method, splitting
+// children before and after draws, and requires the same values throughout.
+func TestLazySourceLockstep(t *testing.T) {
+	for run := 0; run < 20; run++ {
+		ops := New(uint64(run)).Split("rng/lockstep").Rand()
+		lazy, ref := New(uint64(run)), eager(New(uint64(run)))
+		for step := 0; step < 300; step++ {
+			var got, want any
+			switch op := ops.Intn(14); op {
+			case 0:
+				got, want = lazy.Float64(), ref.Float64()
+			case 1:
+				n := 1 + ops.Intn(1000)
+				got, want = lazy.Intn(n), ref.Intn(n)
+			case 2:
+				got, want = lazy.Int63(), ref.Int63()
+			case 3:
+				got, want = lazy.Uniform(-3, 8), ref.Uniform(-3, 8)
+			case 4:
+				got, want = lazy.Norm(1, 2), ref.Norm(1, 2)
+			case 5:
+				got, want = lazy.Lognormal(0.1, 0.3), ref.Lognormal(0.1, 0.3)
+			case 6:
+				got, want = lazy.NoiseFactor(0.2), ref.NoiseFactor(0.2)
+			case 7:
+				got, want = lazy.Rademacher(), ref.Rademacher()
+			case 8:
+				got, want = lazy.Exp(4), ref.Exp(4)
+			case 9:
+				n := ops.Intn(20)
+				got, want = fmt.Sprint(lazy.Perm(n)), fmt.Sprint(ref.Perm(n))
+			case 10:
+				a, b := []int{0, 1, 2, 3, 4, 5, 6}, []int{0, 1, 2, 3, 4, 5, 6}
+				lazy.Shuffle(len(a), func(i, j int) { a[i], a[j] = a[j], a[i] })
+				ref.Shuffle(len(b), func(i, j int) { b[i], b[j] = b[j], b[i] })
+				got, want = fmt.Sprint(a), fmt.Sprint(b)
+			case 11:
+				got, want = lazy.Rand().Uint64(), ref.Rand().Uint64()
+			case 12, 13:
+				// Descend into a child; op 13 first draws from the parent.
+				if op == 13 {
+					got, want = lazy.Float64(), ref.Float64()
+				}
+				name := fmt.Sprintf("c%d", ops.Intn(4))
+				lazy, ref = lazy.Split(name), eager(ref.Split(name))
+				if lazy.Name() != ref.Name() {
+					t.Fatalf("run %d step %d: child names %q and %q", run, step, lazy.Name(), ref.Name())
+				}
+			}
+			if got != want {
+				t.Fatalf("run %d step %d (%s): lazy %v, eager %v", run, step, ref.Name(), got, want)
+			}
 		}
 	}
 }
