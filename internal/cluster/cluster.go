@@ -72,22 +72,21 @@ type Executor struct {
 // Cluster is a set of nodes with executor-slot accounting and failure
 // state: a failed node's cores are unavailable until it is restored.
 //
-// The cluster is sized for O(1000) nodes: the capacity queries the engine
-// issues on every batch (FreeCores, FailedCount, TotalWorkerCores) are O(1)
-// incremental counters, and the live-worker list is cached and invalidated
-// only on failure transitions, never rebuilt per call.
+// The cluster is sized for O(1000) nodes. Per-node state lives in slices in
+// ID order, reached from a node ID through one map. The capacity queries
+// the engine issues on every batch (FreeCores, FailedCount,
+// TotalWorkerCores) are O(1) incremental counters, and placing an executor
+// is one pass over the slices, with no map lookup.
 type Cluster struct {
-	nodes  []*NodeSpec
 	sorted []*NodeSpec // nodes in ID order, built once (node set is immutable)
-	byID   map[int]*NodeSpec
-	used   map[int]int  // node ID -> cores in use
-	failed map[int]bool // node ID -> currently failed
+	index  map[int]int // node ID -> position in sorted
+	used   []int       // cores in use, by position
+	failed []bool      // currently failed, by position
 	nextID int
 
-	liveWorkers []*NodeSpec // live (non-failed) workers in ID order; nil when stale
-	freeCores   int         // unallocated cores across live workers
-	liveCores   int         // total cores across live workers
-	failedCount int         // nodes currently marked failed
+	freeCores   int // unallocated cores across live workers
+	liveCores   int // total cores across live workers
+	failedCount int // nodes currently marked failed
 }
 
 // ErrInsufficientCapacity is returned when an allocation cannot be placed.
@@ -98,14 +97,10 @@ func New(nodes []NodeSpec) (*Cluster, error) {
 	if len(nodes) == 0 {
 		return nil, errors.New("cluster: no nodes")
 	}
-	c := &Cluster{
-		used:   make(map[int]int),
-		failed: make(map[int]bool),
-		byID:   make(map[int]*NodeSpec, len(nodes)),
-	}
+	c := &Cluster{index: make(map[int]int, len(nodes))}
 	for i := range nodes {
 		n := nodes[i]
-		if c.byID[n.ID] != nil {
+		if _, dup := c.index[n.ID]; dup {
 			return nil, fmt.Errorf("cluster: duplicate node ID %d", n.ID)
 		}
 		if n.SpeedFactor <= 0 {
@@ -117,15 +112,19 @@ func New(nodes []NodeSpec) (*Cluster, error) {
 		if n.Cores < 0 {
 			return nil, fmt.Errorf("cluster: node %d has negative cores", n.ID)
 		}
-		c.nodes = append(c.nodes, &n)
-		c.byID[n.ID] = &n
+		c.index[n.ID] = i
+		c.sorted = append(c.sorted, &n)
+	}
+	sort.Slice(c.sorted, func(i, j int) bool { return c.sorted[i].ID < c.sorted[j].ID })
+	c.used = make([]int, len(c.sorted))
+	c.failed = make([]bool, len(c.sorted))
+	for i, n := range c.sorted {
+		c.index[n.ID] = i
 		if n.Role == Worker {
 			c.freeCores += n.Cores
 			c.liveCores += n.Cores
 		}
 	}
-	c.sorted = append([]*NodeSpec(nil), c.nodes...)
-	sort.Slice(c.sorted, func(i, j int) bool { return c.sorted[i].ID < c.sorted[j].ID })
 	return c, nil
 }
 
@@ -172,63 +171,58 @@ func (c *Cluster) Nodes() []*NodeSpec {
 }
 
 // Node returns the spec of one node, or nil for an unknown ID.
-func (c *Cluster) Node(nodeID int) *NodeSpec { return c.byID[nodeID] }
-
-// Workers returns only live (non-failed) worker nodes, in ID order. The
-// returned slice is a copy; hot paths use the internal cache directly.
-func (c *Cluster) Workers() []*NodeSpec {
-	return append([]*NodeSpec(nil), c.live()...)
+func (c *Cluster) Node(nodeID int) *NodeSpec {
+	if i, ok := c.index[nodeID]; ok {
+		return c.sorted[i]
+	}
+	return nil
 }
 
-// live returns the cached live-worker list, rebuilding it only after a
-// failure transition invalidated it.
-//
-//nostop:hotpath
-func (c *Cluster) live() []*NodeSpec {
-	if c.liveWorkers == nil {
-		//nostop:allow hotalloc -- rebuilt once per failure transition, not per call
-		out := make([]*NodeSpec, 0, len(c.sorted))
-		for _, n := range c.sorted {
-			if n.Role == Worker && !c.failed[n.ID] {
-				out = append(out, n) //nostop:allow hotalloc -- capacity preallocated above; rebuilt only per failure transition
-			}
+// Workers returns only live (non-failed) worker nodes, in ID order, in a new
+// slice.
+func (c *Cluster) Workers() []*NodeSpec {
+	var out []*NodeSpec
+	for i, n := range c.sorted {
+		if n.Role == Worker && !c.failed[i] {
+			out = append(out, n)
 		}
-		c.liveWorkers = out
 	}
-	return c.liveWorkers
+	return out
 }
 
 // SetFailed marks a node failed or restored. Executors already allocated on
 // a failed node keep their accounting until released; callers (the engine)
 // are expected to release and reallocate. Unknown node IDs are an error.
 func (c *Cluster) SetFailed(nodeID int, failed bool) error {
-	n := c.byID[nodeID]
-	if n == nil {
+	i, ok := c.index[nodeID]
+	if !ok {
 		return fmt.Errorf("cluster: unknown node %d", nodeID)
 	}
-	if c.failed[nodeID] == failed {
-		return nil // no transition; caches stay valid
+	if c.failed[i] == failed {
+		return nil // no transition
 	}
-	c.failed[nodeID] = failed
+	c.failed[i] = failed
 	if failed {
 		c.failedCount++
 	} else {
 		c.failedCount--
 	}
-	if n.Role == Worker {
+	if n := c.sorted[i]; n.Role == Worker {
 		delta := 1
 		if failed {
 			delta = -1
 		}
 		c.liveCores += delta * n.Cores
-		c.freeCores += delta * (n.Cores - c.used[nodeID])
-		c.liveWorkers = nil
+		c.freeCores += delta * (n.Cores - c.used[i])
 	}
 	return nil
 }
 
 // Failed reports whether a node is currently marked failed.
-func (c *Cluster) Failed(nodeID int) bool { return c.failed[nodeID] }
+func (c *Cluster) Failed(nodeID int) bool {
+	i, ok := c.index[nodeID]
+	return ok && c.failed[i]
+}
 
 // FailedCount returns how many nodes are currently marked failed — the O(1)
 // any-node-down check the engine's per-batch fault probe relies on.
@@ -260,26 +254,25 @@ func (c *Cluster) Allocate(n int) ([]Executor, error) {
 	if c.freeCores < n {
 		return nil, ErrInsufficientCapacity
 	}
-	workers := c.live()
 	execs := make([]Executor, 0, n)
 	for len(execs) < n {
-		// Pick worker with most free cores (ties: lowest node ID, since the
-		// cached list is in ID order).
-		var best *NodeSpec
-		bestFree := -1
-		for _, w := range workers {
-			free := w.Cores - c.used[w.ID]
-			if free > bestFree {
-				best, bestFree = w, free
+		// Pick the live worker with the most free cores; a strict > over
+		// positions in ID order breaks ties to the lowest ID.
+		best, bestFree := -1, 0
+		for i, w := range c.sorted {
+			if w.Role == Worker && !c.failed[i] {
+				if free := w.Cores - c.used[i]; free > bestFree {
+					best, bestFree = i, free
+				}
 			}
 		}
-		if bestFree <= 0 {
+		if best < 0 {
 			// Unreachable given the capacity precheck, but fail loudly.
 			return nil, ErrInsufficientCapacity
 		}
-		c.used[best.ID]++
+		c.used[best]++
 		c.freeCores--
-		execs = append(execs, Executor{ID: c.nextID, Node: best})
+		execs = append(execs, Executor{ID: c.nextID, Node: c.sorted[best]})
 		c.nextID++
 	}
 	return execs, nil
@@ -290,9 +283,9 @@ func (c *Cluster) Allocate(n int) ([]Executor, error) {
 // become free only when the node is restored.
 func (c *Cluster) Release(execs []Executor) {
 	for _, e := range execs {
-		if c.used[e.Node.ID] > 0 {
-			c.used[e.Node.ID]--
-			if e.Node.Role == Worker && !c.failed[e.Node.ID] {
+		if i, ok := c.index[e.Node.ID]; ok && c.used[i] > 0 {
+			c.used[i]--
+			if e.Node.Role == Worker && !c.failed[i] {
 				c.freeCores++
 			}
 		}

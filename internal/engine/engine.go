@@ -289,10 +289,10 @@ type Engine struct {
 	nextID   int64
 	cutEvent sim.Event
 
-	// tickFn/cutFn are the producer-tick and batch-cut callbacks bound once
-	// at Start: rescheduling with a fresh method value (e.producerTick)
-	// would allocate a closure per tick on the hot path.
-	tickFn func()
+	// ticker fires the producer tick; cutFn is the batch-cut callback bound
+	// once at Start: rescheduling with a fresh method value (e.cutBatch)
+	// would allocate a closure per cut on the hot path.
+	ticker *sim.Ticker
 	cutFn  func()
 
 	history    []BatchStats
@@ -501,9 +501,8 @@ func (e *Engine) Start() error {
 	}
 	e.started = true
 	e.lastTickAt = e.clock.Now()
-	e.tickFn = e.producerTick
 	e.cutFn = e.cutBatch
-	e.clock.After(e.opts.ProducerTick, e.tickFn)
+	e.ticker = e.clock.NewTicker(e.opts.ProducerTick, e.producerTick)
 	e.cutEvent = e.clock.After(e.cfg.BatchInterval, e.cutFn)
 	return nil
 }
@@ -516,10 +515,12 @@ func (e *Engine) Stop() { e.stopped = true }
 func (e *Engine) AddListener(l Listener) { e.listeners = append(e.listeners, l) }
 
 // producerTick pushes trace arrivals since the previous tick into the topic.
+// The first tick after Stop stops the ticker.
 //
 //nostop:hotpath
 func (e *Engine) producerTick() {
 	if e.stopped {
+		e.ticker.Stop()
 		return
 	}
 	now := e.clock.Now()
@@ -554,7 +555,6 @@ func (e *Engine) producerTick() {
 		e.prod.Send("", e.wl.GenValue(e.totalRecords+i, e.payload), now)
 	}
 	e.totalRecords += whole
-	e.clock.After(e.opts.ProducerTick, e.tickFn)
 }
 
 // effectiveCap combines the configured/back-pressure ingest cap with any

@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"testing"
+	"time"
+)
 
 // Allocation budget: once the free list and container capacities are warm,
 // scheduling and firing events must not allocate. This is the load-bearing
@@ -43,7 +46,6 @@ func TestAllocsScheduleFireFIFOPath(t *testing.T) {
 func TestAllocsTickerTick(t *testing.T) {
 	c := NewClock()
 	tk := c.NewTicker(1, func() {})
-	defer tk.Stop()
 	for i := 0; i < 64; i++ {
 		c.Step()
 	}
@@ -52,6 +54,30 @@ func TestAllocsTickerTick(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("ticker tick allocates %.1f/op, want 0", allocs)
+	}
+	tk.Stop()
+
+	// The tenant mix's shape: 32 tickers on one lane over a deep heap of
+	// events due far beyond the ticks.
+	c = NewClock()
+	fn := func() {}
+	for i := 0; i < 50; i++ {
+		c.At(Time(i+1)*Time(time.Hour), fn)
+	}
+	for i := 0; i < 32; i++ {
+		c.NewTicker(100*time.Millisecond, fn)
+	}
+	for i := 0; i < 64*32; i++ {
+		c.Step()
+	}
+	allocs = testing.AllocsPerRun(1000, func() {
+		c.Step()
+	})
+	if allocs != 0 {
+		t.Fatalf("32-ticker tick over a deep heap allocates %.1f/op, want 0", allocs)
+	}
+	if len(c.lanes) != 2 {
+		t.Fatalf("32 tickers of one period use %d lanes, want 2 (same-instant + 100ms)", len(c.lanes))
 	}
 }
 

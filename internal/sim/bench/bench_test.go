@@ -76,3 +76,22 @@ func BenchmarkTicker(b *testing.B) {
 		c.Step()
 	}
 }
+
+// BenchmarkTickersDeep is the tenant mix's clock: 32 tickers of one period
+// on a lane over about 50 heap events due later. One op is one tick.
+func BenchmarkTickersDeep(b *testing.B) {
+	c := sim.NewClock()
+	fn := func() {}
+	for i := 0; i < 50; i++ {
+		c.At(sim.Time(i+1)*sim.Time(time.Hour), fn)
+	}
+	for i := 0; i < 32; i++ {
+		tk := c.NewTicker(100*time.Millisecond, fn)
+		defer tk.Stop()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Step()
+	}
+}

@@ -1,6 +1,7 @@
 // Package bench holds microbenchmarks for the sim kernel's hot paths:
 // schedule+fire through the 4-ary heap, same-instant FIFO bursts,
-// cancel/recycle, and ticker churn. Run with
+// cancel/recycle, and ticker churn, alone and as 32 tickers on one lane
+// over a deep heap. Run with
 //
 //	go test ./internal/sim/bench -bench . -benchmem
 //

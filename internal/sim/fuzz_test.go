@@ -7,7 +7,8 @@ import (
 )
 
 // checkInvariants validates the kernel's internal structure: the 4-ary heap
-// property, index back-pointers, FIFO (due, seq) monotonicity, the live
+// property, index back-pointers, each lane's (due, seq) order and period,
+// the lane-resident sentinel, the tombstone count over all lanes, the live
 // counter, and the no-canceled-nodes-in-heap rule.
 func checkInvariants(c *Clock) error {
 	for i, n := range c.heap.a {
@@ -28,95 +29,106 @@ func checkInvariants(c *Clock) error {
 			}
 		}
 	}
-	live := len(c.heap.a)
-	var prev *node
-	canceled := 0
-	for i := 0; i < c.fifoLen; i++ {
-		n := c.fifo[(c.fifoHead+i)%len(c.fifo)]
-		if n == nil {
-			return fmt.Errorf("fifo slot %d is nil inside the live window", i)
-		}
-		if n.index != inFIFO {
-			return fmt.Errorf("fifo node %d has index %d, want inFIFO", i, n.index)
-		}
-		if prev != nil && !eventLess(prev, n) {
-			return fmt.Errorf("fifo not (due,seq)-sorted at %d", i)
-		}
-		if n.canceled {
-			canceled++
-		} else {
-			live++
-		}
-		prev = n
+	if len(c.lanes) == 0 || c.lanes[0].period != 0 {
+		return fmt.Errorf("lane 0 missing or not the same-instant lane")
 	}
-	if canceled != c.fifoCancel {
-		return fmt.Errorf("fifoCancel = %d, counted %d tombstones", c.fifoCancel, canceled)
+	live := len(c.heap.a)
+	canceled := 0
+	periods := map[time.Duration]bool{}
+	for li := range c.lanes {
+		l := &c.lanes[li]
+		if periods[l.period] {
+			return fmt.Errorf("two lanes share period %v", l.period)
+		}
+		periods[l.period] = true
+		if l.n > len(l.ring) {
+			return fmt.Errorf("lane %d holds %d nodes in a ring of %d", li, l.n, len(l.ring))
+		}
+		var prev *node
+		for i := 0; i < len(l.ring); i++ {
+			n := l.ring[(l.head+i)%len(l.ring)]
+			if i >= l.n {
+				if n != nil {
+					return fmt.Errorf("lane %d slot %d outside the live window is not nil", li, i)
+				}
+				continue
+			}
+			if n == nil {
+				return fmt.Errorf("lane %d slot %d is nil inside the live window", li, i)
+			}
+			if n.index != inLane {
+				return fmt.Errorf("lane %d node %d has index %d, want inLane", li, i, n.index)
+			}
+			if prev != nil && !eventLess(prev, n) {
+				return fmt.Errorf("lane %d not (due,seq)-sorted at %d", li, i)
+			}
+			if n.canceled {
+				canceled++
+			} else {
+				live++
+				if n.fn == nil {
+					return fmt.Errorf("lane %d node %d is live with nil fn", li, i)
+				}
+			}
+			prev = n
+		}
+	}
+	if canceled != c.tombs {
+		return fmt.Errorf("tombs = %d, counted %d tombstones", c.tombs, canceled)
 	}
 	if live != c.pending {
 		return fmt.Errorf("pending = %d, counted %d live nodes", c.pending, live)
+	}
+	for n := c.free; n != nil; n = n.next {
+		if n.index != notQueued || n.canceled {
+			return fmt.Errorf("free node has index %d, canceled %v", n.index, n.canceled)
+		}
 	}
 	return nil
 }
 
 // FuzzEventQueue derives an op sequence from the fuzzer's byte string —
-// schedule (same-instant or future), cancel, double-cancel, step — and
-// checks the structural invariants after every operation plus full
-// (due, seq) dequeue ordering at the end.
+// schedule (same-instant or up to 63 ms ahead), cancel (live, double and
+// stale cancels), step, and ticker start, stop, reset and in-handler
+// actions — and drives the kernel and the reference model of
+// property_test.go in lockstep: the structural invariants hold after every
+// operation, a stale handle's Cancel changes nothing, and every dequeue
+// matches the model's (due, seq) order and fire time, through to the final
+// drain.
+//
+// Each byte is one op: b%8 picks it and b>>3 is its argument.
 func FuzzEventQueue(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte{0, 0, 0, 0})                      // same-instant burst
-	f.Add([]byte{4, 8, 12, 3, 3, 7})               // interleaved schedule/cancel
-	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9})    // mixed ops
-	f.Add([]byte{255, 254, 253, 0, 128, 64, 32})   // far-future dues
-	f.Add([]byte{2, 2, 2, 1, 1, 1, 3, 3, 3, 0, 0}) // cancel-heavy then burst
+	f.Add([]byte{0, 0, 0, 0})                              // same-instant burst
+	f.Add([]byte{8, 16, 24, 3, 3, 10})                     // interleaved schedule/cancel
+	f.Add([]byte{0, 0, 2, 3, 8, 8, 10, 3, 16, 16})         // mixed schedule, cancel, step
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9})            // every op once
+	f.Add([]byte{251, 250, 249, 0, 1, 128, 64})            // far-future dues
+	f.Add([]byte{2, 2, 2, 0, 0, 0, 3, 3, 3, 0, 0})         // cancel-heavy then burst
+	f.Add([]byte{0, 8, 2, 2, 3, 3, 0, 0, 2, 10, 3, 3, 18}) // double and stale cancels
+	f.Add([]byte{4, 12, 20, 3, 3, 3, 3, 3, 3, 3})          // tickers sharing lanes
+	f.Add([]byte{4, 7, 3, 3, 15, 3, 3, 6, 3, 5, 3})        // armed reset, reset, stop
+	f.Add([]byte{4, 0, 8, 39, 3, 3, 3, 2, 3, 3, 14})       // ticker among bursts
 	f.Fuzz(func(t *testing.T, data []byte) {
-		c := NewClock()
-		var handles []Event
-		fired := 0
-		var lastDue Time = -1
-		var lastSeq uint64
-		check := func() {
-			if err := checkInvariants(c); err != nil {
-				t.Fatal(err)
-			}
-		}
+		h := newQueueHarness(t)
 		for _, b := range data {
-			switch b % 4 {
-			case 0, 1: // schedule; offset 0 exercises the FIFO fast path
-				offset := Time(b>>2) * Time(time.Millisecond)
-				handles = append(handles, c.At(c.Now()+offset, func() { fired++ }))
+			switch arg := int(b >> 3); b % 8 {
+			case 0, 1: // schedule 0-31 ms (0) or 32-63 ms (1) ahead; 0 ms exercises the same-instant lane
+				offset := arg + 32*int(b%8)
+				h.schedule(h.c.Now() + Time(offset)*Time(time.Millisecond))
 			case 2: // cancel an arbitrary handle (live, fired, or already canceled)
-				if len(handles) > 0 {
-					c.Cancel(handles[int(b>>2)%len(handles)])
+				if len(h.ids) > 0 {
+					h.cancel(h.ids[arg%len(h.ids)])
 				}
-			case 3: // fire the earliest event, verifying global (due, seq) order
-				before := c.Executed()
-				if n := c.peek(); n != nil {
-					due, seq := n.due, n.seq
-					if due < lastDue || (due == lastDue && seq <= lastSeq && before > 0) {
-						t.Fatalf("dequeue order regressed: (%v,%d) after (%v,%d)", due, seq, lastDue, lastSeq)
-					}
-					lastDue, lastSeq = due, seq
+			case 3: // fire the earliest event
+				if len(h.model.live) > 0 {
+					h.step()
 				}
-				c.Step()
+			default: // ticker start (4), stop (5), reset (6), armed action (7)
+				h.tickerOp(int(b%8)-4, arg)
 			}
-			check()
+			h.check()
 		}
-		// Drain; every remaining event must come out in nondecreasing order.
-		for {
-			n := c.peek()
-			if n == nil {
-				break
-			}
-			if n.due < lastDue || (n.due == lastDue && n.seq <= lastSeq && c.Executed() > 0) {
-				t.Fatalf("drain order regressed: (%v,%d) after (%v,%d)", n.due, n.seq, lastDue, lastSeq)
-			}
-			lastDue, lastSeq = n.due, n.seq
-			c.Step()
-			check()
-		}
-		if c.Pending() != 0 {
-			t.Fatalf("Pending() = %d after drain", c.Pending())
-		}
+		h.drain()
 	})
 }

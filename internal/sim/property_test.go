@@ -8,28 +8,33 @@ import (
 	"nostop/internal/rng"
 )
 
-// Property-based check of the pooled 4-ary heap + FIFO fast path against a
+// Property-based check of the pooled 4-ary heap + FIFO lanes against a
 // reference model: a plain sorted-slice priority queue keyed by (due, seq).
-// Randomized Schedule/Cancel/Reschedule/Run sequences must dequeue in
-// exactly the reference order, including same-instant FIFO bursts and
-// cancel-then-reuse of pooled nodes.
+// Randomized Schedule/Cancel/Reschedule/Run sequences, with tickers created,
+// stopped and reset among them (also from inside their own handlers), must
+// dequeue in exactly the reference order at exactly the reference times,
+// including same-instant FIFO bursts and cancel-then-reuse of pooled nodes.
 
 // refEntry mirrors one live scheduled event.
 type refEntry struct {
-	due Time
-	seq uint64
-	id  int
+	due    Time
+	seq    uint64
+	id     int
+	ticker int // index of the ticker this firing belongs to; -1 for At events
 }
 
 // refModel is the executable specification: an unordered slice scanned for
 // the (due, seq) minimum. O(n) and allocation-happy — which is fine, it only
-// has to be obviously correct.
+// has to be obviously correct. It numbers schedules itself, one seq per
+// schedule in call order.
 type refModel struct {
 	live []refEntry
+	seq  uint64
 }
 
-func (m *refModel) schedule(due Time, seq uint64, id int) {
-	m.live = append(m.live, refEntry{due: due, seq: seq, id: id})
+func (m *refModel) schedule(due Time, id, ticker int) {
+	m.live = append(m.live, refEntry{due: due, seq: m.seq, id: id, ticker: ticker})
+	m.seq++
 }
 
 func (m *refModel) cancel(id int) bool {
@@ -59,15 +64,33 @@ func (m *refModel) popMin() (refEntry, bool) {
 	return e, true
 }
 
+// refTicker is the model of one Ticker: after each firing's handler it
+// schedules the next firing one period on, unless the handler stopped it or
+// reset it (which schedules by itself).
+type refTicker struct {
+	tk      *Ticker
+	period  time.Duration
+	stopped bool
+	pending int    // model id of the scheduled firing; -1 when none
+	onFire  func() // armed action, run inside the next firing's handler
+}
+
+// firing is one handler run as the clock reported it.
+type firing struct {
+	id, ticker int // event id for At events; ticker index (id -1) for tickers
+	at         Time
+}
+
 // queueHarness drives a Clock and the reference model in lockstep.
 type queueHarness struct {
 	t       *testing.T
 	c       *Clock
 	model   refModel
-	handles map[int]Event
-	ids     []int // ids with live handles, in creation order
+	handles map[int]Event // every At handle issued: live, fired or canceled
+	ids     []int         // ids of every At handle, in creation order
 	nextID  int
-	fired   []int
+	tickers []*refTicker
+	fired   []firing
 }
 
 func newQueueHarness(t *testing.T) *queueHarness {
@@ -78,54 +101,142 @@ func newQueueHarness(t *testing.T) *queueHarness {
 func (h *queueHarness) schedule(due Time) {
 	id := h.nextID
 	h.nextID++
-	seq := h.c.seq // the seq the clock will assign
-	ev := h.c.At(due, func() { h.fired = append(h.fired, id) })
-	h.model.schedule(due, seq, id)
+	h.model.schedule(due, id, -1)
+	ev := h.c.At(due, func() { h.fired = append(h.fired, firing{id: id, ticker: -1, at: h.c.Now()}) })
 	h.handles[id] = ev
 	h.ids = append(h.ids, id)
 }
 
-// cancel removes a still-tracked event from both systems.
+// cancel cancels event id through its handle in both systems. A handle whose
+// event already fired or was canceled is stale (its node may since have
+// been recycled into another event in the heap or a lane): canceling it
+// must change nothing.
 func (h *queueHarness) cancel(id int) {
-	ev, ok := h.handles[id]
-	if !ok {
+	ev := h.handles[id]
+	if h.model.cancel(id) {
+		h.c.Cancel(ev)
+		if !ev.Canceled() {
+			h.t.Fatalf("Cancel of live event %d not reflected by Canceled()", id)
+		}
 		return
 	}
-	wasLive := h.model.cancel(id)
+	pending, seq := h.c.Pending(), h.c.seq
 	h.c.Cancel(ev)
-	if wasLive && !ev.Canceled() {
-		h.t.Fatalf("Cancel of live event %d not reflected by Canceled()", id)
+	if h.c.Pending() != pending || h.c.seq != seq {
+		h.t.Fatalf("Cancel of stale handle %d changed Pending %d -> %d, seq %d -> %d",
+			id, pending, h.c.Pending(), seq, h.c.seq)
 	}
-	delete(h.handles, id)
+	if err := checkInvariants(h.c); err != nil {
+		h.t.Fatalf("after Cancel of stale handle %d: %v", id, err)
+	}
+}
+
+// scheduleTick enters a ticker's next firing, one period from now, in the
+// model only: the clock's Ticker schedules its own.
+func (h *queueHarness) scheduleTick(k int) {
+	rt := h.tickers[k]
+	rt.pending = h.nextID
+	h.nextID++
+	h.model.schedule(h.c.Now()+rt.period, rt.pending, k)
+}
+
+// newTicker starts a ticker in both systems.
+func (h *queueHarness) newTicker(period time.Duration) {
+	k := len(h.tickers)
+	rt := &refTicker{period: period}
+	h.tickers = append(h.tickers, rt)
+	h.scheduleTick(k)
+	rt.tk = h.c.NewTicker(period, func() {
+		h.fired = append(h.fired, firing{id: -1, ticker: k, at: h.c.Now()})
+		if a := rt.onFire; a != nil {
+			rt.onFire = nil
+			a()
+		}
+	})
+}
+
+// stopTicker stops ticker k in both systems.
+func (h *queueHarness) stopTicker(k int) {
+	rt := h.tickers[k]
+	rt.stopped = true
+	if rt.pending >= 0 {
+		h.model.cancel(rt.pending)
+		rt.pending = -1
+	}
+	rt.tk.Stop()
+}
+
+// resetTicker changes ticker k's period in both systems.
+func (h *queueHarness) resetTicker(k int, period time.Duration) {
+	rt := h.tickers[k]
+	if rt.pending >= 0 {
+		h.model.cancel(rt.pending)
+		rt.pending = -1
+	}
+	rt.period = period
+	if !rt.stopped {
+		h.scheduleTick(k)
+	}
+	rt.tk.Reset(period)
+	if rt.tk.Period() != period {
+		h.t.Fatalf("ticker %d period %v after Reset(%v)", k, rt.tk.Period(), period)
+	}
+}
+
+// check compares the clock's counters with the model's and validates the
+// kernel's structure.
+func (h *queueHarness) check() {
+	if h.c.Pending() != len(h.model.live) {
+		h.t.Fatalf("Pending() = %d, model has %d live events", h.c.Pending(), len(h.model.live))
+	}
+	if h.c.seq != h.model.seq {
+		h.t.Fatalf("clock assigned %d seqs, model %d", h.c.seq, h.model.seq)
+	}
+	if err := checkInvariants(h.c); err != nil {
+		h.t.Fatal(err)
+	}
 }
 
 // step fires one event on the clock and checks it against the model's
-// minimum.
+// minimum, then lets the model's ticker schedule its next firing.
 func (h *queueHarness) step() {
 	want, ok := h.model.popMin()
+	if ok && want.ticker >= 0 {
+		h.tickers[want.ticker].pending = -1
+	}
+	before := len(h.fired)
 	stepped := h.c.Step()
 	if stepped != ok {
-		h.t.Fatalf("Step() = %v, model has %d live events", stepped, len(h.model.live)+1)
+		h.t.Fatalf("Step() = %v, model had %d live events", stepped, len(h.model.live)+1)
 	}
 	if !ok {
 		return
 	}
-	if len(h.fired) == 0 {
+	if len(h.fired) == before {
 		h.t.Fatalf("Step fired nothing; model expected id %d at %v", want.id, want.due)
 	}
-	got := h.fired[len(h.fired)-1]
-	if got != want.id {
-		h.t.Fatalf("dequeue order diverged: fired id %d, model wants id %d (due %v seq %d)",
-			got, want.id, want.due, want.seq)
+	got := h.fired[before]
+	if got.ticker != want.ticker || (want.ticker < 0 && got.id != want.id) {
+		h.t.Fatalf("dequeue order diverged: fired (id %d, ticker %d), model wants (id %d, ticker %d) due %v seq %d",
+			got.id, got.ticker, want.id, want.ticker, want.due, want.seq)
 	}
-	if h.c.Now() != want.due {
-		h.t.Fatalf("clock at %v after firing event due %v", h.c.Now(), want.due)
+	if got.at != want.due {
+		h.t.Fatalf("event fired at %v, model has it due %v", got.at, want.due)
 	}
-	delete(h.handles, got)
+	if want.ticker >= 0 {
+		if rt := h.tickers[want.ticker]; !rt.stopped && rt.pending < 0 {
+			h.scheduleTick(want.ticker)
+		}
+	}
+	h.check()
 }
 
-// drain runs both queues to empty, comparing every dequeue.
+// drain stops every ticker, then runs both queues to empty, comparing every
+// dequeue.
 func (h *queueHarness) drain() {
+	for k := range h.tickers {
+		h.stopTicker(k)
+	}
 	for len(h.model.live) > 0 {
 		h.step()
 	}
@@ -134,6 +245,53 @@ func (h *queueHarness) drain() {
 	}
 	if h.c.Pending() != 0 {
 		h.t.Fatalf("Pending() = %d after drain", h.c.Pending())
+	}
+	h.check()
+}
+
+// tickerPeriods are the periods tickers start with and reset to: few enough
+// that tickers share lanes, spread enough that several lanes exist.
+var tickerPeriods = []time.Duration{ms(1), ms(3), ms(10), ms(10), ms(25)}
+
+// tickerOp applies one ticker operation chosen by a and b: start a ticker,
+// stop or reset one, or arm one to act from inside its next handler
+// (reset itself, stop itself, reset then stop, schedule an event now or
+// later, cancel a tracked event).
+func (h *queueHarness) tickerOp(a, b int) {
+	if len(h.tickers) == 0 || a%4 == 0 {
+		if len(h.tickers) < 12 {
+			h.newTicker(tickerPeriods[b%len(tickerPeriods)])
+		}
+		return
+	}
+	k := b % len(h.tickers)
+	period := tickerPeriods[(b/len(h.tickers))%len(tickerPeriods)]
+	switch a % 4 {
+	case 1:
+		h.stopTicker(k)
+	case 2:
+		h.resetTicker(k, period)
+	default:
+		var act func()
+		switch (b / 7) % 6 {
+		case 0:
+			act = func() { h.resetTicker(k, period) }
+		case 1:
+			act = func() { h.stopTicker(k) }
+		case 2:
+			act = func() { h.resetTicker(k, period); h.stopTicker(k) }
+		case 3:
+			act = func() { h.schedule(h.c.Now()) }
+		case 4:
+			act = func() { h.schedule(h.c.Now() + period) }
+		default:
+			act = func() {
+				if len(h.ids) > 0 {
+					h.cancel(h.ids[b%len(h.ids)])
+				}
+			}
+		}
+		h.tickers[k].onFire = act
 	}
 }
 
@@ -185,6 +343,52 @@ func TestQueueMatchesReferenceModel(t *testing.T) {
 	}
 	if totalScheduled < 10_000 {
 		t.Fatalf("property rounds scheduled only %d events, want >= 10000", totalScheduled)
+	}
+}
+
+// TestTickersMatchReferenceModel interleaves tickers — several sharing a
+// period, several periods, stopped and reset from outside and from inside
+// their own handlers — with same-instant and future At events and cancels,
+// and requires the exact reference dequeue order and fire times throughout.
+func TestTickersMatchReferenceModel(t *testing.T) {
+	root := rng.New(7).Split("ticker-property")
+	const rounds = 60
+	ticks := 0
+	for round := 0; round < rounds; round++ {
+		r := root.Split(fmt.Sprintf("round-%d", round)).Rand()
+		h := newQueueHarness(t)
+		ops := 150 + r.Intn(150)
+		for op := 0; op < ops; op++ {
+			switch k := r.Intn(12); {
+			case k < 3: // ticker start, stop, reset or armed action
+				h.tickerOp(r.Intn(4), r.Intn(1000))
+			case k < 6: // At now or within a few ticker periods
+				due := h.c.Now()
+				if r.Intn(2) == 0 {
+					due += Time(r.Intn(30)) * Time(time.Millisecond)
+				}
+				h.schedule(due)
+			case k < 7:
+				if len(h.ids) > 0 {
+					h.cancel(h.ids[r.Intn(len(h.ids))])
+				}
+			default:
+				steps := 1 + r.Intn(6)
+				for s := 0; s < steps && len(h.model.live) > 0; s++ {
+					h.step()
+				}
+			}
+			h.check()
+		}
+		for _, f := range h.fired {
+			if f.ticker >= 0 {
+				ticks++
+			}
+		}
+		h.drain()
+	}
+	if ticks < 2_000 {
+		t.Fatalf("property rounds fired only %d ticker events, want >= 2000", ticks)
 	}
 }
 

@@ -14,8 +14,11 @@
 // and recycled the moment they fire or are canceled, so steady-state
 // scheduling allocates nothing; the priority queue is an indexed 4-ary heap
 // (shallower than a binary heap, fewer cache misses per sift); and events
-// scheduled for the current instant bypass the heap entirely through a FIFO
-// ring, which makes same-time bursts O(1) per event. Event handles carry a
+// whose scheduling order is already their firing order bypass the heap
+// through FIFO lanes. Lane 0 takes events scheduled for the current
+// instant, which makes same-time bursts O(1) per event; every other lane
+// takes the firings of the tickers that share one period, so a periodic
+// event costs O(1) however deep the heap is. Event handles carry a
 // generation stamp so a handle to a recycled node can never cancel a later
 // incarnation.
 package sim
@@ -40,8 +43,8 @@ type node struct {
 	due      Time
 	seq      uint64
 	gen      uint64
-	index    int32 // heap index; notQueued / inFIFO when not in the heap
-	canceled bool  // FIFO-resident incarnation canceled (lazily reaped)
+	index    int32 // heap index; notQueued / inLane when not in the heap
+	canceled bool  // lane-resident incarnation canceled (lazily reaped)
 	lastEnd  bool  // how the previous incarnation ended: true = canceled
 	fn       func()
 	next     *node // free-list link
@@ -50,7 +53,7 @@ type node struct {
 // index sentinels for nodes outside the heap.
 const (
 	notQueued int32 = -1
-	inFIFO    int32 = -2
+	inLane    int32 = -2
 )
 
 // Event is a handle to one scheduled callback. It is a small value: copy it
@@ -184,24 +187,75 @@ func (h *heap4) down(i int) {
 	n.index = int32(i)
 }
 
+// lane is a FIFO ring of nodes whose push order is their (due, seq) order:
+// every node pushed is due the same fixed period after the instant it was
+// pushed at, the clock only moves forward, and seq grows per schedule. So
+// the head is always the lane's minimum and no node is ever sifted. A
+// canceled node stays in its slot as a tombstone until it reaches the head.
+type lane struct {
+	period time.Duration // due minus scheduling instant; 0 for the same-instant lane
+	ring   []*node
+	head   int
+	n      int // occupied slots, tombstones included
+}
+
+// push appends a node at the tail, growing the ring if it is full.
+func (l *lane) push(n *node) {
+	if l.n == len(l.ring) {
+		l.grow()
+	}
+	l.ring[(l.head+l.n)&(len(l.ring)-1)] = n
+	l.n++
+	n.index = inLane
+}
+
+// grow doubles the ring, unwrapping it into index order. Ring sizes are
+// powers of two, so positions wrap with a mask.
+func (l *lane) grow() {
+	size := len(l.ring) * 2
+	if size == 0 {
+		size = 16
+	}
+	next := make([]*node, size) //nostop:allow hotalloc -- amortized ring doubling: O(log n) growths per lane, then steady-state 0-alloc
+	for i := 0; i < l.n; i++ {
+		next[i] = l.ring[(l.head+i)&(len(l.ring)-1)]
+	}
+	l.ring = next
+	l.head = 0
+}
+
+// popFront removes and returns the head entry.
+func (l *lane) popFront() *node {
+	n := l.ring[l.head]
+	l.ring[l.head] = nil
+	l.head = (l.head + 1) & (len(l.ring) - 1)
+	l.n--
+	return n
+}
+
 // Clock is the discrete-event scheduler. The zero value is not usable; use
 // NewClock.
+//
+// Pending events sit in a 4-ary heap or in a FIFO lane. Lane 0 takes At
+// calls due at the current instant. Each other lane belongs to one ticker
+// period and takes the firings of every Ticker with that period; NewTicker
+// and Ticker.Reset create a lane the first time they see a period. Every
+// other At and After call goes to the heap. The next event is the least by
+// (due, seq) of the heap root and the lane heads, so a step costs
+// O(log₄ heap) plus O(lanes). Lanes are never removed, so the lane count is
+// one more than the number of distinct periods tickers ever used on the
+// clock: at most four in this repository's runs (the same-instant lane, the
+// engine's 100 ms producer tick, and either service mode's 1 s and 2 s
+// tickers or the tenant mix's reconcile period). Nothing outside tests calls
+// Ticker.Reset.
 type Clock struct {
 	now     Time
 	seq     uint64
 	heap    heap4
 	stopped bool
 
-	// fifo is the same-instant fast path: events scheduled for exactly the
-	// current time bypass the heap and append here. FIFO entries are in
-	// (due, seq) order by construction — due values never decrease (the
-	// clock only moves forward) and seq increases per schedule — so the
-	// ring head is always the FIFO minimum. Canceled entries are reaped
-	// lazily at the head.
-	fifo       []*node
-	fifoHead   int
-	fifoLen    int
-	fifoCancel int // canceled entries still occupying ring slots
+	lanes []lane // lanes[0] is the same-instant lane
+	tombs int    // canceled nodes still occupying lane slots, over all lanes
 
 	free    *node // recycled nodes
 	pending int   // live (scheduled, not canceled) events
@@ -211,7 +265,7 @@ type Clock struct {
 }
 
 // NewClock returns a clock at virtual time zero with an empty event queue.
-func NewClock() *Clock { return &Clock{} }
+func NewClock() *Clock { return &Clock{lanes: make([]lane, 1, 4)} }
 
 // Now returns the current virtual time.
 func (c *Clock) Now() Time { return c.now }
@@ -250,6 +304,23 @@ func (c *Clock) recycle(n *node, endedCanceled bool) {
 //
 //nostop:hotpath
 func (c *Clock) At(t Time, fn func()) Event {
+	l := -1 // the heap
+	if t == c.now {
+		l = 0
+	}
+	return c.schedule(t, fn, l)
+}
+
+// After schedules fn to run d after the current virtual time. Negative d
+// panics via At.
+//
+//nostop:hotpath
+func (c *Clock) After(d time.Duration, fn func()) Event {
+	return c.At(c.now+d, fn)
+}
+
+// schedule queues fn at t in lane l, or in the heap when l is negative.
+func (c *Clock) schedule(t Time, fn func(), l int) Event {
 	if fn == nil {
 		panic("sim: At called with nil handler")
 	}
@@ -263,81 +334,45 @@ func (c *Clock) At(t Time, fn func()) Event {
 	n.fn = fn
 	c.seq++
 	c.pending++
-	if t == c.now {
-		c.fifoPush(n)
+	if l >= 0 {
+		c.lanes[l].push(n)
 	} else {
 		c.heap.push(n)
 	}
 	return Event{n: n, gen: n.gen, due: t}
 }
 
-// After schedules fn to run d after the current virtual time. Negative d
-// panics via At.
-//
-//nostop:hotpath
-func (c *Clock) After(d time.Duration, fn func()) Event {
-	return c.At(c.now+d, fn)
+// laneFor returns the index of the lane for a ticker period, adding the
+// lane on the period's first use.
+func (c *Clock) laneFor(period time.Duration) int {
+	for i := 1; i < len(c.lanes); i++ {
+		if c.lanes[i].period == period {
+			return i
+		}
+	}
+	c.lanes = append(c.lanes, lane{period: period})
+	return len(c.lanes) - 1
 }
 
-// fifoPush appends a node to the same-instant ring, growing it if full.
-func (c *Clock) fifoPush(n *node) {
-	if c.fifoLen == len(c.fifo) {
-		c.fifoGrow()
-	}
-	tail := c.fifoHead + c.fifoLen
-	if tail >= len(c.fifo) {
-		tail -= len(c.fifo)
-	}
-	c.fifo[tail] = n
-	c.fifoLen++
-	n.index = inFIFO
-}
-
-// fifoGrow doubles the ring, unwrapping it into index order.
-func (c *Clock) fifoGrow() {
-	size := len(c.fifo) * 2
-	if size == 0 {
-		size = 16
-	}
-	next := make([]*node, size) //nostop:allow hotalloc -- amortized ring doubling: O(log n) growths per run, then steady-state 0-alloc
-	for i := 0; i < c.fifoLen; i++ {
-		next[i] = c.fifo[(c.fifoHead+i)%len(c.fifo)]
-	}
-	c.fifo = next
-	c.fifoHead = 0
-}
-
-// fifoFront returns the first live FIFO node without removing it, reaping
-// canceled entries at the head. Returns nil when the ring is empty.
-func (c *Clock) fifoFront() *node {
-	for c.fifoLen > 0 {
-		n := c.fifo[c.fifoHead]
+// front returns the first live node of a lane without removing it, reaping
+// canceled entries at its head. Returns nil when the lane has none.
+func (c *Clock) front(l *lane) *node {
+	for l.n > 0 {
+		n := l.ring[l.head]
 		if !n.canceled {
 			return n
 		}
 		// Reap a lazily-canceled entry: its incarnation already ended (gen
 		// bumped in Cancel); now the slot reference dies too, so the node
 		// can rejoin the free list.
-		c.fifoPopFront()
-		c.fifoCancel--
+		l.popFront()
+		c.tombs--
 		n.canceled = false
 		n.index = notQueued
 		n.next = c.free
 		c.free = n
 	}
 	return nil
-}
-
-// fifoPopFront removes the head entry.
-func (c *Clock) fifoPopFront() *node {
-	n := c.fifo[c.fifoHead]
-	c.fifo[c.fifoHead] = nil
-	c.fifoHead++
-	if c.fifoHead == len(c.fifo) {
-		c.fifoHead = 0
-	}
-	c.fifoLen--
-	return n
 }
 
 // Cancel removes a scheduled event. Canceling an already-fired,
@@ -355,14 +390,14 @@ func (c *Clock) Cancel(e Event) {
 	case n.index >= 0:
 		c.heap.remove(int(n.index))
 		c.recycle(n, true)
-	case n.index == inFIFO:
-		// The ring still references the node, so it cannot rejoin the free
+	case n.index == inLane:
+		// The lane still references the node, so it cannot rejoin the free
 		// list yet; mark it for lazy reaping and end the incarnation.
 		n.canceled = true
 		n.fn = nil
 		n.lastEnd = true
 		n.gen++
-		c.fifoCancel++
+		c.tombs++
 	default:
 		// Not queued: already being fired; treat as fired.
 		c.pending++
@@ -373,45 +408,37 @@ func (c *Clock) Cancel(e Event) {
 // event handler completes. Pending events stay queued.
 func (c *Clock) Stop() { c.stopped = true }
 
-// next pops the earliest pending event, comparing the FIFO head against the
-// heap root by (due, seq). Returns nil when nothing is queued.
-func (c *Clock) next() *node {
-	f := c.fifoFront()
-	if c.heap.len() == 0 {
-		if f == nil {
-			return nil
+// step fires the earliest pending event by (due, seq) — the least of the
+// heap root and the lane heads — if it is due no later than horizon, and
+// reports whether it fired one.
+func (c *Clock) step(horizon Time) bool {
+	var n *node
+	from := -1 // the heap
+	if len(c.heap.a) > 0 {
+		n = c.heap.a[0]
+	}
+	for i := range c.lanes {
+		l := &c.lanes[i]
+		if l.n == 0 {
+			continue
 		}
-		return c.fifoPopFront()
+		f := l.ring[l.head]
+		if f.canceled {
+			if f = c.front(l); f == nil {
+				continue
+			}
+		}
+		if n == nil || eventLess(f, n) {
+			n, from = f, i
+		}
 	}
-	h := c.heap.a[0]
-	if f != nil && eventLess(f, h) {
-		return c.fifoPopFront()
-	}
-	return c.heap.pop()
-}
-
-// peek returns the earliest pending event without removing it (nil when the
-// queue is empty).
-func (c *Clock) peek() *node {
-	f := c.fifoFront()
-	if c.heap.len() == 0 {
-		return f
-	}
-	h := c.heap.a[0]
-	if f != nil && eventLess(f, h) {
-		return f
-	}
-	return h
-}
-
-// Step fires the earliest pending event and returns true, or returns false
-// if the queue is empty.
-//
-//nostop:hotpath
-func (c *Clock) Step() bool {
-	n := c.next()
-	if n == nil {
+	if n == nil || n.due > horizon {
 		return false
+	}
+	if from < 0 {
+		c.heap.pop()
+	} else {
+		c.lanes[from].popFront()
 	}
 	c.now = n.due
 	c.pending--
@@ -422,6 +449,12 @@ func (c *Clock) Step() bool {
 	return true
 }
 
+// Step fires the earliest pending event and returns true, or returns false
+// if the queue is empty.
+//
+//nostop:hotpath
+func (c *Clock) Step() bool { return c.step(Infinity) }
+
 // RunUntil executes events in order until the queue is empty, Stop is
 // called, or the next event is due strictly after horizon. The clock is left
 // at min(horizon, time of last executed event); if the queue drains early the
@@ -430,12 +463,7 @@ func (c *Clock) Step() bool {
 //nostop:hotpath
 func (c *Clock) RunUntil(horizon Time) {
 	c.stopped = false
-	for !c.stopped {
-		next := c.peek()
-		if next == nil || next.due > horizon {
-			break
-		}
-		c.Step()
+	for !c.stopped && c.step(horizon) {
 	}
 	if c.now < horizon && !c.stopped {
 		c.now = horizon
@@ -451,10 +479,12 @@ func (c *Clock) Run() {
 	}
 }
 
-// Ticker repeatedly schedules a handler at a fixed period until stopped.
+// Ticker repeatedly schedules a handler at a fixed period until stopped. Its
+// firings ride the clock's lane for its period, not the heap.
 type Ticker struct {
 	clock  *Clock
 	period time.Duration
+	lane   int // index of the clock's lane for period
 	fn     func()
 	tick   func() // allocated once; rescheduling must not allocate per tick
 	ev     Event
@@ -467,13 +497,15 @@ func (c *Clock) NewTicker(period time.Duration, fn func()) *Ticker {
 	if period <= 0 {
 		panic("sim: ticker period must be positive")
 	}
-	t := &Ticker{clock: c, period: period, fn: fn}
+	t := &Ticker{clock: c, period: period, lane: c.laneFor(period), fn: fn}
 	t.tick = func() {
 		if t.stop {
 			return
 		}
 		t.fn()
-		if !t.stop {
+		// fn may have stopped the ticker, or reset it, which already
+		// scheduled the next firing.
+		if !t.stop && !t.ev.Pending() {
 			t.schedule()
 		}
 	}
@@ -482,17 +514,20 @@ func (c *Clock) NewTicker(period time.Duration, fn func()) *Ticker {
 }
 
 func (t *Ticker) schedule() {
-	t.ev = t.clock.After(t.period, t.tick)
+	c := t.clock
+	t.ev = c.schedule(c.now+t.period, t.tick, t.lane)
 }
 
 // Reset changes the ticker period; the next firing is one new period from
-// the current time.
+// the current time. Called from the ticker's own handler, it replaces the
+// firing the handler would otherwise schedule.
 func (t *Ticker) Reset(period time.Duration) {
 	if period <= 0 {
 		panic("sim: ticker period must be positive")
 	}
 	t.clock.Cancel(t.ev)
 	t.period = period
+	t.lane = t.clock.laneFor(period)
 	if !t.stop {
 		t.schedule()
 	}

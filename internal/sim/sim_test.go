@@ -229,6 +229,38 @@ func TestTickerReset(t *testing.T) {
 	}
 }
 
+// TestTickerResetFromOwnHandler resets a ticker inside its own handler: the
+// reset schedules the next firing, and the handler's return must not
+// schedule a second one.
+func TestTickerResetFromOwnHandler(t *testing.T) {
+	c := NewClock()
+	var fires []Time
+	var tk *Ticker
+	tk = c.NewTicker(ms(10), func() {
+		fires = append(fires, c.Now())
+		if len(fires) == 1 {
+			tk.Reset(ms(50))
+		}
+	})
+	c.RunUntil(ms(160))
+	want := []Time{ms(10), ms(60), ms(110), ms(160)}
+	if len(fires) != len(want) {
+		t.Fatalf("fires %v, want %v", fires, want)
+	}
+	for i := range want {
+		if fires[i] != want[i] {
+			t.Fatalf("fires %v, want %v", fires, want)
+		}
+	}
+	if c.Pending() != 1 {
+		t.Fatalf("Pending() = %d after the run, want 1 (the firing at 210ms)", c.Pending())
+	}
+	tk.Stop()
+	if c.Pending() != 0 {
+		t.Fatalf("Pending() = %d after Stop, want 0", c.Pending())
+	}
+}
+
 func TestTickerBadPeriodPanics(t *testing.T) {
 	c := NewClock()
 	defer func() {

@@ -242,8 +242,7 @@ func RunDetailed(mix MixSpec, seed uint64, obs Observe) (*Report, *Detail, error
 	// setGrant lets beneficiaries claim them over subsequent rounds, so the
 	// vector converges within a few reconcile periods of any demand shift.
 	alloc := AllocReport{Policy: m.Allocator}
-	var reconcile func()
-	reconcile = func() {
+	clock.NewTicker(m.ReconcileEvery.D(), func() {
 		alloc.Rounds++
 		for i, rt := range tenants {
 			demands[i].want = rt.gate.Demand()
@@ -263,9 +262,7 @@ func RunDetailed(mix MixSpec, seed uint64, obs Observe) (*Report, *Detail, error
 			}
 			fam.OnGrant(rt.spec.Name, rt.gate.Demand(), next[i], preempted)
 		}
-		clock.After(m.ReconcileEvery.D(), reconcile)
-	}
-	clock.After(m.ReconcileEvery.D(), reconcile)
+	})
 
 	clock.RunUntil(sim.Time(m.Horizon.D()))
 
