@@ -96,7 +96,7 @@ func run(addr, wlName string, seedN uint64, speedup float64, horizon time.Durati
 	}()
 
 	mux := http.NewServeMux()
-	mux.Handle("/", col.Handler())
+	col.Mount(mux)
 	// Note: the surrounding lockMiddleware already holds the simulation
 	// lock for every request, so handlers read controller state directly.
 	mux.HandleFunc("GET /controller", func(w http.ResponseWriter, r *http.Request) {

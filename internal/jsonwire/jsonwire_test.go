@@ -261,6 +261,11 @@ func TestScannerFallsBack(t *testing.T) {
 		`{"d":"\u0041"}`, `{"d":"\n"}`, "{\"d\":\"\xc3\xa9\"}", "{\"d\":\"\x01\"}", `{"d":5}`,
 		`{"a":{}}`, `{"a":[1]}`, `{"A":1}`, `{"x":1}`, `{"a":null}`,
 		`[null]`, `[1]`, `[[]]`, `{"a":1}{"a":1}`, "\xef\xbb\xbf{}",
+		// Keys are read raw: an escaped, quoted, non-ASCII, control or
+		// case-folded key never matches a field name, so it falls back.
+		`{"\u0061":1}`, `{"batch\u0065s":1}`, `{"a\"b":1}`, `[{"a\"":1}]`, `[{"batchId\"":1}]`,
+		`{"a\\":1}`, `{"a\/":1}`, "{\"\xc3\xa9\":1}", "{\"a\xc3\xa9\":1}", "{\"a\x01\":1}",
+		"{\"\x7f\":1}", `{"B":1.5}`, `{"a`, `{"a:1}`, `{"":1}`,
 	} {
 		s := NewScanner([]byte(in))
 		m := scanMember(&s)

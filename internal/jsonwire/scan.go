@@ -1,14 +1,20 @@
 package jsonwire
 
-import "strconv"
+import (
+	"bytes"
+	"strconv"
+)
 
 // Scanner reads the canonical JSON a Writer emits: one flat object of
 // plain literals, an array of such objects, or null, with any JSON
 // whitespace between tokens. It never guesses. Anything outside that
-// subset — escapes or non-ASCII bytes in a string, nesting, null members,
-// numbers outside JSON's grammar or the target's range — fails the scan,
-// and the caller's key switch fails it on a key that is not a field's exact
-// name. A failure is sticky: later calls return zero values, loops end,
+// subset — escapes or non-ASCII bytes in a string value, nesting, null
+// members, numbers outside JSON's grammar or the target's range — fails the
+// scan, and the caller's key switch fails it on a key that is not a field's
+// exact name. Keys are read raw, up to the next quote: a field name is
+// printable ASCII without a backslash, and a key holding an escape always
+// holds one, so an escaped, non-ASCII or case-folded key never matches and
+// falls back. A failure is sticky: later calls return zero values, loops end,
 // and Done reports false, so the caller hands the input to encoding/json.
 //
 // A decoder reads into a local value and copies it out only when Done
@@ -61,18 +67,30 @@ func (s *Scanner) BeginObject() { s.open('{') }
 func (s *Scanner) BeginArray() { s.open('[') }
 
 // NextKey moves to the innermost object's next member and reads its key,
-// reporting false at the closing brace or on failure.
+// reporting false at the closing brace or on failure. The key is the raw
+// bytes up to the next quote; the caller's exact-name switch fails any key
+// that is not a field's name.
 func (s *Scanner) NextKey() bool {
 	if !s.more('}') {
 		return false
 	}
-	s.key = s.plainString()
+	s.expect('"')
+	if s.bad {
+		return false
+	}
+	end := bytes.IndexByte(s.data[s.pos:], '"')
+	if end < 0 {
+		s.bad = true
+		return false
+	}
+	s.key = s.data[s.pos : s.pos+end]
+	s.pos += end + 1
 	s.skipSpace()
 	s.expect(':')
 	return !s.bad
 }
 
-// Key is the key NextKey read.
+// Key is the raw key NextKey read.
 func (s *Scanner) Key() []byte { return s.key }
 
 // NextElement moves to the innermost array's next element, reporting false

@@ -17,6 +17,10 @@ const (
 // member; BeginObject starts the top-level value or an array element. The
 // writer trusts its caller to nest properly. An unsupported float is kept
 // as the error, and Bytes then hands back nothing, as json.Marshal does.
+//
+// Keys are constants: a struct field's JSON name, which encoding/json
+// writes unescaped. A key must be printable ASCII other than '"', '\\',
+// '<', '>' and '&'; the writer copies it between quotes as it is.
 type Writer struct {
 	buf    []byte
 	start  int
@@ -123,12 +127,16 @@ func (w *Writer) newline() {
 	}
 }
 
+// key writes a member's key, which the Writer contract makes a constant
+// that needs no escaping.
 func (w *Writer) key(k string) {
 	w.next()
-	w.buf = AppendString(w.buf, k)
-	w.buf = append(w.buf, ':')
+	w.buf = append(w.buf, '"')
+	w.buf = append(w.buf, k...)
 	if w.layout == Indented {
-		w.buf = append(w.buf, ' ')
+		w.buf = append(w.buf, '"', ':', ' ')
+	} else {
+		w.buf = append(w.buf, '"', ':')
 	}
 }
 

@@ -77,6 +77,14 @@ func TestAllocsWireEncode(t *testing.T) {
 	if allocs := testing.AllocsPerRun(1000, func() { buf, _ = AppendReports(buf[:0], wireReports) }); allocs != 0 {
 		t.Errorf("AppendReports of %d reports allocates %.1f/op, want 0", len(wireReports), allocs)
 	}
+	// A whole-history reply grows its buffer once, not by doubling.
+	history := make([]BatchReport, 1200)
+	for i := range history {
+		history[i] = wireReports[i%len(wireReports)]
+	}
+	if allocs := testing.AllocsPerRun(10, func() { _, _ = AppendReports(nil, history) }); allocs != 1 {
+		t.Errorf("AppendReports of %d reports into nil allocates %.1f/op, want 1", len(history), allocs)
+	}
 }
 
 // TestAllocsWireDecode pins the controller's decoders at 0 allocs into

@@ -186,28 +186,29 @@ func (c *Collector) Reports() []BatchReport {
 	return append([]BatchReport(nil), c.reports...)
 }
 
-// appendReportsSince appends the JSON of the retained reports with BatchID
-// strictly greater than after, in completion order — the incremental poll
-// a remote controller tails the batch stream with. It encodes from the
-// retained slice under the read lock instead of copying it first; nil
-// (rendered null) when there are none.
-func (c *Collector) appendReportsSince(buf []byte, after int64) ([]byte, error) {
+// appendReportRange appends the JSON of the retained reports pick selects
+// from the history, in completion order: null for an empty history or a
+// nil selection. It encodes from the retained slice under the read lock
+// instead of copying it first, so serving a tail costs the tail.
+func (c *Collector) appendReportRange(buf []byte, pick func([]BatchReport) []BatchReport) ([]byte, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	// Batch IDs are monotone, so a binary search finds the cut point.
-	lo, hi := 0, len(c.reports)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if c.reports[mid].BatchID <= after {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo == len(c.reports) {
+	if len(c.reports) == 0 {
 		return AppendReports(buf, nil)
 	}
-	return AppendReports(buf, c.reports[lo:])
+	return AppendReports(buf, pick(c.reports))
+}
+
+// reportsAfter returns the reports with BatchID strictly greater than
+// after — the incremental poll a remote controller tails the batch stream
+// with — or nil (rendered null) when there are none.
+func reportsAfter(rs []BatchReport, after int64) []BatchReport {
+	// Batch IDs are monotone, so a binary search finds the cut point.
+	i := sort.Search(len(rs), func(i int) bool { return rs[i].BatchID > after })
+	if i == len(rs) {
+		return nil
+	}
+	return rs[i:]
 }
 
 // Latest returns the most recent report; ok is false when none exist.
@@ -250,7 +251,7 @@ func (c *Collector) Status() Status {
 	}
 }
 
-// Handler returns an http.Handler exposing:
+// Mount adds the collector's routes to mux, beside the caller's own:
 //
 //	GET /status          live Status JSON
 //	GET /batches         all retained reports (?last=N for the tail,
@@ -258,8 +259,10 @@ func (c *Collector) Status() Status {
 //	GET /batches/latest  the most recent report
 //	GET /metrics         Prometheus text exposition: the attached registry
 //	                     (SetRegistry) followed by the legacy summary gauges
-func (c *Collector) Handler() http.Handler {
-	mux := http.NewServeMux()
+//
+// Mounting on the server's one mux, rather than nesting a mux under "/",
+// routes each request once.
+func (c *Collector) Mount(mux *http.ServeMux) {
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		st := c.Status()
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
@@ -293,27 +296,24 @@ func (c *Collector) Handler() http.Handler {
 	})
 	mux.HandleFunc("GET /batches", func(w http.ResponseWriter, r *http.Request) {
 		q := r.URL.Query()
+		pick := func(rs []BatchReport) []BatchReport { return rs }
 		if sinceStr := q.Get("since"); sinceStr != "" {
-			since, err := strconv.ParseInt(sinceStr, 10, 64)
+			after, err := strconv.ParseInt(sinceStr, 10, 64)
 			if err != nil {
 				http.Error(w, "bad since parameter", http.StatusBadRequest)
 				return
 			}
-			reply(w, func(buf []byte) ([]byte, error) { return c.appendReportsSince(buf, since) })
-			return
-		}
-		reports := c.Reports()
-		if lastStr := q.Get("last"); lastStr != "" {
-			last, err := strconv.Atoi(lastStr)
-			if err != nil || last < 0 {
+			pick = func(rs []BatchReport) []BatchReport { return reportsAfter(rs, after) }
+		} else if lastStr := q.Get("last"); lastStr != "" {
+			n, err := strconv.Atoi(lastStr)
+			if err != nil || n < 0 {
 				http.Error(w, "bad last parameter", http.StatusBadRequest)
 				return
 			}
-			if last < len(reports) {
-				reports = reports[len(reports)-last:]
-			}
+			// last=0 selects an empty, non-nil tail, rendered [].
+			pick = func(rs []BatchReport) []BatchReport { return rs[max(0, len(rs)-n):] }
 		}
-		reply(w, func(buf []byte) ([]byte, error) { return AppendReports(buf, reports) })
+		reply(w, func(buf []byte) ([]byte, error) { return c.appendReportRange(buf, pick) })
 	})
 	mux.HandleFunc("GET /batches/latest", func(w http.ResponseWriter, r *http.Request) {
 		latest, ok := c.Latest()
@@ -323,5 +323,4 @@ func (c *Collector) Handler() http.Handler {
 		}
 		reply(w, func(buf []byte) ([]byte, error) { return appendReport(buf, &latest) })
 	})
-	return mux
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
@@ -42,6 +43,14 @@ func newRunningEngine(t *testing.T, horizon float64) (*engine.Engine, *Collector
 	}
 	clock.RunUntil(sim.Time(time.Duration(horizon * float64(time.Second))))
 	return eng, col
+}
+
+// routes serves the collector's routes on a mux of their own, mounted as a
+// server mounts them beside its own.
+func routes(c *Collector) *http.ServeMux {
+	mux := http.NewServeMux()
+	c.Mount(mux)
+	return mux
 }
 
 // newIdleEngine builds an engine that is never started, for tests that
@@ -273,7 +282,7 @@ func TestStatusSummary(t *testing.T) {
 
 func TestHTTPEndpoints(t *testing.T) {
 	_, col := newRunningEngine(t, 120)
-	srv := httptest.NewServer(col.Handler())
+	srv := httptest.NewServer(routes(col))
 	defer srv.Close()
 
 	getJSON := func(path string, v any) int {
@@ -334,7 +343,7 @@ func TestHTTPEndpoints(t *testing.T) {
 
 func TestHTTPLatestEmpty404(t *testing.T) {
 	col, _ := NewCollector(newIdleEngine(t), 0)
-	srv := httptest.NewServer(col.Handler())
+	srv := httptest.NewServer(routes(col))
 	defer srv.Close()
 	resp, err := srv.Client().Get(srv.URL + "/batches/latest")
 	if err != nil {
@@ -373,7 +382,7 @@ func TestMetricsStatusAgree(t *testing.T) {
 	}
 	clock.RunUntil(sim.Time(120 * time.Second))
 
-	srv := httptest.NewServer(col.Handler())
+	srv := httptest.NewServer(routes(col))
 	defer srv.Close()
 
 	var st Status
@@ -425,7 +434,7 @@ func TestMetricsStatusAgree(t *testing.T) {
 
 func TestMetricsEndpoint(t *testing.T) {
 	_, col := newRunningEngine(t, 120)
-	srv := httptest.NewServer(col.Handler())
+	srv := httptest.NewServer(routes(col))
 	defer srv.Close()
 	resp, err := srv.Client().Get(srv.URL + "/metrics")
 	if err != nil {

@@ -33,9 +33,36 @@ func AppendStatus(buf []byte, st Status) ([]byte, error) {
 	return w.Line()
 }
 
+// longestReport is the longest rendering one report can add to a /batches
+// array: its separating comma and line break, every integer at the 20
+// characters of math.MinInt64, the float at the 25 of the longest number
+// AppendFloat writes (17 significant digits, below 1e-5 in 'f' form, and
+// negative), and both booleans false.
+const longestReport = `,
+  {
+    "batchId": -9223372036854775808,
+    "numRecords": -9223372036854775808,
+    "batchIntervalMs": -9223372036854775808,
+    "numExecutors": -9223372036854775808,
+    "submissionTime": -0.0000012345678901234567,
+    "processingDelayMs": -9223372036854775808,
+    "schedulingDelayMs": -9223372036854775808,
+    "totalDelayMs": -9223372036854775808,
+    "endToEndDelayMs": -9223372036854775808,
+    "firstAfterReconfig": false,
+    "faultActive": false,
+    "queueLength": -9223372036854775808
+  }`
+
 // AppendReports appends reports as GET /batches renders them: null for a
-// nil slice, [] for an empty one.
+// nil slice, [] for an empty one. It grows buf once, to room for every
+// report at its longest, rather than doubling its way through a
+// whole-history reply.
 func AppendReports(buf []byte, reports []BatchReport) ([]byte, error) {
+	// len("null\n") covers the brackets or null and the final newline.
+	if need := len(reports)*len(longestReport) + len("null\n"); cap(buf)-len(buf) < need {
+		buf = append(make([]byte, 0, len(buf)+need), buf...)
+	}
 	w := jsonwire.NewWriter(buf, jsonwire.Indented)
 	if reports == nil {
 		w.Null()

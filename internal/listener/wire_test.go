@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"testing"
 
+	"nostop/internal/jsonwire"
 	"nostop/internal/rng"
 )
 
@@ -160,7 +161,9 @@ func TestWireUnsupportedFloatReply(t *testing.T) {
 
 // TestHandlersMatchWriteJSON serves every JSON endpoint of a running
 // collector and of an empty one and compares status, headers and body with
-// what the json.Encoder reply writer gives for the same values.
+// what the json.Encoder reply writer gives for the same values. /batches
+// renders null for an empty history and for an empty ?since= range, and []
+// for ?last=0 when there is history; ?since= takes precedence over ?last=.
 func TestHandlersMatchWriteJSON(t *testing.T) {
 	_, col := newRunningEngine(t, 120)
 	empty, err := NewCollector(newIdleEngine(t), 0)
@@ -187,13 +190,21 @@ func TestHandlersMatchWriteJSON(t *testing.T) {
 		{col, "/batches?since=" + strconv.FormatInt(mid, 10), all[len(all)/2+1:]},
 		{col, "/batches?since=" + strconv.FormatInt(latest.BatchID, 10), []BatchReport(nil)},
 		{col, "/batches/latest", latest},
+		{col, "/batches?last=1", all[len(all)-1:]},
+		{col, "/batches?last=", all},
+		{col, "/batches?since=", all},
+		{col, "/batches?since=&last=2", all[len(all)-2:]},
+		{col, "/batches?since=" + strconv.FormatInt(latest.BatchID-1, 10) + "&last=0", all[len(all)-1:]},
+		{col, "/batches?since=" + strconv.FormatInt(latest.BatchID+5, 10), []BatchReport(nil)},
+		{col, "/batches?since=-9223372036854775808", all},
 		{empty, "/status", empty.Status()},
 		{empty, "/batches", []BatchReport(nil)},
 		{empty, "/batches?last=2", []BatchReport(nil)},
+		{empty, "/batches?last=0", []BatchReport(nil)},
 		{empty, "/batches?since=-1", []BatchReport(nil)},
 	} {
 		got := httptest.NewRecorder()
-		tc.col.Handler().ServeHTTP(got, httptest.NewRequest(http.MethodGet, tc.path, nil))
+		routes(tc.col).ServeHTTP(got, httptest.NewRequest(http.MethodGet, tc.path, nil))
 		want := httptest.NewRecorder()
 		writeJSONReference(want, tc.want)
 		if got.Code != want.Code || got.Body.String() != want.Body.String() ||
@@ -201,5 +212,57 @@ func TestHandlersMatchWriteJSON(t *testing.T) {
 			t.Errorf("GET %s: %d %v %q\nwant %d %v %q", tc.path, got.Code, got.Header(), got.Body,
 				want.Code, want.Header(), want.Body)
 		}
+	}
+}
+
+// TestLongestReportBound checks AppendReports's per-report bound: no float
+// renders longer than its 25-character slot in longestReport, whose float
+// is a real rendering, and the longest report there is — every integer
+// math.MinInt64, the longest float, both booleans false — adds exactly
+// len(longestReport) bytes to a /batches array.
+func TestLongestReportBound(t *testing.T) {
+	const slot = len("-0.0000012345678901234567")
+	if got, _ := jsonwire.AppendFloat(nil, -1.2345678901234567e-6); string(got) != "-0.0000012345678901234567" {
+		t.Fatalf("longestReport's float renders as %s", got)
+	}
+	r := rng.New(17).Split("listener/longest").Rand()
+	longest, longestLen := 0.0, 0
+	for i := 0; i < 200000; i++ {
+		f := math.Float64frombits(r.Uint64())
+		if i%2 == 0 {
+			// Where 'f' form is longest: 17 digits just above 1e-6.
+			f = -(1e-6 + 9e-6*r.Float64())
+		}
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			continue
+		}
+		b, _ := jsonwire.AppendFloat(nil, f)
+		if len(b) > longestLen {
+			longest, longestLen = f, len(b)
+		}
+	}
+	if longestLen != slot {
+		t.Fatalf("longest float rendered %v in %d bytes, want the %d of the slot", longest, longestLen, slot)
+	}
+	worst := BatchReport{
+		BatchID: math.MinInt64, NumRecords: math.MinInt64, BatchIntervalMs: math.MinInt64,
+		Executors: math.MinInt, SubmissionTimeSec: longest, ProcessingDelayMs: math.MinInt64,
+		SchedulingDelayMs: math.MinInt64, TotalDelayMs: math.MinInt64, EndToEndDelayMs: math.MinInt64,
+		QueueLength: math.MinInt,
+	}
+	one, err := AppendReports(nil, []BatchReport{worst})
+	if err != nil {
+		t.Fatal(err)
+	}
+	two, err := AppendReports(nil, []BatchReport{worst, worst})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if step := len(two) - len(one); step != len(longestReport) {
+		t.Fatalf("the longest report adds %d bytes, longestReport holds %d", step, len(longestReport))
+	}
+	if len(one) > len(longestReport)+len("null\n") {
+		t.Fatalf("one longest report renders in %d bytes, over AppendReports's %d", len(one),
+			len(longestReport)+len("null\n"))
 	}
 }

@@ -165,7 +165,7 @@ func NewEngineService(o EngineOptions) (*EngineService, error) {
 		s.gBacklog = reg.Gauge("nostop_service_engine_broker_backlog", "Un-fetched records parked on the broker")
 	}
 	mux := http.NewServeMux()
-	mux.Handle("/", col.Handler())
+	col.Mount(mux)
 	mux.HandleFunc("POST /reconfigure", s.handleReconfigure)
 	mux.HandleFunc("GET /config", s.handleConfig)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {

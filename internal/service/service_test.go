@@ -16,7 +16,7 @@ import (
 // soak, determinism, and invariant tests: a broker kill/restart window (the
 // engine's degradation path) plus a controller→engine link outage (the
 // controller's freeze path).
-func newSoakCluster(t *testing.T, seed uint64) *Cluster {
+func newSoakCluster(t testing.TB, seed uint64) *Cluster {
 	t.Helper()
 	wl, err := workload.New("logreg")
 	if err != nil {

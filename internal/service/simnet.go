@@ -2,7 +2,10 @@ package service
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"net/http"
+	"net/url"
 	"time"
 
 	"nostop/internal/rng"
@@ -33,7 +36,111 @@ type simLink struct {
 	lat      *rng.Stream
 	drop     *rng.Stream
 	fault    LinkFault
+	req      simRequest
 	rw       simResponse
+}
+
+// simRequest is the http.Request a link refills for every delivery it
+// makes, with the URL, body reader and header it points to. Like the
+// response writer it is safe to reuse: a delivery runs its handler to
+// completion on the event loop, and a handler's own RPCs are scheduled on
+// the clock, never delivered inline, so no two handlers hold one link's
+// request at once.
+type simRequest struct {
+	req    http.Request
+	url    url.URL
+	body   simBody
+	header http.Header
+}
+
+// simBody is a non-empty request body. Close does nothing, as on the
+// io.NopCloser http.NewRequest wraps a bytes.Reader in.
+type simBody struct{ bytes.Reader }
+
+// Close implements io.Closer.
+func (*simBody) Close() error { return nil }
+
+// fill readies the request for one delivery with exactly the fields
+// http.NewRequest(method, path, body) sets that a handler or a ServeMux
+// reads: the method, URL.Path and URL.RawQuery, the protocol, the body
+// (http.NoBody when empty), its length and an empty header. It reports
+// false for anything but GET and POST, the methods the components serve,
+// and for a path splitPath does not carry verbatim.
+func (q *simRequest) fill(method, path string, body []byte) bool {
+	if method != http.MethodGet && method != http.MethodPost {
+		return false
+	}
+	p, query, ok := splitPath(path)
+	if !ok {
+		return false
+	}
+	q.url = url.URL{Path: p, RawQuery: query}
+	clear(q.header)
+	var rc io.ReadCloser = http.NoBody
+	if len(body) > 0 {
+		q.body.Reset(body)
+		rc = &q.body
+	}
+	q.req = http.Request{
+		Method:        method,
+		URL:           &q.url,
+		Proto:         "HTTP/1.1",
+		ProtoMajor:    1,
+		ProtoMinor:    1,
+		Header:        q.header,
+		Body:          rc,
+		ContentLength: int64(len(body)),
+	}
+	return true
+}
+
+// splitPath splits a request path at its first '?' into the URL.Path and
+// URL.RawQuery that url.Parse gives it. It reports false unless url.Parse
+// gives exactly those two fields and nothing else: the path must be
+// absolute, must not start with "//" (an authority), and must hold only
+// letters, digits and -._~$&+,/:;=@ (bytes that need no escaping, so
+// RawPath stays empty); the query, if there is a '?', must be non-empty
+// (an empty one sets ForceQuery) and printable ASCII other than '#' (a
+// fragment).
+func splitPath(s string) (path, query string, ok bool) {
+	if len(s) == 0 || s[0] != '/' || len(s) > 1 && s[1] == '/' {
+		return "", "", false
+	}
+	i := 0
+	for ; i < len(s) && s[i] != '?'; i++ {
+		if !pathByte[s[i]] {
+			return "", "", false
+		}
+	}
+	if i == len(s) {
+		return s, "", true
+	}
+	query = s[i+1:]
+	if query == "" {
+		return "", "", false
+	}
+	for j := 0; j < len(query); j++ {
+		if c := query[j]; c < 0x20 || c > 0x7e || c == '#' {
+			return "", "", false
+		}
+	}
+	return s[:i], query, true
+}
+
+// pathByte marks the bytes splitPath carries verbatim in a path.
+var pathByte = [256]bool{}
+
+func init() {
+	for c := '0'; c <= '9'; c++ {
+		pathByte[c] = true
+	}
+	for c := 'a'; c <= 'z'; c++ {
+		pathByte[c] = true
+		pathByte[c-'a'+'A'] = true
+	}
+	for _, c := range []byte("-._~$&+,/:;=@") {
+		pathByte[c] = true
+	}
 }
 
 // simResponse is the http.ResponseWriter a link reuses for every delivery
@@ -121,7 +228,9 @@ func (n *SimNet) link(from, to string) *simLink {
 	key := from + "->" + to
 	l := n.links[key]
 	if l == nil {
-		l = &simLink{n: n, from: from, to: to, rw: simResponse{header: make(http.Header)}}
+		l = &simLink{n: n, from: from, to: to,
+			req: simRequest{header: make(http.Header)},
+			rw:  simResponse{header: make(http.Header)}}
 		if n.seed != nil {
 			l.lat = n.seed.Split("net/lat/" + key)
 			l.drop = n.seed.Split("net/drop/" + key)
@@ -142,7 +251,10 @@ func (l *simLink) latency() time.Duration {
 // RoundTrip implements Transport. A dropped exchange never invokes done —
 // the caller's deadline observes it. Refusal (injected, or a down peer) is
 // reported after the forward latency, and successful replies travel back
-// with an independent latency draw.
+// with an independent latency draw. The peer's handler is served the
+// link's refilled request (simRequest); a method or path it cannot carry
+// as http.NewRequest would build it fails the exchange with an error
+// instead, without reaching the peer.
 func (l *simLink) RoundTrip(req Request, done func(Response, error)) {
 	f := l.fault
 	if f.DropProb > 0 && l.drop != nil && l.drop.Float64() < f.DropProb {
@@ -159,16 +271,14 @@ func (l *simLink) RoundTrip(req Request, done func(Response, error)) {
 			done(Response{}, ErrRefused)
 			return
 		}
-		// http.NewRequest, not httptest.NewRequest: the latter parses a
-		// request line through a fresh 4 KB bufio.Reader per delivery.
-		hreq, err := http.NewRequest(req.Method, req.Path, bytes.NewReader(body))
-		if err != nil {
-			done(Response{}, err)
+		if !l.req.fill(req.Method, req.Path, body) {
+			done(Response{}, fmt.Errorf("service: sim transport carries GET and POST to a plain path, not %s %q",
+				req.Method, req.Path))
 			return
 		}
 		rw := &l.rw
 		rw.reset()
-		p.handler.ServeHTTP(rw, hreq)
+		p.handler.ServeHTTP(rw, &l.req.req)
 		resp := Response{Status: rw.status(), Body: append([]byte(nil), rw.body.Bytes()...)}
 		l.n.clock.After(l.latency(), func() { done(resp, nil) })
 	})

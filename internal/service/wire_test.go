@@ -248,6 +248,11 @@ func FuzzWireDecoders(f *testing.F) {
 		[]byte(`[{"batchId":3},null]`), []byte(`[{"batchId":3.0}]`), []byte(`[{"faultActive":1}]`),
 		[]byte(`[{"batchId":9223372036854775808}]`), []byte(`[{"batchId":3}] x`),
 		[]byte("{\"consumer\":\"\\u0041\"}"),
+		// Keys are read raw; each of these must fall back.
+		[]byte(`{"batch\u0065s":1}`), []byte(`{"a\"b":1}`), []byte(`[{"batchId\"":1}]`),
+		[]byte(`{"cons\u0075mer":"e","max":3}`), []byte(`[{"batchId":1,"num\u0052ecords":2}]`),
+		[]byte("{\"b\xc3\xa4tches\":1}"), []byte("{\"batches\x01\":1}"), []byte("[{\"batch\x1fId\":1}]"),
+		[]byte(`{"BATCHES":3,"Committed":4,"FROM":5}`), []byte(`[{"BatchId":8}]`),
 		[]byte(`null`), []byte(`[]`), []byte(`{}`), []byte(``), []byte(`{}{}`), []byte(`not json`),
 	} {
 		f.Add(seed)
