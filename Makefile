@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build gofmt vet test race chaos bench fleet serve-soak trace golden fuzz-smoke escape-smoke ask-smoke tenants-smoke zoo-smoke experiments-smoke docs verify
+.PHONY: build gofmt vet test race chaos bench fleet serve-soak trace golden fuzz-smoke escape-smoke ask-smoke tenants-smoke zoo-smoke experiments-smoke identity-smoke docs verify
 
 build:
 	$(GO) build ./...
@@ -125,6 +125,20 @@ zoo-smoke:
 experiments-smoke:
 	$(GO) run ./cmd/nostop-bench -experiment all | cmp - experiments_full.txt
 
+## identity-smoke: "same bytes" as a gate. Each perfbench workload runs for
+## 1 s at --seed 1, and the digest on its `identity:` line must equal the
+## one identity_digests.txt holds for it. A change that alters output on
+## purpose updates identity_digests.txt in the same commit, as it does the
+## goldens and experiments_full.txt. Only seed 1 is pinned: 7919 stays held
+## out.
+identity-smoke:
+	@while read -r w want; do \
+		got=$$(bash perfbench/run.sh --workload $$w --seed 1 --seconds 1 </dev/null \
+			| sed -n 's/^identity: sha256 \([0-9a-f]*\) .*/\1/p'); \
+		echo "identity-smoke: $$w $$got"; \
+		if [ "$$got" != "$$want" ]; then echo "identity-smoke: $$w want $$want"; exit 1; fi; \
+	done < identity_digests.txt
+
 ## trace: short observed run; nostop-sim validates the emitted file against
 ## the Chrome trace_event schema shape and exits non-zero if it is malformed.
 trace:
@@ -143,4 +157,4 @@ escape-smoke:
 		> /tmp/nostop-escapes.txt
 	diff -u internal/sim/escape_allowlist.txt /tmp/nostop-escapes.txt
 
-verify: build vet test race escape-smoke trace ask-smoke tenants-smoke zoo-smoke experiments-smoke
+verify: build vet test race escape-smoke trace ask-smoke tenants-smoke zoo-smoke experiments-smoke identity-smoke

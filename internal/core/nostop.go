@@ -188,9 +188,6 @@ type Options struct {
 	// Rho0 and RhoMax bound the penalty ramp, which climbs by rhoStep per
 	// iteration; zeros mean Algorithm 1's 1.0 and 2.0.
 	Rho0, RhoMax float64
-	// NormLo/NormHi define the shared normalised parameter range of §5.1;
-	// zeros mean [1, 20] (§6.2.1).
-	NormLo, NormHi float64
 	// Seed drives the SPSA perturbation stream; nil means rng.New(2024).
 	Seed *rng.Stream
 	// TuneBlockInterval adds the receiver block interval as a third SPSA
@@ -234,6 +231,9 @@ type Options struct {
 const (
 	// rhoStep is Algorithm 1's per-iteration penalty ramp.
 	rhoStep = 0.1
+	// normLo/normHi bound the shared normalised parameter range of §5.1
+	// (§6.2.1's [1, 20]).
+	normLo, normHi = 1.0, 20.0
 	// resetCooldown suppresses repeated §5.5 resets while one surge
 	// transition is still inside the rate window.
 	resetCooldown = 30 * time.Second
@@ -357,12 +357,6 @@ func New(eng System, opts Options) (*Controller, error) {
 		return nil, errors.New("core: nil engine")
 	}
 	b := eng.ConfigBounds()
-	if approx.Unset(opts.NormLo) && approx.Unset(opts.NormHi) {
-		opts.NormLo, opts.NormHi = 1, 20
-	}
-	if opts.NormHi <= opts.NormLo {
-		return nil, fmt.Errorf("core: bad normalised range [%v, %v]", opts.NormLo, opts.NormHi)
-	}
 	if opts.MeasureBatches == 0 {
 		opts.MeasureBatches = 3
 	}
@@ -411,8 +405,8 @@ func New(eng System, opts Options) (*Controller, error) {
 		return nil, fmt.Errorf("core: initial %v outside engine bounds", opts.Initial)
 	}
 
-	intervalNormLo, intervalNormHi := opts.NormLo, opts.NormHi
-	execNormLo, execNormHi := opts.NormLo, opts.NormHi
+	intervalNormLo, intervalNormHi := normLo, normHi
+	execNormLo, execNormHi := normLo, normHi
 	if opts.RawScale {
 		intervalNormLo, intervalNormHi = b.MinInterval.Seconds(), b.MaxInterval.Seconds()
 		execNormLo, execNormHi = float64(b.MinExecutors), float64(b.MaxExecutors)
@@ -430,7 +424,7 @@ func New(eng System, opts Options) (*Controller, error) {
 		if b.MinBlock <= 0 || b.MaxBlock <= b.MinBlock {
 			return nil, fmt.Errorf("core: TuneBlockInterval requires engine block bounds, got [%v, %v]", b.MinBlock, b.MaxBlock)
 		}
-		blockScale, err = spsa.NewScale(b.MinBlock.Seconds(), b.MaxBlock.Seconds(), opts.NormLo, opts.NormHi)
+		blockScale, err = spsa.NewScale(b.MinBlock.Seconds(), b.MaxBlock.Seconds(), normLo, normHi)
 		if err != nil {
 			return nil, err
 		}
@@ -539,7 +533,7 @@ func (c *Controller) calibrate(bs engine.BatchStats) {
 	if len(c.calibAcc) < c.opts.CalibrationBatches {
 		return
 	}
-	span := c.opts.NormHi - c.opts.NormLo
+	span := normHi - normLo
 	noise := stats.Std(c.calibAcc)
 	params := spsa.DefaultParams(span+1, noise)
 	params.MaxStep = 4

@@ -61,9 +61,6 @@ func TestValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(eng, Options{NormLo: 5, NormHi: 5}); err == nil {
-		t.Error("degenerate norm range accepted")
-	}
 	if _, err := New(eng, Options{Initial: engine.Config{BatchInterval: time.Hour, Executors: 1}}); err == nil {
 		t.Error("out-of-bounds initial accepted")
 	}

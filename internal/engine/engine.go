@@ -188,60 +188,18 @@ type Options struct {
 	// Partitions is the topic partition count; 0 picks
 	// 2·TotalWorkerCores, honouring §6.1's "more partitions than cores".
 	Partitions int
-	// ProducerTick is the granularity at which trace arrivals are pushed
-	// into the broker. 0 means 100ms.
-	ProducerTick time.Duration
-	// BlockInterval is the default receiver block interval used when the
-	// configuration leaves Config.BlockInterval at 0. 0 means Spark's
-	// 200ms default.
-	BlockInterval time.Duration
-	// TaskDispatchCost is the driver-side cost of dispatching one task;
-	// it makes over-fine block intervals expensive. 0 means 1.5ms.
-	TaskDispatchCost time.Duration
 	// PayloadsPerTick is how many concrete payload records (with real
 	// generated data) accompany the counted arrivals each tick; they feed
 	// the workload's semantic ProcessBatch. 0 disables payloads.
 	PayloadsPerTick int
-	// SampleCap is the per-partition payload retention; 0 with payloads
-	// enabled defaults to 256.
-	SampleCap int
 	// ReconfigSetup is the one-off cost added to the first batch after an
 	// executor-count change. 0 means 1s.
 	ReconfigSetup time.Duration
-	// RateWindow is the span of the recent-arrival-rate window exposed to
-	// controllers (§5.5). 0 means 60s.
-	RateWindow time.Duration
-	// IngestCap, if positive, limits the accepted input rate
-	// (records/second); the back-pressure baseline drives this knob.
-	IngestCap float64
-
-	// TaskMaxFailures is the per-batch attempt budget under injected task
-	// failures (Spark's spark.task.maxFailures): a batch whose attempts
-	// all fail counts as a failed batch and triggers load shedding. 0
-	// means 4.
-	TaskMaxFailures int
-	// RetryBackoff is the delay before re-executing a failed batch; it
-	// doubles per attempt, capped at RetryBackoffMax. Zeros mean 2s and
-	// 30s.
-	RetryBackoff    time.Duration
-	RetryBackoffMax time.Duration
-	// SpeculativeMultiplier gates speculative re-execution: when
-	// straggler slowdown stretches a batch's estimated runtime beyond
-	// this multiple of the healthy estimate, the engine re-runs the slow
-	// tasks on healthy executors (Spark's spark.speculation). 0 means
-	// 1.5; negative disables speculation.
-	SpeculativeMultiplier float64
-	// SpeculativeOverhead is the relative cost a speculative re-run adds
-	// to the healthy runtime estimate (duplicate task launch, extra
-	// shuffle reads). 0 means 0.25.
-	SpeculativeOverhead float64
 	// ShedFactor scales emergency load shedding: on retry-budget
 	// exhaustion the accepted ingest rate is capped at ShedFactor times
-	// the recent mean arrival rate for ShedDuration. 0 means 0.8;
+	// the recent mean arrival rate for 60s. 0 means 0.8;
 	// negative disables shedding.
 	ShedFactor float64
-	// ShedDuration is how long an emergency shed cap holds. 0 means 60s.
-	ShedDuration time.Duration
 
 	// Metrics, when non-nil, receives the engine's counters, gauges, and
 	// delay histograms (see docs/METRICS.md). Instrumentation is passive:
@@ -252,6 +210,28 @@ type Options struct {
 	// trace_event spans on the simulation clock.
 	Tracer *tracing.Tracer
 }
+
+// Engine settings no run varies: the paper holds every Spark setting but
+// the tuned pair at its default.
+const (
+	producerTick     = 100 * time.Millisecond  // arrivals are pushed to the broker per tick
+	defaultBlock     = 200 * time.Millisecond  // Spark's block interval, for Config.BlockInterval 0
+	taskDispatchCost = 1500 * time.Microsecond // driver cost per task: over-fine blocks are expensive
+	sampleCap        = 256                     // payload retention per partition when payloads are on
+	rateWindow       = 60 * time.Second        // recent-arrival-rate window for controllers (§5.5)
+	shedDuration     = 60 * time.Second        // how long an emergency shed cap holds
+	// A failed batch re-executes after retryBackoff, doubled per attempt
+	// up to retryBackoffMax.
+	retryBackoff    = 2 * time.Second
+	retryBackoffMax = 30 * time.Second
+	// speculativeOverhead is the relative cost a speculative re-run adds
+	// to the healthy estimate (duplicate launches, extra shuffle reads).
+	speculativeOverhead = 0.25
+	// The retry budget and speculation gate an engine starts with; only
+	// SetTaskMaxFailures and SetSpeculativeMultiplier move them.
+	defaultTaskMaxFailures       = 4
+	defaultSpeculativeMultiplier = 1.5
+)
 
 // DefaultConfig is the untuned starting configuration used as the Fig 7
 // baseline: a conservative long interval with a modest executor count.
@@ -299,8 +279,11 @@ type Engine struct {
 	historyCap int
 	listeners  []Listener
 
-	rates     *stats.Window // recent per-tick arrival rates (rec/s)
-	ingestCap float64
+	rates *stats.Window // recent per-tick arrival rates (rec/s)
+	// The runtime knobs, moved only by their Set* actuators.
+	ingestCap      float64 // accepted input rate limit (rec/s); 0: uncapped
+	maxFailures    int     // per-batch attempt budget
+	specMultiplier float64 // speculation slowdown gate
 
 	totalRecords int64
 	droppedByCap int64
@@ -375,44 +358,11 @@ func New(clock *sim.Clock, opts Options) (*Engine, error) {
 	if opts.Partitions == 0 {
 		opts.Partitions = 2 * opts.Cluster.TotalWorkerCores()
 	}
-	if opts.ProducerTick == 0 {
-		opts.ProducerTick = 100 * time.Millisecond
-	}
-	if opts.BlockInterval == 0 {
-		opts.BlockInterval = 200 * time.Millisecond
-	}
-	if opts.TaskDispatchCost == 0 {
-		opts.TaskDispatchCost = 1500 * time.Microsecond
-	}
-	if opts.SampleCap == 0 && opts.PayloadsPerTick > 0 {
-		opts.SampleCap = 256
-	}
 	if opts.ReconfigSetup == 0 {
 		opts.ReconfigSetup = time.Second
 	}
-	if opts.RateWindow == 0 {
-		opts.RateWindow = 60 * time.Second
-	}
-	if opts.TaskMaxFailures == 0 {
-		opts.TaskMaxFailures = 4
-	}
-	if opts.RetryBackoff == 0 {
-		opts.RetryBackoff = 2 * time.Second
-	}
-	if opts.RetryBackoffMax == 0 {
-		opts.RetryBackoffMax = 30 * time.Second
-	}
-	if approx.Unset(opts.SpeculativeMultiplier) {
-		opts.SpeculativeMultiplier = 1.5
-	}
-	if approx.Unset(opts.SpeculativeOverhead) {
-		opts.SpeculativeOverhead = 0.25
-	}
 	if approx.Unset(opts.ShedFactor) {
 		opts.ShedFactor = 0.8
-	}
-	if opts.ShedDuration == 0 {
-		opts.ShedDuration = 60 * time.Second
 	}
 	if !opts.Bounds.Contains(opts.Initial) {
 		return nil, fmt.Errorf("%w: initial %v", ErrOutOfBounds, opts.Initial)
@@ -437,12 +387,16 @@ func New(clock *sim.Clock, opts Options) (*Engine, error) {
 			return nil, err
 		}
 	}
+	samples := 0
+	if opts.PayloadsPerTick > 0 {
+		samples = sampleCap
+	}
 	var topic *broker.Topic
 	var err error
 	if opts.Tenant != "" {
-		topic, err = bus.CreateTenantTopic(opts.TopicName, opts.Tenant, opts.Partitions, opts.SampleCap)
+		topic, err = bus.CreateTenantTopic(opts.TopicName, opts.Tenant, opts.Partitions, samples)
 	} else {
-		topic, err = bus.CreateTopic(opts.TopicName, opts.Partitions, opts.SampleCap)
+		topic, err = bus.CreateTopic(opts.TopicName, opts.Partitions, samples)
 	}
 	if err != nil {
 		return nil, err
@@ -458,10 +412,6 @@ func New(clock *sim.Clock, opts Options) (*Engine, error) {
 	execs, err := opts.Cluster.Allocate(opts.Initial.Executors)
 	if err != nil {
 		return nil, fmt.Errorf("engine: initial allocation: %w", err)
-	}
-	windowTicks := int(opts.RateWindow / opts.ProducerTick)
-	if windowTicks < 2 {
-		windowTicks = 2
 	}
 	e := &Engine{
 		clock:       clock,
@@ -480,8 +430,10 @@ func New(clock *sim.Clock, opts Options) (*Engine, error) {
 		cfg:         opts.Initial,
 		execs:       execs,
 		historyCap:  1 << 20,
-		rates:       stats.NewWindow(windowTicks),
-		ingestCap:   opts.IngestCap,
+		rates:       stats.NewWindow(int(rateWindow / producerTick)),
+
+		maxFailures:    defaultTaskMaxFailures,
+		specMultiplier: defaultSpeculativeMultiplier,
 	}
 	e.obs = newObsState(opts.Metrics, opts.Tracer)
 	if e.obs != nil {
@@ -502,7 +454,7 @@ func (e *Engine) Start() error {
 	e.started = true
 	e.lastTickAt = e.clock.Now()
 	e.cutFn = e.cutBatch
-	e.ticker = e.clock.NewTicker(e.opts.ProducerTick, e.producerTick)
+	e.ticker = e.clock.NewTicker(producerTick, e.producerTick)
 	e.cutEvent = e.clock.After(e.cfg.BatchInterval, e.cutFn)
 	return nil
 }
@@ -660,7 +612,7 @@ func (e *Engine) runAttempt(b *batch, start sim.Time) {
 	// one multiplies driver dispatch overhead.
 	block := b.cfg.BlockInterval
 	if block <= 0 {
-		block = e.opts.BlockInterval
+		block = defaultBlock
 	}
 	tasks := int(b.cfg.BatchInterval / block)
 	if tasks < 1 {
@@ -694,9 +646,8 @@ func (e *Engine) runAttempt(b *batch, start sim.Time) {
 		}
 		if stretch > 1 {
 			degraded := time.Duration(float64(proc) * stretch)
-			if e.opts.SpeculativeMultiplier > 0 &&
-				degraded > time.Duration(float64(proc)*e.opts.SpeculativeMultiplier) {
-				proc = time.Duration(float64(proc) * (1 + e.opts.SpeculativeOverhead))
+			if degraded > time.Duration(float64(proc)*e.specMultiplier) {
+				proc = time.Duration(float64(proc) * (1 + speculativeOverhead))
 				b.speculated = true
 				e.speculations++
 				e.onSpeculation(b)
@@ -705,7 +656,7 @@ func (e *Engine) runAttempt(b *batch, start sim.Time) {
 			}
 		}
 	}
-	proc += time.Duration(tasks) * e.opts.TaskDispatchCost
+	proc += time.Duration(tasks) * taskDispatchCost
 	if e.setupOwed {
 		proc += e.opts.ReconfigSetup
 		e.setupOwed = false
@@ -755,14 +706,14 @@ func (e *Engine) finishAttempt(b *batch, start sim.Time, proc time.Duration) {
 	b.attempts++
 	if e.taskFail > 0 && e.faultRng.Float64() < e.taskFail {
 		e.onAttempt(b, start, proc, true)
-		if b.attempts >= e.opts.TaskMaxFailures {
+		if b.attempts >= e.maxFailures {
 			e.failBatch(b)
 			return
 		}
 		e.taskRetries++
-		backoff := e.opts.RetryBackoff << (b.attempts - 1)
-		if backoff > e.opts.RetryBackoffMax {
-			backoff = e.opts.RetryBackoffMax
+		backoff := retryBackoff << (b.attempts - 1)
+		if backoff > retryBackoffMax {
+			backoff = retryBackoffMax
 		}
 		e.onRetry(b, backoff)
 		// The job releases the scheduler during the backoff; the batch
@@ -798,7 +749,7 @@ func (e *Engine) failBatch(b *batch) {
 	if e.opts.ShedFactor >= 0 {
 		if mean := e.rates.Mean(); mean > 0 {
 			e.shedRate = e.opts.ShedFactor * mean
-			e.shedUntil = e.clock.Now() + sim.Time(e.opts.ShedDuration)
+			e.shedUntil = e.clock.Now() + sim.Time(shedDuration)
 			e.shedEvents++
 			e.onShed(e.shedRate, e.shedUntil)
 		}
@@ -1109,33 +1060,36 @@ func (e *Engine) SetIngestCap(limit float64) { e.ingestCap = limit }
 // 0 means uncapped.
 func (e *Engine) IngestCap() float64 { return e.ingestCap }
 
-// SetTaskMaxFailures adjusts the per-batch attempt budget at runtime — the
-// actuator for the widened config space's retry_budget axis. Values below 1
-// clamp to 1 (every batch gets at least one attempt). The new budget
-// applies to attempts finishing after the call.
+// SetTaskMaxFailures adjusts the per-batch attempt budget (Spark's
+// spark.task.maxFailures, 4 at construction) — the actuator for the
+// widened config space's retry_budget axis. Values below 1 clamp to 1
+// (every batch gets at least one attempt). The new budget applies to
+// attempts finishing after the call.
 func (e *Engine) SetTaskMaxFailures(n int) {
 	if n < 1 {
 		n = 1
 	}
-	e.opts.TaskMaxFailures = n
+	e.maxFailures = n
 }
 
 // TaskMaxFailures returns the live per-batch attempt budget.
-func (e *Engine) TaskMaxFailures() int { return e.opts.TaskMaxFailures }
+func (e *Engine) TaskMaxFailures() int { return e.maxFailures }
 
-// SetSpeculativeMultiplier adjusts the speculation slowdown gate at runtime
-// — the actuator for the widened config space's speculation_threshold axis.
-// Values below 1 clamp to 1 (speculate on any slowdown); disabling
-// speculation entirely remains a construction-time choice.
+// SetSpeculativeMultiplier adjusts the speculation slowdown gate (Spark's
+// spark.speculation.multiplier, 1.5 at construction): a straggled batch
+// whose runtime estimate stretches past this multiple of the healthy one
+// re-runs its slow tasks on healthy executors. It is the actuator for the
+// widened config space's speculation_threshold axis. Values below 1 clamp
+// to 1 (speculate on any slowdown).
 func (e *Engine) SetSpeculativeMultiplier(m float64) {
 	if m < 1 {
 		m = 1
 	}
-	e.opts.SpeculativeMultiplier = m
+	e.specMultiplier = m
 }
 
 // SpeculativeMultiplier returns the live speculation slowdown gate.
-func (e *Engine) SpeculativeMultiplier() float64 { return e.opts.SpeculativeMultiplier }
+func (e *Engine) SpeculativeMultiplier() float64 { return e.specMultiplier }
 
 // RecentRateMean returns the mean observed arrival rate (records/second)
 // over the rate window.

@@ -363,8 +363,8 @@ func TestRecentRateStdDetectsSurge(t *testing.T) {
 func TestIngestCapLimitsLag(t *testing.T) {
 	clock, e := newEngine(t, func(o *Options) {
 		o.Trace = ratetrace.Constant{Rate: 10000}
-		o.IngestCap = 2000
 	})
+	e.SetIngestCap(2000)
 	clock.RunUntil(sim.Time(sec(60)))
 	if e.DroppedByCap() < int64(60*7000) {
 		t.Fatalf("dropped %d, want ≈480000", e.DroppedByCap())

@@ -193,7 +193,6 @@ func TestBlockIntervalDispatchOverhead(t *testing.T) {
 	run := func(block time.Duration) time.Duration {
 		clock, e := newEngine(t, func(o *Options) {
 			o.Trace = ratetrace.Constant{Rate: 1000}
-			o.TaskDispatchCost = 5 * time.Millisecond
 			o.Bounds = Bounds{
 				MinInterval: time.Second, MaxInterval: 40 * time.Second,
 				MinExecutors: 1, MaxExecutors: 20,
@@ -205,10 +204,10 @@ func TestBlockIntervalDispatchOverhead(t *testing.T) {
 		h := e.History()
 		return h[len(h)-1].ProcessingTime
 	}
-	fine := run(10 * time.Millisecond)    // 1000 tasks → +5s dispatch
-	normal := run(500 * time.Millisecond) // 20 tasks → +0.1s
-	if fine < normal+4*time.Second {
-		t.Fatalf("1000-task dispatch (%v) not ≈5s above 20-task (%v)", fine, normal)
+	fine := run(10 * time.Millisecond)    // 1000 tasks → +1.5s dispatch
+	normal := run(500 * time.Millisecond) // 20 tasks → +0.03s
+	if fine < normal+1200*time.Millisecond {
+		t.Fatalf("1000-task dispatch (%v) not ≈1.5s above 20-task (%v)", fine, normal)
 	}
 }
 

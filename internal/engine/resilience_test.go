@@ -1,10 +1,18 @@
 package engine
 
 import (
+	"bytes"
+	"encoding/json"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
+	"nostop/internal/ratetrace"
+	"nostop/internal/rng"
 	"nostop/internal/sim"
+	"nostop/internal/tracing"
+	"nostop/internal/workload"
 )
 
 func TestTaskRetrySucceedsWithinBudget(t *testing.T) {
@@ -32,9 +40,7 @@ func TestTaskRetrySucceedsWithinBudget(t *testing.T) {
 }
 
 func TestRetryBackoffSurfacesAsSchedulingDelay(t *testing.T) {
-	clock, e := newEngine(t, func(o *Options) {
-		o.RetryBackoff = 4 * time.Second
-	})
+	clock, e := newEngine(t, nil)
 	clock.RunUntil(sim.Time(sec(20)))
 	e.SetTaskFailureRate(0.9)
 	clock.RunUntil(sim.Time(sec(200)))
@@ -42,7 +48,7 @@ func TestRetryBackoffSurfacesAsSchedulingDelay(t *testing.T) {
 	clock.RunUntil(sim.Time(sec(260)))
 	var sawBackoff bool
 	for _, b := range e.History() {
-		if b.Attempts > 1 && b.SchedulingDelay >= 4*time.Second {
+		if b.Attempts > 1 && b.SchedulingDelay >= retryBackoff {
 			sawBackoff = true
 		}
 	}
@@ -51,11 +57,66 @@ func TestRetryBackoffSurfacesAsSchedulingDelay(t *testing.T) {
 	}
 }
 
-func TestRetryBudgetExhaustionFailsBatchAndSheds(t *testing.T) {
-	clock, e := newEngine(t, func(o *Options) {
-		o.TaskMaxFailures = 2
-		o.RetryBackoff = time.Second
+// TestRetryBackoffDoublesToCap pins the backoff constants: with every
+// attempt failing under an 8-attempt budget, each batch's seven retries
+// wait 2s, 4s, 8s and 16s, then the 30s cap.
+func TestRetryBackoffDoublesToCap(t *testing.T) {
+	clock := sim.NewClock()
+	tr := tracing.New(clock, 0)
+	e, err := New(clock, Options{
+		Workload: workload.NewWordCount(),
+		Trace:    ratetrace.Constant{Rate: 1000},
+		Seed:     rng.New(7),
+		Initial:  Config{BatchInterval: 5 * time.Second, Executors: 8},
+		Tracer:   tr,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.SetTaskMaxFailures(8)
+	e.SetTaskFailureRate(1)
+	if err := e.Start(); err != nil {
+		t.Fatal(err)
+	}
+	clock.RunUntil(sim.Time(sec(600)))
+	var buf bytes.Buffer
+	if err := tr.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string
+			Args struct {
+				BackoffMs int64 `json:"backoff_ms"`
+			}
+		}
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	backoffs := map[string][]int64{}
+	for _, ev := range doc.TraceEvents {
+		if strings.HasPrefix(ev.Name, "retry batch ") {
+			backoffs[ev.Name] = append(backoffs[ev.Name], ev.Args.BackoffMs)
+		}
+	}
+	want := []int64{2000, 4000, 8000, 16000, 30000, 30000, 30000}
+	if got := backoffs["retry batch 0"]; !slices.Equal(got, want) {
+		t.Fatalf("batch 0 backoffs %v ms, want %v", got, want)
+	}
+	for name, got := range backoffs {
+		if len(got) > len(want) || !slices.Equal(got, want[:len(got)]) {
+			t.Fatalf("%s backoffs %v ms, want a prefix of %v", name, got, want)
+		}
+	}
+	if e.FailedBatches() == 0 {
+		t.Fatalf("no batch exhausted its budget in %d retries", e.TaskRetries())
+	}
+}
+
+func TestRetryBudgetExhaustionFailsBatchAndSheds(t *testing.T) {
+	clock, e := newEngine(t, nil)
+	e.SetTaskMaxFailures(2)
 	clock.RunUntil(sim.Time(sec(30)))
 	e.SetTaskFailureRate(1) // every attempt fails: budgets must exhaust
 	clock.RunUntil(sim.Time(sec(120)))
@@ -85,9 +146,10 @@ func TestRetryBudgetExhaustionFailsBatchAndSheds(t *testing.T) {
 
 func TestStragglerSlowdownStretchesBatches(t *testing.T) {
 	run := func(slow bool) time.Duration {
-		clock, e := newEngine(t, func(o *Options) {
-			o.SpeculativeMultiplier = -1 // isolate raw straggler effect
-		})
+		clock, e := newEngine(t, nil)
+		// A gate above the 4x slowdown keeps speculation off, isolating the
+		// raw straggler effect.
+		e.SetSpeculativeMultiplier(5)
 		if slow {
 			// Straggle every worker so the slowdown cannot be dodged.
 			for _, id := range []int{2, 3, 4, 5} {

@@ -13,23 +13,9 @@ type ChaosOptions struct {
 	// Horizon bounds fault starts; windows are clipped to end by it.
 	// Required (must be positive).
 	Horizon time.Duration
-	// Warmup is fault-free time at the start of the run so the system
-	// (and an attached optimizer) reaches steady state first. 0 means
-	// Horizon/4.
-	Warmup time.Duration
 	// MeanGap is the mean idle gap between one fault lifting and the next
 	// starting (exponentially distributed). 0 means Horizon/10.
 	MeanGap time.Duration
-	// MinDuration/MaxDuration bound each fault window. Zeros mean 60s and
-	// 4 minutes.
-	MinDuration, MaxDuration time.Duration
-	// NodeIDs are candidate nodes for crashes and stragglers. Empty means
-	// the Table 2 workers {2, 3, 4, 5}.
-	NodeIDs []int
-	// Partitions is the candidate partition count for outages. 0 means 8
-	// (outages then target partitions 0..7, which every default topic
-	// has).
-	Partitions int
 	// MaxStraggle is the worst straggler slowdown drawn. 0 means 6.
 	MaxStraggle float64
 	// MaxTaskFail is the worst per-attempt task-failure probability
@@ -39,27 +25,21 @@ type ChaosOptions struct {
 	MaxSpike float64
 }
 
+// The chaos plan's shape, which no run varies: the first quarter of the
+// horizon is fault-free so the system (and an attached optimizer) reaches
+// steady state first, and every window lasts one to four minutes.
+const (
+	chaosMinDuration = time.Minute
+	chaosMaxDuration = 4 * time.Minute
+	chaosPartitions  = 8 // outages hit partitions 0..7, which every default topic has
+)
+
+// chaosNodeIDs are the Table 2 workers, which crashes and stragglers hit.
+var chaosNodeIDs = [...]int{2, 3, 4, 5}
+
 func (o ChaosOptions) withDefaults() ChaosOptions {
-	if o.Warmup == 0 {
-		o.Warmup = o.Horizon / 4
-	}
 	if o.MeanGap == 0 {
 		o.MeanGap = o.Horizon / 10
-	}
-	if o.MinDuration == 0 {
-		o.MinDuration = time.Minute
-	}
-	if o.MaxDuration == 0 {
-		o.MaxDuration = 4 * time.Minute
-	}
-	if o.MaxDuration < o.MinDuration {
-		o.MaxDuration = o.MinDuration
-	}
-	if len(o.NodeIDs) == 0 {
-		o.NodeIDs = []int{2, 3, 4, 5}
-	}
-	if o.Partitions == 0 {
-		o.Partitions = 8
 	}
 	if o.MaxStraggle == 0 {
 		o.MaxStraggle = 6
@@ -84,16 +64,16 @@ func Chaos(seed *rng.Stream, opts ChaosOptions) Plan {
 	o := opts.withDefaults()
 	r := seed.Split("chaos")
 	var plan Plan
-	t := sim.Time(o.Warmup)
+	t := sim.Time(o.Horizon / 4)
 	for {
 		t += sim.Time(r.Exp(o.MeanGap.Seconds()) * float64(time.Second))
 		if t >= sim.Time(o.Horizon) {
 			break
 		}
-		dur := time.Duration(r.Uniform(o.MinDuration.Seconds(), o.MaxDuration.Seconds()) * float64(time.Second))
+		dur := time.Duration(r.Uniform(chaosMinDuration.Seconds(), chaosMaxDuration.Seconds()) * float64(time.Second))
 		if end := sim.Time(o.Horizon); t+sim.Time(dur) > end {
 			dur = time.Duration(end - t)
-			if dur < o.MinDuration/2 {
+			if dur < chaosMinDuration/2 {
 				break
 			}
 		}
@@ -101,17 +81,17 @@ func Chaos(seed *rng.Stream, opts ChaosOptions) Plan {
 		switch Kind(r.Intn(5)) {
 		case NodeCrash:
 			f.Kind = NodeCrash
-			f.NodeID = o.NodeIDs[r.Intn(len(o.NodeIDs))]
+			f.NodeID = chaosNodeIDs[r.Intn(len(chaosNodeIDs))]
 		case Straggler:
 			f.Kind = Straggler
-			f.NodeID = o.NodeIDs[r.Intn(len(o.NodeIDs))]
+			f.NodeID = chaosNodeIDs[r.Intn(len(chaosNodeIDs))]
 			f.Factor = r.Uniform(2, o.MaxStraggle)
 		case TaskFailures:
 			f.Kind = TaskFailures
 			f.Prob = r.Uniform(0.1, o.MaxTaskFail)
 		case PartitionOutage:
 			f.Kind = PartitionOutage
-			f.Partition = r.Intn(o.Partitions)
+			f.Partition = r.Intn(chaosPartitions)
 		case IngestSpike:
 			f.Kind = IngestSpike
 			f.Factor = r.Uniform(1.3, o.MaxSpike)

@@ -146,6 +146,44 @@ func TestChaosPlanValidatesAndScales(t *testing.T) {
 	}
 }
 
+// TestChaosPlanShape pins the generator's fixed shape over 200 seeds: the
+// first quarter of the horizon is fault-free, windows last 1–4 minutes
+// unless clipped at the horizon (and never under 30s), crashes and
+// stragglers hit the Table 2 workers, and outages hit partitions 0..7.
+func TestChaosPlanShape(t *testing.T) {
+	const horizon = time.Hour
+	kinds := map[Kind]int{}
+	for s := uint64(1); s <= 200; s++ {
+		plan := Chaos(rng.New(s).Split("chaos"), ChaosOptions{Horizon: horizon})
+		for _, f := range plan {
+			kinds[f.Kind]++
+			if f.At < sim.Time(horizon/4) {
+				t.Fatalf("seed %d: fault %v starts inside the warmup quarter", s, f)
+			}
+			clipped := f.End() == sim.Time(horizon)
+			if f.Duration > 4*time.Minute || f.Duration < 30*time.Second ||
+				(!clipped && f.Duration < time.Minute) {
+				t.Fatalf("seed %d: fault %v lasts %v", s, f, f.Duration)
+			}
+			switch f.Kind {
+			case NodeCrash, Straggler:
+				if f.NodeID < 2 || f.NodeID > 5 {
+					t.Fatalf("seed %d: fault %v hits node %d outside {2, 3, 4, 5}", s, f, f.NodeID)
+				}
+			case PartitionOutage:
+				if f.Partition < 0 || f.Partition >= 8 {
+					t.Fatalf("seed %d: outage %v hits partition %d", s, f, f.Partition)
+				}
+			}
+		}
+	}
+	for _, k := range []Kind{NodeCrash, Straggler, PartitionOutage} {
+		if kinds[k] == 0 {
+			t.Fatalf("200 seeds drew no %v fault", k)
+		}
+	}
+}
+
 // TestChaosDeterminism is the reproducibility gate: identical seeds must
 // produce byte-identical fault timelines and batch histories.
 func TestChaosDeterminism(t *testing.T) {

@@ -362,77 +362,48 @@ func (inj *ProcInjector) String() string {
 	return string(b)
 }
 
-// ProcChaosOptions scale the seeded process-chaos generator. Zero values
-// take the documented defaults.
+// ProcChaosOptions scope the seeded process-chaos generator.
 type ProcChaosOptions struct {
 	// Horizon bounds fault starts; windows are clipped to end by it.
 	// Required (must be positive).
 	Horizon time.Duration
-	// Warmup is chaos-free time at the start of the run. 0 means
-	// Horizon/4.
-	Warmup time.Duration
-	// MeanGap is the mean idle gap between one window lifting and the
-	// next opening (exponentially distributed). 0 means Horizon/8.
-	MeanGap time.Duration
-	// MinDuration/MaxDuration bound each window. Zeros mean 15s and 45s —
-	// long enough to trip breakers and degraded mode, short enough that
-	// recovery is observable before the horizon.
-	MinDuration, MaxDuration time.Duration
 	// Peers are the kill candidates. Required for PeerKill windows to be
 	// drawn; with one peer or fewer no link faults are drawn either.
 	Peers []string
-	// MaxDrop is the worst link-drop probability drawn. 0 means 0.9.
-	MaxDrop float64
-	// MaxDelay is the worst link delay drawn. 0 means 500ms.
-	MaxDelay time.Duration
 }
 
-func (o ProcChaosOptions) withDefaults() ProcChaosOptions {
-	if o.Warmup == 0 {
-		o.Warmup = o.Horizon / 4
-	}
-	if o.MeanGap == 0 {
-		o.MeanGap = o.Horizon / 8
-	}
-	if o.MinDuration == 0 {
-		o.MinDuration = 15 * time.Second
-	}
-	if o.MaxDuration == 0 {
-		o.MaxDuration = 45 * time.Second
-	}
-	if o.MaxDuration < o.MinDuration {
-		o.MaxDuration = o.MinDuration
-	}
-	if o.MaxDrop == 0 {
-		o.MaxDrop = 0.9
-	}
-	if o.MaxDelay == 0 {
-		o.MaxDelay = 500 * time.Millisecond
-	}
-	return o
-}
+// The process-chaos plan's shape, which no run varies: the first quarter
+// of the horizon is chaos-free, windows open after exponential gaps of
+// mean Horizon/8, and each lasts 15–45s — long enough to trip breakers
+// and degraded mode, short enough that recovery is observable before the
+// horizon.
+const (
+	procMinDuration = 15 * time.Second
+	procMaxDuration = 45 * time.Second
+	procMaxDrop     = 0.9                    // worst link-drop probability drawn
+	procMaxDelay    = 500 * time.Millisecond // worst link delay drawn
+)
 
 // ProcChaos generates a sequential random process fault plan: windows never
 // overlap, so every recovery is observable before the next fault lands, and
 // the plan always validates. All randomness comes from the given stream —
 // equal seeds yield byte-identical plans.
-func ProcChaos(seed *rng.Stream, opts ProcChaosOptions) ProcPlan {
-	if opts.Horizon <= 0 || len(opts.Peers) == 0 {
+func ProcChaos(seed *rng.Stream, o ProcChaosOptions) ProcPlan {
+	if o.Horizon <= 0 || len(o.Peers) == 0 {
 		return nil
 	}
-	o := opts.withDefaults()
 	r := seed.Split("proc-chaos")
 	var plan ProcPlan
-	t := sim.Time(o.Warmup)
+	t := sim.Time(o.Horizon / 4)
 	for {
-		t += sim.Time(r.Exp(o.MeanGap.Seconds()) * float64(time.Second))
+		t += sim.Time(r.Exp((o.Horizon / 8).Seconds()) * float64(time.Second))
 		if t >= sim.Time(o.Horizon) {
 			break
 		}
-		dur := time.Duration(r.Uniform(o.MinDuration.Seconds(), o.MaxDuration.Seconds()) * float64(time.Second))
+		dur := time.Duration(r.Uniform(procMinDuration.Seconds(), procMaxDuration.Seconds()) * float64(time.Second))
 		if end := sim.Time(o.Horizon); t+sim.Time(dur) > end {
 			dur = time.Duration(end - t)
-			if dur < o.MinDuration/2 {
+			if dur < procMinDuration/2 {
 				break
 			}
 		}
@@ -454,9 +425,9 @@ func ProcChaos(seed *rng.Stream, opts ProcChaosOptions) ProcPlan {
 			f.From, f.To = o.Peers[i], o.Peers[j]
 			switch f.Kind {
 			case LinkDrop:
-				f.Prob = r.Uniform(0.3, o.MaxDrop)
+				f.Prob = r.Uniform(0.3, procMaxDrop)
 			case LinkDelay:
-				f.Delay = time.Duration(r.Uniform(0.05, o.MaxDelay.Seconds()) * float64(time.Second))
+				f.Delay = time.Duration(r.Uniform(0.05, procMaxDelay.Seconds()) * float64(time.Second))
 			}
 		}
 		plan = append(plan, f)

@@ -208,6 +208,45 @@ func TestProcChaosDeterminism(t *testing.T) {
 	}
 }
 
+// TestProcChaosPlanShape pins the generator's fixed shape over 200 seeds:
+// windows last 15–45s unless clipped at the horizon, link drops draw a
+// probability in [0.3, 0.9] and link delays a delay in [50ms, 500ms].
+func TestProcChaosPlanShape(t *testing.T) {
+	const horizon = 10 * time.Minute
+	kinds := map[ProcKind]int{}
+	for s := uint64(1); s <= 200; s++ {
+		plan := ProcChaos(rng.New(s).Split("proc-chaos"), ProcChaosOptions{
+			Horizon: horizon,
+			Peers:   []string{"broker", "engine", "controller"},
+		})
+		for _, f := range plan {
+			kinds[f.Kind]++
+			if f.At < sim.Time(horizon/4) {
+				t.Fatalf("seed %d: fault %v starts inside the warmup quarter", s, f)
+			}
+			clipped := f.End() == sim.Time(horizon)
+			if f.Duration > 45*time.Second || (!clipped && f.Duration < 15*time.Second) {
+				t.Fatalf("seed %d: fault %v lasts %v", s, f, f.Duration)
+			}
+			switch f.Kind {
+			case LinkDrop:
+				if f.Prob < 0.3 || f.Prob > 0.9 {
+					t.Fatalf("seed %d: link drop %v draws probability %v", s, f, f.Prob)
+				}
+			case LinkDelay:
+				if f.Delay < 50*time.Millisecond || f.Delay > 500*time.Millisecond {
+					t.Fatalf("seed %d: link delay %v draws %v", s, f, f.Delay)
+				}
+			}
+		}
+	}
+	for _, k := range []ProcKind{PeerKill, LinkRefuse, LinkDrop, LinkDelay} {
+		if kinds[k] == 0 {
+			t.Fatalf("200 seeds drew no %v window", k)
+		}
+	}
+}
+
 func TestProcChaosSinglePeerKillsOnly(t *testing.T) {
 	plan := ProcChaos(rng.New(3).Split("x"), ProcChaosOptions{
 		Horizon: 30 * time.Minute,

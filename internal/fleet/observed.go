@@ -27,8 +27,6 @@ type Observe struct {
 	Metrics *metrics.Registry
 	// Trace enables a Chrome trace_event tracer on the run's virtual clock.
 	Trace bool
-	// TraceMaxEvents bounds the tracer (0: tracing.DefaultMaxEvents).
-	TraceMaxEvents int
 	// Attach, when non-nil, runs after the engine has started and the
 	// controller (if any) has attached, before the clock runs. It is the
 	// hook scenario probes use to add batch-completion listeners. It must
@@ -92,7 +90,7 @@ func Assemble(s Setup, obs Observe) (*RunDetail, error) {
 	clock := sim.NewClock()
 	det := &RunDetail{}
 	if obs.Trace {
-		det.Tracer = tracing.New(clock, obs.TraceMaxEvents)
+		det.Tracer = tracing.New(clock, 0)
 	}
 	opts := engine.Options{
 		Workload: s.Workload,
@@ -195,9 +193,8 @@ func ExecuteObserved(job Job, obs Observe) (Summary, *RunDetail, error) {
 // hashes remain complete artifact-cache keys.
 func executeMix(job Job, obs Observe) (Summary, *RunDetail, error) {
 	rep, det, err := tenant.RunDetailed(*job.Mix, job.Seed, tenant.Observe{
-		Metrics:        obs.Metrics,
-		Trace:          obs.Trace,
-		TraceMaxEvents: obs.TraceMaxEvents,
+		Metrics: obs.Metrics,
+		Trace:   obs.Trace,
 	})
 	if err != nil {
 		return Summary{}, nil, err

@@ -26,8 +26,10 @@ func ParseSeeds(s string) ([]uint64, error) {
 			if b-a > 1<<20 {
 				return nil, fmt.Errorf("fleet: seed range %q is implausibly large", part)
 			}
-			for v := a; v <= b; v++ {
-				out = append(out, v)
+			// Count from b-a rather than compare v <= b: a range ending at
+			// the largest uint64 would wrap v to 0 and never stop.
+			for i := uint64(0); i <= b-a; i++ {
+				out = append(out, a+i)
 			}
 			continue
 		}

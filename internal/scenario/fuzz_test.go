@@ -28,6 +28,7 @@ func FuzzScenarioSpec(f *testing.F) {
 	f.Add([]byte(`{"name":"x","hypothesis":"h","workload":"logreg","seeds":"1-3","slos":["delay_p95 < 8s"]}`))
 	f.Add([]byte(`{"name":"x","hypothesis":"h","seeds":[1],"tenancy":{"mix":{"tenants":[{"name":"a","workload":"linreg"}]}},"slos":["a:delay_mean < 5s"]}`))
 	f.Add([]byte(`{"name":"x","seeds":"5-1"}`))
+	f.Add([]byte(`{"name":"x","hypothesis":"h","workload":"logreg","seeds":"18446744073709551615-18446744073709551615","slos":["delay_p95 < 8s"]}`))
 	f.Add([]byte(`{} {}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		spec, err := Decode(data)

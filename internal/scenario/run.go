@@ -25,8 +25,6 @@ type Options struct {
 	// CI smoke mode runs every checked-in spec with SeedLimit 1: same
 	// code path, one replication.
 	SeedLimit int
-	// TraceMaxEvents bounds each replication's tracer (0: tracing default).
-	TraceMaxEvents int
 }
 
 // Artifact is one deterministic per-replication output file the CLI writes
@@ -174,7 +172,7 @@ func Run(spec Spec, opts Options) (*Result, error) {
 	runs := make([]*runObs, len(jobs))
 	artifacts := make([][]Artifact, len(jobs))
 	if err := fleet.ParallelFor(len(jobs), opts.Parallelism, func(i int) error {
-		run, arts, err := executeOne(jobs[i], opts.TraceMaxEvents)
+		run, arts, err := executeOne(jobs[i])
 		if err != nil {
 			return fmt.Errorf("scenario: seed %d: %v", jobs[i].Seed, err)
 		}
@@ -208,7 +206,7 @@ func Run(spec Spec, opts Options) (*Result, error) {
 
 // executeOne runs one replication with full observability and snapshots
 // everything evaluation and the artifact writer need.
-func executeOne(job fleet.Job, traceMaxEvents int) (*runObs, []Artifact, error) {
+func executeOne(job fleet.Job) (*runObs, []Artifact, error) {
 	reg := metrics.NewRegistry()
 	run := &runObs{
 		seed:      job.Seed,
@@ -221,9 +219,8 @@ func executeOne(job fleet.Job, traceMaxEvents int) (*runObs, []Artifact, error) 
 	}
 
 	obs := fleet.Observe{
-		Metrics:        reg,
-		Trace:          true,
-		TraceMaxEvents: traceMaxEvents,
+		Metrics: reg,
+		Trace:   true,
 		Attach: func(eng *engine.Engine) error {
 			// The probe watches, per batch completion, whether each
 			// violation counter has gone nonzero yet, pinning the onset
@@ -304,7 +301,7 @@ func runTenancy(spec Spec, slos []SLO, smoke bool, opts Options) (*Result, error
 			mix, label = contrast, "contrast-"
 		}
 		seed := spec.Seeds[i%n]
-		run, arts, err := executeTenancy(mix, seed, spec.Warmup, label, opts.TraceMaxEvents)
+		run, arts, err := executeTenancy(mix, seed, spec.Warmup, label)
 		if err != nil {
 			return fmt.Errorf("scenario: %sseed %d: %v", label, seed, err)
 		}
@@ -350,7 +347,7 @@ func runTenancy(spec Spec, slos []SLO, smoke bool, opts Options) (*Result, error
 // sim-time-ordered history (for cluster-wide ones), counter snapshots, and
 // onset probes, plus the trace and metrics artifacts. label distinguishes
 // contrast artifacts from primary ones.
-func executeTenancy(mix tenant.MixSpec, seed uint64, warmup float64, label string, traceMaxEvents int) (*runObs, []Artifact, error) {
+func executeTenancy(mix tenant.MixSpec, seed uint64, warmup float64, label string) (*runObs, []Artifact, error) {
 	reg := metrics.NewRegistry()
 	run := &runObs{
 		seed:      seed,
@@ -375,9 +372,8 @@ func executeTenancy(mix tenant.MixSpec, seed uint64, warmup float64, label strin
 		{onsetRedelivered, reg.Counter(counterRedelivered, "")},
 	}
 	_, detail, err := tenant.RunDetailed(mix, seed, tenant.Observe{
-		Metrics:        reg,
-		Trace:          true,
-		TraceMaxEvents: traceMaxEvents,
+		Metrics: reg,
+		Trace:   true,
 		OnBatch: func(b engine.BatchStats) {
 			for _, w := range watches {
 				if _, seen := run.onsets[w.key]; !seen && w.c.Value() > 0 {

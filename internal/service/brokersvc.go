@@ -19,12 +19,13 @@ type BrokerOptions struct {
 	// Epoch is the incarnation counter, supervisor-assigned (+1 per
 	// restart).
 	Epoch int
-	// MaxFetch hard-caps records per fetch response regardless of the
-	// consumer's ask (default 1<<20).
-	MaxFetch int64
 	// Metrics is optional.
 	Metrics *metrics.Registry
 }
+
+// brokerMaxFetch hard-caps records per fetch response regardless of the
+// consumer's ask.
+const brokerMaxFetch = 1 << 20
 
 // BrokerService is the source-of-truth message broker: it turns the rate
 // trace into a monotone offset space and serves it to exactly one consumer
@@ -91,9 +92,6 @@ type commitRequest struct {
 
 // NewBrokerService builds one broker incarnation.
 func NewBrokerService(o BrokerOptions) *BrokerService {
-	if o.MaxFetch <= 0 {
-		o.MaxFetch = 1 << 20
-	}
 	b := &BrokerService{o: o}
 	if reg := o.Metrics; reg != nil {
 		b.cFetches = reg.Counter("nostop_service_broker_fetches_total", "Fetch requests served")
@@ -177,8 +175,8 @@ func (b *BrokerService) handleFetch(w http.ResponseWriter, r *http.Request) {
 	}
 	b.gen()
 	max := req.Max
-	if max <= 0 || max > b.o.MaxFetch {
-		max = b.o.MaxFetch
+	if max <= 0 || max > brokerMaxFetch {
+		max = brokerMaxFetch
 	}
 	n := b.head - b.served
 	if n > max {

@@ -51,10 +51,6 @@ type ClusterConfig struct {
 	// controller's θ_initial.
 	Initial engine.Config
 	Bounds  engine.Bounds
-	// Service-loop periods (virtual time; zeros pick component defaults).
-	FetchInterval  time.Duration
-	CommitInterval time.Duration
-	PollInterval   time.Duration
 	// MaxFetch is the engine's per-fetch shedding budget (0: default).
 	MaxFetch int64
 	// RPC tunes every client; Jitter/Metrics/Trace/Pid are
@@ -227,26 +223,23 @@ func (p *proc) build() (component, error) {
 		}), nil
 	case PeerEngine:
 		return NewEngineService(EngineOptions{
-			Clock:          p.clock,
-			Seed:           c.root.Split(fmt.Sprintf("engine/epoch-%d", p.epoch)),
-			Workload:       c.cfg.Workload,
-			Broker:         c.client(p, PeerBroker),
-			Initial:        c.cfg.Initial,
-			Bounds:         c.cfg.Bounds,
-			Epoch:          p.epoch,
-			FetchInterval:  c.cfg.FetchInterval,
-			CommitInterval: c.cfg.CommitInterval,
-			MaxFetch:       c.cfg.MaxFetch,
-			Metrics:        c.reg,
-			Tracer:         tracer,
-			Sink:           c.sink,
+			Clock:    p.clock,
+			Seed:     c.root.Split(fmt.Sprintf("engine/epoch-%d", p.epoch)),
+			Workload: c.cfg.Workload,
+			Broker:   c.client(p, PeerBroker),
+			Initial:  c.cfg.Initial,
+			Bounds:   c.cfg.Bounds,
+			Epoch:    p.epoch,
+			MaxFetch: c.cfg.MaxFetch,
+			Metrics:  c.reg,
+			Tracer:   tracer,
+			Sink:     c.sink,
 		})
 	case PeerController:
 		return NewControllerService(ControllerOptions{
-			Clock:        p.clock,
-			Engine:       c.client(p, PeerEngine),
-			Epoch:        p.epoch,
-			PollInterval: c.cfg.PollInterval,
+			Clock:  p.clock,
+			Engine: c.client(p, PeerEngine),
+			Epoch:  p.epoch,
 			Core: core.Options{
 				Initial: c.cfg.Initial,
 				Seed:    c.root.Split(fmt.Sprintf("spsa/epoch-%d", p.epoch)),

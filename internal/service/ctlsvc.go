@@ -23,8 +23,6 @@ type ControllerOptions struct {
 	Engine *Client
 	// Epoch is the incarnation counter.
 	Epoch int
-	// PollInterval is the status/batch poll period (default 1s virtual).
-	PollInterval time.Duration
 	// Core configures the embedded NoStop SPSA controller (Seed, gains,
 	// pause rules, ...). Metrics/Tracer inside it follow the same rules as
 	// EngineOptions.
@@ -33,6 +31,9 @@ type ControllerOptions struct {
 	Metrics *metrics.Registry
 	Sink    *traceSink
 }
+
+// pollInterval is the controller's status/batch poll period (virtual time).
+const pollInterval = time.Second
 
 // ControllerService runs the unmodified core.Controller against a remote
 // engine: EngineProxy satisfies core.System by polling GET /status and
@@ -150,9 +151,6 @@ func NewControllerService(o ControllerOptions) (*ControllerService, error) {
 	if o.Engine == nil {
 		return nil, fmt.Errorf("service: controller needs an engine client")
 	}
-	if o.PollInterval <= 0 {
-		o.PollInterval = time.Second
-	}
 	s := &ControllerService{o: o, last: listener.BatchReport{BatchID: -1}}
 	s.proxy = &EngineProxy{svc: s, clock: o.Clock}
 	if reg := o.Metrics; reg != nil {
@@ -192,7 +190,7 @@ func (s *ControllerService) Controller() *core.Controller { return s.ctl }
 // Start implements component.
 func (s *ControllerService) Start() error {
 	s.gEpoch.Set(float64(s.o.Epoch))
-	s.ticker = s.o.Clock.NewTicker(s.o.PollInterval, s.pollTick)
+	s.ticker = s.o.Clock.NewTicker(pollInterval, s.pollTick)
 	return nil
 }
 

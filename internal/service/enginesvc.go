@@ -33,18 +33,11 @@ type EngineOptions struct {
 	// instance ID, so the broker rewinds to the committed watermark when a
 	// restarted engine reconnects.
 	Epoch int
-	// FetchInterval is the broker poll period (default 1s virtual);
-	// CommitInterval the watermark-push period (default 2s virtual).
-	FetchInterval  time.Duration
-	CommitInterval time.Duration
 	// MaxFetch is the per-fetch record budget — the load-shedding knob.
 	// After an outage the backlog drains at most MaxFetch per fetch, so
 	// in-engine queue growth stays bounded while the un-fetched remainder
 	// waits durably on the broker (default 50000).
 	MaxFetch int64
-	// MaxKeep bounds listener report retention (0: listener default;
-	// negative is rejected).
-	MaxKeep int
 	// Metrics is shared across components; Tracer feeds the embedded
 	// engine's lifecycle spans (sim mode only — it is not safe across
 	// component goroutines); Sink carries service-layer events in both
@@ -53,6 +46,12 @@ type EngineOptions struct {
 	Tracer  *tracing.Tracer
 	Sink    *traceSink
 }
+
+// Engine service loop periods (virtual time).
+const (
+	fetchInterval  = time.Second     // broker poll period
+	commitInterval = 2 * time.Second // watermark-push period
+)
 
 // EngineService wraps engine.Engine + listener.Collector as the networked
 // streaming system: it pulls records from the broker service through the
@@ -116,12 +115,6 @@ func NewEngineService(o EngineOptions) (*EngineService, error) {
 	if o.Broker == nil {
 		return nil, fmt.Errorf("service: engine needs a broker client")
 	}
-	if o.FetchInterval <= 0 {
-		o.FetchInterval = time.Second
-	}
-	if o.CommitInterval <= 0 {
-		o.CommitInterval = 2 * time.Second
-	}
 	if o.MaxFetch <= 0 {
 		o.MaxFetch = 50000
 	}
@@ -145,7 +138,7 @@ func NewEngineService(o EngineOptions) (*EngineService, error) {
 		return nil, err
 	}
 	s.eng = eng
-	col, err := listener.NewCollector(eng, o.MaxKeep)
+	col, err := listener.NewCollector(eng, 0) // the listener's default retention
 	if err != nil {
 		return nil, err
 	}
@@ -191,8 +184,8 @@ func (s *EngineService) Start() error {
 		return err
 	}
 	s.gEpoch.Set(float64(s.o.Epoch))
-	s.fetchTicker = s.o.Clock.NewTicker(s.o.FetchInterval, s.fetchTick)
-	s.commitTicker = s.o.Clock.NewTicker(s.o.CommitInterval, s.commitTick)
+	s.fetchTicker = s.o.Clock.NewTicker(fetchInterval, s.fetchTick)
+	s.commitTicker = s.o.Clock.NewTicker(commitInterval, s.commitTick)
 	return nil
 }
 
@@ -268,7 +261,7 @@ func (s *EngineService) onFetch(resp fetchResponse) {
 		s.cRedel.Add(float64(dup))
 	}
 	if fresh := (resp.From + resp.Count) - s.nextExpected; fresh > 0 {
-		s.feed.Add(s.o.Clock.Now(), s.o.FetchInterval, fresh)
+		s.feed.Add(s.o.Clock.Now(), fetchInterval, fresh)
 		s.nextExpected += fresh
 		s.fetched += fresh
 	}

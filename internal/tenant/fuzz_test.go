@@ -23,6 +23,7 @@ func FuzzMixSpec(f *testing.F) {
 	f.Add([]byte(`{"name":"m","tenants":[{"name":"a","workload":"logreg","trace":{"kind":"constant","rate":5000}}]}`))
 	f.Add([]byte(`{"tenants":[{"name":"a"},{"name":"a"}],"horizon":"-5m"}`))
 	f.Add([]byte(`{"nodes":-1,"cores_per_node":0,"allocator":"lottery","tenants":[]}`))
+	f.Add([]byte(`{"name":"m","reconcile_every":"-5s","tenants":[{"name":"a","workload":"logreg","trace":{"kind":"constant","rate":5000}}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var mix MixSpec
 		if err := json.Unmarshal(data, &mix); err != nil {

@@ -29,8 +29,6 @@ type Observe struct {
 	// Trace enables a Chrome trace_event tracer on the run's virtual
 	// clock, exposed through Detail.Tracer.
 	Trace bool
-	// TraceMaxEvents bounds the tracer (0: tracing.DefaultMaxEvents).
-	TraceMaxEvents int
 	// OnBatch, when non-nil, is called for every completed batch of every
 	// tenant (after the metric family). It must be passive.
 	OnBatch func(engine.BatchStats)
@@ -154,7 +152,7 @@ func RunDetailed(mix MixSpec, seed uint64, obs Observe) (*Report, *Detail, error
 	clock := sim.NewClock()
 	var tracer *tracing.Tracer
 	if obs.Trace {
-		tracer = tracing.New(clock, obs.TraceMaxEvents)
+		tracer = tracing.New(clock, 0)
 	}
 	cl := cluster.Homogeneous(m.Nodes, m.CoresPerNode)
 	capacity := cl.TotalWorkerCores()

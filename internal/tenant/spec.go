@@ -276,6 +276,17 @@ func (m MixSpec) Validate() (MixSpec, error) {
 	if n.Horizon < 0 {
 		return n, fmt.Errorf("tenant: mix %q has negative horizon %v", n.Name, n.Horizon)
 	}
+	if n.ReconcileEvery <= 0 {
+		return n, fmt.Errorf("tenant: mix %q has non-positive reconcile_every %v", n.Name, n.ReconcileEvery)
+	}
+	if n.Partitions < 0 {
+		return n, fmt.Errorf("tenant: mix %q has negative partitions %d", n.Name, n.Partitions)
+	}
+	// Checked before the capacity product, which two negatives would pass.
+	if n.Nodes < 1 || n.CoresPerNode < 1 {
+		return n, fmt.Errorf("tenant: mix %q needs nodes and cores_per_node >= 1, got %d and %d",
+			n.Name, n.Nodes, n.CoresPerNode)
+	}
 	capacity := n.Nodes * n.CoresPerNode
 	if capacity < len(n.Tenants) {
 		return n, fmt.Errorf("tenant: mix %q has %d worker cores for %d tenants (need >= 1 core each)",

@@ -164,6 +164,10 @@ func TestMixValidateErrors(t *testing.T) {
 		}, `controller "nostop" needs max_executors >= 2, got 1`},
 		{"trace", func(m *MixSpec) { m.Tenants[0].Trace = TraceSpec{Kind: "constant"} }, "positive rate"},
 		{"horizon", func(m *MixSpec) { m.Horizon = Duration(-time.Minute) }, "negative horizon"},
+		{"reconcile", func(m *MixSpec) { m.ReconcileEvery = Duration(-5 * time.Second) }, "non-positive reconcile_every -5s"},
+		{"partitions", func(m *MixSpec) { m.Partitions = -3 }, "negative partitions -3"},
+		{"negative nodes and cores", func(m *MixSpec) { m.Nodes, m.CoresPerNode = -2, -2 }, "nodes and cores_per_node >= 1, got -2 and -2"},
+		{"negative nodes", func(m *MixSpec) { m.Nodes = -1 }, "nodes and cores_per_node >= 1, got -1"},
 	}
 	for _, tc := range cases {
 		mix := smallMix(AllocFairShare)
