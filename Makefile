@@ -43,7 +43,7 @@ chaos:
 ## codecs), and the substrates' (a producer tick's SendCount, a rate trace's
 ## slot draw, re-placing 8 executors on 1000 nodes, an engine hour, an SPSA
 ## step, a GP fit, a Cholesky factorization, one batch per workload, one
-## controller poll through SimNet).
+## controller poll through SimNet, one sim-mode soak-hour).
 bench:
 	for w in sweep tenants zoo-observed service-soak; do bash perfbench/run.sh --workload $$w || exit 1; done
 	$(GO) test ./internal/sim/bench -bench . -benchmem
@@ -66,6 +66,7 @@ fuzz-smoke:
 	$(GO) test ./internal/scenario -run '^$$' -fuzz FuzzScenarioSpec -fuzztime 30s
 	$(GO) test ./internal/tenant -run '^$$' -fuzz FuzzMixSpec -fuzztime 30s
 	$(GO) test ./internal/service -run '^$$' -fuzz FuzzWireDecoders -fuzztime 30s
+	$(GO) test ./internal/listener -run '^$$' -fuzz FuzzScanQuery -fuzztime 30s
 	$(GO) test ./internal/broker -run '^$$' -fuzz FuzzBrokerLockstep -fuzztime 30s
 
 ## fleet: small parallel sweep with resume — the nostop-fleet smoke path.

@@ -210,6 +210,16 @@ func (s *Scanner) String() string {
 	return string(s.plainString())
 }
 
+// StringOr reads a string as String does, but returns known, without
+// allocating a copy, when the string equals it.
+func (s *Scanner) StringOr(known string) string {
+	s.skipSpace()
+	if b := s.plainString(); string(b) != known {
+		return string(b)
+	}
+	return known
+}
+
 func (s *Scanner) open(c byte) {
 	s.skipSpace()
 	s.expect(c)

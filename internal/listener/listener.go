@@ -39,6 +39,7 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 
 	"nostop/internal/engine"
@@ -295,16 +296,20 @@ func (c *Collector) Mount(mux *http.ServeMux) {
 		reply(w, func(buf []byte) ([]byte, error) { return AppendStatus(buf, st) })
 	})
 	mux.HandleFunc("GET /batches", func(w http.ResponseWriter, r *http.Request) {
-		q := r.URL.Query()
+		sinceStr, lastStr, ok := scanQuery(r.URL.RawQuery)
+		if !ok {
+			q := r.URL.Query()
+			sinceStr, lastStr = q.Get("since"), q.Get("last")
+		}
 		pick := func(rs []BatchReport) []BatchReport { return rs }
-		if sinceStr := q.Get("since"); sinceStr != "" {
+		if sinceStr != "" {
 			after, err := strconv.ParseInt(sinceStr, 10, 64)
 			if err != nil {
 				http.Error(w, "bad since parameter", http.StatusBadRequest)
 				return
 			}
 			pick = func(rs []BatchReport) []BatchReport { return reportsAfter(rs, after) }
-		} else if lastStr := q.Get("last"); lastStr != "" {
+		} else if lastStr != "" {
 			n, err := strconv.Atoi(lastStr)
 			if err != nil || n < 0 {
 				http.Error(w, "bad last parameter", http.StatusBadRequest)
@@ -323,4 +328,28 @@ func (c *Collector) Mount(mux *http.ServeMux) {
 		}
 		reply(w, func(buf []byte) ([]byte, error) { return appendReport(buf, &latest) })
 	})
+}
+
+// scanQuery returns the first since and last values of a raw query, as
+// url.ParseQuery(raw).Get would, without building the map: pairs split at
+// '&', a key at its first '=', and empty pairs skipped. It reports false
+// for a query holding '%', '+' or ';', whose pairs ParseQuery unescapes or
+// drops; the caller parses those as before.
+func scanQuery(raw string) (since, last string, ok bool) {
+	if strings.ContainsAny(raw, "%+;") {
+		return "", "", false
+	}
+	var haveSince, haveLast bool
+	for raw != "" {
+		var pair string
+		pair, raw, _ = strings.Cut(raw, "&")
+		key, value, _ := strings.Cut(pair, "=")
+		switch {
+		case key == "since" && !haveSince:
+			since, haveSince = value, true
+		case key == "last" && !haveLast:
+			last, haveLast = value, true
+		}
+	}
+	return since, last, true
 }

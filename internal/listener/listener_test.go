@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -461,4 +462,66 @@ func TestMetricsEndpoint(t *testing.T) {
 	if !strings.Contains(text, "nostop_executors 8") {
 		t.Fatalf("executors gauge wrong:\n%s", text)
 	}
+}
+
+// queryTokens are the pairs TestScanQueryMatchesParseQuery builds queries
+// from: the keys GET /batches reads, with and without a value, near-miss
+// keys, an empty key, a second '=', escapes, '+', ';' and the empty pair.
+var queryTokens = []string{
+	"since=3", "since=-1", "since=", "since", "last=2", "last=", "last",
+	"Since=4", "sinces=5", "xsince=6", " since=7", "since =8", "lastx=9", "=10", "since=1=2",
+	"since=%33", "s%69nce=4", "last=%zz", "last=+1", "since=a+b", "since=1;last=2", ";", "",
+}
+
+// checkScanQuery holds scanQuery to url.ParseQuery: it must refuse a query
+// holding '%', '+' or ';', and give ParseQuery's first since and last
+// values for any other.
+func checkScanQuery(t *testing.T, raw string) {
+	since, last, ok := scanQuery(raw)
+	if strings.ContainsAny(raw, "%+;") {
+		if ok {
+			t.Errorf("scanQuery(%q) accepted a query holding '%%', '+' or ';'", raw)
+		}
+		return
+	}
+	q, _ := url.ParseQuery(raw)
+	if !ok || since != q.Get("since") || last != q.Get("last") {
+		t.Errorf("scanQuery(%q) = %q, %q, %v; url.ParseQuery gives since %q, last %q",
+			raw, since, last, ok, q.Get("since"), q.Get("last"))
+	}
+}
+
+// TestScanQueryMatchesParseQuery checks scanQuery on every query of up to
+// three pairs drawn from queryTokens, repeated keys and empty pairs
+// included.
+func TestScanQueryMatchesParseQuery(t *testing.T) {
+	checked := 0
+	var walk func(raw string, pairs int)
+	walk = func(raw string, pairs int) {
+		checkScanQuery(t, raw)
+		checked++
+		if pairs == 3 {
+			return
+		}
+		for _, tok := range queryTokens {
+			if pairs == 0 {
+				walk(tok, 1)
+			} else {
+				walk(raw+"&"+tok, pairs+1)
+			}
+		}
+	}
+	walk("", 0)
+	t.Logf("checked %d queries", checked)
+}
+
+// FuzzScanQuery checks scanQuery against url.ParseQuery on any raw query.
+func FuzzScanQuery(f *testing.F) {
+	for _, seed := range []string{
+		"since=3", "last=2&since=1", "since&since=4", "&&last=&last=5", "s%69nce=4", "since=a+b",
+		"x;since=1", "=1&since=1=2", "",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(checkScanQuery)
 }

@@ -206,13 +206,18 @@ func decodeReports(data []byte, dst []BatchReport) ([]BatchReport, bool) {
 // concurrent server goroutines.
 var replyBufs = sync.Pool{New: func() any { return new([]byte) }}
 
+// jsonContentType is the Content-Type value of every reply. reply assigns
+// it into the header map instead of allocating a slice per reply; nothing
+// mutates it (http.Error and Header.Set replace the slice).
+var jsonContentType = []string{"application/json"}
+
 // reply serves the body encode appends to a pooled buffer as JSON. Like
 // the json.Encoder it replaces, it answers 500 with the error text when
 // encoding fails (a NaN in /status) or the write does.
 func reply(w http.ResponseWriter, encode func([]byte) ([]byte, error)) {
 	bp := replyBufs.Get().(*[]byte)
 	body, err := encode((*bp)[:0])
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	if err == nil {
 		_, err = w.Write(body)
 	}

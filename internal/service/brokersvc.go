@@ -55,7 +55,12 @@ type BrokerService struct {
 	consumer  string
 	rewinds   int64
 	mux       *http.ServeMux
-	out       []byte // reply scratch, reused: handlers run one at a time
+	// Handlers run one at a time, so they reuse their decode targets, the
+	// request read-ahead and the reply buffer.
+	fetchReq  fetchRequest
+	commitReq commitRequest
+	in        []byte
+	out       []byte
 
 	cFetches *metrics.Counter
 	cServed  *metrics.Counter
@@ -74,6 +79,9 @@ type fetchRequest struct {
 	Committed int64 `json:"committed"`
 	// Max bounds how many records the consumer will accept.
 	Max int64 `json:"max"`
+	// known is a consumer ID decodeWire returns instead of allocating an
+	// equal one: the broker's current consumer. It is not on the wire.
+	known string
 }
 
 // fetchResponse is the POST /fetch reply.
@@ -143,11 +151,12 @@ func (b *BrokerService) gen() {
 }
 
 func (b *BrokerService) handleFetch(w http.ResponseWriter, r *http.Request) {
-	var req fetchRequest
-	if err := decodeBody(r.Body, &req); err != nil {
+	b.fetchReq = fetchRequest{known: b.consumer}
+	if err := decodeBody(r.Body, &b.fetchReq, &b.in); err != nil {
 		http.Error(w, "bad fetch request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
+	req := &b.fetchReq
 	b.cFetches.Inc()
 	if !b.inited {
 		// First consumer contact of this incarnation: adopt the consumer's
@@ -195,13 +204,13 @@ func (b *BrokerService) handleFetch(w http.ResponseWriter, r *http.Request) {
 }
 
 func (b *BrokerService) handleCommit(w http.ResponseWriter, r *http.Request) {
-	var req commitRequest
-	if err := decodeBody(r.Body, &req); err != nil {
+	b.commitReq = commitRequest{}
+	if err := decodeBody(r.Body, &b.commitReq, &b.in); err != nil {
 		http.Error(w, "bad commit request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	if req.Committed > b.committed {
-		b.committed = req.Committed
+	if c := b.commitReq.Committed; c > b.committed {
+		b.committed = c
 		b.gCommit.Set(float64(b.committed))
 	}
 	b.out = commitRequest{Committed: b.committed}.appendJSON(b.out[:0])

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strconv"
 	"time"
 
 	"nostop/internal/core"
@@ -72,6 +73,15 @@ type ControllerService struct {
 	// one it came from.
 	last    listener.BatchReport
 	reports []listener.BatchReport // poll scratch, reused
+
+	// The polls decode into a reused status, their reply callbacks are
+	// bound once, and the /batches path is rebuilt only when its cursor
+	// moves.
+	status       listener.Status
+	statusDone   func([]byte, error)
+	batchesDone  func([]byte, error)
+	batchesSince int64
+	batchesPath  string
 
 	cFreeze     *metrics.Counter
 	cResume     *metrics.Counter
@@ -152,6 +162,7 @@ func NewControllerService(o ControllerOptions) (*ControllerService, error) {
 		return nil, fmt.Errorf("service: controller needs an engine client")
 	}
 	s := &ControllerService{o: o, last: listener.BatchReport{BatchID: -1}}
+	s.statusDone, s.batchesDone = s.onStatus, s.onBatches
 	s.proxy = &EngineProxy{svc: s, clock: o.Clock}
 	if reg := o.Metrics; reg != nil {
 		s.cFreeze = reg.Counter("nostop_service_degraded_transitions_total", "Degradation transitions",
@@ -211,31 +222,34 @@ func (s *ControllerService) pollTick() {
 		s.handshake()
 		return
 	}
-	s.o.Engine.Call("GET", "/status", nil, func(body []byte, err error) {
-		if s.stopped {
-			s.busy = false
-			return
-		}
-		if err != nil {
-			s.pollFailed(err)
-			return
-		}
-		var st listener.Status
-		if err := listener.DecodeStatus(body, &st); err != nil {
-			s.pollFailed(err)
-			return
-		}
-		s.proxy.queueLen = st.QueueLength
-		s.proxy.rateMean = st.RateMean
-		s.proxy.rateStd = st.RateStd
-		if !s.proxy.reconfigBusy {
-			s.proxy.cfg = s.proxy.bounds.Clamp(engine.Config{
-				BatchInterval: time.Duration(st.BatchIntervalMs) * time.Millisecond,
-				Executors:     st.Executors,
-			})
-		}
-		s.pollBatches()
-	})
+	s.o.Engine.Call("GET", "/status", nil, s.statusDone)
+}
+
+func (s *ControllerService) onStatus(body []byte, err error) {
+	if s.stopped {
+		s.busy = false
+		return
+	}
+	if err != nil {
+		s.pollFailed(err)
+		return
+	}
+	s.status = listener.Status{}
+	if err := listener.DecodeStatus(body, &s.status); err != nil {
+		s.pollFailed(err)
+		return
+	}
+	st := &s.status
+	s.proxy.queueLen = st.QueueLength
+	s.proxy.rateMean = st.RateMean
+	s.proxy.rateStd = st.RateStd
+	if !s.proxy.reconfigBusy {
+		s.proxy.cfg = s.proxy.bounds.Clamp(engine.Config{
+			BatchInterval: time.Duration(st.BatchIntervalMs) * time.Millisecond,
+			Executors:     st.Executors,
+		})
+	}
+	s.pollBatches()
 }
 
 // handshake fetches config+bounds and constructs the SPSA core. Until it
@@ -281,56 +295,61 @@ func (s *ControllerService) pollBatches() {
 	if since >= 0 {
 		since--
 	}
-	path := fmt.Sprintf("/batches?since=%d", since)
-	s.o.Engine.Call("GET", path, nil, func(body []byte, err error) {
-		if s.stopped {
-			s.busy = false
-			return
-		}
-		if err != nil {
-			s.pollFailed(err)
-			return
-		}
-		reports, err := listener.DecodeReports(body, s.reports[:0])
-		if err != nil {
-			s.pollFailed(err)
-			return
-		}
-		s.reports = reports
-		s.resume()
-		if s.last.BatchID >= 0 {
-			if len(reports) == 0 || reports[0] != s.last {
-				// The batches the new engine cut so far went unseen, as
-				// in an outage: mark them FaultActive on delivery.
-				s.last = listener.BatchReport{BatchID: -1}
-				s.markNext = true
-				s.busy = false
-				s.o.Sink.instant(PidServiceController, TidDegrade, "degrade", "controller-engine-restarted", nil)
-				return
-			}
-			reports = reports[1:]
-		}
-		mark := s.markNext
-		if len(reports) > 0 {
-			// The mark holds until a poll delivers: a restarted engine
-			// that has not completed a batch yet answers with nothing.
-			s.markNext = false
-		}
-		for _, r := range reports {
-			bs := toBatchStats(r)
-			if mark {
-				// First delivery after an outage: these batches completed
-				// (or piled up) while the controller was blind. Marking them
-				// FaultActive routes them through the core's failure-aware
-				// admission — excluded from measurements, re-calibration on
-				// the first clean batch after them.
-				bs.FaultActive = true
-			}
-			s.deliver(bs)
-			s.last = r
-		}
+	if s.batchesPath == "" || since != s.batchesSince {
+		s.batchesSince = since
+		s.batchesPath = "/batches?since=" + strconv.FormatInt(since, 10)
+	}
+	s.o.Engine.Call("GET", s.batchesPath, nil, s.batchesDone)
+}
+
+func (s *ControllerService) onBatches(body []byte, err error) {
+	if s.stopped {
 		s.busy = false
-	})
+		return
+	}
+	if err != nil {
+		s.pollFailed(err)
+		return
+	}
+	reports, err := listener.DecodeReports(body, s.reports[:0])
+	if err != nil {
+		s.pollFailed(err)
+		return
+	}
+	s.reports = reports
+	s.resume()
+	if s.last.BatchID >= 0 {
+		if len(reports) == 0 || reports[0] != s.last {
+			// The batches the new engine cut so far went unseen, as in an
+			// outage: mark them FaultActive on delivery.
+			s.last = listener.BatchReport{BatchID: -1}
+			s.markNext = true
+			s.busy = false
+			s.o.Sink.instant(PidServiceController, TidDegrade, "degrade", "controller-engine-restarted", nil)
+			return
+		}
+		reports = reports[1:]
+	}
+	mark := s.markNext
+	if len(reports) > 0 {
+		// The mark holds until a poll delivers: a restarted engine that
+		// has not completed a batch yet answers with nothing.
+		s.markNext = false
+	}
+	for _, r := range reports {
+		bs := toBatchStats(r)
+		if mark {
+			// First delivery after an outage: these batches completed (or
+			// piled up) while the controller was blind. Marking them
+			// FaultActive routes them through the core's failure-aware
+			// admission — excluded from measurements, re-calibration on the
+			// first clean batch after them.
+			bs.FaultActive = true
+		}
+		s.deliver(bs)
+		s.last = r
+	}
+	s.busy = false
 }
 
 func (s *ControllerService) deliver(bs engine.BatchStats) {

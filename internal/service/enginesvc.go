@@ -88,6 +88,15 @@ type EngineService struct {
 	commitBusy   bool
 	stopped      bool
 
+	// The fetch and commit RPCs reuse their request bodies while busy, and
+	// their reply callbacks are bound once.
+	fetchBody    []byte
+	fetchResp    fetchResponse
+	fetchDone    func([]byte, error)
+	commitBody   []byte
+	commitOffset int64 // the watermark the commit in flight carries
+	commitDone   func([]byte, error)
+
 	nextExpected int64 // -1 until the first successful fetch
 	fetchBase    int64
 	fetched      int64
@@ -120,6 +129,7 @@ func NewEngineService(o EngineOptions) (*EngineService, error) {
 	}
 	s := &EngineService{o: o, feed: &FeedTrace{}, nextExpected: -1, fetchBase: -1,
 		instance: fmt.Sprintf("engine-%d", o.Epoch)}
+	s.fetchDone, s.commitDone = s.onFetchReply, s.onCommitReply
 	eng, err := engine.New(o.Clock, engine.Options{
 		Workload: o.Workload,
 		Trace:    s.feed,
@@ -214,29 +224,31 @@ func (s *EngineService) fetchTick() {
 		return
 	}
 	s.fetchBusy = true
-	body := fetchRequest{
+	s.fetchBody = fetchRequest{
 		Consumer:  s.instance,
 		Committed: s.committedOffset(),
 		Max:       s.o.MaxFetch,
-	}.appendJSON(nil)
-	s.o.Broker.Call("POST", "/fetch", body, func(respBody []byte, err error) {
-		s.fetchBusy = false
-		if s.stopped {
-			return
-		}
-		if err != nil {
-			s.cFetchErr.Inc()
-			s.enterDegraded(err)
-			return
-		}
-		var resp fetchResponse
-		if err := unmarshal(respBody, &resp); err != nil {
-			s.cFetchErr.Inc()
-			return
-		}
-		s.exitDegraded()
-		s.onFetch(resp)
-	})
+	}.appendJSON(s.fetchBody[:0])
+	s.o.Broker.Call("POST", "/fetch", s.fetchBody, s.fetchDone)
+}
+
+func (s *EngineService) onFetchReply(respBody []byte, err error) {
+	s.fetchBusy = false
+	if s.stopped {
+		return
+	}
+	if err != nil {
+		s.cFetchErr.Inc()
+		s.enterDegraded(err)
+		return
+	}
+	s.fetchResp = fetchResponse{}
+	if err := unmarshal(respBody, &s.fetchResp); err != nil {
+		s.cFetchErr.Inc()
+		return
+	}
+	s.exitDegraded()
+	s.onFetch(s.fetchResp)
 }
 
 func (s *EngineService) onFetch(resp fetchResponse) {
@@ -286,15 +298,18 @@ func (s *EngineService) commitTick() {
 		return
 	}
 	s.commitBusy = true
-	body := commitRequest{Committed: c}.appendJSON(nil)
-	s.o.Broker.Call("POST", "/commit", body, func(_ []byte, err error) {
-		s.commitBusy = false
-		if err == nil {
-			s.lastCommit = c
-		}
-		// Commit failures need no special handling: fetches piggyback the
-		// watermark, and the fetch path owns degradation.
-	})
+	s.commitOffset = c
+	s.commitBody = commitRequest{Committed: c}.appendJSON(s.commitBody[:0])
+	s.o.Broker.Call("POST", "/commit", s.commitBody, s.commitDone)
+}
+
+func (s *EngineService) onCommitReply(_ []byte, err error) {
+	s.commitBusy = false
+	if err == nil {
+		s.lastCommit = s.commitOffset
+	}
+	// Commit failures need no special handling: fetches piggyback the
+	// watermark, and the fetch path owns degradation.
 }
 
 func (s *EngineService) enterDegraded(err error) {

@@ -96,7 +96,9 @@ func TestComponentRoutesThroughSimNet(t *testing.T) {
 			var err error
 			fired := false
 			tr.RoundTrip(Request{Method: rc.method, Path: rc.path, Body: []byte(rc.body)},
-				func(r Response, e error) { resp, err, fired = r, e, true })
+				func(r Response, e error) {
+					resp, err, fired = Response{Status: r.Status, Body: append([]byte(nil), r.Body...)}, e, true
+				})
 			clock.RunUntil(clock.Now())
 			if !fired || err != nil {
 				t.Fatalf("%s %s %s: delivered=%v err=%v", name, rc.method, rc.path, fired, err)

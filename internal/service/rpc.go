@@ -26,7 +26,10 @@ type Response struct {
 // Transport delivers a request to a peer and invokes done exactly once with
 // the outcome — or never, if the exchange is dropped (the client's deadline
 // covers that case). done must be invoked inside the calling component's
-// execution context (sim event loop or component mutex).
+// execution context (sim event loop or component mutex). The transport
+// copies req.Body before RoundTrip returns. Response.Body is valid only
+// until done returns: SimNet reuses the buffer for a later exchange, so a
+// caller that keeps the body copies it inside done.
 type Transport interface {
 	RoundTrip(req Request, done func(Response, error))
 }
@@ -116,6 +119,7 @@ type Client struct {
 	consecFails int
 	openedAt    sim.Time
 	probeBusy   bool
+	free        *callAttempt // recycled attempt records
 
 	mAttempts  *metrics.Counter
 	mFailures  *metrics.Counter
@@ -123,6 +127,33 @@ type Client struct {
 	mFastFails *metrics.Counter
 	mTrans     [3]*metrics.Counter // indexed by breakerState
 	gOpen      *metrics.Gauge
+}
+
+// callAttempt is one attempt of a Call, with its transport, deadline and
+// backoff callbacks bound once when the record is built. Records recycle
+// through the client's free list, and one goes back only once it has
+// settled, its transport callback has come back and no retry is pending
+// on it: a late reply to a timed-out attempt then always lands on its own
+// record, which ignores it, and never on a later attempt. A dropped
+// exchange never calls back, so its record stays out of the list and the
+// GC reclaims it.
+type callAttempt struct {
+	c            *Client
+	method, path string
+	body         []byte
+	n            int
+	done         func([]byte, error)
+
+	settled  bool
+	inFlight bool  // the transport has not called reply yet
+	retrying bool  // the backoff timer is pending
+	deadline Timer // canceled when the attempt settles
+	err      error // the failure a pending retry reports if the circuit opens
+
+	reply   func(Response, error)
+	timeout func()
+	retry   func()
+	next    *callAttempt
 }
 
 // NewClient builds a client owned by component owner calling component peer.
@@ -151,6 +182,9 @@ func (c *Client) State() string { return c.state.String() }
 // backoff, fails fast while the breaker is open, and finally invokes done
 // exactly once with the response body or the terminal error. A 4xx reply is
 // delivered as an error but counts as wire success (the peer is alive).
+// body must stay unchanged until done is invoked, since a retry sends it
+// again. The body passed to done is valid only until done returns (see
+// Transport).
 func (c *Client) Call(method, path string, body []byte, done func([]byte, error)) {
 	if !c.admit() {
 		c.mFastFails.Inc()
@@ -181,49 +215,88 @@ func (c *Client) admit() bool {
 	}
 }
 
+// attempt sends attempt n of a call: the deadline first, then the
+// exchange.
 func (c *Client) attempt(method, path string, body []byte, n int, done func([]byte, error)) {
 	c.mAttempts.Inc()
-	var settled bool
-	var cancelDeadline func()
-	finish := func(resp Response, err error) {
-		if settled {
-			return
-		}
-		settled = true
-		if cancelDeadline != nil {
-			cancelDeadline()
-		}
-		if err == nil && resp.Status < 500 {
-			c.onSuccess()
-			if resp.Status >= 400 {
-				done(nil, fmt.Errorf("service: %s %s: %s (status %d)",
-					method, path, string(resp.Body), resp.Status))
-				return
-			}
-			done(resp.Body, nil)
-			return
-		}
-		if err == nil {
-			err = fmt.Errorf("service: %s %s: status %d", method, path, resp.Status)
-		}
-		c.mFailures.Inc()
-		c.onFailure()
-		if n >= c.o.MaxAttempts || c.state != breakerClosed {
-			done(nil, fmt.Errorf("%s %s attempt %d/%d: %w", method, path, n, c.o.MaxAttempts, err))
-			return
-		}
-		c.mRetries.Inc()
-		c.tb.After(c.backoff(n), func() {
-			if !c.admit() {
-				c.mFastFails.Inc()
-				done(nil, fmt.Errorf("%w (while retrying: %v)", ErrCircuitOpen, err))
-				return
-			}
-			c.attempt(method, path, body, n+1, done)
-		})
+	a := c.free
+	if a != nil {
+		c.free = a.next
+		a.next = nil
+	} else {
+		a = &callAttempt{c: c}
+		a.reply, a.timeout, a.retry = a.onReply, a.onTimeout, a.onRetry
 	}
-	cancelDeadline = c.tb.After(c.o.Timeout, func() { finish(Response{}, ErrTimeout) })
-	c.tr.RoundTrip(Request{Method: method, Path: path, Body: body}, finish)
+	a.method, a.path, a.body, a.n, a.done = method, path, body, n, done
+	a.settled, a.inFlight = false, true
+	a.deadline = c.tb.After(c.o.Timeout, a.timeout)
+	c.tr.RoundTrip(Request{Method: method, Path: path, Body: body}, a.reply)
+}
+
+// release returns a to the free list once nothing can reach it any more.
+func (c *Client) release(a *callAttempt) {
+	if !a.settled || a.inFlight || a.retrying {
+		return
+	}
+	a.body, a.done, a.err = nil, nil, nil
+	a.next = c.free
+	c.free = a
+}
+
+func (a *callAttempt) onReply(resp Response, err error) {
+	a.inFlight = false
+	if a.settled {
+		a.c.release(a) // a late reply to a timed-out attempt
+		return
+	}
+	a.finish(resp, err)
+}
+
+func (a *callAttempt) onTimeout() { a.finish(Response{}, ErrTimeout) }
+
+// finish settles the attempt: the deadline's cancel, then the caller's
+// done or the backoff timer.
+func (a *callAttempt) finish(resp Response, err error) {
+	c := a.c
+	a.settled = true
+	c.tb.Cancel(a.deadline)
+	if err == nil && resp.Status < 500 {
+		c.onSuccess()
+		if resp.Status >= 400 {
+			a.done(nil, fmt.Errorf("service: %s %s: %s (status %d)",
+				a.method, a.path, string(resp.Body), resp.Status))
+		} else {
+			a.done(resp.Body, nil)
+		}
+		c.release(a)
+		return
+	}
+	if err == nil {
+		err = fmt.Errorf("service: %s %s: status %d", a.method, a.path, resp.Status)
+	}
+	c.mFailures.Inc()
+	c.onFailure()
+	if a.n >= c.o.MaxAttempts || c.state != breakerClosed {
+		a.done(nil, fmt.Errorf("%s %s attempt %d/%d: %w", a.method, a.path, a.n, c.o.MaxAttempts, err))
+		c.release(a)
+		return
+	}
+	c.mRetries.Inc()
+	a.retrying, a.err = true, err
+	c.tb.After(c.backoff(a.n), a.retry)
+}
+
+// onRetry sends the next attempt on a fresh record, after the backoff.
+func (a *callAttempt) onRetry() {
+	c := a.c
+	a.retrying = false
+	if !c.admit() {
+		c.mFastFails.Inc()
+		a.done(nil, fmt.Errorf("%w (while retrying: %v)", ErrCircuitOpen, a.err))
+	} else {
+		c.attempt(a.method, a.path, a.body, a.n+1, a.done)
+	}
+	c.release(a)
 }
 
 // backoff returns the jittered delay before attempt n+1.
@@ -275,6 +348,8 @@ func (c *Client) setState(s breakerState) {
 			c.gOpen.Set(0)
 		}
 	}
-	c.o.Trace.instant(c.o.Pid, TidRPC, "rpc", "breaker-"+s.String(),
-		tracing.Args{"link": c.link})
+	if c.o.Trace != nil {
+		c.o.Trace.instant(c.o.Pid, TidRPC, "rpc", "breaker-"+s.String(),
+			tracing.Args{"link": c.link})
+	}
 }

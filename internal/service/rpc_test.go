@@ -2,6 +2,7 @@ package service
 
 import (
 	"errors"
+	"fmt"
 	"net/http"
 	"testing"
 	"time"
@@ -184,5 +185,66 @@ func TestFeedTraceConservesRecords(t *testing.T) {
 	}
 	if got := f.NextChange(sec(10)); got != sim.Infinity {
 		t.Fatalf("NextChange past all segments = %v, want Infinity", got)
+	}
+}
+
+// TestLateReplyDoesNotSettleRetry holds a call's first attempt past its
+// deadline, so its reply lands while the retry is in flight, and a second
+// call is in flight then too. Each call must complete once, with its own
+// reply: the late one must settle neither the retry nor the other call.
+// A call started after the late reply must get its own reply as well, and
+// so must one started between another call's late reply and its retry.
+func TestLateReplyDoesNotSettleRetry(t *testing.T) {
+	clock := sim.NewClock()
+	net := NewSimNet(clock, nil) // zero latency: only the link faults below
+	served := 0
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /n", func(w http.ResponseWriter, r *http.Request) {
+		served++
+		fmt.Fprintf(w, "reply-%d", served)
+	})
+	net.Register("peer", mux)
+	c := NewClient("me", "peer", SimTimebase{Clock: clock}, net.Transport("me", "peer"), ClientOptions{
+		Timeout: 100 * time.Millisecond, MaxAttempts: 2,
+		BackoffBase: 10 * time.Millisecond, BreakerThreshold: 10,
+	})
+	got := map[string][]string{}
+	call := func(name string) func() {
+		return func() {
+			c.Call("GET", "/n", nil, func(body []byte, err error) {
+				if err != nil {
+					t.Errorf("call %s: %v", name, err)
+				}
+				got[name] = append(got[name], string(body))
+			})
+		}
+	}
+	link := func(f LinkFault) func() { return func() { net.SetLink("me", "peer", f) } }
+	ms := func(n int) sim.Time { return sim.Time(n) * sim.Time(time.Millisecond) }
+	// a's first attempt is served at 150 ms, 50 ms past its deadline; its
+	// retry goes at 110 ms and is served at 190 ms. b goes at 120 ms and
+	// is served at 200 ms; c goes at 300 ms, after everything.
+	link(LinkFault{Delay: 150 * time.Millisecond})()
+	call("a")()
+	clock.At(ms(105), link(LinkFault{Delay: 80 * time.Millisecond}))
+	clock.At(ms(120), call("b"))
+	clock.At(ms(250), link(LinkFault{}))
+	clock.At(ms(300), call("c"))
+	// d's first attempt times out at 500 ms and is served at 505 ms, before
+	// its retry at 510 ms; e goes at 507 ms, in between.
+	clock.At(ms(400), link(LinkFault{Delay: 105 * time.Millisecond}))
+	clock.At(ms(400), call("d"))
+	clock.At(ms(401), link(LinkFault{}))
+	clock.At(ms(507), call("e"))
+	clock.RunUntil(sim.Time(time.Second))
+
+	want := map[string][]string{
+		"a": {"reply-2"}, "b": {"reply-3"}, "c": {"reply-4"}, "d": {"reply-7"}, "e": {"reply-6"},
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("calls completed with %v, want %v", got, want)
+	}
+	if served != 7 {
+		t.Fatalf("peer served %d requests, want 7", served)
 	}
 }

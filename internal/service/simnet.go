@@ -38,6 +38,26 @@ type simLink struct {
 	fault    LinkFault
 	req      simRequest
 	rw       simResponse
+	free     *simExchange // recycled exchange records
+}
+
+// simExchange is one exchange in flight on a link: the request, copied
+// into a buffer the record reuses, the caller's done, and the reply status
+// and body, copied into a second reused buffer. Its deliver and reply
+// callbacks are bound once when the record is built, and the record goes
+// back on the link's free list after done returns, so a reply body is
+// valid only until then (see Transport).
+type simExchange struct {
+	l            *simLink
+	method, path string
+	body         []byte
+	done         func(Response, error)
+	status       int
+	reply        []byte
+
+	deliverFn func()
+	replyFn   func()
+	next      *simExchange
 }
 
 // simRequest is the http.Request a link refills for every delivery it
@@ -260,26 +280,54 @@ func (l *simLink) RoundTrip(req Request, done func(Response, error)) {
 	if f.DropProb > 0 && l.drop != nil && l.drop.Float64() < f.DropProb {
 		return
 	}
-	body := append([]byte(nil), req.Body...)
-	l.n.clock.After(l.latency()+f.Delay, func() {
-		if l.fault.Refuse {
-			done(Response{}, ErrRefused)
-			return
-		}
-		p := l.n.peers[l.to]
-		if p == nil || p.down || p.handler == nil {
-			done(Response{}, ErrRefused)
-			return
-		}
-		if !l.req.fill(req.Method, req.Path, body) {
-			done(Response{}, fmt.Errorf("service: sim transport carries GET and POST to a plain path, not %s %q",
-				req.Method, req.Path))
-			return
-		}
-		rw := &l.rw
-		rw.reset()
-		p.handler.ServeHTTP(rw, &l.req.req)
-		resp := Response{Status: rw.status(), Body: append([]byte(nil), rw.body.Bytes()...)}
-		l.n.clock.After(l.latency(), func() { done(resp, nil) })
-	})
+	x := l.free
+	if x != nil {
+		l.free = x.next
+		x.next = nil
+	} else {
+		x = &simExchange{l: l}
+		x.deliverFn, x.replyFn = x.deliver, x.sendReply
+	}
+	x.method, x.path, x.done = req.Method, req.Path, done
+	x.body = append(x.body[:0], req.Body...)
+	l.n.clock.After(l.latency()+f.Delay, x.deliverFn)
+}
+
+// deliver serves the request to the peer's handler and schedules the reply.
+func (x *simExchange) deliver() {
+	l := x.l
+	if l.fault.Refuse {
+		x.finish(Response{}, ErrRefused)
+		return
+	}
+	p := l.n.peers[l.to]
+	if p == nil || p.down || p.handler == nil {
+		x.finish(Response{}, ErrRefused)
+		return
+	}
+	if !l.req.fill(x.method, x.path, x.body) {
+		x.finish(Response{}, fmt.Errorf("service: sim transport carries GET and POST to a plain path, not %s %q",
+			x.method, x.path))
+		return
+	}
+	rw := &l.rw
+	rw.reset()
+	p.handler.ServeHTTP(rw, &l.req.req)
+	x.status = rw.status()
+	x.reply = append(x.reply[:0], rw.body.Bytes()...)
+	l.n.clock.After(l.latency(), x.replyFn)
+}
+
+func (x *simExchange) sendReply() { x.finish(Response{Status: x.status, Body: x.reply}, nil) }
+
+// finish hands the outcome to done, then recycles the record; a reply
+// buffer grown past 64 KiB, by a whole-history /batches, is not kept.
+func (x *simExchange) finish(resp Response, err error) {
+	x.done(resp, err)
+	x.done = nil
+	if cap(x.reply) > 1<<16 {
+		x.reply = nil
+	}
+	x.next = x.l.free
+	x.l.free = x
 }

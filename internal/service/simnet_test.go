@@ -15,13 +15,16 @@ import (
 )
 
 // deliver runs one exchange over the SimNet transport to completion and
-// returns what the transport handed back.
+// returns what the transport handed back, with the body copied inside done
+// (it is valid only until done returns).
 func deliver(t *testing.T, clock *sim.Clock, tr Transport, req Request) Response {
 	t.Helper()
 	var resp Response
 	var err error
 	fired := false
-	tr.RoundTrip(req, func(r Response, e error) { resp, err, fired = r, e, true })
+	tr.RoundTrip(req, func(r Response, e error) {
+		resp, err, fired = Response{Status: r.Status, Body: append([]byte(nil), r.Body...)}, e, true
+	})
 	clock.RunUntil(clock.Now() + sim.Time(time.Second))
 	if !fired || err != nil {
 		t.Fatalf("%s %s: delivered=%v err=%v", req.Method, req.Path, fired, err)
@@ -72,7 +75,9 @@ func TestSimNetDelivery(t *testing.T) {
 			var body []byte
 			var err error
 			fired := false
-			c.Call("GET", tc.path, nil, func(b []byte, e error) { body, err, fired = b, e, true })
+			c.Call("GET", tc.path, nil, func(b []byte, e error) {
+				body, err, fired = append([]byte(nil), b...), e, true
+			})
 			clock.RunUntil(clock.Now() + sim.Time(time.Second))
 			switch {
 			case !fired:
@@ -307,10 +312,11 @@ func TestSimNetOverlappingExchanges(t *testing.T) {
 		tr := net.Transport("controller", "engine")
 		var reconf, status Response
 		var rerr, serr error
+		keep := func(r Response) Response { return Response{Status: r.Status, Body: append([]byte(nil), r.Body...)} }
 		tr.RoundTrip(Request{Method: "POST", Path: "/reconfigure", Body: []byte(`{"numExecutors":6}`)},
-			func(r Response, e error) { reconf, rerr = r, e })
+			func(r Response, e error) { reconf, rerr = keep(r), e })
 		tr.RoundTrip(Request{Method: "GET", Path: "/status"},
-			func(r Response, e error) { status, serr = r, e })
+			func(r Response, e error) { status, serr = keep(r), e })
 		clock.RunUntil(clock.Now() + sim.Time(time.Second))
 		if rerr != nil || reconf.Status != http.StatusAccepted || string(reconf.Body) != `applied {"numExecutors":6}` {
 			t.Errorf("seed %d: /reconfigure got %d %q, %v", seed, reconf.Status, reconf.Body, rerr)

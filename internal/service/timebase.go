@@ -16,12 +16,31 @@ import (
 // against real time.
 //
 // Contract: callbacks fire inside the owning component's execution context
-// (the sim event loop, or under the component's mutex), and the returned
-// cancel func must be called from that same context. After cancel returns
-// the callback will not run.
+// (the sim event loop, or under the component's mutex), and Cancel must be
+// called from that same context with a handle After returned. After Cancel
+// returns the callback will not run. Canceling a fired, canceled or zero
+// Timer does nothing.
 type Timebase interface {
 	Now() sim.Time
-	After(d time.Duration, fn func()) (cancel func())
+	After(d time.Duration, fn func()) Timer
+	Cancel(t Timer)
+}
+
+// Timer is the handle to one callback a Timebase scheduled: the kernel's
+// event in sim mode, which schedules and cancels without allocating, and
+// the real timer in wall mode.
+type Timer struct {
+	ev   sim.Event
+	wall *wallTimer
+}
+
+// wallTimer is a wall-mode callback's timer and its canceled flag. The flag
+// is read and written only under the component mutex, which closes the
+// race where the timer has fired and is already blocked on the mutex when
+// Cancel runs.
+type wallTimer struct {
+	t        *time.Timer
+	canceled bool
 }
 
 // SimTimebase schedules on a sim.Clock.
@@ -31,10 +50,12 @@ type SimTimebase struct{ Clock *sim.Clock }
 func (s SimTimebase) Now() sim.Time { return s.Clock.Now() }
 
 // After implements Timebase.
-func (s SimTimebase) After(d time.Duration, fn func()) func() {
-	ev := s.Clock.After(d, fn)
-	return func() { s.Clock.Cancel(ev) }
+func (s SimTimebase) After(d time.Duration, fn func()) Timer {
+	return Timer{ev: s.Clock.After(d, fn)}
 }
+
+// Cancel implements Timebase.
+func (s SimTimebase) Cancel(t Timer) { s.Clock.Cancel(t.ev) }
 
 // WallTimebase schedules on real timers, re-entering the owning component's
 // mutex before invoking the callback so component state stays effectively
@@ -54,24 +75,27 @@ func NewWallTimebase(mu *sync.Mutex) *WallTimebase {
 // Now implements Timebase.
 func (w *WallTimebase) Now() sim.Time { return sim.Time(time.Since(w.start)) }
 
-// After implements Timebase. The canceled flag is read and written only
-// under mu (cancel's contract requires the caller to hold the component
-// context), which closes the race where the timer has fired and is already
-// blocked on the mutex when cancel runs.
-func (w *WallTimebase) After(d time.Duration, fn func()) func() {
-	var canceled bool
-	t := time.AfterFunc(d, func() {
+// After implements Timebase.
+func (w *WallTimebase) After(d time.Duration, fn func()) Timer {
+	wt := &wallTimer{}
+	wt.t = time.AfterFunc(d, func() {
 		w.mu.Lock()
 		defer w.mu.Unlock()
-		if canceled {
+		if wt.canceled {
 			return
 		}
 		fn()
 	})
-	return func() {
-		canceled = true
-		t.Stop()
+	return Timer{wall: wt}
+}
+
+// Cancel implements Timebase; the caller holds the component mutex.
+func (w *WallTimebase) Cancel(t Timer) {
+	if t.wall == nil {
+		return
 	}
+	t.wall.canceled = true
+	t.wall.t.Stop()
 }
 
 // pacer advances a component's sim.Clock against the wall clock at a fixed

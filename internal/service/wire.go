@@ -42,12 +42,14 @@ const maxFastBody = 4096
 
 // decodeBody decodes a request body as json.NewDecoder(body).Decode(v)
 // does: one value, with anything after it ignored. It reads at most
-// maxFastBody bytes ahead, so a body that streams on past its value holds
-// the handler no longer than that. The fallback decoder reads those bytes
-// and then the rest of the body, or the read error that cut them short,
-// so it sees the stream the body gave.
-func decodeBody(body io.Reader, v wireValue) error {
-	data, err := io.ReadAll(io.LimitReader(body, maxFastBody))
+// maxFastBody bytes ahead into *scratch, which it grows and keeps for the
+// next call, so a body that streams on past its value holds the handler
+// no longer than that. The fallback decoder reads those bytes and then the
+// rest of the body, or the read error that cut them short, so it sees the
+// stream the body gave.
+func decodeBody(body io.Reader, v wireValue, scratch *[]byte) error {
+	data, err := readAhead((*scratch)[:0], body)
+	*scratch = data
 	if v.decodeWire(data) {
 		// The value ended before any read error, as the decoder would
 		// have found it.
@@ -60,15 +62,43 @@ func decodeBody(body io.Reader, v wireValue) error {
 	return json.NewDecoder(io.MultiReader(bytes.NewReader(data), rest)).Decode(v)
 }
 
+// readAhead appends to buf what io.ReadAll(io.LimitReader(body,
+// maxFastBody)) returns, bytes and error, reading as io.ReadAll does but
+// into buf's spare capacity first.
+func readAhead(buf []byte, body io.Reader) ([]byte, error) {
+	if cap(buf) == 0 {
+		buf = make([]byte, 0, 512) // io.ReadAll's first buffer
+	}
+	lr := io.LimitedReader{R: body, N: maxFastBody}
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := lr.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err != nil {
+			if err == io.EOF {
+				err = nil
+			}
+			return buf, err
+		}
+	}
+}
+
 // failedReader replays the read error that cut decodeBody's read-ahead.
 type failedReader struct{ err error }
 
 func (r failedReader) Read([]byte) (int, error) { return 0, r.err }
 
+// jsonContentType is the Content-Type value of writeReply's replies. It is
+// assigned into the header map instead of allocating a slice per reply;
+// nothing mutates it (http.Error and Header.Set replace the slice).
+var jsonContentType = []string{"application/json"}
+
 // writeReply writes an appendJSON encoding as writeJSON's json.Encoder
 // wrote it: JSON content type, trailing newline.
 func writeReply(w http.ResponseWriter, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	if _, err := w.Write(append(body, '\n')); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
@@ -98,7 +128,7 @@ func (r *fetchRequest) decodeWire(data []byte) bool {
 	for s.NextKey() {
 		switch string(s.Key()) {
 		case "consumer":
-			v.Consumer = s.String()
+			v.Consumer = s.StringOr(r.known)
 		case "committed":
 			v.Committed = s.Int64()
 		case "max":

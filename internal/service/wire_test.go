@@ -130,11 +130,16 @@ func checkDecoders(t *testing.T, data []byte) {
 	same("unmarshal fetchResponse", fr, frRef, err, json.Unmarshal(data, &frRef))
 
 	fq, fqRef := fetchRequest{Max: 9}, fetchRequest{Max: 9}
-	err = decodeBody(bytes.NewReader(data), &fq)
+	err = decodeBody(bytes.NewReader(data), &fq, new([]byte))
 	same("decodeBody fetchRequest", fq, fqRef, err, decoder(&fqRef))
+	// The broker's known consumer changes no decoded value.
+	fk := fetchRequest{Max: 9, known: "engine-0"}
+	kerr := decodeBody(bytes.NewReader(data), &fk, new([]byte))
+	fk.known = ""
+	same("decodeBody fetchRequest with a known consumer", fk, fqRef, kerr, err)
 
 	cq, cqRef := commitRequest{Committed: 4}, commitRequest{Committed: 4}
-	err = decodeBody(bytes.NewReader(data), &cq)
+	err = decodeBody(bytes.NewReader(data), &cq, new([]byte))
 	same("decodeBody commitRequest", cq, cqRef, err, decoder(&cqRef))
 }
 
@@ -153,10 +158,13 @@ func (c *countingReader) Read(p []byte) (int, error) {
 // TestDecodeBodyStreams: on bodies that stream on past their value, end in
 // a read error or outgrow the read-ahead, decodeBody gives the value and
 // error of json.NewDecoder(body).Decode, and reads no more than
-// maxFastBody bytes once its value is complete.
+// maxFastBody bytes once its value is complete. The cases share one
+// scratch buffer, as a broker's handlers do, and its read-ahead gives the
+// bytes and error of io.ReadAll(io.LimitReader(body, maxFastBody)).
 func TestDecodeBodyStreams(t *testing.T) {
 	reset := errors.New("connection reset")
 	long := fetchRequest{Consumer: strings.Repeat("c", 2*maxFastBody), Committed: 3, Max: 5}.appendJSON(nil)
+	var scratch []byte
 	for _, tc := range []struct {
 		name string
 		body func() io.Reader
@@ -186,13 +194,18 @@ func TestDecodeBodyStreams(t *testing.T) {
 	} {
 		body := &countingReader{r: tc.body()}
 		got, want := fetchRequest{Max: 9}, fetchRequest{Max: 9}
-		err := decodeBody(body, &got)
+		err := decodeBody(body, &got, &scratch)
 		werr := json.NewDecoder(tc.body()).Decode(&want)
 		if errText(err) != errText(werr) || got != want {
 			t.Errorf("%s: decodeBody = %+.40v, %v; json.Decoder %+.40v, %v", tc.name, got, err, want, werr)
 		}
 		if body.n > maxFastBody && body.n > len(long) {
 			t.Errorf("%s: read %d bytes past a complete value", tc.name, body.n)
+		}
+		ahead, aerr := readAhead(scratch[:0], tc.body())
+		all, werr := io.ReadAll(io.LimitReader(tc.body(), maxFastBody))
+		if !bytes.Equal(ahead, all) || errText(aerr) != errText(werr) {
+			t.Errorf("%s: readAhead = %.40q, %v; io.ReadAll %.40q, %v", tc.name, ahead, aerr, all, werr)
 		}
 	}
 }

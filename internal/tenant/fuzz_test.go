@@ -24,6 +24,9 @@ func FuzzMixSpec(f *testing.F) {
 	f.Add([]byte(`{"tenants":[{"name":"a"},{"name":"a"}],"horizon":"-5m"}`))
 	f.Add([]byte(`{"nodes":-1,"cores_per_node":0,"allocator":"lottery","tenants":[]}`))
 	f.Add([]byte(`{"name":"m","reconcile_every":"-5s","tenants":[{"name":"a","workload":"logreg","trace":{"kind":"constant","rate":5000}}]}`))
+	f.Add([]byte(`{"name":"m","tenants":[{"name":"a","workload":"bogus","trace":{"kind":"constant","rate":5000}}]}`))
+	f.Add([]byte(`{"name":"m","horizon":"2m","warmup":"10m","tenants":[{"name":"a","workload":"logreg","trace":{"kind":"constant","rate":5000}}]}`))
+	f.Add([]byte(`{"name":"m","warmup":"-5m","tenants":[{"name":"a","workload":"logreg","trace":{"kind":"constant","rate":5000}}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var mix MixSpec
 		if err := json.Unmarshal(data, &mix); err != nil {

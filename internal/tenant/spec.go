@@ -16,6 +16,7 @@ package tenant
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -24,6 +25,7 @@ import (
 	"nostop/internal/ratetrace"
 	"nostop/internal/rng"
 	"nostop/internal/sim"
+	"nostop/internal/workload"
 )
 
 // Duration is a time.Duration that marshals as a human-readable string
@@ -276,6 +278,11 @@ func (m MixSpec) Validate() (MixSpec, error) {
 	if n.Horizon < 0 {
 		return n, fmt.Errorf("tenant: mix %q has negative horizon %v", n.Name, n.Horizon)
 	}
+	// A warmup that covers the run would leave no batch to measure, and
+	// the report would read a perfect delay of 0.
+	if n.Warmup < 0 || n.Warmup >= n.Horizon {
+		return n, fmt.Errorf("tenant: mix %q has warmup %v outside [0, horizon %v)", n.Name, n.Warmup, n.Horizon)
+	}
 	if n.ReconcileEvery <= 0 {
 		return n, fmt.Errorf("tenant: mix %q has non-positive reconcile_every %v", n.Name, n.ReconcileEvery)
 	}
@@ -306,6 +313,12 @@ func (m MixSpec) Validate() (MixSpec, error) {
 			return n, fmt.Errorf("tenant: duplicate tenant %q", t.Name)
 		}
 		seen[t.Name] = true
+		// Names is what New accepts; New, which builds the workload, is
+		// called only for the error text tenant.Run would print.
+		if !slices.Contains(workload.Names(), t.Workload) {
+			_, err := workload.New(t.Workload)
+			return n, fmt.Errorf("tenant %q: %w", t.Name, err)
+		}
 		if t.Weight < 0 {
 			return n, fmt.Errorf("tenant: %q has negative weight", t.Name)
 		}

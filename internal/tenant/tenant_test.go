@@ -168,6 +168,12 @@ func TestMixValidateErrors(t *testing.T) {
 		{"partitions", func(m *MixSpec) { m.Partitions = -3 }, "negative partitions -3"},
 		{"negative nodes and cores", func(m *MixSpec) { m.Nodes, m.CoresPerNode = -2, -2 }, "nodes and cores_per_node >= 1, got -2 and -2"},
 		{"negative nodes", func(m *MixSpec) { m.Nodes = -1 }, "nodes and cores_per_node >= 1, got -1"},
+		{"workload", func(m *MixSpec) { m.Tenants[0].Workload = "bogus" }, `tenant "steady": workload: unknown workload "bogus"`},
+		{"warmup past horizon", func(m *MixSpec) {
+			m.Horizon, m.Warmup = Duration(2*time.Minute), Duration(10*time.Minute)
+		}, "warmup 10m0s outside [0, horizon 2m0s)"},
+		{"warmup at horizon", func(m *MixSpec) { m.Horizon, m.Warmup = Duration(time.Minute), Duration(time.Minute) }, "warmup 1m0s outside"},
+		{"negative warmup", func(m *MixSpec) { m.Warmup = Duration(-5 * time.Minute) }, "warmup -5m0s outside"},
 	}
 	for _, tc := range cases {
 		mix := smallMix(AllocFairShare)
