@@ -61,6 +61,7 @@ golden:
 ## 30s of fresh inputs. CI runs the same budget.
 fuzz-smoke:
 	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzEventQueue -fuzztime 30s
+	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzRunUntilMatchesStep -fuzztime 30s
 	$(GO) test ./internal/fleet -run '^$$' -fuzz FuzzFleetSpec -fuzztime 30s
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzConfigSpace -fuzztime 30s
 	$(GO) test ./internal/scenario -run '^$$' -fuzz FuzzScenarioSpec -fuzztime 30s

@@ -393,8 +393,16 @@ func (p *Producer) SendCount(n int64) {
 	}
 	t := p.topic
 	parts := int64(len(t.Partitions))
-	if t.pendRem > 0 && (int64(t.pendStart)+t.pendRem)%parts != int64(p.next) {
-		t.spread()
+	// pendStart, pendRem, next and rem are each below parts, so a sum of
+	// two wraps with one subtraction instead of a modulo.
+	if t.pendRem > 0 {
+		end := int64(t.pendStart) + t.pendRem
+		if end >= parts {
+			end -= parts
+		}
+		if end != int64(p.next) {
+			t.spread()
+		}
 	}
 	if t.pendRem == 0 {
 		t.pendStart = p.next
@@ -405,7 +413,11 @@ func (p *Producer) SendCount(n int64) {
 		t.pendBase++
 		t.pendRem -= parts
 	}
-	p.next = int((int64(p.next) + rem) % parts)
+	next := int64(p.next) + rem
+	if next >= parts {
+		next -= parts
+	}
+	p.next = int(next)
 	t.totalEnd += n
 	if t.acct != nil {
 		t.acct.Produced += n

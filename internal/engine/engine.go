@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"math"
 	"time"
 
 	"nostop/internal/approx"
@@ -264,6 +265,15 @@ type Engine struct {
 	fracCarry  float64 // fractional records carried between producer ticks
 	lastTickAt sim.Time
 
+	// The producer tick's arithmetic, resolved or converted once: the
+	// trace's integrator, the last tick span in seconds, and the last rate
+	// keyed on the bits of the arrivals and seconds it divided.
+	arrivals          ratetrace.Integrator
+	tickDt            time.Duration
+	tickSecs          float64
+	rateArr, rateSecs uint64
+	rate              float64
+
 	queue    []*batch
 	busy     bool
 	nextID   int64
@@ -431,6 +441,7 @@ func New(clock *sim.Clock, opts Options) (*Engine, error) {
 		execs:       execs,
 		historyCap:  1 << 20,
 		rates:       stats.NewWindow(int(rateWindow / producerTick)),
+		arrivals:    ratetrace.NewIntegrator(opts.Trace),
 
 		maxFailures:    defaultTaskMaxFailures,
 		specMultiplier: defaultSpeculativeMultiplier,
@@ -476,12 +487,18 @@ func (e *Engine) producerTick() {
 		return
 	}
 	now := e.clock.Now()
-	arrivals := ratetrace.RecordsIn(e.opts.Trace, e.lastTickAt, now) * e.ingestBoost
+	if dt := now - e.lastTickAt; dt != e.tickDt {
+		e.tickDt, e.tickSecs = dt, dt.Seconds()
+	}
+	elapsed := e.tickSecs
+	arrivals := e.arrivals.RecordsIn(e.lastTickAt, now, elapsed) * e.ingestBoost
 	n := arrivals + e.fracCarry
-	elapsed := (now - e.lastTickAt).Seconds()
 	rate := 0.0
 	if elapsed > 0 {
-		rate = arrivals / elapsed
+		if a, s := math.Float64bits(arrivals), math.Float64bits(elapsed); a != e.rateArr || s != e.rateSecs {
+			e.rateArr, e.rateSecs, e.rate = a, s, arrivals/elapsed
+		}
+		rate = e.rate
 	}
 	if cap := e.effectiveCap(now); cap > 0 && elapsed > 0 {
 		allowed := cap * elapsed

@@ -489,3 +489,39 @@ func BenchmarkEngineHour(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkBatchCutExecute times one batch's cut and execution with no
+// producer tick: one interval's records are sent to the topic, then the cut
+// fetches them, the attempt models the processing time, and the completion
+// commits and records the batch. The next cut the cut schedules is
+// canceled, so each op is exactly one batch.
+func BenchmarkBatchCutExecute(b *testing.B) {
+	clock := sim.NewClock()
+	wl := workload.NewWordCount()
+	lo, hi := wl.RateBand()
+	e, err := New(clock, Options{
+		Workload: wl,
+		Trace:    ratetrace.Constant{Rate: (lo + hi) / 2},
+		Seed:     rng.New(1),
+		Initial:  Config{BatchInterval: 10 * time.Second, Executors: 12},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	e.cutFn = e.cutBatch
+	perBatch := int64((lo + hi) / 2 * 10)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.prod.SendCount(perBatch)
+		e.cutBatch()
+		clock.Cancel(e.cutEvent)
+		for e.busy {
+			clock.Step()
+		}
+	}
+	b.StopTimer()
+	if h := e.History(); len(h) != b.N || h[len(h)-1].Records != perBatch {
+		b.Fatalf("%d batches, want %d of %d records", len(h), b.N, perBatch)
+	}
+}

@@ -19,8 +19,15 @@ import (
 )
 
 // Trace reports the instantaneous input data rate (records/second) at a
-// virtual time. Implementations must be deterministic: the same t always
-// yields the same rate, so that consumers may query out of order.
+// virtual time. Implementations must be deterministic. Every trace in this
+// package is fixed: the same t always yields the same rate, so consumers may
+// query out of order. A trace assembled online may instead extend itself,
+// as service.FeedTrace does. An extension may change the rate from the
+// instant it starts at, and NextChange before that instant, but not the
+// integral over an interval that ends at or before it and lies within the
+// trace's retention. A consumer of such a trace integrates each interval
+// once, when it has ended, and keeps nothing from one call to the next, as
+// Integrator does.
 type Trace interface {
 	// RateAt returns the arrival rate in records per second at time t.
 	RateAt(t sim.Time) float64
@@ -51,10 +58,13 @@ type UniformBand struct {
 	// Single-slot memo: RateAt is hit every producer tick and ticks land in
 	// the same dwell slot for seconds at a time, so the last slot's rate
 	// saves hashing the slot's stream name on nearly every call. It stays
-	// bit-identical: the rate is a pure function of the slot index.
-	cacheSlot int64
-	cacheRate float64
-	cacheOK   bool
+	// bit-identical: the rate is a pure function of the slot index. The
+	// memo holds the slot's span [cacheStart, cacheEnd), so RateAt and
+	// NextChange answer inside it without a 64-bit division; the span is
+	// empty until a slot is cached.
+	cacheRate  float64
+	cacheStart sim.Time
+	cacheEnd   sim.Time
 }
 
 // NewUniformBand returns a band trace; dwell must be positive and max >= min.
@@ -74,13 +84,19 @@ func NewUniformBand(min, max float64, dwell time.Duration, seed *rng.Stream) *Un
 //
 //nostop:hotpath
 func (u *UniformBand) RateAt(t sim.Time) float64 {
-	slot := int64(t / sim.Time(u.Dwell))
-	if u.cacheOK && slot == u.cacheSlot {
+	if u.cacheStart <= t && t < u.cacheEnd {
 		return u.cacheRate
 	}
-	rate := u.Min + (u.Max-u.Min)*u.seed.SplitFloat64("slot-", slot)
-	u.cacheSlot, u.cacheRate, u.cacheOK = slot, rate, true
-	return rate
+	slot := int64(t / sim.Time(u.Dwell))
+	u.cacheRate = u.Min + (u.Max-u.Min)*u.seed.SplitFloat64("slot-", slot)
+	// Division truncates toward zero, so a slot below zero does not span
+	// [slot·Dwell, (slot+1)·Dwell); the memo is left empty there.
+	u.cacheStart, u.cacheEnd = 0, 0
+	if slot >= 0 {
+		u.cacheStart = sim.Time(slot) * sim.Time(u.Dwell)
+		u.cacheEnd = u.cacheStart + sim.Time(u.Dwell)
+	}
+	return u.cacheRate
 }
 
 // Describe implements Trace.
@@ -287,7 +303,9 @@ func (c Clamped) Describe() string {
 // Stepper is implemented by piecewise-constant traces. NextChange returns
 // the earliest instant strictly after t at which the rate may change
 // (sim.Infinity if it never does), letting RecordsIn integrate exactly with
-// one RateAt call per constant segment.
+// one RateAt call per constant segment. For a trace that extends itself
+// online, the answer holds only until the next extension (see Trace), so a
+// consumer must not keep it across one.
 type Stepper interface {
 	NextChange(t sim.Time) sim.Time
 }
@@ -297,6 +315,9 @@ func (c Constant) NextChange(sim.Time) sim.Time { return sim.Infinity }
 
 // NextChange implements Stepper: the next dwell-slot boundary.
 func (u *UniformBand) NextChange(t sim.Time) sim.Time {
+	if u.cacheStart <= t && t < u.cacheEnd {
+		return u.cacheEnd
+	}
 	slot := t / sim.Time(u.Dwell)
 	return (slot + 1) * sim.Time(u.Dwell)
 }
@@ -342,26 +363,63 @@ func (c Clamped) NextChange(t sim.Time) sim.Time {
 // number of records arriving in the interval. Piecewise-constant traces
 // integrate exactly segment by segment; other traces (e.g. Sine, or Scaled
 // and Clamped around one) fall back to midpoint sampling at millisecond
-// resolution.
+// resolution. A caller that integrates one trace repeatedly keeps an
+// Integrator instead, which resolves the trace's Stepper once.
 func RecordsIn(tr Trace, from, to sim.Time) float64 {
+	in := NewIntegrator(tr)
+	return in.RecordsIn(from, to, (to - from).Seconds())
+}
+
+// Integrator integrates one trace, with its Stepper resolved once. It keeps
+// nothing between calls, so a trace that extends itself online (see
+// service.FeedTrace) is read afresh on every call.
+type Integrator struct {
+	tr Trace
+	st Stepper // nil: tr is not piecewise constant
+}
+
+// NewIntegrator returns the Integrator of tr.
+func NewIntegrator(tr Trace) Integrator {
+	st, _ := piecewise(tr)
+	return Integrator{tr: tr, st: st}
+}
+
+// RecordsIn is the package-level RecordsIn of the integrator's trace; secs
+// must be (to-from).Seconds(), which a caller ticking at a fixed period
+// converts once. An interval inside one constant segment costs one
+// NextChange, one RateAt and one multiply, with the bits the segment loop
+// computes on its first and only pass.
+//
+//nostop:hotpath
+func (in *Integrator) RecordsIn(from, to sim.Time, secs float64) float64 {
 	if to <= from {
 		return 0
 	}
-	if st, ok := piecewise(tr); ok {
-		total := 0.0
-		for t := from; t < to; {
-			next := st.NextChange(t)
-			if next <= t { // defensive: a broken Stepper must not hang us
-				next = t + sim.Time(time.Millisecond)
-			}
-			if next > to {
-				next = to
-			}
-			total += tr.RateAt(t) * (next - t).Seconds()
-			t = next
-		}
-		return total
+	st := in.st
+	if st == nil {
+		return midpoint(in.tr, from, to)
 	}
+	if st.NextChange(from) >= to {
+		return 0 + float64(in.tr.RateAt(from)*secs)
+	}
+	total := 0.0
+	for t := from; t < to; {
+		next := st.NextChange(t)
+		if next <= t { // defensive: a broken Stepper must not hang us
+			next = t + sim.Time(time.Millisecond)
+		}
+		if next > to {
+			next = to
+		}
+		total += in.tr.RateAt(t) * (next - t).Seconds()
+		t = next
+	}
+	return total
+}
+
+// midpoint integrates a trace that is not piecewise constant by midpoint
+// sampling at millisecond resolution.
+func midpoint(tr Trace, from, to sim.Time) float64 {
 	const step = time.Millisecond
 	total := 0.0
 	for t := from; t < to; {

@@ -324,6 +324,38 @@ func TestUniformBandMatchesSplitStream(t *testing.T) {
 	}
 }
 
+// TestUniformBandMemoMatchesDivision: with the slot span memo, RateAt and
+// NextChange answer what the division formulas give, on random instants and
+// on every slot boundary and its neighbours, below zero too, queried in a
+// random order that hops between slots and returns to earlier ones.
+func TestUniformBandMemoMatchesDivision(t *testing.T) {
+	r := rng.New(5).Split("band-memo").Rand()
+	for _, dwell := range []time.Duration{1, 3, 130 * time.Millisecond, 5 * time.Second, 20 * time.Second} {
+		seed := rng.New(uint64(dwell)).Split("band")
+		u := NewUniformBand(7000, 13000, dwell, seed)
+		d := sim.Time(dwell)
+		var ts []sim.Time
+		for k := sim.Time(-3); k <= 40; k++ {
+			ts = append(ts, k*d-1, k*d, k*d+1)
+		}
+		for i := 0; i < 2000; i++ {
+			ts = append(ts, sim.Time(r.Int63n(int64(60*d)))-3*d)
+		}
+		for i := 0; i < 20000; i++ {
+			tm := ts[r.Intn(len(ts))]
+			slot := tm / d
+			if r.Intn(2) == 0 {
+				want := 7000 + 6000*seed.SplitFloat64("slot-", int64(slot))
+				if got := u.RateAt(tm); got != want {
+					t.Fatalf("dwell %v: RateAt(%v) = %v, want %v", dwell, tm, got, want)
+				}
+			} else if got, want := u.NextChange(tm), (slot+1)*d; got != want {
+				t.Fatalf("dwell %v: NextChange(%v) = %v, want %v", dwell, tm, got, want)
+			}
+		}
+	}
+}
+
 // countingSine is a non-Stepper trace that counts its RateAt calls.
 type countingSine struct {
 	Sine

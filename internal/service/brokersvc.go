@@ -52,6 +52,7 @@ type BrokerService struct {
 	committed int64
 	frac      float64
 	lastGenAt sim.Time
+	arrivals  ratetrace.Integrator // of o.Trace
 	consumer  string
 	rewinds   int64
 	mux       *http.ServeMux
@@ -100,7 +101,7 @@ type commitRequest struct {
 
 // NewBrokerService builds one broker incarnation.
 func NewBrokerService(o BrokerOptions) *BrokerService {
-	b := &BrokerService{o: o}
+	b := &BrokerService{o: o, arrivals: ratetrace.NewIntegrator(o.Trace)}
 	if reg := o.Metrics; reg != nil {
 		b.cFetches = reg.Counter("nostop_service_broker_fetches_total", "Fetch requests served")
 		b.cServed = reg.Counter("nostop_service_broker_served_records_total", "Records handed to the consumer")
@@ -142,7 +143,7 @@ func (b *BrokerService) gen() {
 	if now <= b.lastGenAt {
 		return
 	}
-	x := ratetrace.RecordsIn(b.o.Trace, b.lastGenAt, now) + b.frac
+	x := b.arrivals.RecordsIn(b.lastGenAt, now, (now-b.lastGenAt).Seconds()) + b.frac
 	n := int64(x)
 	b.frac = x - float64(n)
 	b.head += n

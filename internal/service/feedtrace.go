@@ -20,6 +20,15 @@ import (
 // segment's end (latency jitter can deliver a fetch slightly before the
 // prior segment expires), with its rate recomputed so the count is
 // preserved. Old segments are pruned once the producer is safely past them.
+//
+// Unlike the traces in package ratetrace, a FeedTrace's rate at an instant
+// is not fixed: an Add sets the rate from its clipped start on, moves
+// NextChange before that start, and prunes segments that ended more than
+// 10 s before it. What an Add leaves unchanged is the integral over every
+// interval that ends at or before its clipped start and starts no earlier
+// than 10 s before it. The producer integrates each tick once, up to the
+// current instant, through a ratetrace.Integrator that keeps nothing between
+// calls, so it relies on no more than that.
 type FeedTrace struct {
 	segs  []feedSeg
 	total int64

@@ -81,6 +81,50 @@ func TestAllocsTickerTick(t *testing.T) {
 	}
 }
 
+// TestAllocsTickerInPlace: a ticker alone on its clock fires its next
+// firing in place under RunUntil. Those firings allocate nothing, and the
+// ticker keeps its one node: the free list is left as it was.
+func TestAllocsTickerInPlace(t *testing.T) {
+	c := NewClock()
+	fired, inPlace := 0, 0
+	var tk *Ticker
+	tk = c.NewTicker(time.Millisecond, func() {
+		fired++
+		if tk.ev.n.due != c.Now() { // never queued for this instant
+			inPlace++
+		}
+	})
+	fn := func() {}
+	for i := 0; i < 8; i++ {
+		c.At(Time(i)*Time(time.Microsecond), fn) // leaves 8 nodes on the free list
+	}
+	c.RunUntil(64 * Time(time.Millisecond))
+	node, free := tk.ev.n, c.free
+	freeLen := func() int {
+		k := 0
+		for n := c.free; n != nil; n = n.next {
+			k++
+		}
+		return k
+	}
+	want := freeLen()
+	fired, inPlace = 0, 0
+	allocs := testing.AllocsPerRun(100, func() {
+		c.RunUntil(c.Now() + Time(time.Second))
+	})
+	if allocs != 0 {
+		t.Fatalf("in-place ticker firings allocate %.1f per run of 1000, want 0", allocs)
+	}
+	if tk.ev.n != node || c.free != free || freeLen() != want {
+		t.Fatal("in-place firings changed the ticker's node or the free list")
+	}
+	// Each RunUntil pops the firing its predecessor queued at the horizon
+	// and fires the other 999 in place.
+	if fired != 101*1000 || inPlace != 101*999 {
+		t.Fatalf("%d firings, %d in place; want %d and %d", fired, inPlace, 101*1000, 101*999)
+	}
+}
+
 func TestAllocsScheduleCancel(t *testing.T) {
 	c := NewClock()
 	fn := func() {}

@@ -1,7 +1,8 @@
 // Package bench holds microbenchmarks for the sim kernel's hot paths:
 // schedule+fire through the 4-ary heap, same-instant FIFO bursts,
 // cancel/recycle, and ticker churn, alone and as 32 tickers on one lane
-// over a deep heap. Run with
+// over a deep heap, each driven by Step and by RunUntil (which fires a
+// lone ticker in place). Run with
 //
 //	go test ./internal/sim/bench -bench . -benchmem
 //

@@ -18,9 +18,12 @@
 // through FIFO lanes. Lane 0 takes events scheduled for the current
 // instant, which makes same-time bursts O(1) per event; every other lane
 // takes the firings of the tickers that share one period, so a periodic
-// event costs O(1) however deep the heap is. Event handles carry a
-// generation stamp so a handle to a recycled node can never cancel a later
-// incarnation.
+// event costs O(1) however deep the heap is. A ticker keeps one node for
+// its whole life and re-arms it after each firing instead of returning it
+// to the free list; inside RunUntil, a firing whose successor is due before
+// anything else pending fires that successor in place, without queueing it.
+// Event handles carry a generation stamp so a handle to a recycled node can
+// never cancel a later incarnation.
 package sim
 
 import (
@@ -38,7 +41,8 @@ const Infinity Time = math.MaxInt64
 // node is the pooled scheduler entry behind an Event handle. Nodes are
 // recycled through the clock's free list; the gen counter advances every
 // time an incarnation ends (fires or is canceled), invalidating outstanding
-// handles to the previous incarnation.
+// handles to the previous incarnation. A ticker's node is owned: firing
+// ends its incarnation but leaves it with the ticker, which re-arms it.
 type node struct {
 	due      Time
 	seq      uint64
@@ -46,6 +50,7 @@ type node struct {
 	index    int32 // heap index; notQueued / inLane when not in the heap
 	canceled bool  // lane-resident incarnation canceled (lazily reaped)
 	lastEnd  bool  // how the previous incarnation ended: true = canceled
+	owned    bool  // held by a Ticker, which re-arms it; off the free list
 	fn       func()
 	next     *node // free-list link
 }
@@ -248,11 +253,17 @@ func (l *lane) popFront() *node {
 // engine's 100 ms producer tick, and either service mode's 1 s and 2 s
 // tickers or the tenant mix's reconcile period). Nothing outside tests calls
 // Ticker.Reset.
+//
+// Step fires exactly one event. RunUntil may fire a ticker's next firing in
+// place, straight from the previous one, when nothing pending is due at or
+// before it; Now, Executed and Pending read at every point as if the firing
+// had been queued and stepped.
 type Clock struct {
 	now     Time
 	seq     uint64
 	heap    heap4
 	stopped bool
+	until   Time // horizon of the running RunUntil; noHorizon outside one
 
 	lanes []lane // lanes[0] is the same-instant lane
 	tombs int    // canceled nodes still occupying lane slots, over all lanes
@@ -264,8 +275,12 @@ type Clock struct {
 	executed uint64
 }
 
+// noHorizon is Clock.until outside RunUntil: no firing is due at or before
+// it, so none fires in place.
+const noHorizon Time = math.MinInt64
+
 // NewClock returns a clock at virtual time zero with an empty event queue.
-func NewClock() *Clock { return &Clock{lanes: make([]lane, 1, 4)} }
+func NewClock() *Clock { return &Clock{lanes: make([]lane, 1, 4), until: noHorizon} }
 
 // Now returns the current virtual time.
 func (c *Clock) Now() Time { return c.now }
@@ -364,10 +379,12 @@ func (c *Clock) front(l *lane) *node {
 		}
 		// Reap a lazily-canceled entry: its incarnation already ended (gen
 		// bumped in Cancel); now the slot reference dies too, so the node
-		// can rejoin the free list.
+		// can rejoin the free list. A ticker let go of its node when it
+		// canceled the firing, so the node is nobody's now.
 		l.popFront()
 		c.tombs--
 		n.canceled = false
+		n.owned = false
 		n.index = notQueued
 		n.next = c.free
 		c.free = n
@@ -444,16 +461,55 @@ func (c *Clock) step(horizon Time) bool {
 	c.pending--
 	c.executed++
 	fn := n.fn
-	c.recycle(n, false)
+	if n.owned {
+		// The firing ends the incarnation; the ticker keeps the node.
+		n.gen++
+		n.lastEnd = false
+		n.index = notQueued
+	} else {
+		c.recycle(n, false)
+	}
 	fn()
 	return true
 }
 
+// queuedAfter reports whether every pending event is due strictly after
+// due, reaping tombstones at lane heads. A ticker firing due at due may then
+// fire in place: on a tie the pending event goes first, as its seq is lower.
+func (c *Clock) queuedAfter(due Time) bool {
+	if len(c.heap.a) > 0 && c.heap.a[0].due <= due {
+		return false
+	}
+	for i := range c.lanes {
+		l := &c.lanes[i]
+		if l.n == 0 {
+			continue
+		}
+		f := l.ring[l.head]
+		if f.canceled {
+			if f = c.front(l); f == nil {
+				continue
+			}
+		}
+		if f.due <= due {
+			return false
+		}
+	}
+	return true
+}
+
 // Step fires the earliest pending event and returns true, or returns false
-// if the queue is empty.
+// if the queue is empty. It fires exactly one event, also when a handler
+// running under RunUntil calls it.
 //
 //nostop:hotpath
-func (c *Clock) Step() bool { return c.step(Infinity) }
+func (c *Clock) Step() bool {
+	until := c.until
+	c.until = noHorizon
+	ok := c.step(Infinity)
+	c.until = until
+	return ok
+}
 
 // RunUntil executes events in order until the queue is empty, Stop is
 // called, or the next event is due strictly after horizon. The clock is left
@@ -463,8 +519,11 @@ func (c *Clock) Step() bool { return c.step(Infinity) }
 //nostop:hotpath
 func (c *Clock) RunUntil(horizon Time) {
 	c.stopped = false
+	until := c.until
+	c.until = horizon
 	for !c.stopped && c.step(horizon) {
 	}
+	c.until = until
 	if c.now < horizon && !c.stopped {
 		c.now = horizon
 	}
@@ -480,14 +539,23 @@ func (c *Clock) Run() {
 }
 
 // Ticker repeatedly schedules a handler at a fixed period until stopped. Its
-// firings ride the clock's lane for its period, not the heap.
+// firings ride the clock's lane for its period, not the heap. A ticker keeps
+// its node from one firing to the next, off the free list: each firing ends
+// the node's incarnation (the ticker's event reads not pending while the
+// handler runs), and re-arming re-keys the same node and pushes it to its
+// lane's tail. Stop or Reset while a firing is pending leave the node in
+// the lane as a tombstone; the ticker takes a fresh node when it next arms.
+// Inside RunUntil the next firing fires in place instead of re-arming, with
+// no push or pop, when the handler neither stopped nor re-armed the ticker,
+// Clock.Stop was not called, the firing is due within the horizon and every
+// pending event is due strictly after it.
 type Ticker struct {
 	clock  *Clock
 	period time.Duration
 	lane   int // index of the clock's lane for period
 	fn     func()
 	tick   func() // allocated once; rescheduling must not allocate per tick
-	ev     Event
+	ev     Event  // the owned node's latest incarnation; ev.n nil when none
 	stop   bool
 }
 
@@ -499,45 +567,90 @@ func (c *Clock) NewTicker(period time.Duration, fn func()) *Ticker {
 	}
 	t := &Ticker{clock: c, period: period, lane: c.laneFor(period), fn: fn}
 	t.tick = func() {
-		if t.stop {
-			return
-		}
-		t.fn()
-		// fn may have stopped the ticker, or reset it, which already
-		// scheduled the next firing.
-		if !t.stop && !t.ev.Pending() {
-			t.schedule()
+		for {
+			t.fn()
+			// fn may have stopped the ticker, or reset it, which already
+			// armed the next firing.
+			if t.stop || t.ev.Pending() {
+				return
+			}
+			// The next firing fires in place only inside RunUntil, before
+			// Clock.Stop, within the horizon and ahead of everything queued.
+			// Anything in the ticker's own lane was armed at or before now,
+			// so it is due no later than due: tickers that share a lane
+			// re-arm without the scan.
+			due := c.now + t.period
+			if due > c.until || c.stopped || c.lanes[t.lane].n > 0 || !c.queuedAfter(due) {
+				t.arm()
+				return
+			}
+			// Fire the next firing now, as a step of the queue would have:
+			// it takes the seq arming would have given it.
+			c.seq++
+			c.now = due
+			c.executed++
 		}
 	}
-	t.schedule()
+	t.arm()
 	return t
 }
 
-func (t *Ticker) schedule() {
+// arm schedules the next firing one period from now on the ticker's node,
+// taking a node from the clock when the ticker holds none.
+func (t *Ticker) arm() {
 	c := t.clock
-	t.ev = c.schedule(c.now+t.period, t.tick, t.lane)
+	n := t.ev.n
+	if n == nil {
+		n = c.alloc()
+		n.owned = true
+		n.fn = t.tick
+		t.ev.n = n
+	}
+	due := c.now + t.period
+	n.due = due
+	n.seq = c.seq
+	c.seq++
+	c.pending++
+	c.lanes[t.lane].push(n)
+	t.ev.gen, t.ev.due = n.gen, due
+}
+
+// drop withdraws the pending firing, if any. Its node stays in the lane as
+// a tombstone until reaped, so the ticker lets go of it and takes a fresh
+// node when it next arms.
+func (t *Ticker) drop() {
+	if t.ev.Pending() {
+		t.clock.Cancel(t.ev)
+		t.ev = Event{}
+	}
 }
 
 // Reset changes the ticker period; the next firing is one new period from
-// the current time. Called from the ticker's own handler, it replaces the
-// firing the handler would otherwise schedule.
+// the current time. Called from the ticker's own handler, it re-arms the
+// ticker's node, replacing the firing the handler would otherwise schedule.
 func (t *Ticker) Reset(period time.Duration) {
 	if period <= 0 {
 		panic("sim: ticker period must be positive")
 	}
-	t.clock.Cancel(t.ev)
+	t.drop()
 	t.period = period
 	t.lane = t.clock.laneFor(period)
 	if !t.stop {
-		t.schedule()
+		t.arm()
 	}
 }
 
 // Period returns the current period.
 func (t *Ticker) Period() time.Duration { return t.period }
 
-// Stop cancels future firings.
+// Stop cancels future firings. Called from the ticker's own handler, it
+// finds the node out of the queue and returns it to the free list.
 func (t *Ticker) Stop() {
 	t.stop = true
-	t.clock.Cancel(t.ev)
+	t.drop()
+	if n := t.ev.n; n != nil {
+		n.owned = false
+		t.clock.recycle(n, false)
+		t.ev = Event{}
+	}
 }

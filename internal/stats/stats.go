@@ -129,7 +129,9 @@ func (w *Window) Add(x float64) {
 		w.count++
 	}
 	w.buf[w.head] = x
-	w.head = (w.head + 1) % len(w.buf)
+	if w.head++; w.head == len(w.buf) {
+		w.head = 0
+	}
 	w.sum += x
 	w.sumsq += x * x
 }

@@ -299,3 +299,35 @@ func TestWelfordStability(t *testing.T) {
 		t.Fatalf("SampleVar=%v want 30", o.SampleVar())
 	}
 }
+
+// TestWindowAddWrapsLikeModulo holds Add, whose head wraps by a compare, to
+// the modulo it replaced: the same slots, head, count and bits of sum and
+// sum of squares after every add, at capacities 1, 2, 3 and 600.
+func TestWindowAddWrapsLikeModulo(t *testing.T) {
+	r := rng.New(9).Split("window-modulo").Rand()
+	for _, capacity := range []int{1, 2, 3, 600} {
+		w := NewWindow(capacity)
+		ref := Window{buf: make([]float64, capacity)}
+		for i := 0; i < 5000; i++ {
+			x := r.NormFloat64() * 1e3
+			w.Add(x)
+			if ref.count == len(ref.buf) {
+				old := ref.buf[ref.head]
+				ref.sum -= old
+				ref.sumsq -= old * old
+			} else {
+				ref.count++
+			}
+			ref.buf[ref.head] = x
+			ref.head = (ref.head + 1) % len(ref.buf)
+			ref.sum += x
+			ref.sumsq += x * x
+			if w.head != ref.head || w.count != ref.count ||
+				math.Float64bits(w.sum) != math.Float64bits(ref.sum) ||
+				math.Float64bits(w.sumsq) != math.Float64bits(ref.sumsq) {
+				t.Fatalf("capacity %d, add %d: head %d count %d sum %v sumsq %v; modulo gives %d %d %v %v",
+					capacity, i, w.head, w.count, w.sum, w.sumsq, ref.head, ref.count, ref.sum, ref.sumsq)
+			}
+		}
+	}
+}
