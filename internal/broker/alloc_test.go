@@ -80,9 +80,10 @@ func TestAllocsFetchChunkCycle(t *testing.T) {
 	}
 }
 
-// BenchmarkSendCount measures one producer tick: a SendCount of a typical
+// BenchmarkSendCount measures one send: a SendCount of a typical producer
 // tick's records (a 150k rec/s stream at 100 ms) to a topic of 48
-// partitions (sweep's) or 100 (tenants').
+// partitions (sweep's) or 100 (tenants'). The engine sends once per run of
+// ticks, and a send costs the same whatever its count.
 func BenchmarkSendCount(b *testing.B) {
 	for _, parts := range []int{48, 100} {
 		b.Run(fmt.Sprintf("partitions=%d", parts), func(b *testing.B) {

@@ -378,7 +378,10 @@ func (p *Producer) Send(key, value string, t sim.Time) Record {
 // SendCount appends n payload-less records spread as evenly as possible
 // across partitions, round-robin from the producer's cursor: every
 // partition gets n/P, and the n%P partitions from the cursor on get one
-// more. Used for bulk rate simulation, once per producer tick.
+// more. Used for bulk rate simulation: the engine sends what its producer
+// ticks counted once per run of ticks (see sim.Ticker.SetSettle), which
+// leaves every partition where one send per tick would, since successive
+// sends from one cursor tile the partition ring.
 //
 // It is O(1) and allocation-free: the records join the topic's pending
 // window (see Topic), and the observer's OnAppend fires once with n. The

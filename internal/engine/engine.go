@@ -215,7 +215,7 @@ type Options struct {
 // Engine settings no run varies: the paper holds every Spark setting but
 // the tuned pair at its default.
 const (
-	producerTick     = 100 * time.Millisecond  // arrivals are pushed to the broker per tick
+	producerTick     = 100 * time.Millisecond  // arrivals are counted per tick and sent once per ticker run
 	defaultBlock     = 200 * time.Millisecond  // Spark's block interval, for Config.BlockInterval 0
 	taskDispatchCost = 1500 * time.Microsecond // driver cost per task: over-fine blocks are expensive
 	sampleCap        = 256                     // payload retention per partition when payloads are on
@@ -264,6 +264,7 @@ type Engine struct {
 	stopped    bool
 	fracCarry  float64 // fractional records carried between producer ticks
 	lastTickAt sim.Time
+	unsent     int64 // counted records of the ticker's current run, sent when it ends
 
 	// The producer tick's arithmetic, resolved or converted once: the
 	// trace's integrator, the last tick span in seconds, and the last rate
@@ -279,9 +280,10 @@ type Engine struct {
 	nextID   int64
 	cutEvent sim.Event
 
-	// ticker fires the producer tick; cutFn is the batch-cut callback bound
-	// once at Start: rescheduling with a fresh method value (e.cutBatch)
-	// would allocate a closure per cut on the hot path.
+	// ticker fires the producer tick and sends each run's records with its
+	// settle; cutFn is the batch-cut callback bound once at Start:
+	// rescheduling with a fresh method value (e.cutBatch) would allocate a
+	// closure per cut on the hot path.
 	ticker *sim.Ticker
 	cutFn  func()
 
@@ -466,6 +468,7 @@ func (e *Engine) Start() error {
 	e.lastTickAt = e.clock.Now()
 	e.cutFn = e.cutBatch
 	e.ticker = e.clock.NewTicker(producerTick, e.producerTick)
+	e.ticker.SetSettle(e.sendUnsent)
 	e.cutEvent = e.clock.After(e.cfg.BatchInterval, e.cutFn)
 	return nil
 }
@@ -477,8 +480,15 @@ func (e *Engine) Stop() { e.stopped = true }
 // AddListener attaches a batch-completion listener.
 func (e *Engine) AddListener(l Listener) { e.listeners = append(e.listeners, l) }
 
-// producerTick pushes trace arrivals since the previous tick into the topic.
-// The first tick after Stop stops the ticker.
+// producerTick counts trace arrivals since the previous tick into unsent,
+// which the ticker's settle sends to the topic when the run of ticks ends:
+// inside a run nothing reads the topic, the tenant account or the registry,
+// and one SendCount of a run's total leaves every partition end where one
+// per tick would. A tick with payloads sends the total first, so payload
+// offsets follow the counted records as they did. Records the cap drops
+// are still counted per tick: their counter adds are fractional, and
+// summing them first would round differently. The first tick after Stop
+// stops the ticker.
 //
 //nostop:hotpath
 func (e *Engine) producerTick() {
@@ -517,13 +527,23 @@ func (e *Engine) producerTick() {
 	if payloads > whole {
 		payloads = whole
 	}
-	if counted := whole - payloads; counted > 0 {
-		e.prod.SendCount(counted)
-	}
-	for i := int64(0); i < payloads; i++ {
-		e.prod.Send("", e.wl.GenValue(e.totalRecords+i, e.payload), now)
+	e.unsent += whole - payloads
+	if payloads > 0 {
+		e.sendUnsent()
+		for i := int64(0); i < payloads; i++ {
+			e.prod.Send("", e.wl.GenValue(e.totalRecords+i, e.payload), now)
+		}
 	}
 	e.totalRecords += whole
+}
+
+// sendUnsent sends the counted records not yet sent in one SendCount: the
+// producer ticker's settle, bound once at Start.
+//
+//nostop:hotpath
+func (e *Engine) sendUnsent() {
+	e.prod.SendCount(e.unsent)
+	e.unsent = 0
 }
 
 // effectiveCap combines the configured/back-pressure ingest cap with any

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"nostop/internal/cluster"
+	"nostop/internal/metrics"
 	"nostop/internal/ratetrace"
 	"nostop/internal/rng"
 	"nostop/internal/sim"
@@ -465,17 +466,28 @@ func TestParallelismCappedByPartitions(t *testing.T) {
 // BenchmarkEngineHour measures simulating one virtual hour of a WordCount
 // stream on a fixed configuration, the unit of work behind every
 // experiment.
-func BenchmarkEngineHour(b *testing.B) {
+func BenchmarkEngineHour(b *testing.B) { benchEngineHour(b, false) }
+
+// BenchmarkEngineHourObserved is BenchmarkEngineHour with a metrics
+// registry attached and the tracer off.
+func BenchmarkEngineHourObserved(b *testing.B) { benchEngineHour(b, true) }
+
+func benchEngineHour(b *testing.B, observed bool) {
 	for i := 0; i < b.N; i++ {
 		clock := sim.NewClock()
 		seed := rng.New(uint64(i + 1))
 		wl := workload.NewWordCount()
 		lo, hi := wl.RateBand()
+		var reg *metrics.Registry
+		if observed {
+			reg = metrics.NewRegistry()
+		}
 		eng, err := New(clock, Options{
 			Workload: wl,
 			Trace:    ratetrace.NewUniformBand(lo, hi, 5*time.Second, seed.Split("t")),
 			Seed:     seed.Split("e"),
 			Initial:  Config{BatchInterval: 10 * time.Second, Executors: 12},
+			Metrics:  reg,
 		})
 		if err != nil {
 			b.Fatal(err)

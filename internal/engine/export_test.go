@@ -10,9 +10,11 @@ type TickState struct {
 	Total, Dropped            int64
 }
 
-// Tick runs one producer tick at the clock's current time.
+// Tick runs one producer tick at the clock's current time, as a run of its
+// own.
 func (e *Engine) Tick() TickState {
 	e.producerTick()
+	e.sendUnsent()
 	return TickState{
 		Arrivals:  math.Float64frombits(e.rateArr),
 		Rate:      e.rate,

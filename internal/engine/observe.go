@@ -129,9 +129,11 @@ func newObsState(reg *metrics.Registry, tr *tracing.Tracer) *obsState {
 	return o
 }
 
-// OnAppend implements broker.Observer (one call per produce). The counter
-// takes the call's total: integer sums below 2^53 add exactly in float64,
-// so it reads the same as per-partition adds did.
+// OnAppend implements broker.Observer: one call per produce, which the
+// engine makes once per run of producer ticks and once per payload record.
+// The counter takes the call's total: integer sums below 2^53 add exactly
+// in float64 however they are grouped, so it reads the same as per-tick
+// and per-partition adds did, with one registry lock per run.
 //
 //nostop:hotpath
 func (o *obsState) OnAppend(topic string, n int64) {

@@ -82,11 +82,12 @@ func TestAllocsTickerTick(t *testing.T) {
 }
 
 // TestAllocsTickerInPlace: a ticker alone on its clock fires its next
-// firing in place under RunUntil. Those firings allocate nothing, and the
-// ticker keeps its one node: the free list is left as it was.
+// firing in place under RunUntil. Those firings and the settle that ends
+// each run allocate nothing, and the ticker keeps its one node: the free
+// list is left as it was.
 func TestAllocsTickerInPlace(t *testing.T) {
 	c := NewClock()
-	fired, inPlace := 0, 0
+	fired, inPlace, settles := 0, 0, 0
 	var tk *Ticker
 	tk = c.NewTicker(time.Millisecond, func() {
 		fired++
@@ -94,6 +95,7 @@ func TestAllocsTickerInPlace(t *testing.T) {
 			inPlace++
 		}
 	})
+	tk.SetSettle(func() { settles++ })
 	fn := func() {}
 	for i := 0; i < 8; i++ {
 		c.At(Time(i)*Time(time.Microsecond), fn) // leaves 8 nodes on the free list
@@ -108,7 +110,7 @@ func TestAllocsTickerInPlace(t *testing.T) {
 		return k
 	}
 	want := freeLen()
-	fired, inPlace = 0, 0
+	fired, inPlace, settles = 0, 0, 0
 	allocs := testing.AllocsPerRun(100, func() {
 		c.RunUntil(c.Now() + Time(time.Second))
 	})
@@ -119,9 +121,10 @@ func TestAllocsTickerInPlace(t *testing.T) {
 		t.Fatal("in-place firings changed the ticker's node or the free list")
 	}
 	// Each RunUntil pops the firing its predecessor queued at the horizon
-	// and fires the other 999 in place.
-	if fired != 101*1000 || inPlace != 101*999 {
-		t.Fatalf("%d firings, %d in place; want %d and %d", fired, inPlace, 101*1000, 101*999)
+	// and fires the other 999 in place, all in one run.
+	if fired != 101*1000 || inPlace != 101*999 || settles != 101 {
+		t.Fatalf("%d firings, %d in place, %d settles; want %d, %d and 101",
+			fired, inPlace, settles, 101*1000, 101*999)
 	}
 }
 

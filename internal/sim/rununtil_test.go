@@ -14,8 +14,12 @@ import (
 // RunUntil, and require the same firings at the same times, and the same
 // Now, Executed and Pending after every advance. The programs mix tickers
 // sharing a lane and tickers alone in one, At events that tie with ticker
-// firings, cancels, outside and in-handler Stop and Reset, Clock.Stop, and
-// horizons that land exactly on firing instants.
+// firings, cancels (of the earliest pending event too, which leaves a run's
+// scanned bound early), outside and in-handler Stop and Reset, handlers
+// that call Step, Clock.Stop, and horizons that land exactly on firing
+// instants. Most tickers have a settle; on each clock every run of a
+// ticker's firings must be settled exactly once, before any other handler
+// starts and before Step or RunUntil returns.
 
 // choices supplies a program's random choices. Each clock of a comparison
 // reads its own choices from the same seed or bytes, so both draw alike
@@ -69,12 +73,98 @@ type diffWorld struct {
 	events   []Event // every At handle, by id
 	tickers  []*Ticker
 	stopped  []bool // Ticker.Stop called
+	settled  []bool // the ticker has a settle
 	clockHit bool   // Clock.Stop called during the current advance
 	inPlace  int    // ticker firings fired in place (RunUntil clock only)
+	until    Time   // horizon of the current advance
+
+	// The run owing a settle: its ticker (-1 for none), and Now and
+	// Executed at its last firing, or where its handler resumed after a
+	// Step it called. reset marks a run whose handler reset its ticker;
+	// stepFrom is the ticker whose handler is calling Step, -1 for none.
+	owed     int
+	owedAt   Time
+	owedExec uint64
+	reset    bool
+	stepFrom int
+
+	settles []diffRecord   // every settle: id -(k+1), Now and Executed
+	exits   map[string]int // how the settled runs ended
+	acts    map[string]int // coverage of the handler actions below
 }
 
 func newDiffWorld(t testing.TB, ch choices, stepped bool) *diffWorld {
-	return &diffWorld{t: t, c: NewClock(), ch: ch, stepped: stepped}
+	return &diffWorld{t: t, c: NewClock(), ch: ch, stepped: stepped, owed: -1, stepFrom: -1,
+		exits: map[string]int{}, acts: map[string]int{}}
+}
+
+// fired records a handler's start. No run may owe a settle then, except the
+// ticker's own when the firing continues its run in place.
+func (w *diffWorld) fired(id int, continues bool) {
+	if w.owed >= 0 && !(continues && w.owed == -(id+1)) {
+		w.t.Fatalf("stepped=%v: id %d fired at %v before ticker %d's run was settled",
+			w.stepped, id, w.c.Now(), w.owed)
+	}
+	if continues && w.owed < 0 && w.settled[-(id+1)] {
+		w.t.Fatalf("stepped=%v: ticker %d fired in place at %v after its run was settled",
+			w.stepped, -(id + 1), w.c.Now())
+	}
+	w.log = append(w.log, diffRecord{id: id, at: w.c.Now()})
+}
+
+// open starts a run that owes ticker k's settle, or resumes one after a
+// Step its handler called.
+func (w *diffWorld) open(k int) {
+	if !w.settled[k] {
+		return
+	}
+	if w.owed >= 0 && w.owed != k {
+		w.t.Fatalf("stepped=%v: ticker %d's run opened with ticker %d's unsettled", w.stepped, k, w.owed)
+	}
+	w.owed, w.owedAt, w.owedExec = k, w.c.Now(), w.c.Executed()
+}
+
+// settle is ticker k's settle: it logs the ticker, Now and Executed, checks
+// that it ends a run of k's that nothing has fired into since, and classifies
+// how the run ended.
+func (w *diffWorld) settle(k int) {
+	now, exec := w.c.Now(), w.c.Executed()
+	w.settles = append(w.settles, diffRecord{id: -(k + 1), at: now, executed: exec})
+	if w.owed != k {
+		w.t.Fatalf("stepped=%v: ticker %d settled at %v with no run of its own open (owed %d)",
+			w.stepped, k, now, w.owed)
+	}
+	if now != w.owedAt || exec != w.owedExec {
+		w.t.Fatalf("stepped=%v: ticker %d settled at %v after %d events, its run ended at %v after %d",
+			w.stepped, k, now, exec, w.owedAt, w.owedExec)
+	}
+	tk := w.tickers[k]
+	switch {
+	case w.stepFrom >= 0:
+		if w.stepFrom != k {
+			w.t.Fatalf("stepped=%v: Step from ticker %d's handler settled ticker %d first", w.stepped, w.stepFrom, k)
+		}
+		w.exits["step"]++
+	case tk.stop:
+		w.exits["stop"]++
+	case w.reset:
+		w.exits["reset"]++
+	case w.clockHit:
+		w.exits["clock-stop"]++
+	case w.c.Now()+tk.Period() > w.until:
+		w.exits["horizon"]++
+	default:
+		w.exits["re-arm"]++
+	}
+	w.owed, w.reset, w.stepFrom = -1, false, -1
+}
+
+// unsettled fails when a run owes a settle where none may: after Step or
+// RunUntil returned.
+func (w *diffWorld) unsettled(where string) {
+	if w.owed >= 0 {
+		w.t.Fatalf("stepped=%v: %s with ticker %d's run unsettled", w.stepped, where, w.owed)
+	}
 }
 
 func (w *diffWorld) period() time.Duration { return diffPeriods[w.ch.intn(len(diffPeriods))] }
@@ -82,11 +172,12 @@ func (w *diffWorld) period() time.Duration { return diffPeriods[w.ch.intn(len(di
 func (w *diffWorld) at(due Time) {
 	id := len(w.events)
 	w.events = append(w.events, w.c.At(due, func() {
-		w.log = append(w.log, diffRecord{id: id, at: w.c.Now()})
+		w.fired(id, false)
 		w.act(-1)
 	}))
 }
 
+// newTicker starts a ticker, three in four with a settle.
 func (w *diffWorld) newTicker() {
 	if len(w.tickers) >= 8 {
 		return
@@ -96,14 +187,21 @@ func (w *diffWorld) newTicker() {
 	tk = w.c.NewTicker(w.period(), func() {
 		// A queued firing was re-keyed to its due; one fired in place was
 		// never queued, so its node still holds the last queued due.
-		if tk.ev.n.due != w.c.Now() {
+		inPlace := tk.ev.n.due != w.c.Now()
+		if inPlace {
 			w.inPlace++
 		}
-		w.log = append(w.log, diffRecord{id: -(k + 1), at: w.c.Now()})
+		w.fired(-(k + 1), inPlace)
+		w.open(k)
 		w.act(k)
 	})
+	settled := w.ch.intn(4) != 0
+	if settled {
+		tk.SetSettle(func() { w.settle(k) })
+	}
 	w.tickers = append(w.tickers, tk)
 	w.stopped = append(w.stopped, false)
+	w.settled = append(w.settled, settled)
 }
 
 // ticker picks a ticker: self when called from its handler and the choice
@@ -129,19 +227,69 @@ func (w *diffWorld) stopTicker(k int) {
 	w.stopped[k] = true
 }
 
+func (w *diffWorld) resetTicker(k, self int) {
+	w.tickers[k].Reset(w.period())
+	if k == self && w.settled[k] {
+		w.reset = true
+	}
+}
+
+// cancelEarliest cancels the earliest pending event by (due, seq), an At
+// event or a ticker's firing (by stopping the ticker), and schedules
+// nothing. Inside a run of in-place firings that leaves the run's scanned
+// bound early, so the run must fall back to the queue.
+func (w *diffWorld) cancelEarliest() {
+	var first *node
+	if len(w.c.heap.a) > 0 {
+		first = w.c.heap.a[0]
+	}
+	for i := range w.c.lanes {
+		l := &w.c.lanes[i]
+		for k := 0; k < l.n; k++ {
+			n := l.ring[(l.head+k)&(len(l.ring)-1)]
+			if n.canceled {
+				continue
+			}
+			if first == nil || eventLess(n, first) {
+				first = n
+			}
+			break
+		}
+	}
+	for _, e := range w.events {
+		if e.n == first && e.Pending() {
+			w.c.Cancel(e)
+			return
+		}
+	}
+	for k, tk := range w.tickers {
+		if tk.ev.n == first && tk.ev.Pending() {
+			w.stopTicker(k)
+			return
+		}
+	}
+}
+
 // act is a handler's action: usually none, so that tickers run in place.
 // self is the firing ticker's index, -1 for an At event.
 func (w *diffWorld) act(self int) {
 	now := w.c.Now()
-	switch w.ch.intn(40) {
+	from := "at"
+	if self >= 0 {
+		from = "ticker"
+	}
+	switch w.ch.intn(42) {
 	case 33:
 		w.at(now)
-	case 34: // ties with the next firing of a ticker of this period
-		p := w.period()
-		if self >= 0 {
-			p = w.tickers[self].Period()
+	case 34: // ties with the next firing of a ticker
+		if self >= 0 { // this one's, which would fire in place
+			w.at(now + w.tickers[self].Period())
+		} else if k, ok := w.ticker(-1); ok && w.tickers[k].ev.Pending() {
+			w.at(w.tickers[k].ev.Due()) // a queued one's
+		} else {
+			w.at(now + w.period())
 		}
-		w.at(now + p)
+		w.acts["tie from "+from]++
 	case 35:
 		w.cancel()
 	case 36:
@@ -150,16 +298,32 @@ func (w *diffWorld) act(self int) {
 		}
 	case 37:
 		if k, ok := w.ticker(self); ok {
-			w.tickers[k].Reset(w.period())
+			w.resetTicker(k, self)
 		}
 	case 38:
 		if k, ok := w.ticker(self); ok {
-			w.tickers[k].Reset(w.period())
+			w.resetTicker(k, self)
 			w.stopTicker(k)
 		}
 	case 39:
 		w.c.Stop()
 		w.clockHit = true
+	case 40:
+		w.cancelEarliest()
+		w.acts["cancel earliest from "+from]++
+	case 41:
+		// Step settles this handler's run first; the handler then runs on
+		// in a run of its own.
+		if self >= 0 && w.settled[self] {
+			w.stepFrom = self
+		}
+		w.c.Step()
+		w.stepFrom = -1
+		w.unsettled("Step returned to a handler")
+		if self >= 0 {
+			w.open(self)
+		}
+		w.acts["Step from "+from]++
 	}
 }
 
@@ -215,8 +379,8 @@ func (w *diffWorld) horizon() Time {
 	return now + Time(w.ch.intn(60))*Time(time.Millisecond)
 }
 
-// nextDue is the earliest live due, found without reaping anything.
-func nextDue(c *Clock) (Time, bool) {
+// liveDue is the earliest live due, found without reaping anything.
+func liveDue(c *Clock) (Time, bool) {
 	var due Time
 	ok := false
 	if len(c.heap.a) > 0 {
@@ -243,21 +407,24 @@ func nextDue(c *Clock) (Time, bool) {
 // then leaves the clock where RunUntil documents it.
 func (w *diffWorld) advance(horizon Time) {
 	w.clockHit = false
+	w.until = horizon
 	if w.stepped {
 		for !w.clockHit {
-			due, ok := nextDue(w.c)
+			due, ok := liveDue(w.c)
 			if !ok || due > horizon {
 				break
 			}
 			if !w.c.Step() {
 				w.t.Fatal("Step fired nothing with an event due")
 			}
+			w.unsettled("Step returned")
 		}
 		if !w.clockHit && w.c.Now() < horizon {
 			w.c.now = horizon
 		}
 	} else {
 		w.c.RunUntil(horizon)
+		w.unsettled("RunUntil returned")
 	}
 	w.log = append(w.log, diffRecord{advance: true, at: w.c.Now(), executed: w.c.Executed(), pending: w.c.Pending()})
 	w.check()
@@ -281,6 +448,9 @@ func (w *diffWorld) check() {
 	}
 	if err := checkInvariants(w.c); err != nil {
 		w.t.Fatalf("stepped=%v: %v", w.stepped, err)
+	}
+	if w.c.open != 0 {
+		w.t.Fatalf("stepped=%v: the clock holds a run open between advances", w.stepped)
 	}
 	for k, tk := range w.tickers {
 		n := tk.ev.n
@@ -314,9 +484,8 @@ func (w *diffWorld) run(rounds int) {
 }
 
 // compareRuns runs the program on a stepped and a RunUntil clock, each
-// with choices from mk, and returns the in-place firings the RunUntil clock
-// made.
-func compareRuns(t testing.TB, rounds int, mk func() choices) int {
+// with choices from mk, and returns the RunUntil clock's world.
+func compareRuns(t testing.TB, rounds int, mk func() choices) *diffWorld {
 	ref := newDiffWorld(t, mk(), true)
 	got := newDiffWorld(t, mk(), false)
 	ref.run(rounds)
@@ -334,21 +503,43 @@ func compareRuns(t testing.TB, rounds int, mk func() choices) int {
 				i, have, want, len(got.log), len(ref.log))
 		}
 	}
-	return got.inPlace
+	return got
 }
 
 // TestRunUntilMatchesStep holds RunUntil, with its in-place ticker
-// firings, to Step on random programs.
+// firings, to Step on random programs, and requires the RunUntil clock's
+// runs to have ended in each way a run can end.
 func TestRunUntilMatchesStep(t *testing.T) {
 	root := rng.New(27).Split("rununtil-step")
-	inPlace := 0
+	inPlace, settles := 0, 0
+	exits, acts := map[string]int{}, map[string]int{}
 	for round := 0; round < 300; round++ {
 		name := fmt.Sprintf("round-%d", round)
-		inPlace += compareRuns(t, 40, func() choices { return rngChoices{root.Split(name)} })
+		w := compareRuns(t, 40, func() choices { return rngChoices{root.Split(name)} })
+		inPlace += w.inPlace
+		settles += len(w.settles)
+		for k, v := range w.exits {
+			exits[k] += v
+		}
+		for k, v := range w.acts {
+			acts[k] += v
+		}
 	}
 	if inPlace < 10_000 {
 		t.Fatalf("RunUntil fired only %d ticker firings in place, want >= 10000", inPlace)
 	}
+	for _, k := range []string{"re-arm", "stop", "reset", "horizon", "clock-stop", "step"} {
+		if exits[k] < 20 {
+			t.Errorf("only %d runs ended by %s, want >= 20 (all: %v)", exits[k], k, exits)
+		}
+	}
+	for _, k := range []string{"tie from at", "tie from ticker", "cancel earliest from at",
+		"cancel earliest from ticker", "Step from at", "Step from ticker"} {
+		if acts[k] < 100 {
+			t.Errorf("only %d handlers did %q, want >= 100", acts[k], k)
+		}
+	}
+	t.Logf("%d settles; in place %d; exits %v", settles, inPlace, exits)
 }
 
 // FuzzRunUntilMatchesStep derives the program of TestRunUntilMatchesStep

@@ -22,8 +22,11 @@
 // its whole life and re-arms it after each firing instead of returning it
 // to the free list; inside RunUntil, a firing whose successor is due before
 // anything else pending fires that successor in place, without queueing it.
-// Event handles carry a generation stamp so a handle to a recycled node can
-// never cancel a later incarnation.
+// Such a run of firings finds the earliest pending due once, and looks again
+// only after a handler has scheduled something. A ticker's owner may give it
+// a settle function, which ends each run, so per-firing bookkeeping can be
+// done once per run. Event handles carry a generation stamp so a handle to a
+// recycled node can never cancel a later incarnation.
 package sim
 
 import (
@@ -257,13 +260,24 @@ func (l *lane) popFront() *node {
 // Step fires exactly one event. RunUntil may fire a ticker's next firing in
 // place, straight from the previous one, when nothing pending is due at or
 // before it; Now, Executed and Pending read at every point as if the firing
-// had been queued and stepped.
+// had been queued and stepped. A ticker's run of firings (one under Step,
+// one or more in place under RunUntil) ends with its settle function, if it
+// has one, before any other handler starts and before Step or RunUntil
+// returns; see Ticker.SetSettle.
 type Clock struct {
 	now     Time
 	seq     uint64
 	heap    heap4
 	stopped bool
 	until   Time // horizon of the running RunUntil; noHorizon outside one
+
+	// open is the slot of the ticker whose run is under way and owes its
+	// settle, 0 between runs: settlers[open-1] is that ticker. A slot, not
+	// a pointer, so that a run opens and closes without a GC write barrier;
+	// the 32-tenant mix, whose runs are one firing each, ran about 5%
+	// slower with a pointer.
+	open     int
+	settlers []*Ticker // every ticker given a settle, for the clock's life
 
 	lanes []lane // lanes[0] is the same-instant lane
 	tombs int    // canceled nodes still occupying lane slots, over all lanes
@@ -429,6 +443,9 @@ func (c *Clock) Stop() { c.stopped = true }
 // heap root and the lane heads — if it is due no later than horizon, and
 // reports whether it fired one.
 func (c *Clock) step(horizon Time) bool {
+	if c.open != 0 {
+		return c.stepSettled(horizon)
+	}
 	var n *node
 	from := -1 // the heap
 	if len(c.heap.a) > 0 {
@@ -473,12 +490,12 @@ func (c *Clock) step(horizon Time) bool {
 	return true
 }
 
-// queuedAfter reports whether every pending event is due strictly after
-// due, reaping tombstones at lane heads. A ticker firing due at due may then
-// fire in place: on a tie the pending event goes first, as its seq is lower.
-func (c *Clock) queuedAfter(due Time) bool {
-	if len(c.heap.a) > 0 && c.heap.a[0].due <= due {
-		return false
+// nextDue returns the due of the earliest pending event, reaping tombstones
+// at lane heads, or Infinity when nothing is pending.
+func (c *Clock) nextDue() Time {
+	due := Infinity
+	if len(c.heap.a) > 0 {
+		due = c.heap.a[0].due
 	}
 	for i := range c.lanes {
 		l := &c.lanes[i]
@@ -491,16 +508,38 @@ func (c *Clock) queuedAfter(due Time) bool {
 				continue
 			}
 		}
-		if f.due <= due {
-			return false
+		if f.due < due {
+			due = f.due
 		}
 	}
-	return true
+	return due
+}
+
+// settleOpen ends the open run, if any, with its ticker's settle, and
+// returns the run's slot: a Step, RunUntil or Run called from the ticker's
+// handler reopens the run when it returns, as the handler then runs on.
+func (c *Clock) settleOpen() int {
+	k := c.open
+	if k != 0 {
+		c.open = 0
+		c.settlers[k-1].settle()
+	}
+	return k
+}
+
+// stepSettled is step for a Step called from the handler of a ticker whose
+// run is open. Kept out of Step, which stays small enough to inline.
+func (c *Clock) stepSettled(horizon Time) bool {
+	open := c.settleOpen()
+	ok := c.step(horizon)
+	c.open = open
+	return ok
 }
 
 // Step fires the earliest pending event and returns true, or returns false
 // if the queue is empty. It fires exactly one event, also when a handler
-// running under RunUntil calls it.
+// running under RunUntil calls it. Called from a ticker's handler, it first
+// settles the ticker's run.
 //
 //nostop:hotpath
 func (c *Clock) Step() bool {
@@ -518,6 +557,7 @@ func (c *Clock) Step() bool {
 //
 //nostop:hotpath
 func (c *Clock) RunUntil(horizon Time) {
+	open := c.settleOpen()
 	c.stopped = false
 	until := c.until
 	c.until = horizon
@@ -527,15 +567,18 @@ func (c *Clock) RunUntil(horizon Time) {
 	if c.now < horizon && !c.stopped {
 		c.now = horizon
 	}
+	c.open = open
 }
 
 // Run executes events until the queue drains or Stop is called.
 //
 //nostop:hotpath
 func (c *Clock) Run() {
+	open := c.settleOpen()
 	c.stopped = false
 	for !c.stopped && c.Step() {
 	}
+	c.open = open
 }
 
 // Ticker repeatedly schedules a handler at a fixed period until stopped. Its
@@ -545,15 +588,21 @@ func (c *Clock) Run() {
 // handler runs), and re-arming re-keys the same node and pushes it to its
 // lane's tail. Stop or Reset while a firing is pending leave the node in
 // the lane as a tombstone; the ticker takes a fresh node when it next arms.
+//
 // Inside RunUntil the next firing fires in place instead of re-arming, with
 // no push or pop, when the handler neither stopped nor re-armed the ticker,
 // Clock.Stop was not called, the firing is due within the horizon and every
-// pending event is due strictly after it.
+// pending event is due strictly after it. Such a string of firings is a run;
+// under Step a run is one firing. A run finds the earliest pending due once
+// and looks again only after a handler has scheduled something, so a cancel
+// inside the run can only make it end early, never late.
 type Ticker struct {
 	clock  *Clock
 	period time.Duration
 	lane   int // index of the clock's lane for period
 	fn     func()
+	settle func() // ends each run; nil for none
+	slot   int    // index+1 in the clock's settlers; 0 without a settle
 	tick   func() // allocated once; rescheduling must not allocate per tick
 	ev     Event  // the owned node's latest incarnation; ev.n nil when none
 	stop   bool
@@ -567,32 +616,76 @@ func (c *Clock) NewTicker(period time.Duration, fn func()) *Ticker {
 	}
 	t := &Ticker{clock: c, period: period, lane: c.laneFor(period), fn: fn}
 	t.tick = func() {
+		c.open = t.slot
+		var next Time     // earliest pending due as of seq seen
+		seen := c.seq - 1 // no scan yet: c.seq only grows, so it differs
 		for {
 			t.fn()
 			// fn may have stopped the ticker, or reset it, which already
 			// armed the next firing.
 			if t.stop || t.ev.Pending() {
-				return
+				break
 			}
 			// The next firing fires in place only inside RunUntil, before
 			// Clock.Stop, within the horizon and ahead of everything queued.
 			// Anything in the ticker's own lane was armed at or before now,
 			// so it is due no later than due: tickers that share a lane
-			// re-arm without the scan.
+			// re-arm without the scan. Only scheduling adds pending events,
+			// and every schedule takes a seq, so next is stale only after
+			// c.seq moved; a cancel leaves it early, which just ends the run.
 			due := c.now + t.period
-			if due > c.until || c.stopped || c.lanes[t.lane].n > 0 || !c.queuedAfter(due) {
-				t.arm()
-				return
+			if due <= c.until && !c.stopped && c.lanes[t.lane].n == 0 {
+				if c.seq != seen {
+					next, seen = c.nextDue(), c.seq
+				}
+				if next > due { // on a tie the queued event goes first
+					// Fire the next firing now, as a step of the queue would
+					// have: it takes the seq arming would have given it.
+					c.seq++
+					seen = c.seq
+					c.now = due
+					c.executed++
+					continue
+				}
 			}
-			// Fire the next firing now, as a step of the queue would have:
-			// it takes the seq arming would have given it.
-			c.seq++
-			c.now = due
-			c.executed++
+			// Settling first keeps the settle next to the run's last
+			// firing: the 32-tenant mix, whose runs are one firing each,
+			// ran about 6% slower settling after the arm.
+			t.end()
+			t.arm()
+			return
 		}
+		t.end()
 	}
 	t.arm()
 	return t
+}
+
+// end ends the ticker's run with its settle, unless the run is settled
+// already: a ticker without a settle never opens one.
+func (t *Ticker) end() {
+	if c := t.clock; c.open != 0 {
+		c.open = 0
+		t.settle()
+	}
+}
+
+// SetSettle sets fn to end each of the ticker's runs: it runs once after
+// the run's last firing, before the next one is armed, before any other
+// handler starts and before Step or RunUntil returns, also when the
+// handler stopped or reset the ticker, or Clock.Stop or the horizon ended
+// the run. A Step, RunUntil or Run called from the ticker's handler
+// settles the run before it fires anything, and the handler's remaining
+// work opens a new run. So state that the handler only accumulates, and fn
+// publishes, reads up to date to every other handler. Set it once, before
+// the first firing, to a non-nil fn that only publishes: it must not
+// schedule, fire or cancel events, or stop or reset its ticker.
+func (t *Ticker) SetSettle(fn func()) {
+	if t.slot == 0 {
+		t.clock.settlers = append(t.clock.settlers, t)
+		t.slot = len(t.clock.settlers)
+	}
+	t.settle = fn
 }
 
 // arm schedules the next firing one period from now on the ticker's node,
