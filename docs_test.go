@@ -31,11 +31,14 @@ var cmdAllowlist = map[string]bool{
 	"nostop-controller": true,
 }
 
-// retiredCmds names commands folded into nostop-bench. CHANGES.md records
-// history and may still name them; no maintained doc may.
+// retiredCmds names commands that were deleted: two folded into
+// nostop-bench, and a live listener demo that nostop-serve's wall mode
+// replaces. CHANGES.md records history and may still name them; no
+// maintained doc may.
 var retiredCmds = map[string]bool{
-	"nostop-chaos": true,
-	"nostop-zoo":   true,
+	"nostop-chaos":  true,
+	"nostop-listen": true,
+	"nostop-zoo":    true,
 }
 
 // docFiles walks the repo for maintained markdown files.

@@ -89,9 +89,6 @@ func (p *Partition) SetDown(down bool) {
 	}
 }
 
-// Down reports whether the partition is currently in outage.
-func (p *Partition) Down() bool { return p.down }
-
 // Begin returns the first retained offset (0 in this in-memory model).
 func (p *Partition) Begin() int64 { return p.begin }
 
@@ -440,7 +437,7 @@ type OffsetRange struct {
 // ConsumerGroup consumes a topic with two offsets per partition, matching
 // Kafka consumer semantics under at-least-once processing:
 //
-//   - position: the next offset a fetch will read. Fetch advances it.
+//   - position: the next offset a fetch will read. FetchChunk advances it.
 //   - committed: the highest offset whose records were durably processed.
 //     Commit advances it; a failure rewinds position back to it, and the
 //     records in between are fetched again (redelivered, never lost).
@@ -516,58 +513,18 @@ func (g *ConsumerGroup) Redelivered() int64 { return g.redelivered }
 // the "zero records lost" invariant once a run has drained.
 func (g *ConsumerGroup) FullyCommitted() bool { return g.committedTotal >= g.topic.totalEnd }
 
-// Fetch consumes up to max records across all live partitions (max <= 0
-// means all available), advancing positions but not committed offsets. It
-// returns the consumed count, any retained concrete payloads inside the
-// consumed spans, and the offset ranges read — the caller commits the ranges
-// once processing succeeds. Partitions in outage are skipped; their backlog
-// stays fetchable after restoration.
-func (g *ConsumerGroup) Fetch(max int64) (int64, []Record, []OffsetRange) {
-	var c Chunk
-	g.fetchInto(max, &c)
-	return c.Count, c.Records, c.Ranges
-}
-
-// FetchChunk consumes like Fetch but fills a pooled Chunk whose backing
-// slices are reused across fetches. Release the chunk once its ranges are
-// committed (or abandoned); until then the chunk owns its payload copies, so
-// replay and retry see stable data. Returns nil when nothing is available.
+// FetchChunk consumes up to max records across all live partitions (max <=
+// 0 means all available), advancing positions but not committed offsets. It
+// returns a pooled Chunk holding the consumed count, any retained concrete
+// payloads inside the consumed spans, and the offset ranges read — the
+// caller commits the ranges once processing succeeds — or nil when nothing
+// is available. Partitions in outage are skipped; their backlog stays
+// fetchable after restoration. The chunk's backing slices are reused across
+// fetches: release it once its ranges are committed (or abandoned); until
+// then it owns its payload copies, so replay and retry see stable data.
 //
 //nostop:hotpath
 func (g *ConsumerGroup) FetchChunk(max int64) *Chunk {
-	c := g.chunkFree
-	if c != nil {
-		g.chunkFree = c.next
-		c.next = nil
-		c.Count = 0
-		c.Records = c.Records[:0]
-		c.Ranges = c.Ranges[:0]
-	} else {
-		c = &Chunk{} //nostop:allow hotalloc -- pool miss: one chunk per concurrent fetch high-water mark
-	}
-	g.fetchInto(max, c)
-	if c.Count == 0 {
-		g.Release(c)
-		return nil
-	}
-	return c
-}
-
-// Release returns a chunk to the group's pool. The chunk and its slices
-// must not be used after release.
-//
-//nostop:hotpath
-func (g *ConsumerGroup) Release(c *Chunk) {
-	if c == nil {
-		return
-	}
-	c.next = g.chunkFree
-	g.chunkFree = c
-}
-
-// fetchInto is the fetch core shared by Fetch and FetchChunk: it appends
-// consumed payloads and ranges to the chunk's slices and advances positions.
-func (g *ConsumerGroup) fetchInto(max int64, c *Chunk) {
 	// The scans below read each partition's end field as its end.
 	g.topic.spread()
 	var avail int64
@@ -587,7 +544,16 @@ func (g *ConsumerGroup) fetchInto(max int64, c *Chunk) {
 		want = max
 	}
 	if want == 0 {
-		return
+		return nil
+	}
+	c := g.chunkFree
+	if c != nil {
+		g.chunkFree = c.next
+		c.next = nil
+		c.Records = c.Records[:0]
+		c.Ranges = c.Ranges[:0]
+	} else {
+		c = &Chunk{} //nostop:allow hotalloc -- pool miss: one chunk per concurrent fetch high-water mark
 	}
 	var consumed int64
 	// Take partitions greedily in index order: each live partition gives
@@ -628,9 +594,22 @@ func (g *ConsumerGroup) fetchInto(max int64, c *Chunk) {
 	if a := g.topic.acct; a != nil {
 		a.Fetched += consumed
 	}
-	if g.topic.obs != nil && consumed > 0 {
+	if g.topic.obs != nil {
 		g.topic.obs.OnFetch(g.topic.Name, consumed, c.Ranges)
 	}
+	return c
+}
+
+// Release returns a chunk to the group's pool. The chunk and its slices
+// must not be used after release.
+//
+//nostop:hotpath
+func (g *ConsumerGroup) Release(c *Chunk) {
+	if c == nil {
+		return
+	}
+	c.next = g.chunkFree
+	g.chunkFree = c
 }
 
 // Commit durably acknowledges processed ranges, advancing committed offsets.
@@ -682,13 +661,4 @@ func (g *ConsumerGroup) Rewind(partition int) int64 {
 		g.topic.obs.OnRewind(g.topic.Name, partition, delta)
 	}
 	return delta
-}
-
-// Poll consumes up to max records like Fetch but commits the ranges
-// immediately (auto-commit) — the pre-resilience consumption path, kept for
-// callers that do not participate in replay.
-func (g *ConsumerGroup) Poll(max int64) (int64, []Record) {
-	n, payloads, ranges := g.Fetch(max)
-	g.Commit(ranges)
-	return n, payloads
 }

@@ -22,6 +22,21 @@ func newTestBus(t *testing.T, partitions, sampleCap int) (*Bus, *Topic) {
 	return bus, topic
 }
 
+// poll consumes up to max records and commits them at once, as a consumer
+// outside replay would: FetchChunk, Commit and Release. It returns the
+// count and a copy of the payloads, which the chunk holds only until
+// released.
+func poll(g *ConsumerGroup, max int64) (int64, []Record) {
+	c := g.FetchChunk(max)
+	if c == nil {
+		return 0, nil
+	}
+	n, recs := c.Count, append([]Record(nil), c.Records...)
+	g.Commit(c.Ranges)
+	g.Release(c)
+	return n, recs
+}
+
 func TestNewBusValidation(t *testing.T) {
 	if _, err := NewBus(nil); !errors.Is(err, ErrNoBrokers) {
 		t.Fatalf("err=%v", err)
@@ -164,18 +179,18 @@ func TestConsumerGroupPollAndLag(t *testing.T) {
 	if group.Lag() != 100 {
 		t.Fatalf("Lag=%d, want 100", group.Lag())
 	}
-	n, _ := group.Poll(30)
+	n, _ := poll(group, 30)
 	if n != 30 {
-		t.Fatalf("Poll consumed %d, want 30", n)
+		t.Fatalf("poll consumed %d, want 30", n)
 	}
 	if group.Lag() != 70 {
 		t.Fatalf("Lag=%d after partial poll, want 70", group.Lag())
 	}
-	n, _ = group.Poll(0) // drain
+	n, _ = poll(group, 0) // drain
 	if n != 70 || group.Lag() != 0 {
 		t.Fatalf("drain consumed %d, lag %d", n, group.Lag())
 	}
-	n, _ = group.Poll(10)
+	n, _ = poll(group, 10)
 	if n != 0 {
 		t.Fatalf("empty poll consumed %d", n)
 	}
@@ -187,7 +202,7 @@ func TestConsumerGroupIndependentGroups(t *testing.T) {
 	g1, _ := bus.NewConsumerGroup("events")
 	prod.SendCount(50)
 	g2, _ := bus.NewConsumerGroup("events")
-	g1.Poll(0)
+	poll(g1, 0)
 	if g1.Lag() != 0 {
 		t.Fatal("g1 lag after drain")
 	}
@@ -204,7 +219,7 @@ func TestPollDeliversRetainedPayloads(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		prod.Send("user", fmt.Sprintf("click-%d", i), 0)
 	}
-	n, payloads := group.Poll(0)
+	n, payloads := poll(group, 0)
 	if n != 10 {
 		t.Fatalf("consumed %d, want 10", n)
 	}
@@ -227,9 +242,9 @@ func TestPollDoesNotRedeliverPayloads(t *testing.T) {
 	prod, _ := bus.NewProducer("events")
 	group, _ := bus.NewConsumerGroup("events")
 	prod.Send("k", "a", 0)
-	group.Poll(0)
+	poll(group, 0)
 	prod.Send("k", "b", 0)
-	_, payloads := group.Poll(0)
+	_, payloads := poll(group, 0)
 	if len(payloads) != 1 || payloads[0].Value != "b" {
 		t.Fatalf("redelivered payloads: %+v", payloads)
 	}
@@ -294,7 +309,7 @@ func TestPollConservationProperty(t *testing.T) {
 			if i%2 == 0 {
 				prod.SendCount(int64(op % 1000))
 			} else {
-				n, _ := group.Poll(int64(op % 500))
+				n, _ := poll(group, int64(op%500))
 				consumed += n
 			}
 		}
@@ -310,7 +325,7 @@ func TestCommittedTracksPolls(t *testing.T) {
 	prod, _ := bus.NewProducer("events")
 	group, _ := bus.NewConsumerGroup("events")
 	prod.SendCount(10) // 5 per partition
-	group.Poll(0)
+	poll(group, 0)
 	if group.Committed(0) != 5 || group.Committed(1) != 5 {
 		t.Fatalf("committed=(%d,%d), want (5,5)", group.Committed(0), group.Committed(1))
 	}

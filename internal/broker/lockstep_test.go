@@ -73,8 +73,8 @@ func (a *appendSums) OnCommit(string, int64, []OffsetRange) {}
 func (a *appendSums) OnRewind(string, int, int64)           {}
 func (a *appendSums) OnOutage(string, int, bool)            {}
 
-// held is a fetch not yet committed: its ranges, and its chunk when it came
-// from FetchChunk.
+// held is a fetch not yet committed: its ranges, and its chunk unless the
+// fetch released it at once.
 type held struct {
 	topic  int
 	ranges []OffsetRange
@@ -186,8 +186,8 @@ func runLockstep(t testing.TB, ops []byte) {
 			ref.topics[ti].Partitions[j].SetDown(down)
 		case 5:
 			max := int64(r.next()%3) * int64(r.next())
-			op = fmt.Sprintf("Fetch(%d)", max)
-			got, want = lazy.fetch(ti, max), ref.fetch(ti, max)
+			op = fmt.Sprintf("FetchChunk(%d), released at once", max)
+			got, want = lazy.fetchReleased(ti, max), ref.fetchReleased(ti, max)
 		case 6:
 			max := int64(r.next()%3) * int64(r.next())
 			op = fmt.Sprintf("FetchChunk(%d)", max)
@@ -203,9 +203,9 @@ func runLockstep(t testing.TB, ops []byte) {
 			got, want = lazy.groups[ti].Rewind(j), ref.groups[ti].Rewind(j)
 		case 9:
 			max := int64(r.next()%3) * int64(r.next())
-			op = fmt.Sprintf("Poll(%d)", max)
-			ln, lrecs := lazy.groups[ti].Poll(max)
-			rn, rrecs := ref.groups[ti].Poll(max)
+			op = fmt.Sprintf("poll(%d)", max)
+			ln, lrecs := poll(lazy.groups[ti], max)
+			rn, rrecs := poll(ref.groups[ti], max)
 			got, want = fmt.Sprint(ln, lrecs), fmt.Sprint(rn, rrecs)
 		}
 		if !reflect.DeepEqual(got, want) {
@@ -217,12 +217,18 @@ func runLockstep(t testing.TB, ops []byte) {
 	}
 }
 
-func (s *lockstepSide) fetch(ti int, max int64) string {
-	n, recs, ranges := s.groups[ti].Fetch(max)
-	if n > 0 {
-		s.held = append(s.held, held{topic: ti, ranges: ranges})
+// fetchReleased fetches a chunk and releases it at once, holding a copy of
+// its ranges: later fetches reuse the chunk while the ranges await commit.
+func (s *lockstepSide) fetchReleased(ti int, max int64) string {
+	c := s.groups[ti].FetchChunk(max)
+	if c == nil {
+		return "nil"
 	}
-	return fmt.Sprint(n, recs, ranges)
+	ranges := append([]OffsetRange(nil), c.Ranges...)
+	got := fmt.Sprint(c.Count, c.Records, ranges)
+	s.groups[ti].Release(c)
+	s.held = append(s.held, held{topic: ti, ranges: ranges})
+	return got
 }
 
 func (s *lockstepSide) fetchChunk(ti int, max int64) string {

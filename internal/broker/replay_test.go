@@ -30,9 +30,9 @@ func replayBus(t *testing.T, parts int) (*Bus, *Topic, *Producer, *ConsumerGroup
 func TestFetchDoesNotCommit(t *testing.T) {
 	_, _, prod, group := replayBus(t, 2)
 	prod.SendCount(100)
-	n, _, ranges := group.Fetch(0)
-	if n != 100 {
-		t.Fatalf("fetched %d, want 100", n)
+	c := group.FetchChunk(0)
+	if c == nil || c.Count != 100 {
+		t.Fatalf("fetched %+v, want 100", c)
 	}
 	if group.Lag() != 0 {
 		t.Fatalf("lag %d after full fetch, want 0", group.Lag())
@@ -40,7 +40,8 @@ func TestFetchDoesNotCommit(t *testing.T) {
 	if group.CommittedLag() != 100 {
 		t.Fatalf("committed lag %d before commit, want 100", group.CommittedLag())
 	}
-	group.Commit(ranges)
+	group.Commit(c.Ranges)
+	group.Release(c)
 	if group.CommittedLag() != 0 || !group.FullyCommitted() {
 		t.Fatalf("commit did not settle: committed lag %d", group.CommittedLag())
 	}
@@ -56,18 +57,19 @@ func TestPartitionOutageReplayAtLeastOnce(t *testing.T) {
 	}
 
 	// First fetch delivers everything, but nothing is committed yet.
-	n, _, _ := group.Fetch(0)
-	if n != 40 {
-		t.Fatalf("fetched %d, want 40", n)
+	c := group.FetchChunk(0)
+	if c == nil || c.Count != 40 {
+		t.Fatalf("fetched %+v, want 40", c)
 	}
 
 	// Partition 0's leader dies: the in-flight fetch session is lost and
-	// the consumer rewinds to the committed offset.
+	// the consumer rewinds to the committed offset, abandoning the fetch.
 	p0 := topic.Partitions[0]
 	p0.SetDown(true)
 	if re := group.Rewind(0); re != 20 {
 		t.Fatalf("rewind redelivered %d, want 20", re)
 	}
+	group.Release(c)
 	if group.Redelivered() != 20 {
 		t.Fatalf("redelivered counter %d, want 20", group.Redelivered())
 	}
@@ -75,24 +77,26 @@ func TestPartitionOutageReplayAtLeastOnce(t *testing.T) {
 	// While down, more records arrive on both partitions; fetch can only
 	// reach the live partition.
 	prod.SendCount(20) // 10 per partition
-	n, _, ranges := group.Fetch(0)
-	if n != 10 {
-		t.Fatalf("fetched %d from live partition during outage, want 10", n)
+	c = group.FetchChunk(0)
+	if c == nil || c.Count != 10 {
+		t.Fatalf("fetched %+v from live partition during outage, want 10", c)
 	}
-	for _, r := range ranges {
+	for _, r := range c.Ranges {
 		if r.Partition == 0 {
 			t.Fatalf("fetched range %+v from a down partition", r)
 		}
 	}
-	group.Commit(ranges)
+	group.Commit(c.Ranges)
+	group.Release(c)
 
 	// Restoration exposes the whole rewound backlog again.
 	p0.SetDown(false)
-	n, _, ranges = group.Fetch(0)
-	if n != 30 { // 20 redelivered + 10 produced during the outage
-		t.Fatalf("fetched %d after restore, want 30", n)
+	c = group.FetchChunk(0)
+	if c == nil || c.Count != 30 { // 20 redelivered + 10 produced during the outage
+		t.Fatalf("fetched %+v after restore, want 30", c)
 	}
-	group.Commit(ranges)
+	group.Commit(c.Ranges)
+	group.Release(c)
 
 	if !group.FullyCommitted() {
 		t.Fatal("records lost: not every produced offset was committed")
@@ -105,11 +109,12 @@ func TestPartitionOutageReplayAtLeastOnce(t *testing.T) {
 func TestRewindWithoutUncommittedIsNoop(t *testing.T) {
 	_, _, prod, group := replayBus(t, 1)
 	prod.SendCount(10)
-	n, _, ranges := group.Fetch(0)
-	if n != 10 {
-		t.Fatalf("fetched %d", n)
+	c := group.FetchChunk(0)
+	if c == nil || c.Count != 10 {
+		t.Fatalf("fetched %+v", c)
 	}
-	group.Commit(ranges)
+	group.Commit(c.Ranges)
+	group.Release(c)
 	if re := group.Rewind(0); re != 0 {
 		t.Fatalf("rewind after commit redelivered %d, want 0", re)
 	}
@@ -123,13 +128,15 @@ func TestCommitIsMonotonic(t *testing.T) {
 	// past it; committing its stale range must not move offsets backwards.
 	_, _, prod, group := replayBus(t, 1)
 	prod.SendCount(30)
-	_, _, r1 := group.Fetch(10)
-	_, _, r2 := group.Fetch(20)
-	group.Commit(r2)
+	c1 := group.FetchChunk(10)
+	c2 := group.FetchChunk(20)
+	group.Commit(c2.Ranges)
+	group.Release(c2)
 	if group.Committed(0) != 30 {
 		t.Fatalf("committed %d, want 30", group.Committed(0))
 	}
-	group.Commit(r1)
+	group.Commit(c1.Ranges)
+	group.Release(c1)
 	if group.Committed(0) != 30 {
 		t.Fatalf("stale commit moved offset to %d", group.Committed(0))
 	}
@@ -142,18 +149,20 @@ func TestOutagePreservesPayloads(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		prod.Send("k", "payload", sim.Time(i))
 	}
-	_, payloads, _ := group.Fetch(0)
-	if len(payloads) != 8 {
-		t.Fatalf("first delivery %d payloads, want 8", len(payloads))
+	c := group.FetchChunk(0)
+	if c == nil || len(c.Records) != 8 {
+		t.Fatalf("first delivery %+v, want 8 payloads", c)
 	}
 	topic.Partitions[0].SetDown(true)
 	group.Rewind(0)
+	group.Release(c)
 	topic.Partitions[0].SetDown(false)
-	_, payloads, ranges := group.Fetch(0)
-	if len(payloads) != 8 {
-		t.Fatalf("redelivery %d payloads, want 8", len(payloads))
+	c = group.FetchChunk(0)
+	if c == nil || len(c.Records) != 8 {
+		t.Fatalf("redelivery %+v, want 8 payloads", c)
 	}
-	group.Commit(ranges)
+	group.Commit(c.Ranges)
+	group.Release(c)
 	if !group.FullyCommitted() {
 		t.Fatal("redelivered records not committed")
 	}

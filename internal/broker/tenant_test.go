@@ -50,9 +50,9 @@ func TestTenantAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, _, ranges := group.Fetch(6)
-	if n != 6 {
-		t.Fatalf("fetched %d, want 6", n)
+	c := group.FetchChunk(6)
+	if c == nil || c.Count != 6 {
+		t.Fatalf("fetched %+v, want 6", c)
 	}
 	if acme.Fetched != 6 {
 		t.Fatalf("acme fetched %d, want 6", acme.Fetched)
@@ -60,7 +60,8 @@ func TestTenantAccounting(t *testing.T) {
 	if acme.Lag() != 9 {
 		t.Fatalf("post-fetch lag %d, want 9", acme.Lag())
 	}
-	group.Commit(ranges)
+	group.Commit(c.Ranges)
+	group.Release(c)
 	if acme.Committed != 6 {
 		t.Fatalf("acme committed %d, want 6", acme.Committed)
 	}
@@ -82,11 +83,13 @@ func TestTenantAccountingRedelivery(t *testing.T) {
 	prod, _ := bus.NewProducer("in")
 	prod.SendCount(8)
 	group, _ := bus.NewConsumerGroup("in")
-	if n, _, _ := group.Fetch(8); n != 8 {
+	c := group.FetchChunk(8)
+	if c == nil || c.Count != 8 {
 		t.Fatal("fetch failed")
 	}
 
 	redelivered := group.Rewind(0) // uncommitted records re-queued
+	group.Release(c)
 	acme := bus.TenantAccount("acme")
 	if acme.Redelivered != redelivered || redelivered != 8 {
 		t.Fatalf("account redelivered %d, group rewound %d, want 8", acme.Redelivered, redelivered)

@@ -416,11 +416,12 @@ func (s ConfigSpace) Lattice() [][]float64 {
 }
 
 // At maps a lattice coordinate vector (one index per axis, clamped to the
-// axis's value count) to the configuration point it denotes.
-func (s ConfigSpace) At(idx []int) FullConfig {
+// axis's value count) to the configuration point it denotes. lattice is
+// the space's Lattice, which a caller builds once and keeps.
+func (s ConfigSpace) At(lattice [][]float64, idx []int) FullConfig {
 	var c FullConfig
 	for i, a := range s.Axes {
-		vals := a.Values()
+		vals := lattice[i]
 		j := 0
 		if i < len(idx) {
 			j = idx[i]

@@ -166,7 +166,7 @@ func TestLatticeNormRoundTrip(t *testing.T) {
 		for i := range idx {
 			idx[i] = pick(len(lattice[i]))
 		}
-		c := s.At(idx)
+		c := s.At(lattice, idx)
 		if !bytes.Equal(encodeCfg(t, c), encodeCfg(t, s.Clamp(c))) {
 			t.Errorf("lattice point %v not clamp-stable", idx)
 		}

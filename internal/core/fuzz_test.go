@@ -72,7 +72,7 @@ func FuzzConfigSpace(f *testing.F) {
 					idx[a] = len(lattice[a]) - 1
 				}
 			}
-			c := s.At(idx)
+			c := s.At(lattice, idx)
 			b1, _ := json.Marshal(c)
 			b2, _ := json.Marshal(s.Clamp(c))
 			if !bytes.Equal(b1, b2) {

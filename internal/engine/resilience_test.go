@@ -223,7 +223,8 @@ func TestPartitionOutageReplaysThroughEngine(t *testing.T) {
 	// Let the backlog drain, then stop ingest and drain completely.
 	clock.RunUntil(sim.Time(sec(400)))
 	e.Stop()
-	clock.Run()
+	for clock.Step() {
+	}
 	if lag := e.CommittedLag(); lag > e.Lag()+int64(e.QueueLen())*100000 {
 		t.Fatalf("committed lag %d not accounted for", lag)
 	}

@@ -293,12 +293,12 @@ func (t *Tuner) propose() (core.FullConfig, float64, error) {
 	var bestAll, bestAdm, calmest cand
 	bestAll.ei, bestAdm.ei = -1, -1
 	calmest.std = math.Inf(1)
+	idx := make([]int, len(t.vals))
 	for c := 0; c < candidates; c++ {
-		idx := make([]int, len(t.vals))
 		for i := range idx {
 			idx[i] = t.seed.Intn(len(t.vals[i]))
 		}
-		cfg := t.space.At(idx)
+		cfg := t.space.At(t.vals, idx)
 		x := t.space.Norm(cfg)
 		ei := EI(gp, x, best, xs)
 		_, variance := gp.Predict(x)

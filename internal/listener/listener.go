@@ -27,8 +27,9 @@
 // window) WITHOUT holding the engine still: callers that need the engine
 // frozen while serving — any real HTTP deployment against a running
 // simulation — must serialise handler execution against clock advancement
-// externally, as cmd/nostop-listen does with a lock middleware around every
-// request. Under that discipline /status and /metrics observe identical
+// externally, as service mode's wall mode does by holding the engine
+// component's mutex around every request and every clock advance. Under
+// that discipline /status and /metrics observe identical
 // state: Status.Batches, the legacy nostop_batches_total gauge, and the
 // attached registry's nostop_batches_completed_total counter all agree
 // after every batch (asserted by TestMetricsStatusAgree).

@@ -13,7 +13,6 @@ import "fmt"
 // value and r + gamma*max Q, and that bound is a fixed point of the
 // combination. TestQTableBounded pins this over 10k randomized steps.
 type QTable struct {
-	states  int
 	actions int
 	alpha   float64
 	gamma   float64
@@ -34,16 +33,12 @@ func NewQTable(states, actions int, alpha, gamma float64) (*QTable, error) {
 		return nil, fmt.Errorf("rltuner: gamma %v outside [0, 1)", gamma)
 	}
 	return &QTable{
-		states:  states,
 		actions: actions,
 		alpha:   alpha,
 		gamma:   gamma,
 		q:       make([]float64, states*actions),
 	}, nil
 }
-
-// States returns the state-space size.
-func (t *QTable) States() int { return t.states }
 
 // Actions returns the action-space size.
 func (t *QTable) Actions() int { return t.actions }

@@ -79,7 +79,6 @@ type Tuner struct {
 	attached bool
 	steps    int // completed Q updates
 	applied  int // configuration changes requested
-	holds    int // decisions deferred because a fault was in effect
 	drains   int // emergency safe-point jumps
 }
 
@@ -163,7 +162,7 @@ func (t *Tuner) Attach() error {
 // apply pushes the current lattice coordinate onto the engine.
 func (t *Tuner) apply() error {
 	t.applied++
-	if err := t.space.Apply(t.eng, t.space.At(t.idx)); err != nil {
+	if err := t.space.Apply(t.eng, t.space.At(t.vals, t.idx)); err != nil {
 		return fmt.Errorf("rltuner: applying %v: %v", t.idx, err)
 	}
 	return nil
@@ -227,7 +226,6 @@ func (t *Tuner) onBatch(bs engine.BatchStats) {
 	if t.eng.FaultInEffect() {
 		// A fault window opened mid-callback chain: bank the update but
 		// hold the configuration until the system is clean again.
-		t.holds++
 		t.state = -1
 		return
 	}
@@ -321,9 +319,6 @@ func (t *Tuner) Steps() int { return t.steps }
 
 // ConfigureSteps returns configuration changes requested.
 func (t *Tuner) ConfigureSteps() int { return t.applied }
-
-// Holds returns decisions deferred because a fault was in effect.
-func (t *Tuner) Holds() int { return t.holds }
 
 // Drains returns emergency safe-point episodes.
 func (t *Tuner) Drains() int { return t.drains }

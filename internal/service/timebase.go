@@ -59,8 +59,8 @@ func (s SimTimebase) Cancel(t Timer) { s.Clock.Cancel(t.ev) }
 
 // WallTimebase schedules on real timers, re-entering the owning component's
 // mutex before invoking the callback so component state stays effectively
-// single-threaded (the same discipline cmd/nostop-listen uses for HTTP
-// handlers vs clock advancement).
+// single-threaded (the same discipline the component's HTTP handlers and
+// its pacer's clock advances keep).
 type WallTimebase struct {
 	start time.Time
 	mu    *sync.Mutex

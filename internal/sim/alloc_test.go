@@ -17,7 +17,8 @@ func TestAllocsScheduleFireHeapPath(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		c.At(c.Now()+Time(i+1), fn)
 	}
-	c.Run()
+	for c.Step() {
+	}
 	allocs := testing.AllocsPerRun(1000, func() {
 		c.At(c.Now()+1, fn)
 		c.Step()
@@ -33,7 +34,8 @@ func TestAllocsScheduleFireFIFOPath(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		c.At(c.Now(), fn) // grow the ring
 	}
-	c.Run()
+	for c.Step() {
+	}
 	allocs := testing.AllocsPerRun(1000, func() {
 		c.At(c.Now(), fn)
 		c.Step()
@@ -134,7 +136,8 @@ func TestAllocsScheduleCancel(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		c.At(c.Now()+Time(i+1), fn)
 	}
-	c.Run()
+	for c.Step() {
+	}
 	allocs := testing.AllocsPerRun(1000, func() {
 		e := c.At(c.Now()+5, fn)
 		c.Cancel(e)

@@ -89,8 +89,9 @@ func checkInvariants(c *Clock) error {
 
 // FuzzEventQueue derives an op sequence from the fuzzer's byte string —
 // schedule (same-instant or up to 63 ms ahead), cancel (live, double and
-// stale cancels), step, and ticker start, stop, reset and in-handler
-// actions — and drives the kernel and the reference model of
+// stale cancels), step, and ticker start, stop, replace (a stop plus a
+// fresh ticker on the new period) and in-handler actions — and drives the
+// kernel and the reference model of
 // property_test.go in lockstep: the structural invariants hold after every
 // operation, a stale handle's Cancel changes nothing, and every dequeue
 // matches the model's (due, seq) order and fire time, through to the final
@@ -107,7 +108,7 @@ func FuzzEventQueue(f *testing.F) {
 	f.Add([]byte{2, 2, 2, 0, 0, 0, 3, 3, 3, 0, 0})         // cancel-heavy then burst
 	f.Add([]byte{0, 8, 2, 2, 3, 3, 0, 0, 2, 10, 3, 3, 18}) // double and stale cancels
 	f.Add([]byte{4, 12, 20, 3, 3, 3, 3, 3, 3, 3})          // tickers sharing lanes
-	f.Add([]byte{4, 7, 3, 3, 15, 3, 3, 6, 3, 5, 3})        // armed reset, reset, stop
+	f.Add([]byte{4, 7, 3, 3, 15, 3, 3, 6, 3, 5, 3})        // armed replace, replace, stop
 	f.Add([]byte{4, 0, 8, 39, 3, 3, 3, 2, 3, 3, 14})       // ticker among bursts
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h := newQueueHarness(t)
@@ -124,7 +125,7 @@ func FuzzEventQueue(f *testing.F) {
 				if len(h.model.live) > 0 {
 					h.step()
 				}
-			default: // ticker start (4), stop (5), reset (6), armed action (7)
+			default: // ticker start (4), stop (5), replace (6), armed action (7)
 				h.tickerOp(int(b%8)-4, arg)
 			}
 			h.check()

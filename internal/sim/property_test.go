@@ -11,9 +11,10 @@ import (
 // Property-based check of the pooled 4-ary heap + FIFO lanes against a
 // reference model: a plain sorted-slice priority queue keyed by (due, seq).
 // Randomized Schedule/Cancel/Reschedule/Run sequences, with tickers created,
-// stopped and reset among them (also from inside their own handlers), must
-// dequeue in exactly the reference order at exactly the reference times,
-// including same-instant FIFO bursts and cancel-then-reuse of pooled nodes.
+// stopped and replaced among them (also from inside their own handlers),
+// must dequeue in exactly the reference order at exactly the reference
+// times, including same-instant FIFO bursts and cancel-then-reuse of pooled
+// nodes.
 
 // refEntry mirrors one live scheduled event.
 type refEntry struct {
@@ -65,8 +66,7 @@ func (m *refModel) popMin() (refEntry, bool) {
 }
 
 // refTicker is the model of one Ticker: after each firing's handler it
-// schedules the next firing one period on, unless the handler stopped it or
-// reset it (which schedules by itself).
+// schedules the next firing one period on, unless the handler stopped it.
 type refTicker struct {
 	tk      *Ticker
 	period  time.Duration
@@ -115,8 +115,8 @@ func (h *queueHarness) cancel(id int) {
 	ev := h.handles[id]
 	if h.model.cancel(id) {
 		h.c.Cancel(ev)
-		if !ev.Canceled() {
-			h.t.Fatalf("Cancel of live event %d not reflected by Canceled()", id)
+		if ev.Pending() {
+			h.t.Fatalf("Cancel of live event %d left it pending", id)
 		}
 		return
 	}
@@ -140,8 +140,17 @@ func (h *queueHarness) scheduleTick(k int) {
 	h.model.schedule(h.c.Now()+rt.period, rt.pending, k)
 }
 
-// newTicker starts a ticker in both systems.
+// newTicker starts a ticker in both systems, unless 12 are running.
 func (h *queueHarness) newTicker(period time.Duration) {
+	running := 0
+	for _, rt := range h.tickers {
+		if !rt.stopped {
+			running++
+		}
+	}
+	if running >= 12 {
+		return
+	}
 	k := len(h.tickers)
 	rt := &refTicker{period: period}
 	h.tickers = append(h.tickers, rt)
@@ -166,21 +175,11 @@ func (h *queueHarness) stopTicker(k int) {
 	rt.tk.Stop()
 }
 
-// resetTicker changes ticker k's period in both systems.
-func (h *queueHarness) resetTicker(k int, period time.Duration) {
-	rt := h.tickers[k]
-	if rt.pending >= 0 {
-		h.model.cancel(rt.pending)
-		rt.pending = -1
-	}
-	rt.period = period
-	if !rt.stopped {
-		h.scheduleTick(k)
-	}
-	rt.tk.Reset(period)
-	if rt.tk.Period() != period {
-		h.t.Fatalf("ticker %d period %v after Reset(%v)", k, rt.tk.Period(), period)
-	}
+// replaceTicker stops ticker k and starts a fresh one on period, as a
+// period change is made.
+func (h *queueHarness) replaceTicker(k int, period time.Duration) {
+	h.stopTicker(k)
+	h.newTicker(period)
 }
 
 // check compares the clock's counters with the model's and validates the
@@ -223,10 +222,8 @@ func (h *queueHarness) step() {
 	if got.at != want.due {
 		h.t.Fatalf("event fired at %v, model has it due %v", got.at, want.due)
 	}
-	if want.ticker >= 0 {
-		if rt := h.tickers[want.ticker]; !rt.stopped && rt.pending < 0 {
-			h.scheduleTick(want.ticker)
-		}
+	if want.ticker >= 0 && !h.tickers[want.ticker].stopped {
+		h.scheduleTick(want.ticker)
 	}
 	h.check()
 }
@@ -249,19 +246,17 @@ func (h *queueHarness) drain() {
 	h.check()
 }
 
-// tickerPeriods are the periods tickers start with and reset to: few enough
-// that tickers share lanes, spread enough that several lanes exist.
+// tickerPeriods are the periods tickers start with: few enough that tickers
+// share lanes, spread enough that several lanes exist.
 var tickerPeriods = []time.Duration{ms(1), ms(3), ms(10), ms(10), ms(25)}
 
 // tickerOp applies one ticker operation chosen by a and b: start a ticker,
-// stop or reset one, or arm one to act from inside its next handler
-// (reset itself, stop itself, reset then stop, schedule an event now or
-// later, cancel a tracked event).
+// stop or replace one, or arm one to act from inside its next handler
+// (replace itself, stop itself, replace itself and stop the newest ticker,
+// schedule an event now or later, cancel a tracked event).
 func (h *queueHarness) tickerOp(a, b int) {
 	if len(h.tickers) == 0 || a%4 == 0 {
-		if len(h.tickers) < 12 {
-			h.newTicker(tickerPeriods[b%len(tickerPeriods)])
-		}
+		h.newTicker(tickerPeriods[b%len(tickerPeriods)])
 		return
 	}
 	k := b % len(h.tickers)
@@ -270,16 +265,16 @@ func (h *queueHarness) tickerOp(a, b int) {
 	case 1:
 		h.stopTicker(k)
 	case 2:
-		h.resetTicker(k, period)
+		h.replaceTicker(k, period)
 	default:
 		var act func()
 		switch (b / 7) % 6 {
 		case 0:
-			act = func() { h.resetTicker(k, period) }
+			act = func() { h.replaceTicker(k, period) }
 		case 1:
 			act = func() { h.stopTicker(k) }
 		case 2:
-			act = func() { h.resetTicker(k, period); h.stopTicker(k) }
+			act = func() { h.replaceTicker(k, period); h.stopTicker(len(h.tickers) - 1) }
 		case 3:
 			act = func() { h.schedule(h.c.Now()) }
 		case 4:
@@ -347,9 +342,10 @@ func TestQueueMatchesReferenceModel(t *testing.T) {
 }
 
 // TestTickersMatchReferenceModel interleaves tickers — several sharing a
-// period, several periods, stopped and reset from outside and from inside
-// their own handlers — with same-instant and future At events and cancels,
-// and requires the exact reference dequeue order and fire times throughout.
+// period, several periods, stopped and replaced from outside and from
+// inside their own handlers — with same-instant and future At events and
+// cancels, and requires the exact reference dequeue order and fire times
+// throughout.
 func TestTickersMatchReferenceModel(t *testing.T) {
 	root := rng.New(7).Split("ticker-property")
 	const rounds = 60
@@ -360,7 +356,7 @@ func TestTickersMatchReferenceModel(t *testing.T) {
 		ops := 150 + r.Intn(150)
 		for op := 0; op < ops; op++ {
 			switch k := r.Intn(12); {
-			case k < 3: // ticker start, stop, reset or armed action
+			case k < 3: // ticker start, stop, replace or armed action
 				h.tickerOp(r.Intn(4), r.Intn(1000))
 			case k < 6: // At now or within a few ticker periods
 				due := h.c.Now()
@@ -402,16 +398,23 @@ func TestCancelThenReuseHandleIsInert(t *testing.T) {
 	// The freed node is recycled for the next schedule.
 	fired := false
 	fresh := c.At(ms(7), func() { fired = true })
-	if !stale.Canceled() {
-		t.Error("stale handle should still report Canceled after one reuse")
+	if fresh.n != stale.n {
+		t.Fatal("the canceled node was not reused")
+	}
+	if stale.Pending() || !fresh.Pending() {
+		t.Fatalf("after reuse: stale pending %v, fresh pending %v", stale.Pending(), fresh.Pending())
 	}
 	c.Cancel(stale) // must be a no-op against the new incarnation
-	c.Run()
+	if !fresh.Pending() || c.Pending() != 1 {
+		t.Fatalf("a stale handle's Cancel reached the new incarnation: %d pending", c.Pending())
+	}
+	for c.Step() {
+	}
 	if !fired {
 		t.Fatal("live event was killed by a stale handle's Cancel")
 	}
-	if fresh.Canceled() {
-		t.Error("fired event reports Canceled")
+	if fresh.Pending() {
+		t.Error("fired event reports Pending")
 	}
 }
 
@@ -428,7 +431,8 @@ func TestFIFOCancelMidBurst(t *testing.T) {
 	c.Cancel(evs[0])
 	c.Cancel(evs[3])
 	c.Cancel(evs[7])
-	c.Run()
+	for c.Step() {
+	}
 	want := []int{1, 2, 4, 5, 6}
 	if len(got) != len(want) {
 		t.Fatalf("fired %v, want %v", got, want)

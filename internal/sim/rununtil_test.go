@@ -14,12 +14,12 @@ import (
 // RunUntil, and require the same firings at the same times, and the same
 // Now, Executed and Pending after every advance. The programs mix tickers
 // sharing a lane and tickers alone in one, At events that tie with ticker
-// firings, cancels (of the earliest pending event too, which leaves a run's
-// scanned bound early), outside and in-handler Stop and Reset, handlers
-// that call Step, Clock.Stop, and horizons that land exactly on firing
-// instants. Most tickers have a settle; on each clock every run of a
-// ticker's firings must be settled exactly once, before any other handler
-// starts and before Step or RunUntil returns.
+// firings or land on the horizon, cancels (of the earliest pending event
+// too, which leaves a run's scanned bound early), outside and in-handler
+// Stop, tickers started and replaced from handlers, and horizons that land
+// exactly on firing instants. Most tickers have a settle; on each clock
+// every run of a ticker's firings must be settled exactly once, before any
+// other handler starts and before Step or RunUntil returns.
 
 // choices supplies a program's random choices. Each clock of a comparison
 // reads its own choices from the same seed or bytes, so both draw alike
@@ -74,27 +74,23 @@ type diffWorld struct {
 	tickers  []*Ticker
 	stopped  []bool // Ticker.Stop called
 	settled  []bool // the ticker has a settle
-	clockHit bool   // Clock.Stop called during the current advance
 	inPlace  int    // ticker firings fired in place (RunUntil clock only)
 	until    Time   // horizon of the current advance
+	draining bool   // every ticker stopped: handlers start no more
 
 	// The run owing a settle: its ticker (-1 for none), and Now and
-	// Executed at its last firing, or where its handler resumed after a
-	// Step it called. reset marks a run whose handler reset its ticker;
-	// stepFrom is the ticker whose handler is calling Step, -1 for none.
+	// Executed at its last firing.
 	owed     int
 	owedAt   Time
 	owedExec uint64
-	reset    bool
-	stepFrom int
 
-	settles []diffRecord   // every settle: id -(k+1), Now and Executed
+	settles int            // settles called
 	exits   map[string]int // how the settled runs ended
 	acts    map[string]int // coverage of the handler actions below
 }
 
 func newDiffWorld(t testing.TB, ch choices, stepped bool) *diffWorld {
-	return &diffWorld{t: t, c: NewClock(), ch: ch, stepped: stepped, owed: -1, stepFrom: -1,
+	return &diffWorld{t: t, c: NewClock(), ch: ch, stepped: stepped, owed: -1,
 		exits: map[string]int{}, acts: map[string]int{}}
 }
 
@@ -112,8 +108,7 @@ func (w *diffWorld) fired(id int, continues bool) {
 	w.log = append(w.log, diffRecord{id: id, at: w.c.Now()})
 }
 
-// open starts a run that owes ticker k's settle, or resumes one after a
-// Step its handler called.
+// open starts or continues a run that owes ticker k's settle.
 func (w *diffWorld) open(k int) {
 	if !w.settled[k] {
 		return
@@ -124,12 +119,11 @@ func (w *diffWorld) open(k int) {
 	w.owed, w.owedAt, w.owedExec = k, w.c.Now(), w.c.Executed()
 }
 
-// settle is ticker k's settle: it logs the ticker, Now and Executed, checks
-// that it ends a run of k's that nothing has fired into since, and classifies
-// how the run ended.
+// settle is ticker k's settle: it checks that it ends a run of k's that
+// nothing has fired into since, and classifies how the run ended.
 func (w *diffWorld) settle(k int) {
 	now, exec := w.c.Now(), w.c.Executed()
-	w.settles = append(w.settles, diffRecord{id: -(k + 1), at: now, executed: exec})
+	w.settles++
 	if w.owed != k {
 		w.t.Fatalf("stepped=%v: ticker %d settled at %v with no run of its own open (owed %d)",
 			w.stepped, k, now, w.owed)
@@ -140,23 +134,14 @@ func (w *diffWorld) settle(k int) {
 	}
 	tk := w.tickers[k]
 	switch {
-	case w.stepFrom >= 0:
-		if w.stepFrom != k {
-			w.t.Fatalf("stepped=%v: Step from ticker %d's handler settled ticker %d first", w.stepped, w.stepFrom, k)
-		}
-		w.exits["step"]++
 	case tk.stop:
 		w.exits["stop"]++
-	case w.reset:
-		w.exits["reset"]++
-	case w.clockHit:
-		w.exits["clock-stop"]++
-	case w.c.Now()+tk.Period() > w.until:
+	case now+tk.period > w.until:
 		w.exits["horizon"]++
 	default:
 		w.exits["re-arm"]++
 	}
-	w.owed, w.reset, w.stepFrom = -1, false, -1
+	w.owed = -1
 }
 
 // unsettled fails when a run owes a settle where none may: after Step or
@@ -177,9 +162,16 @@ func (w *diffWorld) at(due Time) {
 	}))
 }
 
-// newTicker starts a ticker, three in four with a settle.
+// newTicker starts a ticker, three in four with a settle, unless eight
+// are running or the program is draining.
 func (w *diffWorld) newTicker() {
-	if len(w.tickers) >= 8 {
+	running := 0
+	for _, stopped := range w.stopped {
+		if !stopped {
+			running++
+		}
+	}
+	if running >= 8 || w.draining {
 		return
 	}
 	k := len(w.tickers)
@@ -227,11 +219,11 @@ func (w *diffWorld) stopTicker(k int) {
 	w.stopped[k] = true
 }
 
-func (w *diffWorld) resetTicker(k, self int) {
-	w.tickers[k].Reset(w.period())
-	if k == self && w.settled[k] {
-		w.reset = true
-	}
+// replaceTicker stops ticker k and starts a fresh one on a new period, as
+// a period change is made.
+func (w *diffWorld) replaceTicker(k int) {
+	w.stopTicker(k)
+	w.newTicker()
 }
 
 // cancelEarliest cancels the earliest pending event by (due, seq), an At
@@ -283,7 +275,7 @@ func (w *diffWorld) act(self int) {
 		w.at(now)
 	case 34: // ties with the next firing of a ticker
 		if self >= 0 { // this one's, which would fire in place
-			w.at(now + w.tickers[self].Period())
+			w.at(now + w.tickers[self].period)
 		} else if k, ok := w.ticker(-1); ok && w.tickers[k].ev.Pending() {
 			w.at(w.tickers[k].ev.Due()) // a queued one's
 		} else {
@@ -298,32 +290,23 @@ func (w *diffWorld) act(self int) {
 		}
 	case 37:
 		if k, ok := w.ticker(self); ok {
-			w.resetTicker(k, self)
+			w.replaceTicker(k)
 		}
-	case 38:
+	case 38: // replace, then stop the newest ticker: the replacement if one started
 		if k, ok := w.ticker(self); ok {
-			w.resetTicker(k, self)
-			w.stopTicker(k)
+			w.replaceTicker(k)
+			w.stopTicker(len(w.tickers) - 1)
 		}
-	case 39:
-		w.c.Stop()
-		w.clockHit = true
+	case 39: // on the horizon, where a run of in-place firings must stop
+		if w.until != Infinity {
+			w.at(w.until)
+			w.acts["at horizon from "+from]++
+		}
 	case 40:
 		w.cancelEarliest()
 		w.acts["cancel earliest from "+from]++
 	case 41:
-		// Step settles this handler's run first; the handler then runs on
-		// in a run of its own.
-		if self >= 0 && w.settled[self] {
-			w.stepFrom = self
-		}
-		w.c.Step()
-		w.stepFrom = -1
-		w.unsettled("Step returned to a handler")
-		if self >= 0 {
-			w.open(self)
-		}
-		w.acts["Step from "+from]++
+		w.newTicker()
 	}
 }
 
@@ -346,9 +329,9 @@ func (w *diffWorld) op() {
 		if k, ok := w.ticker(-1); ok {
 			w.stopTicker(k)
 		}
-	case 5: // Reset while a firing is pending in the lane
+	case 5: // replace while a firing is pending in the lane
 		if k, ok := w.ticker(-1); ok {
-			w.tickers[k].Reset(w.period())
+			w.replaceTicker(k)
 		}
 	case 6:
 		w.cancel()
@@ -403,13 +386,12 @@ func liveDue(c *Clock) (Time, bool) {
 }
 
 // advance moves the clock to horizon. The stepped world fires with Step
-// while the next event is due by the horizon and Clock.Stop was not called,
-// then leaves the clock where RunUntil documents it.
+// while the next event is due by the horizon, then leaves the clock where
+// RunUntil documents it.
 func (w *diffWorld) advance(horizon Time) {
-	w.clockHit = false
 	w.until = horizon
 	if w.stepped {
-		for !w.clockHit {
+		for {
 			due, ok := liveDue(w.c)
 			if !ok || due > horizon {
 				break
@@ -419,7 +401,7 @@ func (w *diffWorld) advance(horizon Time) {
 			}
 			w.unsettled("Step returned")
 		}
-		if !w.clockHit && w.c.Now() < horizon {
+		if w.c.Now() < horizon {
 			w.c.now = horizon
 		}
 	} else {
@@ -449,9 +431,6 @@ func (w *diffWorld) check() {
 	if err := checkInvariants(w.c); err != nil {
 		w.t.Fatalf("stepped=%v: %v", w.stepped, err)
 	}
-	if w.c.open != 0 {
-		w.t.Fatalf("stepped=%v: the clock holds a run open between advances", w.stepped)
-	}
 	for k, tk := range w.tickers {
 		n := tk.ev.n
 		switch {
@@ -464,7 +443,8 @@ func (w *diffWorld) check() {
 }
 
 // run runs the program for the given number of rounds, each some outside
-// operations and one advance, then stops every ticker and drains.
+// operations and one advance, then stops every ticker and drains: nothing
+// re-arms then, so the queue empties.
 func (w *diffWorld) run(rounds int) {
 	for r := 0; r < rounds; r++ {
 		for i := 1 + w.ch.intn(4); i > 0; i-- {
@@ -473,13 +453,13 @@ func (w *diffWorld) run(rounds int) {
 		w.check()
 		w.advance(w.horizon())
 	}
+	w.draining = true
 	for k := range w.tickers {
 		w.stopTicker(k)
 	}
-	// A handler may call Clock.Stop, so drain in as many advances as that
-	// takes; nothing re-arms, so the queue empties.
-	for w.c.Pending() > 0 {
-		w.advance(Infinity)
+	w.advance(Infinity)
+	if w.c.Pending() != 0 {
+		w.t.Fatalf("stepped=%v: %d events pending after the drain", w.stepped, w.c.Pending())
 	}
 }
 
@@ -517,7 +497,7 @@ func TestRunUntilMatchesStep(t *testing.T) {
 		name := fmt.Sprintf("round-%d", round)
 		w := compareRuns(t, 40, func() choices { return rngChoices{root.Split(name)} })
 		inPlace += w.inPlace
-		settles += len(w.settles)
+		settles += w.settles
 		for k, v := range w.exits {
 			exits[k] += v
 		}
@@ -528,13 +508,13 @@ func TestRunUntilMatchesStep(t *testing.T) {
 	if inPlace < 10_000 {
 		t.Fatalf("RunUntil fired only %d ticker firings in place, want >= 10000", inPlace)
 	}
-	for _, k := range []string{"re-arm", "stop", "reset", "horizon", "clock-stop", "step"} {
+	for _, k := range []string{"re-arm", "stop", "horizon"} {
 		if exits[k] < 20 {
 			t.Errorf("only %d runs ended by %s, want >= 20 (all: %v)", exits[k], k, exits)
 		}
 	}
-	for _, k := range []string{"tie from at", "tie from ticker", "cancel earliest from at",
-		"cancel earliest from ticker", "Step from at", "Step from ticker"} {
+	for _, k := range []string{"tie from at", "tie from ticker", "at horizon from at",
+		"at horizon from ticker", "cancel earliest from at", "cancel earliest from ticker"} {
 		if acts[k] < 100 {
 			t.Errorf("only %d handlers did %q, want >= 100", acts[k], k)
 		}
@@ -558,26 +538,4 @@ func FuzzRunUntilMatchesStep(f *testing.F) {
 		}
 		compareRuns(t, rounds, func() choices { return &byteChoices{b: data} })
 	})
-}
-
-// TestStepInsideRunUntilFiresOne calls Step from a handler running under
-// RunUntil: it fires the ticker's next firing and nothing more, though
-// RunUntil would fire that firing's successors in place.
-func TestStepInsideRunUntilFiresOne(t *testing.T) {
-	c := NewClock()
-	ticks := 0
-	c.NewTicker(ms(1), func() { ticks++ })
-	c.At(2500*Time(time.Microsecond), func() {
-		before := c.Executed()
-		if !c.Step() {
-			t.Fatal("Step fired nothing")
-		}
-		if got := c.Executed() - before; got != 1 || c.Now() != ms(3) {
-			t.Fatalf("Step fired %d events, clock at %v; want 1 and 3ms", got, c.Now())
-		}
-	})
-	c.RunUntil(ms(10))
-	if ticks != 10 || c.Executed() != 11 {
-		t.Fatalf("%d ticks and %d events by 10ms, want 10 and 11", ticks, c.Executed())
-	}
 }

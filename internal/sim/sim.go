@@ -27,6 +27,10 @@
 // a settle function, which ends each run, so per-firing bookkeeping can be
 // done once per run. Event handles carry a generation stamp so a handle to a
 // recycled node can never cancel a later incarnation.
+//
+// Handlers schedule and cancel events and stop tickers; they never call
+// Step or RunUntil, so a ticker's run of firings ends where its tick
+// returns to the clock.
 package sim
 
 import (
@@ -52,7 +56,6 @@ type node struct {
 	gen      uint64
 	index    int32 // heap index; notQueued / inLane when not in the heap
 	canceled bool  // lane-resident incarnation canceled (lazily reaped)
-	lastEnd  bool  // how the previous incarnation ended: true = canceled
 	owned    bool  // held by a Ticker, which re-arms it; off the free list
 	fn       func()
 	next     *node // free-list link
@@ -65,7 +68,7 @@ const (
 )
 
 // Event is a handle to one scheduled callback. It is a small value: copy it
-// freely. The zero Event is inert (Cancel is a no-op, Canceled reports
+// freely. The zero Event is inert (Cancel is a no-op, Pending reports
 // false). Handlers run with the clock set to the event's due time.
 type Event struct {
 	n   *node
@@ -79,20 +82,6 @@ func (e Event) Due() Time { return e.due }
 // Pending reports whether the event is still scheduled: it has neither fired
 // nor been canceled.
 func (e Event) Pending() bool { return e.n != nil && e.n.gen == e.gen }
-
-// Canceled reports whether Cancel was called before the event fired. The
-// answer is tracked until the underlying pooled node is recycled into a new
-// schedule; a handle retained across later reschedules of the same slot
-// reports false.
-func (e Event) Canceled() bool {
-	if e.n == nil || e.n.gen == e.gen {
-		return false // zero handle, or still pending
-	}
-	if e.n.gen == e.gen+1 {
-		return e.n.lastEnd
-	}
-	return false
-}
 
 // heap4 is an indexed 4-ary min-heap of nodes ordered by (due, seq). Each
 // node records its own position so Cancel can remove it in O(log₄ n).
@@ -247,37 +236,31 @@ func (l *lane) popFront() *node {
 // Pending events sit in a 4-ary heap or in a FIFO lane. Lane 0 takes At
 // calls due at the current instant. Each other lane belongs to one ticker
 // period and takes the firings of every Ticker with that period; NewTicker
-// and Ticker.Reset create a lane the first time they see a period. Every
-// other At and After call goes to the heap. The next event is the least by
-// (due, seq) of the heap root and the lane heads, so a step costs
-// O(log₄ heap) plus O(lanes). Lanes are never removed, so the lane count is
-// one more than the number of distinct periods tickers ever used on the
-// clock: at most four in this repository's runs (the same-instant lane, the
-// engine's 100 ms producer tick, and either service mode's 1 s and 2 s
-// tickers or the tenant mix's reconcile period). Nothing outside tests calls
-// Ticker.Reset.
+// creates a lane the first time it sees a period. Every other At and After
+// call goes to the heap. The next event is the least by (due, seq) of the
+// heap root and the lane heads, so a step costs O(log₄ heap) plus O(lanes).
+// Lanes are never removed, so the lane count is one more than the number of
+// distinct ticker periods on the clock: at most four in this repository's
+// runs (the same-instant lane, the engine's 100 ms producer tick, and either
+// service mode's 1 s and 2 s tickers or the tenant mix's reconcile period).
 //
-// Step fires exactly one event. RunUntil may fire a ticker's next firing in
-// place, straight from the previous one, when nothing pending is due at or
-// before it; Now, Executed and Pending read at every point as if the firing
-// had been queued and stepped. A ticker's run of firings (one under Step,
-// one or more in place under RunUntil) ends with its settle function, if it
-// has one, before any other handler starts and before Step or RunUntil
-// returns; see Ticker.SetSettle.
+// The clock is driven from outside its handlers: Step fires exactly one
+// event, and RunUntil fires events up to a horizon. A handler may schedule
+// and cancel events, start tickers and stop them, but it never calls Step
+// or RunUntil. RunUntil may fire a ticker's next firing in place, straight
+// from the previous one, when nothing pending is due at or before it; Now,
+// Executed and Pending read at every point as if the firing had been queued
+// and stepped. A ticker's run of firings (one under Step, one or more in
+// place under RunUntil) ends with its settle function, if it has one,
+// before its tick returns to the clock; see Ticker.SetSettle.
 type Clock struct {
-	now     Time
-	seq     uint64
-	heap    heap4
-	stopped bool
-	until   Time // horizon of the running RunUntil; noHorizon outside one
+	now  Time
+	seq  uint64
+	heap heap4
 
-	// open is the slot of the ticker whose run is under way and owes its
-	// settle, 0 between runs: settlers[open-1] is that ticker. A slot, not
-	// a pointer, so that a run opens and closes without a GC write barrier;
-	// the 32-tenant mix, whose runs are one firing each, ran about 5%
-	// slower with a pointer.
-	open     int
-	settlers []*Ticker // every ticker given a settle, for the clock's life
+	// until is the horizon of the running or last RunUntil. Outside one it
+	// is at or before now, so no ticker firing is due within it.
+	until Time
 
 	lanes []lane // lanes[0] is the same-instant lane
 	tombs int    // canceled nodes still occupying lane slots, over all lanes
@@ -289,12 +272,8 @@ type Clock struct {
 	executed uint64
 }
 
-// noHorizon is Clock.until outside RunUntil: no firing is due at or before
-// it, so none fires in place.
-const noHorizon Time = math.MinInt64
-
 // NewClock returns a clock at virtual time zero with an empty event queue.
-func NewClock() *Clock { return &Clock{lanes: make([]lane, 1, 4), until: noHorizon} }
+func NewClock() *Clock { return &Clock{lanes: make([]lane, 1, 4)} }
 
 // Now returns the current virtual time.
 func (c *Clock) Now() Time { return c.now }
@@ -316,11 +295,10 @@ func (c *Clock) alloc() *node {
 }
 
 // recycle ends a node's current incarnation and returns it to the free
-// list. endedCanceled records how it ended for Event.Canceled.
-func (c *Clock) recycle(n *node, endedCanceled bool) {
+// list.
+func (c *Clock) recycle(n *node) {
 	n.fn = nil
 	n.canceled = false
-	n.lastEnd = endedCanceled
 	n.gen++
 	n.index = notQueued
 	n.next = c.free
@@ -371,8 +349,8 @@ func (c *Clock) schedule(t Time, fn func(), l int) Event {
 	return Event{n: n, gen: n.gen, due: t}
 }
 
-// laneFor returns the index of the lane for a ticker period, adding the
-// lane on the period's first use.
+// laneFor returns the index of the lane for a new ticker's period, adding
+// the lane on the period's first use.
 func (c *Clock) laneFor(period time.Duration) int {
 	for i := 1; i < len(c.lanes); i++ {
 		if c.lanes[i].period == period {
@@ -420,13 +398,12 @@ func (c *Clock) Cancel(e Event) {
 	switch {
 	case n.index >= 0:
 		c.heap.remove(int(n.index))
-		c.recycle(n, true)
+		c.recycle(n)
 	case n.index == inLane:
 		// The lane still references the node, so it cannot rejoin the free
 		// list yet; mark it for lazy reaping and end the incarnation.
 		n.canceled = true
 		n.fn = nil
-		n.lastEnd = true
 		n.gen++
 		c.tombs++
 	default:
@@ -435,17 +412,10 @@ func (c *Clock) Cancel(e Event) {
 	}
 }
 
-// Stop makes the currently running Run/RunUntil return after the in-flight
-// event handler completes. Pending events stay queued.
-func (c *Clock) Stop() { c.stopped = true }
-
 // step fires the earliest pending event by (due, seq) — the least of the
 // heap root and the lane heads — if it is due no later than horizon, and
 // reports whether it fired one.
 func (c *Clock) step(horizon Time) bool {
-	if c.open != 0 {
-		return c.stepSettled(horizon)
-	}
 	var n *node
 	from := -1 // the heap
 	if len(c.heap.a) > 0 {
@@ -481,10 +451,9 @@ func (c *Clock) step(horizon Time) bool {
 	if n.owned {
 		// The firing ends the incarnation; the ticker keeps the node.
 		n.gen++
-		n.lastEnd = false
 		n.index = notQueued
 	} else {
-		c.recycle(n, false)
+		c.recycle(n)
 	}
 	fn()
 	return true
@@ -515,70 +484,25 @@ func (c *Clock) nextDue() Time {
 	return due
 }
 
-// settleOpen ends the open run, if any, with its ticker's settle, and
-// returns the run's slot: a Step, RunUntil or Run called from the ticker's
-// handler reopens the run when it returns, as the handler then runs on.
-func (c *Clock) settleOpen() int {
-	k := c.open
-	if k != 0 {
-		c.open = 0
-		c.settlers[k-1].settle()
-	}
-	return k
-}
-
-// stepSettled is step for a Step called from the handler of a ticker whose
-// run is open. Kept out of Step, which stays small enough to inline.
-func (c *Clock) stepSettled(horizon Time) bool {
-	open := c.settleOpen()
-	ok := c.step(horizon)
-	c.open = open
-	return ok
-}
-
 // Step fires the earliest pending event and returns true, or returns false
-// if the queue is empty. It fires exactly one event, also when a handler
-// running under RunUntil calls it. Called from a ticker's handler, it first
-// settles the ticker's run.
+// if the queue is empty. It fires exactly one event: a ticker's run under
+// Step is one firing. Drain a clock with for c.Step() {}.
 //
 //nostop:hotpath
-func (c *Clock) Step() bool {
-	until := c.until
-	c.until = noHorizon
-	ok := c.step(Infinity)
-	c.until = until
-	return ok
-}
+func (c *Clock) Step() bool { return c.step(Infinity) }
 
-// RunUntil executes events in order until the queue is empty, Stop is
-// called, or the next event is due strictly after horizon. The clock is left
-// at min(horizon, time of last executed event); if the queue drains early the
-// clock advances to the horizon so periodic models can resume cleanly.
+// RunUntil executes events in order until the queue is empty or the next
+// event is due strictly after horizon, then moves the clock to the horizon
+// if it is short of it, so periodic models can resume cleanly.
 //
 //nostop:hotpath
 func (c *Clock) RunUntil(horizon Time) {
-	open := c.settleOpen()
-	c.stopped = false
-	until := c.until
 	c.until = horizon
-	for !c.stopped && c.step(horizon) {
+	for c.step(horizon) {
 	}
-	c.until = until
-	if c.now < horizon && !c.stopped {
+	if c.now < horizon {
 		c.now = horizon
 	}
-	c.open = open
-}
-
-// Run executes events until the queue drains or Stop is called.
-//
-//nostop:hotpath
-func (c *Clock) Run() {
-	open := c.settleOpen()
-	c.stopped = false
-	for !c.stopped && c.Step() {
-	}
-	c.open = open
 }
 
 // Ticker repeatedly schedules a handler at a fixed period until stopped. Its
@@ -586,25 +510,24 @@ func (c *Clock) Run() {
 // its node from one firing to the next, off the free list: each firing ends
 // the node's incarnation (the ticker's event reads not pending while the
 // handler runs), and re-arming re-keys the same node and pushes it to its
-// lane's tail. Stop or Reset while a firing is pending leave the node in
-// the lane as a tombstone; the ticker takes a fresh node when it next arms.
+// lane's tail. Stop while a firing is pending leaves the node in the lane as
+// a tombstone, for the clock to reap.
 //
 // Inside RunUntil the next firing fires in place instead of re-arming, with
-// no push or pop, when the handler neither stopped nor re-armed the ticker,
-// Clock.Stop was not called, the firing is due within the horizon and every
-// pending event is due strictly after it. Such a string of firings is a run;
-// under Step a run is one firing. A run finds the earliest pending due once
-// and looks again only after a handler has scheduled something, so a cancel
-// inside the run can only make it end early, never late.
+// no push or pop, when the handler did not stop the ticker, the firing is
+// due within the horizon and every pending event is due strictly after it.
+// Such a string of firings is a run; under Step a run is one firing. A run
+// finds the earliest pending due once and looks again only after a handler
+// has scheduled something, so a cancel inside the run can only make it end
+// early, never late.
 type Ticker struct {
 	clock  *Clock
 	period time.Duration
 	lane   int // index of the clock's lane for period
 	fn     func()
 	settle func() // ends each run; nil for none
-	slot   int    // index+1 in the clock's settlers; 0 without a settle
 	tick   func() // allocated once; rescheduling must not allocate per tick
-	ev     Event  // the owned node's latest incarnation; ev.n nil when none
+	ev     Event  // the owned node's latest incarnation; ev.n nil once stopped
 	stop   bool
 }
 
@@ -616,25 +539,22 @@ func (c *Clock) NewTicker(period time.Duration, fn func()) *Ticker {
 	}
 	t := &Ticker{clock: c, period: period, lane: c.laneFor(period), fn: fn}
 	t.tick = func() {
-		c.open = t.slot
 		var next Time     // earliest pending due as of seq seen
 		seen := c.seq - 1 // no scan yet: c.seq only grows, so it differs
 		for {
 			t.fn()
-			// fn may have stopped the ticker, or reset it, which already
-			// armed the next firing.
-			if t.stop || t.ev.Pending() {
+			if t.stop {
 				break
 			}
-			// The next firing fires in place only inside RunUntil, before
-			// Clock.Stop, within the horizon and ahead of everything queued.
-			// Anything in the ticker's own lane was armed at or before now,
-			// so it is due no later than due: tickers that share a lane
-			// re-arm without the scan. Only scheduling adds pending events,
-			// and every schedule takes a seq, so next is stale only after
-			// c.seq moved; a cancel leaves it early, which just ends the run.
+			// The next firing fires in place only inside RunUntil, within
+			// the horizon and ahead of everything queued. Anything in the
+			// ticker's own lane was armed at or before now, so it is due no
+			// later than due: tickers that share a lane re-arm without the
+			// scan. Only scheduling adds pending events, and every schedule
+			// takes a seq, so next is stale only after c.seq moved; a cancel
+			// leaves it early, which just ends the run.
 			due := c.now + t.period
-			if due <= c.until && !c.stopped && c.lanes[t.lane].n == 0 {
+			if due <= c.until && c.lanes[t.lane].n == 0 {
 				if c.seq != seen {
 					next, seen = c.nextDue(), c.seq
 				}
@@ -657,48 +577,33 @@ func (c *Clock) NewTicker(period time.Duration, fn func()) *Ticker {
 		}
 		t.end()
 	}
+	n := c.alloc()
+	n.owned = true
+	n.fn = t.tick
+	t.ev.n = n
 	t.arm()
 	return t
 }
 
-// end ends the ticker's run with its settle, unless the run is settled
-// already: a ticker without a settle never opens one.
+// end ends the ticker's run with its settle, if it has one.
 func (t *Ticker) end() {
-	if c := t.clock; c.open != 0 {
-		c.open = 0
+	if t.settle != nil {
 		t.settle()
 	}
 }
 
 // SetSettle sets fn to end each of the ticker's runs: it runs once after
-// the run's last firing, before the next one is armed, before any other
-// handler starts and before Step or RunUntil returns, also when the
-// handler stopped or reset the ticker, or Clock.Stop or the horizon ended
-// the run. A Step, RunUntil or Run called from the ticker's handler
-// settles the run before it fires anything, and the handler's remaining
-// work opens a new run. So state that the handler only accumulates, and fn
-// publishes, reads up to date to every other handler. Set it once, before
-// the first firing, to a non-nil fn that only publishes: it must not
-// schedule, fire or cancel events, or stop or reset its ticker.
-func (t *Ticker) SetSettle(fn func()) {
-	if t.slot == 0 {
-		t.clock.settlers = append(t.clock.settlers, t)
-		t.slot = len(t.clock.settlers)
-	}
-	t.settle = fn
-}
+// the run's last firing has returned, before the next firing is armed,
+// also when the handler stopped the ticker or the horizon ended the run.
+// No other handler runs inside a run, so state that the handler only
+// accumulates, and fn publishes, reads up to date to every other handler.
+// Set it before the first firing, to a fn that only publishes: it must not
+// schedule or cancel events, or stop its ticker.
+func (t *Ticker) SetSettle(fn func()) { t.settle = fn }
 
-// arm schedules the next firing one period from now on the ticker's node,
-// taking a node from the clock when the ticker holds none.
+// arm schedules the next firing one period from now on the ticker's node.
 func (t *Ticker) arm() {
-	c := t.clock
-	n := t.ev.n
-	if n == nil {
-		n = c.alloc()
-		n.owned = true
-		n.fn = t.tick
-		t.ev.n = n
-	}
+	c, n := t.clock, t.ev.n
 	due := c.now + t.period
 	n.due = due
 	n.seq = c.seq
@@ -708,42 +613,17 @@ func (t *Ticker) arm() {
 	t.ev.gen, t.ev.due = n.gen, due
 }
 
-// drop withdraws the pending firing, if any. Its node stays in the lane as
-// a tombstone until reaped, so the ticker lets go of it and takes a fresh
-// node when it next arms.
-func (t *Ticker) drop() {
-	if t.ev.Pending() {
-		t.clock.Cancel(t.ev)
-		t.ev = Event{}
-	}
-}
-
-// Reset changes the ticker period; the next firing is one new period from
-// the current time. Called from the ticker's own handler, it re-arms the
-// ticker's node, replacing the firing the handler would otherwise schedule.
-func (t *Ticker) Reset(period time.Duration) {
-	if period <= 0 {
-		panic("sim: ticker period must be positive")
-	}
-	t.drop()
-	t.period = period
-	t.lane = t.clock.laneFor(period)
-	if !t.stop {
-		t.arm()
-	}
-}
-
-// Period returns the current period.
-func (t *Ticker) Period() time.Duration { return t.period }
-
-// Stop cancels future firings. Called from the ticker's own handler, it
-// finds the node out of the queue and returns it to the free list.
+// Stop cancels future firings. A pending firing's node stays in its lane
+// as a tombstone until the clock reaps it; called from the ticker's own
+// handler, Stop finds the node out of the queue and returns it to the free
+// list.
 func (t *Ticker) Stop() {
 	t.stop = true
-	t.drop()
-	if n := t.ev.n; n != nil {
+	if t.ev.Pending() {
+		t.clock.Cancel(t.ev)
+	} else if n := t.ev.n; n != nil {
 		n.owned = false
-		t.clock.recycle(n, false)
-		t.ev = Event{}
+		t.clock.recycle(n)
 	}
+	t.ev = Event{}
 }

@@ -13,7 +13,8 @@ func TestAtRunsInOrder(t *testing.T) {
 	c.At(ms(30), func() { got = append(got, 3) })
 	c.At(ms(10), func() { got = append(got, 1) })
 	c.At(ms(20), func() { got = append(got, 2) })
-	c.Run()
+	for c.Step() {
+	}
 	want := []int{1, 2, 3}
 	if len(got) != len(want) {
 		t.Fatalf("got %v, want %v", got, want)
@@ -35,7 +36,8 @@ func TestSameInstantFIFO(t *testing.T) {
 		i := i
 		c.At(ms(5), func() { got = append(got, i) })
 	}
-	c.Run()
+	for c.Step() {
+	}
 	for i := range got {
 		if got[i] != i {
 			t.Fatalf("events at same instant reordered: %v", got)
@@ -49,7 +51,8 @@ func TestAfterIsRelative(t *testing.T) {
 	c.At(ms(10), func() {
 		c.After(ms(5), func() { fired = c.Now() })
 	})
-	c.Run()
+	for c.Step() {
+	}
 	if fired != ms(15) {
 		t.Fatalf("After fired at %v, want 15ms", fired)
 	}
@@ -65,7 +68,8 @@ func TestSchedulingInPastPanics(t *testing.T) {
 		}()
 		c.At(ms(5), func() {})
 	})
-	c.Run()
+	for c.Step() {
+	}
 }
 
 func TestNilHandlerPanics(t *testing.T) {
@@ -83,16 +87,21 @@ func TestCancel(t *testing.T) {
 	fired := false
 	e := c.At(ms(10), func() { fired = true })
 	c.Cancel(e)
-	c.Run()
+	if e.Pending() || c.Pending() != 0 {
+		t.Errorf("after Cancel: event pending %v, clock pending %d", e.Pending(), c.Pending())
+	}
+	for c.Step() {
+	}
 	if fired {
 		t.Error("canceled event fired")
 	}
-	if !e.Canceled() {
-		t.Error("Canceled() false after Cancel")
-	}
-	// Double cancel and cancel of the zero Event must not panic.
+	// Double cancel and cancel of the zero Event change nothing.
+	c.At(ms(20), func() {})
 	c.Cancel(e)
 	c.Cancel(Event{})
+	if c.Pending() != 1 {
+		t.Errorf("stale cancels left %d pending, want 1", c.Pending())
+	}
 }
 
 func TestCancelOneOfMany(t *testing.T) {
@@ -104,7 +113,8 @@ func TestCancelOneOfMany(t *testing.T) {
 		evs = append(evs, c.At(ms(i+1), func() { got = append(got, i) }))
 	}
 	c.Cancel(evs[2])
-	c.Run()
+	for c.Step() {
+	}
 	for _, v := range got {
 		if v == 2 {
 			t.Fatalf("canceled event executed: %v", got)
@@ -143,20 +153,6 @@ func TestRunUntilAdvancesToHorizonWhenIdle(t *testing.T) {
 	}
 }
 
-func TestStopInsideHandler(t *testing.T) {
-	c := NewClock()
-	count := 0
-	c.At(ms(1), func() { count++; c.Stop() })
-	c.At(ms(2), func() { count++ })
-	c.Run()
-	if count != 1 {
-		t.Fatalf("executed %d events after Stop, want 1", count)
-	}
-	if c.Pending() != 1 {
-		t.Fatalf("pending %d, want 1", c.Pending())
-	}
-}
-
 func TestStepEmpty(t *testing.T) {
 	c := NewClock()
 	if c.Step() {
@@ -169,7 +165,8 @@ func TestExecutedCounter(t *testing.T) {
 	for i := 1; i <= 7; i++ {
 		c.At(ms(i), func() {})
 	}
-	c.Run()
+	for c.Step() {
+	}
 	if c.Executed() != 7 {
 		t.Fatalf("Executed=%d, want 7", c.Executed())
 	}
@@ -207,60 +204,6 @@ func TestTickerStopInsideHandler(t *testing.T) {
 	}
 }
 
-func TestTickerReset(t *testing.T) {
-	c := NewClock()
-	var fires []Time
-	tk := c.NewTicker(ms(10), func() { fires = append(fires, c.Now()) })
-	c.At(ms(25), func() { tk.Reset(ms(50)) })
-	c.RunUntil(ms(130))
-	tk.Stop()
-	// Fires at 10, 20, then reset at 25 → 75, 125.
-	want := []Time{ms(10), ms(20), ms(75), ms(125)}
-	if len(fires) != len(want) {
-		t.Fatalf("fires %v, want %v", fires, want)
-	}
-	for i := range want {
-		if fires[i] != want[i] {
-			t.Fatalf("fires %v, want %v", fires, want)
-		}
-	}
-	if tk.Period() != ms(50) {
-		t.Fatalf("period %v, want 50ms", tk.Period())
-	}
-}
-
-// TestTickerResetFromOwnHandler resets a ticker inside its own handler: the
-// reset schedules the next firing, and the handler's return must not
-// schedule a second one.
-func TestTickerResetFromOwnHandler(t *testing.T) {
-	c := NewClock()
-	var fires []Time
-	var tk *Ticker
-	tk = c.NewTicker(ms(10), func() {
-		fires = append(fires, c.Now())
-		if len(fires) == 1 {
-			tk.Reset(ms(50))
-		}
-	})
-	c.RunUntil(ms(160))
-	want := []Time{ms(10), ms(60), ms(110), ms(160)}
-	if len(fires) != len(want) {
-		t.Fatalf("fires %v, want %v", fires, want)
-	}
-	for i := range want {
-		if fires[i] != want[i] {
-			t.Fatalf("fires %v, want %v", fires, want)
-		}
-	}
-	if c.Pending() != 1 {
-		t.Fatalf("Pending() = %d after the run, want 1 (the firing at 210ms)", c.Pending())
-	}
-	tk.Stop()
-	if c.Pending() != 0 {
-		t.Fatalf("Pending() = %d after Stop, want 0", c.Pending())
-	}
-}
-
 func TestTickerBadPeriodPanics(t *testing.T) {
 	c := NewClock()
 	defer func() {
@@ -294,7 +237,8 @@ func TestDeepNesting(t *testing.T) {
 		}
 	}
 	c.At(0, next)
-	c.Run()
+	for c.Step() {
+	}
 	if count != 1000 {
 		t.Fatalf("chain executed %d, want 1000", count)
 	}

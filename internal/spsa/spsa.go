@@ -128,9 +128,6 @@ func New(initial, lo, hi []float64, params Params, r *rng.Stream) (*Optimizer, e
 	return o, nil
 }
 
-// Dim returns the problem dimension.
-func (o *Optimizer) Dim() int { return len(o.x) }
-
 // K returns the number of completed iterations.
 func (o *Optimizer) K() int { return o.k }
 
