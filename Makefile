@@ -41,15 +41,17 @@ chaos:
 ## 10 s, then the microbenchmarks: the sim kernel's (32 tickers over a deep
 ## heap among them), the listener's (/status and the polled replies' wire
 ## codecs), and the substrates' (a producer tick's SendCount, a rate trace's
-## slot draw, re-placing 8 executors on 1000 nodes, an engine hour, an SPSA
-## step, a GP fit, a Cholesky factorization, one batch per workload, one
-## controller poll through SimNet, one sim-mode soak-hour).
+## slot draw, re-placing 8 executors on 1000 nodes, an engine hour bare,
+## observed and traced, an SPSA step, a GP fit, a Cholesky factorization,
+## one batch per workload, one controller poll through SimNet, one sim-mode
+## soak-hour, one batch's trace events, an observed engine's exposition).
 bench:
 	for w in sweep tenants zoo-observed service-soak; do bash perfbench/run.sh --workload $$w || exit 1; done
 	$(GO) test ./internal/sim/bench -bench . -benchmem
 	$(GO) test ./internal/listener -run '^$$' -bench 'CollectorStatus|Wire' -benchmem
 	$(GO) test ./internal/broker ./internal/ratetrace ./internal/cluster ./internal/engine ./internal/spsa \
-		./internal/baselines ./internal/linalg ./internal/workload ./internal/service -run '^$$' -bench . -benchmem
+		./internal/baselines ./internal/linalg ./internal/workload ./internal/service \
+		./internal/tracing ./internal/metrics -run '^$$' -bench . -benchmem
 
 ## golden: regenerate the golden-master artifacts after an INTENDED
 ## output change. Review the diff before committing — these files are the

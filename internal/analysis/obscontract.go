@@ -14,9 +14,11 @@ import (
 //     a fixed-cardinality series set into an unbounded one (one series per
 //     batch ID is a cardinality bomb in any real scrape pipeline). Call
 //     sites on metrics.Registry (Counter/Gauge/Histogram) and
-//     tracing.Tracer (Span/Instant/Counter) must pass names whose value the
-//     compiler can fold. Deliberately dynamic names — bounded enums such as
-//     a fault kind — carry a //nostop:allow obscontract with the bound.
+//     tracing.Tracer (Span/Instant/Counter and their typed siblings) must
+//     pass names, or name prefixes, whose value the compiler can fold; the
+//     typed methods' id is the one sanctioned per-event part of a name.
+//     Deliberately dynamic names — bounded enums such as a fault kind —
+//     carry a //nostop:allow obscontract with the bound.
 //
 //  2. Observer implementations are nil-safe. The engine hands *obsState to
 //     the broker as a possibly-nil interface value; every pointer-receiver
@@ -40,7 +42,10 @@ var ObsContract = &Analyzer{
 // argument that must be constant.
 var obsNameArgs = map[string]map[string]int{
 	"Registry": {"Counter": 0, "Gauge": 0, "Histogram": 0},
-	"Tracer":   {"Span": 3, "Instant": 3, "Counter": 1},
+	"Tracer": {
+		"Span": 3, "Instant": 3, "Counter": 1,
+		"TypedSpan": 3, "TypedInstant": 3, "TypedCounter": 1,
+	},
 }
 
 func runObsContract(pass *Pass) {

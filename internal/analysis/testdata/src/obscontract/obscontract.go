@@ -19,13 +19,20 @@ func (r *Registry) Histogram(name string) *series { return &series{} }
 // Args mimics tracing.Args.
 type Args map[string]any
 
+// Arg mimics tracing.Arg.
+type Arg struct{}
+
 // Tracer mimics tracing.Tracer: Span and Instant carry the name at index 3,
-// Counter at index 1.
+// Counter at index 1, and so do their typed siblings' name prefixes.
 type Tracer struct{}
 
 func (t *Tracer) Span(pid, tid int, cat, name string, args Args)    {}
 func (t *Tracer) Instant(pid, tid int, cat, name string, args Args) {}
 func (t *Tracer) Counter(pid int, name string, values Args)         {}
+
+func (t *Tracer) TypedSpan(pid, tid int, cat, prefix string, id int64, args ...Arg)    {}
+func (t *Tracer) TypedInstant(pid, tid int, cat, prefix string, id int64, args ...Arg) {}
+func (t *Tracer) TypedCounter(pid int, name string, values ...Arg)                     {}
 
 const histName = "nostop_latency"
 
@@ -37,6 +44,9 @@ func constantNames(reg *Registry, tr *Tracer) {
 	tr.Span(1, 2, "engine", "batch", nil)
 	tr.Instant(1, 2, "engine", "cut", nil)
 	tr.Counter(1, "throughput", nil)
+	tr.TypedSpan(1, 2, "engine", "batch ", 7)  // the id is not part of the check
+	tr.TypedInstant(1, 2, "engine", "cut", -1) // no id
+	tr.TypedCounter(1, "queue", Arg{})
 }
 
 func dynamicNames(reg *Registry, tr *Tracer, id int) {
@@ -47,6 +57,9 @@ func dynamicNames(reg *Registry, tr *Tracer, id int) {
 	tr.Span(1, 2, "engine", fmt.Sprintf("batch %d", id), nil) // want "Tracer.Span name must be a compile-time constant"
 	tr.Instant(1, 2, "engine", name, nil)                     // want "Tracer.Instant name must be a compile-time constant"
 	tr.Counter(1, name, nil)                                  // want "Tracer.Counter name must be a compile-time constant"
+	tr.TypedSpan(1, 2, "engine", fmt.Sprintf("b%d", id), -1)  // want "Tracer.TypedSpan name must be a compile-time constant"
+	tr.TypedInstant(1, 2, "engine", name, int64(id))          // want "Tracer.TypedInstant name must be a compile-time constant"
+	tr.TypedCounter(1, name, Arg{})                           // want "Tracer.TypedCounter name must be a compile-time constant"
 }
 
 func boundedName(tr *Tracer, kind fmt.Stringer) {

@@ -10,6 +10,7 @@ import (
 	"nostop/internal/ratetrace"
 	"nostop/internal/rng"
 	"nostop/internal/sim"
+	"nostop/internal/tracing"
 	"nostop/internal/workload"
 )
 
@@ -466,13 +467,17 @@ func TestParallelismCappedByPartitions(t *testing.T) {
 // BenchmarkEngineHour measures simulating one virtual hour of a WordCount
 // stream on a fixed configuration, the unit of work behind every
 // experiment.
-func BenchmarkEngineHour(b *testing.B) { benchEngineHour(b, false) }
+func BenchmarkEngineHour(b *testing.B) { benchEngineHour(b, false, false) }
 
 // BenchmarkEngineHourObserved is BenchmarkEngineHour with a metrics
 // registry attached and the tracer off.
-func BenchmarkEngineHourObserved(b *testing.B) { benchEngineHour(b, true) }
+func BenchmarkEngineHourObserved(b *testing.B) { benchEngineHour(b, true, false) }
 
-func benchEngineHour(b *testing.B, observed bool) {
+// BenchmarkEngineHourTraced is BenchmarkEngineHourObserved with a tracer
+// attached too, as an observed zoo job runs.
+func BenchmarkEngineHourTraced(b *testing.B) { benchEngineHour(b, true, true) }
+
+func benchEngineHour(b *testing.B, observed, traced bool) {
 	for i := 0; i < b.N; i++ {
 		clock := sim.NewClock()
 		seed := rng.New(uint64(i + 1))
@@ -482,12 +487,17 @@ func benchEngineHour(b *testing.B, observed bool) {
 		if observed {
 			reg = metrics.NewRegistry()
 		}
+		var tr *tracing.Tracer
+		if traced {
+			tr = tracing.New(clock, 0)
+		}
 		eng, err := New(clock, Options{
 			Workload: wl,
 			Trace:    ratetrace.NewUniformBand(lo, hi, 5*time.Second, seed.Split("t")),
 			Seed:     seed.Split("e"),
 			Initial:  Config{BatchInterval: 10 * time.Second, Executors: 12},
 			Metrics:  reg,
+			Tracer:   tr,
 		})
 		if err != nil {
 			b.Fatal(err)

@@ -44,11 +44,11 @@ const (
 // *obsState (observability disabled) turns every method into a no-op.
 type obsState struct {
 	tr *tracing.Tracer
-	// traceOn gates trace emission at the call sites: constructing the
-	// tracing.Args map (and Sprintf'ing span names) allocates even when the
-	// tracer is nil, so the metrics-only configuration checks this flag
-	// before building any trace payload. Keeps the no-trace hot path
-	// allocation-free (enforced by TestAllocsObservation).
+	// traceOn gates trace emission at the call sites, so the metrics-only
+	// configuration builds no trace payload at all. The payloads are typed
+	// args with constant name prefixes and allocate nothing either way:
+	// TestAllocsObservation pins the metrics-only path at zero and
+	// TestAllocsTracedBatch the traced one at the tracer's buffer chunks.
 	traceOn bool
 
 	recordsProduced  *metrics.Counter
@@ -158,13 +158,12 @@ func (o *obsState) OnFetch(topic string, n int64, ranges []broker.OffsetRange) {
 }
 
 // traceFetch emits the fetch instant. Like every trace* helper below it is
-// opt-in (traceOn) and outside the zero-alloc budget that
-// TestAllocsObservation pins on the metrics-only path.
+// opt-in (traceOn), and passes its typed args in ascending key order.
 //
-//nostop:allow hotalloc -- opt-in trace branch, off the 0-alloc budget path
+//nostop:allow hotalloc -- typed args: the variadic slice stays on the stack (TestAllocsTracedBatch)
 func (o *obsState) traceFetch(n int64, ranges int) {
-	o.tr.Instant(PidBroker, TidConsumer, "broker", "fetch",
-		tracing.Args{"records": n, "ranges": ranges})
+	o.tr.TypedInstant(PidBroker, TidConsumer, "broker", "fetch", tracing.NoID,
+		tracing.Int("ranges", int64(ranges)), tracing.Int("records", n))
 }
 
 // OnCommit implements broker.Observer (offset-range commit).
@@ -190,10 +189,10 @@ func (o *obsState) OnRewind(topic string, partition int, redelivered int64) {
 	}
 }
 
-//nostop:allow hotalloc -- opt-in trace branch, off the 0-alloc budget path
+//nostop:allow hotalloc -- typed args: the variadic slice stays on the stack (TestAllocsTracedBatch)
 func (o *obsState) traceRewind(partition int, redelivered int64) {
-	o.tr.Instant(PidBroker, TidConsumer, "broker", "rewind",
-		tracing.Args{"partition": partition, "redelivered": redelivered})
+	o.tr.TypedInstant(PidBroker, TidConsumer, "broker", "rewind", tracing.NoID,
+		tracing.Int("partition", int64(partition)), tracing.Int("redelivered", redelivered))
 }
 
 // OnOutage implements broker.Observer (partition leader down/up).
@@ -211,14 +210,16 @@ func (o *obsState) OnOutage(topic string, partition int, down bool) {
 	}
 }
 
-//nostop:allow hotalloc -- opt-in trace branch, off the 0-alloc budget path
+//nostop:allow hotalloc -- typed args: the variadic slice stays on the stack (TestAllocsTracedBatch)
 func (o *obsState) traceOutage(partition int, down bool) {
 	// Two constant-name call sites rather than a computed name: the
 	// obscontract analyzer can then prove the cardinality bound.
 	if down {
-		o.tr.Instant(PidBroker, TidConsumer, "broker", "partition-outage", tracing.Args{"partition": partition})
+		o.tr.TypedInstant(PidBroker, TidConsumer, "broker", "partition-outage", tracing.NoID,
+			tracing.Int("partition", int64(partition)))
 	} else {
-		o.tr.Instant(PidBroker, TidConsumer, "broker", "partition-restored", tracing.Args{"partition": partition})
+		o.tr.TypedInstant(PidBroker, TidConsumer, "broker", "partition-restored", tracing.NoID,
+			tracing.Int("partition", int64(partition)))
 	}
 }
 
@@ -239,14 +240,13 @@ func (e *Engine) onBatchCut(b *batch) {
 	}
 }
 
-//nostop:allow hotalloc -- opt-in trace branch, off the 0-alloc budget path
+//nostop:allow hotalloc -- typed args: the variadic slice stays on the stack (TestAllocsTracedBatch)
 func (e *Engine) traceBatchCut(b *batch) {
 	o := e.obs
-	//nostop:allow obscontract -- per-batch span name: bounded by the run horizon, golden-pinned trace output
-	o.tr.Instant(PidEngine, TidReceiver, "engine", fmt.Sprintf("cut batch %d", b.id),
-		tracing.Args{"records": b.records, "queue": len(e.queue), "faulty": b.faulty})
-	o.tr.Counter(PidEngine, "queue", tracing.Args{"batches": len(e.queue)})
-	o.tr.Counter(PidEngine, "lag", tracing.Args{"records": e.group.Lag()})
+	o.tr.TypedInstant(PidEngine, TidReceiver, "engine", "cut batch ", b.id,
+		tracing.Bool("faulty", b.faulty), tracing.Int("queue", int64(len(e.queue))), tracing.Int("records", b.records))
+	o.tr.TypedCounter(PidEngine, "queue", tracing.Int("batches", int64(len(e.queue))))
+	o.tr.TypedCounter(PidEngine, "lag", tracing.Int("records", e.group.Lag()))
 }
 
 // onAttempt records one resolved execution attempt as a span on the
@@ -262,11 +262,11 @@ func (e *Engine) onAttempt(b *batch, start sim.Time, proc time.Duration, failed 
 	}
 }
 
-//nostop:allow hotalloc -- opt-in trace branch, off the 0-alloc budget path
+//nostop:allow hotalloc -- typed args: the variadic slice stays on the stack (TestAllocsTracedBatch)
 func (e *Engine) traceAttempt(b *batch, start sim.Time, proc time.Duration, failed bool) {
-	//nostop:allow obscontract -- per-batch span name: bounded by the run horizon, golden-pinned trace output
-	e.obs.tr.Span(PidEngine, TidExecutors, "engine", fmt.Sprintf("batch %d", b.id), start, proc,
-		tracing.Args{"attempt": b.attempts, "records": b.records, "tasks": b.tasks, "failed": failed})
+	e.obs.tr.TypedSpan(PidEngine, TidExecutors, "engine", "batch ", b.id, start, proc,
+		tracing.Int("attempt", int64(b.attempts)), tracing.Bool("failed", failed),
+		tracing.Int("records", b.records), tracing.Int("tasks", int64(b.tasks)))
 }
 
 // onRetry records a transient task-failure retry and its backoff.
@@ -281,11 +281,10 @@ func (e *Engine) onRetry(b *batch, backoff time.Duration) {
 	}
 }
 
-//nostop:allow hotalloc -- opt-in trace branch, off the 0-alloc budget path
+//nostop:allow hotalloc -- typed args: the variadic slice stays on the stack (TestAllocsTracedBatch)
 func (e *Engine) traceRetry(b *batch, backoff time.Duration) {
-	//nostop:allow obscontract -- per-batch span name: bounded by the run horizon, golden-pinned trace output
-	e.obs.tr.Instant(PidEngine, TidExecutors, "engine", fmt.Sprintf("retry batch %d", b.id),
-		tracing.Args{"attempt": b.attempts, "backoff_ms": backoff.Milliseconds()})
+	e.obs.tr.TypedInstant(PidEngine, TidExecutors, "engine", "retry batch ", b.id,
+		tracing.Int("attempt", int64(b.attempts)), tracing.Int("backoff_ms", backoff.Milliseconds()))
 }
 
 // onSpeculation records a speculative re-execution decision.
@@ -300,10 +299,9 @@ func (e *Engine) onSpeculation(b *batch) {
 	}
 }
 
-//nostop:allow hotalloc -- opt-in trace branch, off the 0-alloc budget path
+//nostop:allow hotalloc -- typed args: the variadic slice stays on the stack (TestAllocsTracedBatch)
 func (e *Engine) traceSpeculation(b *batch) {
-	//nostop:allow obscontract -- per-batch span name: bounded by the run horizon, golden-pinned trace output
-	e.obs.tr.Instant(PidEngine, TidExecutors, "engine", fmt.Sprintf("speculate batch %d", b.id), nil)
+	e.obs.tr.TypedInstant(PidEngine, TidExecutors, "engine", "speculate batch ", b.id)
 }
 
 // onBatchFailed records a batch abandoned after retry-budget exhaustion.
@@ -318,11 +316,11 @@ func (e *Engine) onBatchFailed(b *batch) {
 	}
 }
 
-//nostop:allow hotalloc -- opt-in trace branch, off the 0-alloc budget path
+//nostop:allow hotalloc -- once per abandoned batch: its Sprintf'd name allocates
 func (e *Engine) traceBatchFailed(b *batch) {
-	//nostop:allow obscontract -- per-batch span name: bounded by the run horizon, golden-pinned trace output
-	e.obs.tr.Instant(PidEngine, TidExecutors, "engine", fmt.Sprintf("batch %d FAILED", b.id),
-		tracing.Args{"attempts": b.attempts, "records": b.records})
+	//nostop:allow obscontract -- per-batch name with a suffix, once per abandoned batch: bounded by the run horizon, golden-pinned trace output
+	e.obs.tr.TypedInstant(PidEngine, TidExecutors, "engine", fmt.Sprintf("batch %d FAILED", b.id), tracing.NoID,
+		tracing.Int("attempts", int64(b.attempts)), tracing.Int("records", b.records))
 }
 
 // onShed records an emergency load-shed episode.
@@ -337,10 +335,10 @@ func (e *Engine) onShed(rate float64, until sim.Time) {
 	}
 }
 
-//nostop:allow hotalloc -- opt-in trace branch, off the 0-alloc budget path
+//nostop:allow hotalloc -- typed args: the variadic slice stays on the stack (TestAllocsTracedBatch)
 func (e *Engine) traceShed(rate float64, until sim.Time) {
-	e.obs.tr.Instant(PidEngine, TidReceiver, "engine", "load-shed",
-		tracing.Args{"cap_rate": rate, "until_s": until.Seconds()})
+	e.obs.tr.TypedInstant(PidEngine, TidReceiver, "engine", "load-shed", tracing.NoID,
+		tracing.Float("cap_rate", rate), tracing.Float("until_s", until.Seconds()))
 }
 
 // onBatchComplete records a successful batch: queue-residence span,
@@ -364,16 +362,15 @@ func (e *Engine) onBatchComplete(b *batch, bs BatchStats) {
 	}
 }
 
-//nostop:allow hotalloc -- opt-in trace branch, off the 0-alloc budget path
+//nostop:allow hotalloc -- typed args: the variadic slice stays on the stack (TestAllocsTracedBatch)
 func (e *Engine) traceBatchComplete(b *batch, bs BatchStats) {
 	o := e.obs
 	if bs.SchedulingDelay > 0 {
-		//nostop:allow obscontract -- per-batch span name: bounded by the run horizon, golden-pinned trace output
-		o.tr.Span(PidEngine, TidReceiver, "engine", fmt.Sprintf("queued batch %d", b.id),
-			b.cutAt, bs.SchedulingDelay, tracing.Args{"records": b.records})
+		o.tr.TypedSpan(PidEngine, TidReceiver, "engine", "queued batch ", b.id,
+			b.cutAt, bs.SchedulingDelay, tracing.Int("records", b.records))
 	}
-	o.tr.Counter(PidEngine, "queue", tracing.Args{"batches": len(e.queue)})
-	o.tr.Counter(PidEngine, "lag", tracing.Args{"records": e.group.Lag()})
+	o.tr.TypedCounter(PidEngine, "queue", tracing.Int("batches", int64(len(e.queue))))
+	o.tr.TypedCounter(PidEngine, "lag", tracing.Int("records", e.group.Lag()))
 }
 
 // onReconfigure records an applied configuration change.
@@ -390,10 +387,10 @@ func (e *Engine) onReconfigure(cfg Config) {
 	}
 }
 
-//nostop:allow hotalloc -- opt-in trace branch, off the 0-alloc budget path
+//nostop:allow hotalloc -- typed args: the variadic slice stays on the stack (TestAllocsTracedBatch)
 func (e *Engine) traceReconfigure(cfg Config) {
-	e.obs.tr.Instant(PidEngine, TidConfig, "engine", "reconfigure",
-		tracing.Args{"interval_ms": cfg.BatchInterval.Milliseconds(), "executors": cfg.Executors})
+	e.obs.tr.TypedInstant(PidEngine, TidConfig, "engine", "reconfigure", tracing.NoID,
+		tracing.Int("executors", int64(cfg.Executors)), tracing.Int("interval_ms", cfg.BatchInterval.Milliseconds()))
 }
 
 // onReallocate records an executor-pool rebuild after a capacity change.
@@ -404,8 +401,8 @@ func (e *Engine) onReallocate() {
 	}
 	o.liveExecutors.Set(float64(len(e.execs)))
 	if o.traceOn {
-		o.tr.Instant(PidEngine, TidConfig, "engine", "reallocate",
-			tracing.Args{"live_executors": len(e.execs), "configured": e.cfg.Executors})
+		o.tr.TypedInstant(PidEngine, TidConfig, "engine", "reallocate", tracing.NoID,
+			tracing.Int("configured", int64(e.cfg.Executors)), tracing.Int("live_executors", int64(len(e.execs))))
 	}
 }
 

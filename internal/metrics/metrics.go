@@ -78,7 +78,7 @@ type family struct {
 
 // child is the concrete instrument state for one label signature.
 type child struct {
-	labels []Label
+	labels []Label // in key order
 	value  float64 // counter / gauge
 
 	bucketCounts []uint64 // histogram: per-bucket (non-cumulative) counts
@@ -160,6 +160,7 @@ func (r *Registry) Histogram(name, help string, buckets []float64, labels ...Lab
 
 // instrument finds or creates the (family, child) pair under the lock.
 func (r *Registry) instrument(name, help string, kind Kind, buckets []float64, labels []Label) *child {
+	labels = sortedLabels(labels)
 	sig := labelSignature(labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -180,7 +181,7 @@ func (r *Registry) instrument(name, help string, kind Kind, buckets []float64, l
 	}
 	c, ok := f.children[sig]
 	if !ok {
-		c = &child{labels: append([]Label(nil), labels...)}
+		c = &child{labels: labels}
 		if kind == KindHistogram {
 			c.bucketCounts = make([]uint64, len(f.buckets))
 		}
@@ -327,15 +328,24 @@ func (h *Histogram) Sum() float64 {
 	return h.c.sum
 }
 
-// labelSignature renders labels in sorted-key order as a stable map key.
+// sortedLabels returns a copy of labels in key order. The sort is stable,
+// so a repeated key keeps its registration order.
+func sortedLabels(labels []Label) []Label {
+	if len(labels) == 0 {
+		return nil
+	}
+	ls := append([]Label(nil), labels...)
+	sort.SliceStable(ls, func(i, j int) bool { return ls[i].Key < ls[j].Key })
+	return ls
+}
+
+// labelSignature renders labels, already in key order, as a stable map key.
 func labelSignature(labels []Label) string {
 	if len(labels) == 0 {
 		return ""
 	}
-	ls := append([]Label(nil), labels...)
-	sort.Slice(ls, func(i, j int) bool { return ls[i].Key < ls[j].Key })
 	var b strings.Builder
-	for _, l := range ls {
+	for _, l := range labels {
 		b.WriteString(l.Key)
 		b.WriteByte('=')
 		b.WriteString(strconv.Quote(l.Value))
@@ -348,41 +358,111 @@ func labelSignature(labels []Label) string {
 // as plain decimals ("12", "0.5" stays "0.5"), everything else via the
 // shortest round-trip representation. The output is deterministic for a
 // given bit pattern.
-func FormatValue(v float64) string {
+func FormatValue(v float64) string { return string(appendValue(nil, v)) }
+
+// appendValue appends v as FormatValue renders it.
+func appendValue(b []byte, v float64) []byte {
 	if v == math.Trunc(v) && math.Abs(v) < 1e15 {
-		return strconv.FormatFloat(v, 'f', -1, 64)
+		return strconv.AppendFloat(b, v, 'f', -1, 64)
 	}
-	return strconv.FormatFloat(v, 'g', -1, 64)
+	return strconv.AppendFloat(b, v, 'g', -1, 64)
 }
 
-// escapeLabel escapes a label value per the exposition format.
-func escapeLabel(v string) string {
-	v = strings.ReplaceAll(v, `\`, `\\`)
-	v = strings.ReplaceAll(v, "\n", `\n`)
-	v = strings.ReplaceAll(v, `"`, `\"`)
-	return v
-}
-
-// renderLabels renders {k="v",...} in sorted key order ("" when empty).
-func renderLabels(labels []Label, extra ...Label) string {
-	all := append(append([]Label(nil), labels...), extra...)
-	if len(all) == 0 {
-		return ""
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].Key < all[j].Key })
-	var b strings.Builder
-	b.WriteByte('{')
-	for i, l := range all {
-		if i > 0 {
-			b.WriteByte(',')
+// appendEscaped appends a label value escaped per the exposition format:
+// backslash, newline and double quote.
+func appendEscaped(b []byte, v string) []byte {
+	start := 0
+	for i := 0; i < len(v); i++ {
+		var esc byte
+		switch v[i] {
+		case '\\':
+			esc = '\\'
+		case '\n':
+			esc = 'n'
+		case '"':
+			esc = '"'
+		default:
+			continue
 		}
-		b.WriteString(l.Key)
-		b.WriteString(`="`)
-		b.WriteString(escapeLabel(l.Value))
-		b.WriteByte('"')
+		b = append(b, v[start:i]...)
+		b = append(b, '\\', esc)
+		start = i + 1
 	}
-	b.WriteByte('}')
-	return b.String()
+	return append(b, v[start:]...)
+}
+
+// appendSeries appends a sample line's series: name, suffix and the
+// {k="v",...} labels, with le spliced in where a sort by key puts it when
+// withLE, and the space before the value.
+func appendSeries(b []byte, name, suffix string, labels []Label, le float64, withLE bool) []byte {
+	b = append(b, name...)
+	b = append(b, suffix...)
+	if len(labels) == 0 && !withLE {
+		return append(b, ' ')
+	}
+	b = append(b, '{')
+	n := 0 // labels written so far
+	for _, l := range labels {
+		if withLE && l.Key > "le" {
+			b = appendLE(b, n > 0, le)
+			n++
+			withLE = false
+		}
+		if n > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, l.Key...)
+		b = append(b, '=', '"')
+		b = appendEscaped(b, l.Value)
+		b = append(b, '"')
+		n++
+	}
+	if withLE {
+		b = appendLE(b, n > 0, le)
+	}
+	return append(b, '}', ' ')
+}
+
+// appendLE appends a bucket's le label, after a comma when it follows
+// another label.
+func appendLE(b []byte, comma bool, le float64) []byte {
+	if comma {
+		b = append(b, ',')
+	}
+	b = append(b, `le="`...)
+	b = appendValue(b, le)
+	return append(b, '"')
+}
+
+// The exposition is built in one scratch buffer of expoBufSize bytes,
+// written out each time it holds expoFlushAt bytes or more.
+const (
+	expoBufSize = 4 << 10
+	expoFlushAt = expoBufSize - 512
+)
+
+// expoWriter appends exposition lines to its buffer and writes the buffer
+// to w when it fills; the first write error sticks.
+type expoWriter struct {
+	w   io.Writer
+	buf []byte
+	err error
+}
+
+// endLine ends the current line, flushing a full buffer.
+func (e *expoWriter) endLine() {
+	e.buf = append(e.buf, '\n')
+	if len(e.buf) >= expoFlushAt {
+		e.flush()
+	}
+}
+
+// flush writes the buffered lines.
+func (e *expoWriter) flush() {
+	if e.err == nil && len(e.buf) > 0 {
+		_, e.err = e.w.Write(e.buf)
+	}
+	e.buf = e.buf[:0]
 }
 
 // WritePrometheus renders the whole registry in the Prometheus text
@@ -394,57 +474,66 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	var names []string
+	names := make([]string, 0, len(r.families))
 	for name := range r.families {
 		names = append(names, name)
 	}
 	sort.Strings(names)
+	e := expoWriter{w: w, buf: make([]byte, 0, expoBufSize)}
+	var sigs []string
 	for _, name := range names {
 		f := r.families[name]
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.kind); err != nil {
-			return err
-		}
-		var sigs []string
+		e.buf = append(e.buf, "# HELP "...)
+		e.buf = append(e.buf, f.name...)
+		e.buf = append(e.buf, ' ')
+		e.buf = append(e.buf, f.help...)
+		e.endLine()
+		e.buf = append(e.buf, "# TYPE "...)
+		e.buf = append(e.buf, f.name...)
+		e.buf = append(e.buf, ' ')
+		e.buf = append(e.buf, f.kind.String()...)
+		e.endLine()
+		sigs = sigs[:0]
 		for sig := range f.children {
 			sigs = append(sigs, sig)
 		}
 		sort.Strings(sigs)
 		for _, sig := range sigs {
-			c := f.children[sig]
-			if err := writeChild(w, f, c); err != nil {
-				return err
-			}
+			e.child(f, f.children[sig])
+		}
+		if e.err != nil {
+			return e.err
 		}
 	}
-	return nil
+	e.flush()
+	return e.err
 }
 
-// writeChild renders one instrument's sample lines. Callers hold r.mu.
-func writeChild(w io.Writer, f *family, c *child) error {
+// child appends one instrument's sample lines. Callers hold r.mu.
+func (e *expoWriter) child(f *family, c *child) {
 	switch f.kind {
 	case KindCounter, KindGauge:
-		_, err := fmt.Fprintf(w, "%s%s %s\n", f.name, renderLabels(c.labels), FormatValue(c.value))
-		return err
+		e.buf = appendSeries(e.buf, f.name, "", c.labels, 0, false)
+		e.buf = appendValue(e.buf, c.value)
+		e.endLine()
 	case KindHistogram:
 		var cum uint64
 		for i, bound := range f.buckets {
 			cum += c.bucketCounts[i]
-			if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n",
-				f.name, renderLabels(c.labels, L("le", FormatValue(bound))), cum); err != nil {
-				return err
-			}
+			e.buf = appendSeries(e.buf, f.name, "_bucket", c.labels, bound, true)
+			e.buf = strconv.AppendUint(e.buf, cum, 10)
+			e.endLine()
 		}
-		if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n",
-			f.name, renderLabels(c.labels, L("le", "+Inf")), c.count); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(w, "%s_sum%s %s\n%s_count%s %d\n",
-			f.name, renderLabels(c.labels), FormatValue(c.sum),
-			f.name, renderLabels(c.labels), c.count); err != nil {
-			return err
-		}
+		e.buf = appendSeries(e.buf, f.name, "_bucket", c.labels, math.Inf(1), true)
+		e.buf = strconv.AppendUint(e.buf, c.count, 10)
+		e.endLine()
+		e.buf = appendSeries(e.buf, f.name, "_sum", c.labels, 0, false)
+		e.buf = appendValue(e.buf, c.sum)
+		e.endLine()
+		e.buf = appendSeries(e.buf, f.name, "_count", c.labels, 0, false)
+		e.buf = strconv.AppendUint(e.buf, c.count, 10)
+		e.endLine()
 	}
-	return nil
 }
 
 // String renders the exposition into a string (convenience for tests and
