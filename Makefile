@@ -19,8 +19,9 @@ gofmt:
 
 ## vet: the gofmt check, standard go vet, and the repo's determinism-contract
 ## analyzers (wallclock, randsource, maporder, floateq, simgoroutine,
-## hotalloc, lockguard, obscontract — see DESIGN.md §5d). -time prints load
-## and per-analyzer wall time so a pass that suddenly dominates is visible.
+## hotalloc, lockguard, obscontract, deadapi — see DESIGN.md §5d). -time
+## prints load and per-analyzer wall time so a pass that suddenly dominates
+## is visible.
 vet: gofmt
 	$(GO) vet ./...
 	$(GO) run ./cmd/nostop-vet -time ./...

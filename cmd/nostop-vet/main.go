@@ -1,5 +1,5 @@
 // Command nostop-vet checks the repository against the determinism contract:
-// the eight custom static analyzers in internal/analysis, run over every
+// the nine custom static analyzers in internal/analysis, run over every
 // package in the module (tests included) with the repository's default
 // package allowlists.
 //

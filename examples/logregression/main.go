@@ -102,12 +102,10 @@ func (l liftedTrace) Describe() string {
 	return fmt.Sprintf("%s + surge %.0f at %v for %v", l.base.Describe(), l.peak, l.start, l.dur)
 }
 
-// NextChange implements ratetrace.Stepper so integration stays exact.
+// NextChange implements ratetrace.Trace: the base's next change or a
+// surge edge, whichever comes first.
 func (l liftedTrace) NextChange(t sim.Time) sim.Time {
-	next := sim.Infinity
-	if st, ok := l.base.(ratetrace.Stepper); ok {
-		next = st.NextChange(t)
-	}
+	next := l.base.NextChange(t)
 	if t < l.start && l.start < next {
 		next = l.start
 	}

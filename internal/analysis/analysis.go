@@ -16,7 +16,7 @@
 //	simgoroutine — flags go statements and sync imports in simulation packages
 //
 // Three further analyzers protect the performance and observability
-// contracts layered on top of determinism:
+// contracts layered on top of determinism, and one keeps the code lean:
 //
 //	hotalloc     — rejects allocation-shaped constructs in //nostop:hotpath
 //	               functions and their same-package callees
@@ -24,6 +24,8 @@
 //	               accessed while the named sibling mutex is held
 //	obscontract  — metric/span names must be compile-time constants;
 //	               Observer implementations keep nil-safe receivers
+//	deadapi      — internal functions, methods and types need a caller
+//	               outside the tests (interface dispatch counts)
 //
 // The framework deliberately mirrors the golang.org/x/tools/go/analysis API
 // shape (Analyzer, Pass, Reportf) but is built on the standard library alone:
@@ -92,6 +94,9 @@ type Pass struct {
 	cfg      *Config
 	suppress suppressions
 	sink     *[]Diagnostic
+	// module is every package of this Check, for passes that need the
+	// whole module's references (deadapi).
+	module *moduleView
 }
 
 // Reportf records a finding at pos unless a //nostop:allow comment covers it.
@@ -130,6 +135,7 @@ func (d Diagnostic) String() string {
 // runs every analyzer on every package with empty allowlists.
 func Check(pkgs []*Package, analyzers []*Analyzer, cfg *Config) []Diagnostic {
 	var diags []Diagnostic
+	module := &moduleView{pkgs: pkgs}
 	for _, pkg := range pkgs {
 		sup := buildSuppressions(pkg.Fset, pkg.Files)
 		for _, a := range analyzers {
@@ -153,6 +159,7 @@ func Check(pkgs []*Package, analyzers []*Analyzer, cfg *Config) []Diagnostic {
 				cfg:       cfg,
 				suppress:  sup,
 				sink:      &diags,
+				module:    module,
 			})
 		}
 	}

@@ -100,9 +100,16 @@ func cutSuffix(s, suffix string) (string, bool) {
 //     format human output, where an allocation or a Sprintf label is fine.
 //   - lockguard runs everywhere: it only fires on fields that opt in with a
 //     '// guarded by <mu>' annotation, so an unannotated package is free.
+//   - deadapi checks the declarations of internal packages, against the
+//     references of the whole module; analysistest is test support, whose
+//     API only tests may call.
 func DefaultConfig() *Config {
 	return &Config{
 		Scopes: map[string]Scope{
+			"deadapi": {
+				Only:   []string{"nostop/internal/..."},
+				Exempt: []string{"nostop/internal/analysis/analysistest"},
+			},
 			"hotalloc":    {Only: []string{"nostop/internal/..."}},
 			"obscontract": {Only: []string{"nostop/internal/..."}},
 			"wallclock": {

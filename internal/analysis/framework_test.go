@@ -54,6 +54,12 @@ func TestDefaultConfigScopes(t *testing.T) {
 		{"lockguard", "nostop/internal/service", true}, // opt-in by annotation: runs everywhere
 		{"lockguard", "nostop/cmd/nostop-listen", true},
 		{"lockguard", "nostop", true},
+
+		{"deadapi", "nostop/internal/ratetrace", true},
+		{"deadapi", "nostop/internal/analysis", true},
+		{"deadapi", "nostop/internal/analysis/analysistest", false}, // test support: only tests call it
+		{"deadapi", "nostop/cmd/nostop-sim", false},                 // commands are where references come from
+		{"deadapi", "nostop/perfbench", false},
 	}
 	for _, c := range cases {
 		if got := cfg.Applies(c.analyzer, c.pkg); got != c.want {

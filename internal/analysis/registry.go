@@ -1,10 +1,10 @@
 package analysis
 
 // All returns every contract analyzer, in report order: the five
-// determinism passes from PR 2 plus the hot-path allocation, lock-discipline
-// and observer-contract passes.
+// determinism passes plus the hot-path allocation, lock-discipline,
+// observer-contract and dead-API passes.
 func All() []*Analyzer {
-	return []*Analyzer{FloatEq, HotAlloc, LockGuard, MapOrder, ObsContract, RandSource, SimGoroutine, WallClock}
+	return []*Analyzer{DeadAPI, FloatEq, HotAlloc, LockGuard, MapOrder, ObsContract, RandSource, SimGoroutine, WallClock}
 }
 
 // ByName returns the named analyzer, or nil.

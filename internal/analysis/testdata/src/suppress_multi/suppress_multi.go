@@ -15,3 +15,7 @@ func doublySuppressed() (time.Time, int) {
 func controls() (time.Time, int) {
 	return time.Now(), rand.Intn(10) // CONTROL: must stay flagged by both analyzers
 }
+
+// Callers keeps both functions referenced, so the suite's dead-API pass has
+// nothing to report here.
+var Callers = []any{doublySuppressed, controls}

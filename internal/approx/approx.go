@@ -30,12 +30,8 @@ func EqTol(a, b, tol float64) bool {
 	return diff <= tol*math.Max(math.Abs(a), math.Abs(b))
 }
 
-// Zero reports a ≈ 0 under the default tolerance, for values that are
-// computed (and may therefore carry rounding error).
-func Zero(a float64) bool { return math.Abs(a) <= Tol }
-
 // Unset reports whether an option field still holds its exact zero value,
-// the "zero means use the default" sentinel convention. Unlike Zero it is an
+// the "zero means use the default" sentinel convention. Unlike Eq it is an
 // exact comparison: the sentinel is assigned, never computed, so there is no
 // rounding error to tolerate — and a caller deliberately configuring a tiny
 // value like 1e-9 must not be mistaken for unset. Centralizing the one legal

@@ -29,24 +29,6 @@ func TestEq(t *testing.T) {
 	}
 }
 
-func TestZero(t *testing.T) {
-	for _, c := range []struct {
-		a    float64
-		want bool
-	}{
-		{0, true},
-		{1e-12, true},
-		{-1e-12, true},
-		{1e-6, false},
-		{1, false},
-		{math.NaN(), false},
-	} {
-		if got := Zero(c.a); got != c.want {
-			t.Errorf("Zero(%v) = %v, want %v", c.a, got, c.want)
-		}
-	}
-}
-
 func TestUnset(t *testing.T) {
 	for _, c := range []struct {
 		a    float64

@@ -73,10 +73,3 @@ func (b *BackPressure) onBatch(bs engine.BatchStats) {
 	b.updates++
 	b.host.SetIngestCap(newRate)
 }
-
-// Rate returns the current ingestion bound (records/second); 0 before the
-// first update.
-func (b *BackPressure) Rate() float64 { return b.latestRate }
-
-// Updates returns how many PID updates have run.
-func (b *BackPressure) Updates() int { return b.updates }

@@ -98,7 +98,7 @@ func TestGPPriorBeforeFit(t *testing.T) {
 	if mean != 0 || math.Abs(variance-2.5) > 1e-12 {
 		t.Fatalf("prior (%v, %v), want (0, 2.5)", mean, variance)
 	}
-	if gp.N() != 0 {
+	if len(gp.xs) != 0 {
 		t.Fatal("N before fit")
 	}
 }
@@ -229,12 +229,12 @@ func TestBackPressureStabilisesOverload(t *testing.T) {
 	if eng.DroppedByCap() == 0 {
 		t.Fatal("back pressure never throttled an overloaded system")
 	}
-	if bp.Updates() == 0 || bp.Rate() <= 0 {
-		t.Fatalf("PID never updated: updates=%d rate=%v", bp.Updates(), bp.Rate())
+	if bp.updates == 0 || bp.latestRate <= 0 {
+		t.Fatalf("PID never updated: updates=%d rate=%v", bp.updates, bp.latestRate)
 	}
 	// The throttle must be near the system's actual capacity, not the floor.
-	if bp.Rate() < 500 {
-		t.Fatalf("rate collapsed to %v", bp.Rate())
+	if bp.latestRate < 500 {
+		t.Fatalf("rate collapsed to %v", bp.latestRate)
 	}
 }
 

@@ -65,7 +65,6 @@ type BayesOpt struct {
 	done     bool
 	doneAt   sim.Time
 	applied  int
-	drains   int
 	draining bool
 	attached bool
 }
@@ -178,7 +177,6 @@ func (b *BayesOpt) onBatch(bs engine.BatchStats) {
 		projected := stats.Mean(b.totalAcc) + float64(q)*stats.Mean(b.procAcc)
 		b.record(projected)
 		b.draining = true
-		b.drains++
 		b.applied++
 		bb := b.eng.ConfigBounds()
 		_ = b.eng.Reconfigure(engine.Config{BatchInterval: bb.MaxInterval, Executors: bb.MaxExecutors})
@@ -297,6 +295,3 @@ func (b *BayesOpt) DoneAt() sim.Time { return b.doneAt }
 
 // ConfigureSteps returns the configuration changes requested (Fig 8).
 func (b *BayesOpt) ConfigureSteps() int { return b.applied }
-
-// Drains returns emergency stabilisation episodes.
-func (b *BayesOpt) Drains() int { return b.drains }

@@ -113,9 +113,6 @@ func (g *GP) Predict(x []float64) (mean, variance float64) {
 	return mean, variance
 }
 
-// N returns the number of conditioned observations.
-func (g *GP) N() int { return len(g.xs) }
-
 // stdNormPDF is the standard normal density.
 func stdNormPDF(z float64) float64 {
 	return math.Exp(-z*z/2) / math.Sqrt(2*math.Pi)

@@ -16,7 +16,6 @@ package broker
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"nostop/internal/sim"
 )
@@ -108,30 +107,12 @@ func (p *Partition) retain(rec Record) {
 	}
 }
 
-// SampleTail returns up to max of the most recently retained payload records,
-// oldest first. max <= 0 returns all retained records.
-func (p *Partition) SampleTail(max int) []Record {
-	n := len(p.samples)
-	if max > 0 && n > max {
-		n = max
-	}
-	out := make([]Record, 0, n)
-	skip := len(p.samples) - n
-	for i := skip; i < len(p.samples); i++ {
-		out = append(out, p.samples[(p.sampleHead+i)%len(p.samples)])
-	}
-	return out
-}
-
 // Broker hosts partitions; one broker is deployed per cluster node (§6.1).
 type Broker struct {
 	ID         int
 	NodeID     int
 	partitions []*Partition
 }
-
-// Partitions returns the partitions hosted by this broker.
-func (b *Broker) Partitions() []*Partition { return b.partitions }
 
 // Bus is the broker cluster plus topic registry.
 type Bus struct {
@@ -153,13 +134,6 @@ type TenantAccount struct {
 	Committed   int64 // records durably processed
 	Redelivered int64 // records re-fetched after outage rewinds
 }
-
-// Lag returns the tenant's consumer lag: produced but not yet fetched.
-// Rewound (to-be-redelivered) spans count as lag again.
-func (a *TenantAccount) Lag() int64 { return a.Produced + a.Redelivered - a.Fetched }
-
-// CommittedLag returns records produced but not yet durably processed.
-func (a *TenantAccount) CommittedLag() int64 { return a.Produced - a.Committed }
 
 // Topic is a named set of partitions.
 type Topic struct {
@@ -186,15 +160,6 @@ type Topic struct {
 	// acct, when non-nil, is the owning tenant's bus-level account; the
 	// produce/fetch/commit/rewind paths tick it alongside totalEnd.
 	acct *TenantAccount
-}
-
-// Tenant returns the name of the topic's owning tenant ("" when the topic
-// is not tenant-bound).
-func (t *Topic) Tenant() string {
-	if t.acct == nil {
-		return ""
-	}
-	return t.acct.Tenant
 }
 
 // SetObserver installs (or, with nil, removes) the activity observer on the
@@ -226,9 +191,6 @@ func NewBus(nodeIDs []int) (*Bus, error) {
 	}
 	return bus, nil
 }
-
-// Brokers returns the bus's brokers.
-func (b *Bus) Brokers() []*Broker { return b.brokers }
 
 // CreateTopic registers a topic with nPartitions partitions assigned to
 // brokers round-robin. sampleCap bounds the concrete payload tail retained
@@ -277,21 +239,6 @@ func (b *Bus) createTopic(name, tenant string, nPartitions, sampleCap int) (*Top
 	}
 	b.topics[name] = t
 	return t, nil
-}
-
-// TenantAccount returns the accounting of one tenant, or nil when the bus
-// holds no tenant-bound topic under that name.
-func (b *Bus) TenantAccount(tenant string) *TenantAccount { return b.tenants[tenant] }
-
-// TenantAccounts returns every tenant account sorted by tenant name —
-// the deterministic iteration order reports and metrics snapshots use.
-func (b *Bus) TenantAccounts() []*TenantAccount {
-	out := make([]*TenantAccount, 0, len(b.tenants))
-	for _, a := range b.tenants {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Tenant < out[j].Tenant })
-	return out
 }
 
 // Topic looks up a topic by name.
@@ -499,19 +446,9 @@ func (g *ConsumerGroup) Lag() int64 { return g.topic.totalEnd - g.posTotal }
 // the committed offsets, including fetched-but-uncommitted spans.
 func (g *ConsumerGroup) CommittedLag() int64 { return g.topic.totalEnd - g.committedTotal }
 
-// Committed returns the committed offset of a partition.
-func (g *ConsumerGroup) Committed(partition int) int64 { return g.committed[partition] }
-
-// Position returns the fetch position of a partition.
-func (g *ConsumerGroup) Position(partition int) int64 { return g.position[partition] }
-
 // Redelivered returns the total records re-fetched after a rewind — the
 // at-least-once duplicate count.
 func (g *ConsumerGroup) Redelivered() int64 { return g.redelivered }
-
-// FullyCommitted reports whether every produced record has been committed:
-// the "zero records lost" invariant once a run has drained.
-func (g *ConsumerGroup) FullyCommitted() bool { return g.committedTotal >= g.topic.totalEnd }
 
 // FetchChunk consumes up to max records across all live partitions (max <=
 // 0 means all available), advancing positions but not committed offsets. It

@@ -73,9 +73,9 @@ func TestPartitionsSpreadAcrossBrokers(t *testing.T) {
 			t.Fatalf("broker %d hosts %d partitions, want 6", id, n)
 		}
 	}
-	for _, br := range bus.Brokers() {
-		if len(br.Partitions()) != 6 {
-			t.Fatalf("broker view has %d partitions", len(br.Partitions()))
+	for _, br := range bus.brokers {
+		if len(br.partitions) != 6 {
+			t.Fatalf("broker view has %d partitions", len(br.partitions))
 		}
 	}
 }
@@ -256,7 +256,10 @@ func TestSampleRingEviction(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		prod.Send("k", fmt.Sprintf("v%d", i), 0)
 	}
-	tail := topic.Partitions[0].SampleTail(0)
+	// A fetch of all five records carries the three the ring kept, oldest
+	// first.
+	group, _ := bus.NewConsumerGroup(topic.Name)
+	tail := group.FetchChunk(0).Records
 	if len(tail) != 3 {
 		t.Fatalf("tail len=%d, want 3", len(tail))
 	}
@@ -265,17 +268,14 @@ func TestSampleRingEviction(t *testing.T) {
 			t.Fatalf("tail=%v", tail)
 		}
 	}
-	limited := topic.Partitions[0].SampleTail(2)
-	if len(limited) != 2 || limited[0].Value != "v3" {
-		t.Fatalf("limited tail=%v", limited)
-	}
 }
 
 func TestSampleCapZeroRetainsNothing(t *testing.T) {
 	bus, topic := newTestBus(t, 1, 0)
 	prod, _ := bus.NewProducer("events")
 	prod.Send("k", "v", 0)
-	if len(topic.Partitions[0].SampleTail(0)) != 0 {
+	group, _ := bus.NewConsumerGroup(topic.Name)
+	if c := group.FetchChunk(0); c.Count != 1 || len(c.Records) != 0 {
 		t.Fatal("sampleCap=0 retained payloads")
 	}
 }
@@ -326,7 +326,7 @@ func TestCommittedTracksPolls(t *testing.T) {
 	group, _ := bus.NewConsumerGroup("events")
 	prod.SendCount(10) // 5 per partition
 	poll(group, 0)
-	if group.Committed(0) != 5 || group.Committed(1) != 5 {
-		t.Fatalf("committed=(%d,%d), want (5,5)", group.Committed(0), group.Committed(1))
+	if group.committed[0] != 5 || group.committed[1] != 5 {
+		t.Fatalf("committed=(%d,%d), want (5,5)", group.committed[0], group.committed[1])
 	}
 }

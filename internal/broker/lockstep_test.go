@@ -265,17 +265,14 @@ func (s *lockstepSide) diff(o *lockstepSide) string {
 			if p.End() != otp.Partitions[j].End() {
 				return fmt.Sprintf("%s partition %d End %d, eager %d", tp.Name, j, p.End(), otp.Partitions[j].End())
 			}
-			if g.Position(j) != og.Position(j) || g.Committed(j) != og.Committed(j) {
+			if g.position[j] != og.position[j] || g.committed[j] != og.committed[j] {
 				return fmt.Sprintf("%s partition %d position/committed %d/%d, eager %d/%d",
-					tp.Name, j, g.Position(j), g.Committed(j), og.Position(j), og.Committed(j))
+					tp.Name, j, g.position[j], g.committed[j], og.position[j], og.committed[j])
 			}
 		}
 		if g.Lag() != og.Lag() || g.CommittedLag() != og.CommittedLag() || g.Redelivered() != og.Redelivered() {
 			return fmt.Sprintf("%s lag/committed lag/redelivered %d/%d/%d, eager %d/%d/%d", tp.Name,
 				g.Lag(), g.CommittedLag(), g.Redelivered(), og.Lag(), og.CommittedLag(), og.Redelivered())
-		}
-		if g.FullyCommitted() != og.FullyCommitted() {
-			return fmt.Sprintf("%s FullyCommitted %v, eager %v", tp.Name, g.FullyCommitted(), og.FullyCommitted())
 		}
 		n, f := s.obs.n[tp.Name], s.obs.f[tp.Name]
 		on, of := o.obs.n[tp.Name], o.obs.f[tp.Name]
@@ -283,7 +280,7 @@ func (s *lockstepSide) diff(o *lockstepSide) string {
 			return fmt.Sprintf("%s OnAppend sums %d/%v, eager %d/%v, TotalEnd %d", tp.Name, n, f, on, of, tp.TotalEnd())
 		}
 	}
-	if a, oa := *s.bus.TenantAccount("acme"), *o.bus.TenantAccount("acme"); a != oa {
+	if a, oa := *s.bus.tenants["acme"], *o.bus.tenants["acme"]; a != oa {
 		return fmt.Sprintf("tenant account %+v, eager %+v", a, oa)
 	}
 	return ""

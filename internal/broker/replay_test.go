@@ -42,7 +42,7 @@ func TestFetchDoesNotCommit(t *testing.T) {
 	}
 	group.Commit(c.Ranges)
 	group.Release(c)
-	if group.CommittedLag() != 0 || !group.FullyCommitted() {
+	if group.CommittedLag() != 0 {
 		t.Fatalf("commit did not settle: committed lag %d", group.CommittedLag())
 	}
 }
@@ -98,10 +98,10 @@ func TestPartitionOutageReplayAtLeastOnce(t *testing.T) {
 	group.Commit(c.Ranges)
 	group.Release(c)
 
-	if !group.FullyCommitted() {
+	if group.CommittedLag() > 0 {
 		t.Fatal("records lost: not every produced offset was committed")
 	}
-	if got, want := group.Committed(0), topic.Partitions[0].End(); got != want {
+	if got, want := group.committed[0], topic.Partitions[0].End(); got != want {
 		t.Fatalf("partition 0 committed %d, want %d", got, want)
 	}
 }
@@ -132,13 +132,13 @@ func TestCommitIsMonotonic(t *testing.T) {
 	c2 := group.FetchChunk(20)
 	group.Commit(c2.Ranges)
 	group.Release(c2)
-	if group.Committed(0) != 30 {
-		t.Fatalf("committed %d, want 30", group.Committed(0))
+	if group.committed[0] != 30 {
+		t.Fatalf("committed %d, want 30", group.committed[0])
 	}
 	group.Commit(c1.Ranges)
 	group.Release(c1)
-	if group.Committed(0) != 30 {
-		t.Fatalf("stale commit moved offset to %d", group.Committed(0))
+	if group.committed[0] != 30 {
+		t.Fatalf("stale commit moved offset to %d", group.committed[0])
 	}
 }
 
@@ -163,7 +163,7 @@ func TestOutagePreservesPayloads(t *testing.T) {
 	}
 	group.Commit(c.Ranges)
 	group.Release(c)
-	if !group.FullyCommitted() {
+	if group.CommittedLag() > 0 {
 		t.Fatal("redelivered records not committed")
 	}
 }

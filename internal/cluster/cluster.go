@@ -170,26 +170,6 @@ func (c *Cluster) Nodes() []*NodeSpec {
 	return append([]*NodeSpec(nil), c.sorted...)
 }
 
-// Node returns the spec of one node, or nil for an unknown ID.
-func (c *Cluster) Node(nodeID int) *NodeSpec {
-	if i, ok := c.index[nodeID]; ok {
-		return c.sorted[i]
-	}
-	return nil
-}
-
-// Workers returns only live (non-failed) worker nodes, in ID order, in a new
-// slice.
-func (c *Cluster) Workers() []*NodeSpec {
-	var out []*NodeSpec
-	for i, n := range c.sorted {
-		if n.Role == Worker && !c.failed[i] {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
 // SetFailed marks a node failed or restored. Executors already allocated on
 // a failed node keep their accounting until released; callers (the engine)
 // are expected to release and reallocate. Unknown node IDs are an error.
@@ -216,12 +196,6 @@ func (c *Cluster) SetFailed(nodeID int, failed bool) error {
 		c.freeCores += delta * (n.Cores - c.used[i])
 	}
 	return nil
-}
-
-// Failed reports whether a node is currently marked failed.
-func (c *Cluster) Failed(nodeID int) bool {
-	i, ok := c.index[nodeID]
-	return ok && c.failed[i]
 }
 
 // FailedCount returns how many nodes are currently marked failed — the O(1)

@@ -17,8 +17,14 @@ func TestTable2Shape(t *testing.T) {
 	if nodes[0].Role != Master {
 		t.Error("node 1 should be master")
 	}
-	if len(c.Workers()) != 4 {
-		t.Fatalf("workers=%d, want 4", len(c.Workers()))
+	workers := 0
+	for _, n := range nodes {
+		if n.Role == Worker {
+			workers++
+		}
+	}
+	if workers != 4 {
+		t.Fatalf("workers=%d, want 4", workers)
 	}
 	if c.TotalWorkerCores() < 20 {
 		t.Fatalf("capacity %d cannot host the paper's 20-executor max", c.TotalWorkerCores())

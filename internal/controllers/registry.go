@@ -150,11 +150,6 @@ func (i Info) Attach(host core.Host, b Build) (Controller, error) {
 	return ctl, nil
 }
 
-// All returns the registry entries in canonical order.
-func All() []Info {
-	return append([]Info(nil), registry...)
-}
-
 // Names returns the registered controller names in canonical order.
 func Names() []string {
 	names := make([]string, len(registry))

@@ -31,7 +31,7 @@ func (h *host) Reconfigure(cfg engine.Config) error {
 // through the host's Reconfigure — the seam a tenant's gate clamps grants
 // at.
 func TestEveryEntryTunesThroughItsHost(t *testing.T) {
-	for _, info := range All() {
+	for _, info := range registry {
 		t.Run(info.Name, func(t *testing.T) {
 			wl, err := workload.New("logreg")
 			if err != nil {

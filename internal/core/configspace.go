@@ -13,14 +13,13 @@
 // space.
 //
 // Determinism contract: every operation here is a pure function of its
-// inputs. Clamp is idempotent (Clamp∘Clamp == Clamp), Encode∘Decode is a
-// fixed point, and the discretized lattice is derived arithmetically from
-// the axis declarations — properties pinned by FuzzConfigSpace.
+// inputs. Clamp is idempotent (Clamp∘Clamp == Clamp), the JSON form a
+// scenario spec carries re-reads to a fixed point, and the discretized
+// lattice is derived arithmetically from the axis declarations — properties
+// pinned by FuzzConfigSpace.
 package core
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"math"
 	"strings"
@@ -123,7 +122,7 @@ func (a AxisSpec) Values() []float64 {
 
 // ConfigSpace is a versioned declaration of the tunable configuration
 // space. The zero value is invalid; build one with WidenedSpace or decode
-// one from spec JSON with DecodeSpace.
+// one from the "space" field of a scenario or fleet spec, then Validate it.
 type ConfigSpace struct {
 	Version string     `json:"version"`
 	Axes    []AxisSpec `json:"axes"`
@@ -222,31 +221,6 @@ func (s ConfigSpace) Validate() error {
 		return fmt.Errorf("core: config space must declare %s and %s", ParamBatchInterval, ParamExecutors)
 	}
 	return nil
-}
-
-// DecodeSpace reads a ConfigSpace from strict JSON — unknown fields and
-// trailing documents are errors, matching the scenario spec decoder — and
-// validates it.
-func DecodeSpace(data []byte) (ConfigSpace, error) {
-	var s ConfigSpace
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&s); err != nil {
-		return ConfigSpace{}, fmt.Errorf("core: decoding config space: %v", err)
-	}
-	if dec.More() {
-		return ConfigSpace{}, fmt.Errorf("core: trailing data after config space")
-	}
-	if err := s.Validate(); err != nil {
-		return ConfigSpace{}, err
-	}
-	return s, nil
-}
-
-// Encode renders the space as canonical JSON. Decode(Encode(s)) == s for
-// every valid space (the fixed point FuzzConfigSpace pins).
-func (s ConfigSpace) Encode() ([]byte, error) {
-	return json.Marshal(s)
 }
 
 // Axis returns the declaration of param, if the space has it.

@@ -83,28 +83,24 @@ func TestValidateRejections(t *testing.T) {
 	}
 }
 
+// TestEncodeDecodeFixedPoint: the widened space, as a scenario spec carries
+// it, re-reads strictly to a valid space with the same JSON.
 func TestEncodeDecodeFixedPoint(t *testing.T) {
 	s := WidenedSpace(engine.DefaultBounds(), 13000)
-	enc, err := s.Encode()
+	enc, err := json.Marshal(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := DecodeSpace(enc)
+	s2, err := decodeSpace(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc2, err := s2.Encode()
+	enc2, err := json.Marshal(s2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(enc, enc2) {
 		t.Fatalf("encode/decode not a fixed point:\n%s\n%s", enc, enc2)
-	}
-	if _, err := DecodeSpace([]byte(`{"version":"v1","axes":[],"bogus":1}`)); err == nil {
-		t.Error("DecodeSpace accepted an unknown field")
-	}
-	if _, err := DecodeSpace([]byte(`{"version":"v1","axes":[]} {}`)); err == nil {
-		t.Error("DecodeSpace accepted trailing data")
 	}
 }
 
@@ -135,7 +131,7 @@ func TestClampIdempotentAndSentinels(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := narrow.Clamp(probes[1])
-	if c.BlockInterval != 0 || c.RetryBudget != 0 || !approx.Zero(c.IngestCap) || !approx.Zero(c.SpecThreshold) {
+	if c.BlockInterval != 0 || c.RetryBudget != 0 || !approx.Unset(c.IngestCap) || !approx.Unset(c.SpecThreshold) {
 		t.Errorf("narrow clamp kept optional knobs: %+v", c)
 	}
 }

@@ -39,22 +39,6 @@ func TestFaultBatchesExcludedAndRecalibrated(t *testing.T) {
 	}
 }
 
-func TestIncludeFaultBatchesAblation(t *testing.T) {
-	clock, eng, ctl := scenario(t, nil, func(o *Options) {
-		o.IncludeFaultBatches = true
-	})
-	faultWindow(clock, eng, 300, 420,
-		func() { _ = eng.SetNodeSlowdown(2, 6) },
-		func() { _ = eng.SetNodeSlowdown(2, 1) })
-	clock.RunUntil(sim.Time(sec(900)))
-	if ctl.FaultBatches() != 0 {
-		t.Fatalf("ablation still excluded %d batches", ctl.FaultBatches())
-	}
-	if ctl.Recalibrations() != 0 {
-		t.Fatalf("ablation still recalibrated %d times", ctl.Recalibrations())
-	}
-}
-
 func TestIngestSpikeFaultDoesNotTriggerRateReset(t *testing.T) {
 	clock, eng, ctl := scenario(t, nil, nil)
 	var resetsDuring int

@@ -9,16 +9,28 @@ import (
 	"nostop/internal/engine"
 )
 
-// FuzzConfigSpace pins the config-space codec's safety properties on
-// arbitrary spec JSON: decoding never panics, whatever decodes cleanly
-// re-encodes to a fixed point (Decode∘Encode == identity on the encoded
-// bytes), Clamp is idempotent on a deterministic probe set, and every
-// lattice corner is clamp-stable inside the declared engine bounds.
-// Comparisons are over canonical JSON bytes — the floateq-sanctioned way to
-// compare float-bearing values.
+// decodeSpace reads a ConfigSpace as the scenario spec decoder reads the
+// space inside a spec: strict JSON, unknown fields rejected, then validated.
+func decodeSpace(data []byte) (ConfigSpace, error) {
+	var s ConfigSpace
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&s); err != nil {
+		return ConfigSpace{}, err
+	}
+	return s, s.Validate()
+}
+
+// FuzzConfigSpace pins the config space's safety properties on arbitrary
+// spec JSON: decoding never panics, whatever decodes cleanly re-encodes to
+// a fixed point (decode∘encode == identity on the encoded bytes), Clamp is
+// idempotent on a deterministic probe set, and every lattice corner is
+// clamp-stable inside the declared engine bounds. Comparisons are over
+// canonical JSON bytes — the floateq-sanctioned way to compare float-bearing
+// values.
 func FuzzConfigSpace(f *testing.F) {
 	wide := WidenedSpace(engine.DefaultBounds(), 13000)
-	if enc, err := wide.Encode(); err == nil {
+	if enc, err := json.Marshal(wide); err == nil {
 		f.Add(enc)
 	}
 	f.Add([]byte(`{"version":"v1","axes":[{"param":"batch_interval","min":1,"max":40},{"param":"executors","min":1,"max":20}]}`))
@@ -26,19 +38,19 @@ func FuzzConfigSpace(f *testing.F) {
 	f.Add([]byte(`{"version":"v2","axes":[{"param":"heap","min":5,"max":1}]}`))
 	f.Add([]byte(`not json at all`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := DecodeSpace(data)
+		s, err := decodeSpace(data)
 		if err != nil {
 			return // rejected input: the only guarantee is "no panic"
 		}
-		enc, err := s.Encode()
+		enc, err := json.Marshal(s)
 		if err != nil {
 			t.Fatalf("valid space failed to encode: %v", err)
 		}
-		s2, err := DecodeSpace(enc)
+		s2, err := decodeSpace(enc)
 		if err != nil {
 			t.Fatalf("re-decoding own encoding failed: %v", err)
 		}
-		enc2, err := s2.Encode()
+		enc2, err := json.Marshal(s2)
 		if err != nil {
 			t.Fatalf("re-encoding failed: %v", err)
 		}

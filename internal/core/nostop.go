@@ -172,14 +172,6 @@ type Options struct {
 	// reconfiguration-inflated batches contaminate measurements
 	// (ablation).
 	IncludeReconfigBatches bool
-	// IncludeFaultBatches disables failure-aware admission so batches cut
-	// or completed under an injected fault enter SPSA measurements
-	// (ablation — the naive controller chasing fault-inflated gradients).
-	// By default such batches are excluded the same way §5.4 excludes
-	// reconfiguration-inflated ones, and the first clean batch after a
-	// fault window triggers a re-calibration: measurement accumulators
-	// reset so pre-fault samples never mix with post-recovery ones.
-	IncludeFaultBatches bool
 	// RawScale disables the §5.1 min-max normalisation: each parameter
 	// is optimized in its own physical range (interval in seconds
 	// [1,40], executors [1,20]) instead of the shared [1,20] range
@@ -656,26 +648,24 @@ func (c *Controller) onBatch(bs engine.BatchStats) {
 	// rate-change check is skipped for them too, so an ingest-spike fault
 	// cannot masquerade as a genuine workload shift and trigger a full
 	// reset.
-	if !c.opts.IncludeFaultBatches {
-		if bs.FaultActive {
-			c.inFault = true
-			c.faultBatches++
-			c.onFaultExcluded()
-			return
-		}
-		if c.inFault {
-			// First clean batch after recovery: re-calibrate. Whatever
-			// was accumulated straddles the fault window — drop it so the
-			// current probe (or pause-monitor check) is judged on
-			// post-recovery batches only.
-			c.inFault = false
-			c.recalibrations++
-			c.onRecalibrate()
-			c.procAcc = c.procAcc[:0]
-			c.totalAcc = c.totalAcc[:0]
-			c.e2eAcc = c.e2eAcc[:0]
-			c.calibAcc = c.calibAcc[:0]
-		}
+	if bs.FaultActive {
+		c.inFault = true
+		c.faultBatches++
+		c.onFaultExcluded()
+		return
+	}
+	if c.inFault {
+		// First clean batch after recovery: re-calibrate. Whatever was
+		// accumulated straddles the fault window — drop it so the current
+		// probe (or pause-monitor check) is judged on post-recovery
+		// batches only.
+		c.inFault = false
+		c.recalibrations++
+		c.onRecalibrate()
+		c.procAcc = c.procAcc[:0]
+		c.totalAcc = c.totalAcc[:0]
+		c.e2eAcc = c.e2eAcc[:0]
+		c.calibAcc = c.calibAcc[:0]
 	}
 	if c.calibrating {
 		// No optimizer exists yet; rate-change resets are meaningless
@@ -1064,12 +1054,6 @@ func (c *Controller) Pauses() int { return c.pauses }
 // ConfigureSteps returns the total number of configuration changes the
 // controller requested — Fig 8's cost metric.
 func (c *Controller) ConfigureSteps() int { return c.totalApplied }
-
-// Rho returns the current penalty coefficient.
-func (c *Controller) Rho() float64 { return c.rho }
-
-// MeasureWindow returns the current measurement window size.
-func (c *Controller) MeasureWindow() int { return c.measureN }
 
 // Drains returns how many emergency queue-drain episodes occurred.
 func (c *Controller) Drains() int { return c.drains }

@@ -71,11 +71,11 @@ func TestValidation(t *testing.T) {
 
 func TestDefaultsMatchPaper(t *testing.T) {
 	_, _, ctl := scenario(t, nil, nil)
-	if ctl.MeasureWindow() != 3 {
-		t.Errorf("MeasureWindow=%d, want 3", ctl.MeasureWindow())
+	if ctl.measureN != 3 {
+		t.Errorf("MeasureWindow=%d, want 3", ctl.measureN)
 	}
-	if ctl.Rho() != 1 {
-		t.Errorf("Rho=%v, want 1", ctl.Rho())
+	if ctl.rho != 1 {
+		t.Errorf("Rho=%v, want 1", ctl.rho)
 	}
 	if ctl.Phase() != PhaseMeasurePlus {
 		t.Errorf("Phase=%v, want measure+", ctl.Phase())
@@ -215,11 +215,11 @@ func TestPauseRuleFiresAndGrowsWindow(t *testing.T) {
 	if ctl.Pauses() == 0 {
 		t.Fatal("pause rule never fired")
 	}
-	if ctl.Phase() == PhasePaused && ctl.MeasureWindow() <= 3 {
-		t.Fatalf("measurement window %d did not grow while paused", ctl.MeasureWindow())
+	if ctl.Phase() == PhasePaused && ctl.measureN <= 3 {
+		t.Fatalf("measurement window %d did not grow while paused", ctl.measureN)
 	}
-	if ctl.MeasureWindow() > 10 {
-		t.Fatalf("measurement window %d exceeded max 10", ctl.MeasureWindow())
+	if ctl.measureN > 10 {
+		t.Fatalf("measurement window %d exceeded max 10", ctl.measureN)
 	}
 }
 
@@ -315,8 +315,8 @@ func TestCustomParamsRespected(t *testing.T) {
 		o.MeasureBatches = 2
 		o.MeasureBatchesMax = 6
 	})
-	if ctl.MeasureWindow() != 2 {
-		t.Fatalf("MeasureWindow=%d, want 2", ctl.MeasureWindow())
+	if ctl.measureN != 2 {
+		t.Fatalf("MeasureWindow=%d, want 2", ctl.measureN)
 	}
 }
 

@@ -1055,10 +1055,6 @@ func (e *Engine) DroppedByCap() int64 { return e.droppedByCap }
 // TaskRetries returns how many transient task-failure retries were executed.
 func (e *Engine) TaskRetries() int { return e.taskRetries }
 
-// Speculations returns how many batches were speculatively re-executed to
-// dodge stragglers.
-func (e *Engine) Speculations() int { return e.speculations }
-
 // FailedBatches returns batches whose retry budget was exhausted.
 func (e *Engine) FailedBatches() int64 { return e.failedBatches }
 
@@ -1079,10 +1075,6 @@ func (e *Engine) Redelivered() int64 { return e.group.Redelivered() }
 
 // CommittedLag returns records produced but not yet durably processed.
 func (e *Engine) CommittedLag() int64 { return e.group.CommittedLag() }
-
-// FullyCommitted reports whether every produced record was processed by a
-// successful batch — the zero-loss invariant once a run has drained.
-func (e *Engine) FullyCommitted() bool { return e.group.FullyCommitted() }
 
 // Partitions returns the topic partition count.
 func (e *Engine) Partitions() int { return len(e.topic.Partitions) }

@@ -178,7 +178,7 @@ func TestSpeculationDodgesStragglers(t *testing.T) {
 		t.Fatal(err)
 	}
 	clock.RunUntil(sim.Time(sec(300)))
-	if e.Speculations() == 0 {
+	if e.speculations == 0 {
 		t.Fatal("no speculative re-executions under an 8x straggler")
 	}
 	var flagged bool

@@ -13,62 +13,30 @@ import (
 	"nostop/internal/workload"
 )
 
-// The producer tick resolves its trace's Stepper once, integrates a tick
-// inside one constant segment with one multiply, converts its span to
-// seconds once per span and memoizes its rate. These tests hold it, bit for
-// bit, to a copy of the arithmetic it replaced: RecordsIn's segment loop
-// with the wrappers resolved on every call, a seconds conversion and a
-// division per tick, UniformBand's slot by division, and the rate window's
-// modulo.
+// The producer tick integrates a tick inside one constant segment with one
+// multiply, converts its span to seconds once per span and memoizes its
+// rate. These tests hold it, bit for bit, to a copy of the arithmetic it
+// replaced: RecordsIn's segment loop, a seconds conversion and a division
+// per tick, UniformBand's slot by division, and the rate window's modulo.
 
 // refRecordsIn is RecordsIn as it was before the Integrator.
 func refRecordsIn(tr ratetrace.Trace, from, to sim.Time) float64 {
 	if to <= from {
 		return 0
 	}
-	if st, ok := refPiecewise(tr); ok {
-		total := 0.0
-		for t := from; t < to; {
-			next := st.NextChange(t)
-			if next <= t {
-				next = t + sim.Time(time.Millisecond)
-			}
-			if next > to {
-				next = to
-			}
-			total += tr.RateAt(t) * (next - t).Seconds()
-			t = next
-		}
-		return total
-	}
-	const step = time.Millisecond
 	total := 0.0
 	for t := from; t < to; {
-		next := t + sim.Time(step)
+		next := tr.NextChange(t)
+		if next <= t {
+			next = t + sim.Time(time.Millisecond)
+		}
 		if next > to {
 			next = to
 		}
-		mid := t + (next-t)/2
-		total += tr.RateAt(mid) * (next - t).Seconds()
+		total += tr.RateAt(t) * (next - t).Seconds()
 		t = next
 	}
 	return total
-}
-
-// refPiecewise is the piecewise-constant check RecordsIn made per call.
-func refPiecewise(tr ratetrace.Trace) (ratetrace.Stepper, bool) {
-	switch w := tr.(type) {
-	case ratetrace.Scaled:
-		if _, ok := refPiecewise(w.Inner); !ok {
-			return nil, false
-		}
-	case ratetrace.Clamped:
-		if _, ok := refPiecewise(w.Inner); !ok {
-			return nil, false
-		}
-	}
-	st, ok := tr.(ratetrace.Stepper)
-	return st, ok
 }
 
 // refBand is UniformBand without its memo: the slot by division on every
@@ -90,6 +58,45 @@ func (b refBand) NextChange(t sim.Time) sim.Time {
 }
 
 func (b refBand) Describe() string { return "reference band" }
+
+// scaled, clamped and msSine are traces an application defines itself, as
+// examples/logregression lifts a base trace by a surge: two wrappers that
+// keep their base's segments, and a sine held over each millisecond, so a
+// 100 ms tick integrates a hundred segments.
+type scaled struct {
+	tr     ratetrace.Trace
+	factor float64
+}
+
+func (s scaled) RateAt(t sim.Time) float64      { return s.factor * s.tr.RateAt(t) }
+func (s scaled) NextChange(t sim.Time) sim.Time { return s.tr.NextChange(t) }
+func (s scaled) Describe() string               { return "scaled" }
+
+type clamped struct {
+	tr       ratetrace.Trace
+	min, max float64
+}
+
+func (c clamped) RateAt(t sim.Time) float64      { return math.Min(math.Max(c.tr.RateAt(t), c.min), c.max) }
+func (c clamped) NextChange(t sim.Time) sim.Time { return c.tr.NextChange(t) }
+func (c clamped) Describe() string               { return "clamped" }
+
+type msSine struct {
+	mean, amp float64
+	period    time.Duration
+}
+
+func (s msSine) RateAt(t sim.Time) float64 {
+	mid := (float64(t/sim.Time(time.Millisecond)) + 0.5) / 1000
+	return s.mean + s.amp*math.Sin(2*math.Pi*mid/s.period.Seconds())
+}
+
+func (s msSine) NextChange(t sim.Time) sim.Time {
+	ms := sim.Time(time.Millisecond)
+	return (t/ms + 1) * ms
+}
+
+func (s msSine) Describe() string { return "sine held per millisecond" }
 
 // refWindow is stats.Window as it was, head advanced by a modulo.
 type refWindow struct {
@@ -201,12 +208,14 @@ func (f *feeder) upTo(now sim.Time) {
 
 // tickCase is one trace and tick schedule. mk builds the trace as the
 // engine sees it and as the reference sees it, and for a FeedTrace the
-// feeder that extends it before each tick.
+// feeder that extends it before each tick. straddle marks a trace whose
+// rate must change inside some tick, so the segment loop runs.
 type tickCase struct {
 	name       string
 	mk         func() (tr, ref ratetrace.Trace, feed *feeder)
 	ticks      []sim.Time
 	boost, cap float64
+	straddle   bool
 }
 
 func tickCases() []tickCase {
@@ -224,16 +233,17 @@ func tickCases() []tickCase {
 	fixed := func(tr ratetrace.Trace) func() (ratetrace.Trace, ratetrace.Trace, *feeder) {
 		return func() (ratetrace.Trace, ratetrace.Trace, *feeder) { return tr, tr, nil }
 	}
-	steps, _ := ratetrace.NewSteps([]ratetrace.Step{{From: 0, Rate: 1000},
-		{From: sim.Time(1230 * time.Millisecond), Rate: 3000}, {From: sim.Time(2500 * time.Millisecond), Rate: 0},
-		{From: sim.Time(4050 * time.Millisecond), Rate: 777.7}})
+	// One user at one event per second: the population is the rate.
+	steps, _ := ratetrace.NewUsers(1, []ratetrace.UserStep{{From: 0, Users: 1000},
+		{From: sim.Time(1230 * time.Millisecond), Users: 3000}, {From: sim.Time(2500 * time.Millisecond), Users: 0},
+		{From: sim.Time(4050 * time.Millisecond), Users: 777.7}})
 	users, _ := ratetrace.NewUsers(0.005, []ratetrace.UserStep{{From: 0, Users: 2e5},
 		{From: sim.Time(3300 * time.Millisecond), Users: 4e5}, {From: sim.Time(7 * time.Second), Users: 1e5}})
 	surge := ratetrace.Surge{Base: 1000, Peak: 5000, Start: sim.Time(2050 * time.Millisecond), Duration: 3330 * time.Millisecond}
-	sine := ratetrace.Sine{Mean: 1000, Amplitude: 400, Period: 7 * time.Second}
 	// The same arrivals over spans of 100 and 200 ms: a rate memo keyed
 	// on the arrivals alone would repeat 1000 rec/s for the second.
-	halving, _ := ratetrace.NewSteps([]ratetrace.Step{{From: 0, Rate: 1000}, {From: sim.Time(time.Second), Rate: 500}})
+	halving := ratetrace.Surge{Base: 500, Peak: 1000, Duration: time.Second}
+	sine := msSine{mean: 1000, amp: 400, period: 7 * time.Second}
 
 	regular := tickTimes(sim.Time(100*time.Millisecond), 1500)
 	odd := tickTimes(sim.Time(37*time.Millisecond), 1500)
@@ -241,20 +251,20 @@ func tickCases() []tickCase {
 		{name: "band-5s", mk: bandCase(5 * time.Second)},
 		{name: "band-20s", mk: bandCase(20 * time.Second)},
 		{name: "band-130ms", mk: bandCase(130 * time.Millisecond)},
-		{name: "steps", mk: fixed(steps)},
-		{name: "users", mk: fixed(users)},
-		{name: "surge", mk: fixed(surge)},
+		{name: "steps", mk: fixed(steps), straddle: true},
+		{name: "users", mk: fixed(users), straddle: true},
+		{name: "surge", mk: fixed(surge), straddle: true},
 		{name: "constant", mk: fixed(ratetrace.Constant{Rate: 1234.5})},
 		{name: "scaled-band", mk: func() (ratetrace.Trace, ratetrace.Trace, *feeder) {
 			b, r := band(5 * time.Second)
-			return ratetrace.Scaled{Inner: b, Factor: 1.37}, ratetrace.Scaled{Inner: r, Factor: 1.37}, nil
+			return scaled{b, 1.37}, scaled{r, 1.37}, nil
 		}},
 		{name: "clamped-band", mk: func() (ratetrace.Trace, ratetrace.Trace, *feeder) {
 			b, r := band(130 * time.Millisecond)
-			return ratetrace.Clamped{Inner: b, Min: 900, Max: 1100}, ratetrace.Clamped{Inner: r, Min: 900, Max: 1100}, nil
+			return clamped{b, 900, 1100}, clamped{r, 900, 1100}, nil
 		}},
-		{name: "scaled-sine", mk: fixed(ratetrace.Scaled{Inner: sine, Factor: 0.9})},
-		{name: "clamped-sine", mk: fixed(ratetrace.Clamped{Inner: sine, Min: 800, Max: 1300})},
+		{name: "scaled-sine", mk: fixed(scaled{sine, 0.9}), straddle: true},
+		{name: "clamped-sine", mk: fixed(clamped{sine, 800, 1300}), straddle: true},
 		{name: "feed", mk: func() (ratetrace.Trace, ratetrace.Trace, *feeder) {
 			f := &service.FeedTrace{}
 			return f, f, &feeder{feed: f, next: sim.Time(time.Second), r: seed.Split("feed")}
@@ -296,10 +306,12 @@ func TestProducerTickMatchesReference(t *testing.T) {
 			e.SetIngestBoost(tc.boost)
 			e.SetIngestCap(tc.cap)
 			ref := &refTick{tr: refTr, boost: tc.boost, cap: tc.cap, window: refWindow{buf: make([]float64, 600)}}
+			straddled := false
 			for i, now := range tc.ticks {
 				if feed != nil {
 					feed.upTo(now)
 				}
+				straddled = straddled || refTr.NextChange(ref.last) < now
 				clock.RunUntil(now)
 				got := e.Tick()
 				ref.tick(now)
@@ -325,6 +337,9 @@ func TestProducerTickMatchesReference(t *testing.T) {
 			}
 			if tc.cap > 0 && ref.dropped == 0 {
 				t.Fatal("the cap never bound")
+			}
+			if tc.straddle && !straddled {
+				t.Fatal("no tick straddled a rate change")
 			}
 		})
 	}

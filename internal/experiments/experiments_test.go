@@ -148,21 +148,6 @@ func TestFig6ProducesEvolution(t *testing.T) {
 	}
 }
 
-func TestFig6Series(t *testing.T) {
-	interval, proc, err := Fig6Series(quick(), "wordcount")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if interval.Len() < 5 || proc.Len() != interval.Len() {
-		t.Fatalf("series lengths %d/%d", interval.Len(), proc.Len())
-	}
-	for _, p := range interval.Points {
-		if p.V < 1 || p.V > 40 {
-			t.Fatalf("interval estimate %v outside bounds", p.V)
-		}
-	}
-}
-
 func TestFig7NoStopWins(t *testing.T) {
 	tab, err := Fig7(quick())
 	if err != nil {

@@ -222,8 +222,7 @@ func Fig6(cfg Config) (*Table, error) {
 	for i, wl := range wls {
 		res := results[i]
 		its := res.ctl.Iterations()
-		// Downsample long traces to ≤12 rows per workload for the table;
-		// the full series is available programmatically.
+		// Downsample long traces to ≤12 rows per workload for the table.
 		step := 1
 		if len(its) > 12 {
 			step = len(its) / 12
@@ -246,24 +245,6 @@ func Fig6(cfg Config) (*Table, error) {
 			wl.Name(), len(its), final, res.ctl.Phase()))
 	}
 	return t, nil
-}
-
-// Fig6Series returns the full per-iteration series for a workload — the
-// data behind the figure, used by tests and external plotting.
-func Fig6Series(cfg Config, wlName string) (interval, proc *stats.Series, err error) {
-	cfg = cfg.withDefaults()
-	seed := rng.New(cfg.Seed).Split("fig6")
-	res, err := runOn(wlName, fleet.ControllerNoStop, cfg.Horizon, seed.Split(wlName), nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	interval = &stats.Series{Name: wlName + "/interval"}
-	proc = &stats.Series{Name: wlName + "/proc"}
-	for _, it := range res.ctl.Iterations() {
-		interval.Append(float64(it.K), it.Estimate.BatchInterval.Seconds())
-		proc.Append(float64(it.K), it.MeanProc.Seconds())
-	}
-	return interval, proc, nil
 }
 
 // nameOf maps a workload instance to its registry name.

@@ -36,12 +36,12 @@ func TestOverlappingWindowsSameNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	clock.RunUntil(sim.Time(sec(50)))
-	if inj.Active() != 2 {
-		t.Fatalf("active %d inside the nested windows, want 2", inj.Active())
+	if inj.active != 2 {
+		t.Fatalf("active %d inside the nested windows, want 2", inj.active)
 	}
 	clock.RunUntil(sim.Time(sec(120)))
-	if inj.Active() != 0 {
-		t.Fatalf("active %d after both windows, want 0", inj.Active())
+	if inj.active != 0 {
+		t.Fatalf("active %d after both windows, want 0", inj.active)
 	}
 	if e.FaultInEffect() {
 		t.Fatal("fault flag stuck after nested same-node windows")
@@ -101,8 +101,8 @@ func TestUnobservedInjectorFailingMidPlan(t *testing.T) {
 	if inj.Injected() != 0 {
 		t.Fatalf("injected %d after a rejected window, want 0", inj.Injected())
 	}
-	if inj.Active() != 0 {
-		t.Fatalf("active %d after a rejected window, want 0", inj.Active())
+	if inj.active != 0 {
+		t.Fatalf("active %d after a rejected window, want 0", inj.active)
 	}
 	if !strings.Contains(inj.String(), "FAILED") {
 		t.Fatalf("timeline does not record the failure:\n%s", inj.String())
@@ -117,7 +117,7 @@ func TestUnobservedInjectorFailingMidPlan(t *testing.T) {
 	if e.FaultInEffect() {
 		t.Fatal("fault flag stuck after plan end")
 	}
-	if got := len(inj.Timeline()); got != 4 {
+	if got := len(inj.timeline); got != 4 {
 		t.Fatalf("timeline has %d entries, want 4 (2 failures + inject/recover)", got)
 	}
 }

@@ -363,17 +363,8 @@ func (inj *Injector) note(format string, args ...any) {
 	inj.timeline = append(inj.timeline, Entry{At: inj.clock.Now(), Msg: fmt.Sprintf(format, args...)})
 }
 
-// Plan returns the injector's (sorted) plan.
-func (inj *Injector) Plan() Plan { return inj.plan }
-
 // Injected returns how many fault windows have been applied so far.
 func (inj *Injector) Injected() int { return inj.injected }
-
-// Active returns the number of currently-open fault windows.
-func (inj *Injector) Active() int { return inj.active }
-
-// Timeline returns the applied fault actions in order.
-func (inj *Injector) Timeline() []Entry { return inj.timeline }
 
 // String renders the timeline, one action per line — the artifact the
 // determinism test compares byte-for-byte across seeded runs.

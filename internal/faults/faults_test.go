@@ -85,12 +85,12 @@ func TestInjectorAppliesAndReverts(t *testing.T) {
 	if e.LiveExecutors() >= 8 && e.FaultInEffect() == false {
 		t.Fatal("node crash window not applied")
 	}
-	if inj.Active() != 1 {
-		t.Fatalf("active %d during crash window, want 1", inj.Active())
+	if inj.active != 1 {
+		t.Fatalf("active %d during crash window, want 1", inj.active)
 	}
 	clock.RunUntil(sim.Time(sec(60)))
-	if inj.Active() != 0 {
-		t.Fatalf("active %d after crash window, want 0", inj.Active())
+	if inj.active != 0 {
+		t.Fatalf("active %d after crash window, want 0", inj.active)
 	}
 	if e.FaultInEffect() {
 		t.Fatal("fault flag stuck after recovery")
@@ -99,7 +99,7 @@ func TestInjectorAppliesAndReverts(t *testing.T) {
 	if inj.Injected() != len(plan) {
 		t.Fatalf("injected %d windows, want %d", inj.Injected(), len(plan))
 	}
-	if got := len(inj.Timeline()); got != 2*len(plan) {
+	if got := len(inj.timeline); got != 2*len(plan) {
 		t.Fatalf("timeline has %d entries, want %d", got, 2*len(plan))
 	}
 	// Batches inside fault windows are flagged.

@@ -151,28 +151,6 @@ func sameProcTarget(a, b ProcFault) bool {
 	return a.Peer == b.Peer
 }
 
-// Start returns when the earliest window opens (zero for an empty plan).
-func (p ProcPlan) Start() sim.Time {
-	var start sim.Time
-	for i, f := range p {
-		if i == 0 || f.At < start {
-			start = f.At
-		}
-	}
-	return start
-}
-
-// End returns when the last window lifts (zero for an empty plan).
-func (p ProcPlan) End() sim.Time {
-	var end sim.Time
-	for _, f := range p {
-		if f.End() > end {
-			end = f.End()
-		}
-	}
-	return end
-}
-
 // sorted returns the plan ordered by start time (stable for equal starts).
 func (p ProcPlan) sorted() ProcPlan {
 	out := append(ProcPlan(nil), p...)
@@ -223,7 +201,6 @@ type ProcInjector struct {
 	plan     ProcPlan
 	timeline []Entry
 	active   int
-	injected int
 
 	reg         *metrics.Registry
 	tr          *tracing.Tracer
@@ -312,7 +289,6 @@ func (inj *ProcInjector) start(f ProcFault) {
 		return
 	}
 	inj.active++
-	inj.injected++
 	inj.countInjected(f.Kind)
 	inj.activeGauge.Set(float64(inj.active))
 	inj.note("inject %v", f)
@@ -340,18 +316,6 @@ func (inj *ProcInjector) end(f ProcFault) {
 func (inj *ProcInjector) note(format string, args ...any) {
 	inj.timeline = append(inj.timeline, Entry{At: inj.sched.Now(), Msg: fmt.Sprintf(format, args...)})
 }
-
-// Plan returns the injector's (sorted) plan.
-func (inj *ProcInjector) Plan() ProcPlan { return inj.plan }
-
-// Injected returns how many fault windows have been applied so far.
-func (inj *ProcInjector) Injected() int { return inj.injected }
-
-// Active returns the number of currently-open fault windows.
-func (inj *ProcInjector) Active() int { return inj.active }
-
-// Timeline returns the applied fault actions in order.
-func (inj *ProcInjector) Timeline() []Entry { return inj.timeline }
 
 // String renders the timeline, one action per line.
 func (inj *ProcInjector) String() string {

@@ -124,12 +124,12 @@ func TestProcInjectorDrivesTarget(t *testing.T) {
 	inj.Observe(reg, tr)
 
 	clock.RunUntil(sim.Time(sec(15)))
-	if inj.Active() != 1 {
-		t.Fatalf("active %d during kill window, want 1", inj.Active())
+	if inj.active != 1 {
+		t.Fatalf("active %d during kill window, want 1", inj.active)
 	}
 	clock.RunUntil(sim.Time(sec(60)))
-	if inj.Active() != 0 || inj.Injected() != len(plan) {
-		t.Fatalf("active=%d injected=%d after plan, want 0/%d", inj.Active(), inj.Injected(), len(plan))
+	if inj.active != 0 {
+		t.Fatalf("active=%d after plan, want 0", inj.active)
 	}
 	want := []string{
 		"10s kill broker",
@@ -140,7 +140,7 @@ func TestProcInjectorDrivesTarget(t *testing.T) {
 	if got := strings.Join(target.ops, "\n"); got != strings.Join(want, "\n") {
 		t.Fatalf("target ops:\n%s\nwant:\n%s", got, strings.Join(want, "\n"))
 	}
-	if got := len(inj.Timeline()); got != 2*len(plan) {
+	if got := len(inj.timeline); got != 2*len(plan) {
 		t.Fatalf("timeline has %d entries, want %d", got, 2*len(plan))
 	}
 	exp := reg.String()

@@ -100,8 +100,8 @@ func TestControllerContractManifestInvariance(t *testing.T) {
 func TestControllerContractBounds(t *testing.T) {
 	space := contractSpace()
 	bounds := space.EngineBounds()
-	for _, info := range controllers.All() {
-		info := info
+	for _, name := range controllers.Names() {
+		info, _ := controllers.Lookup(name)
 		t.Run(info.Name, func(t *testing.T) {
 			violations := 0
 			var bad engine.Config
@@ -157,8 +157,8 @@ func TestControllerContractBounds(t *testing.T) {
 func TestControllerContractNoReconfigDuringFaults(t *testing.T) {
 	space := contractSpace()
 	plan := contractPlan()
-	for _, info := range controllers.All() {
-		info := info
+	for _, name := range controllers.Names() {
+		info, _ := controllers.Lookup(name)
 		if info.ReconfiguresDuringFaults {
 			continue
 		}

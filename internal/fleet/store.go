@@ -31,9 +31,6 @@ func NewStore(dir string) (*Store, error) {
 	return &Store{dir: dir}, nil
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 // path returns the artifact path for a job hash.
 func (s *Store) path(hash string) string {
 	return filepath.Join(s.dir, "runs", hash+".json")

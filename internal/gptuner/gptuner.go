@@ -91,7 +91,6 @@ type Tuner struct {
 	draining bool
 	done     bool
 	applied  int
-	drains   int
 	gated    int // EI maximizers rejected by the variance gate
 }
 
@@ -209,7 +208,6 @@ func (t *Tuner) onBatch(bs engine.BatchStats) {
 		projected := stats.Mean(t.acc) * float64(1+q)
 		t.record(projected)
 		t.draining = true
-		t.drains++
 		if !t.eng.FaultInEffect() {
 			safe := t.space.Clamp(core.FullConfig{BatchInterval: 1 << 62, Executors: 1 << 30})
 			t.applied++
@@ -377,21 +375,3 @@ func EI(gp *baselines.GP, x []float64, best float64, evaluated [][]float64) floa
 	}
 	return ei
 }
-
-// Space returns the (intersected) space the tuner searches.
-func (t *Tuner) Space() core.ConfigSpace { return t.space }
-
-// Evaluations returns all measured configurations in order.
-func (t *Tuner) Evaluations() []Evaluation { return t.evals }
-
-// Done reports whether the search has stopped.
-func (t *Tuner) Done() bool { return t.done }
-
-// ConfigureSteps returns configuration changes requested.
-func (t *Tuner) ConfigureSteps() int { return t.applied }
-
-// Drains returns emergency stabilization episodes.
-func (t *Tuner) Drains() int { return t.drains }
-
-// Gated returns EI maximizers rejected by the predictive-variance gate.
-func (t *Tuner) Gated() int { return t.gated }

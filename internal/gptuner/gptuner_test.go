@@ -43,7 +43,7 @@ func TestTunerSearchesWithinBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bounds := tuner.Space().EngineBounds()
+	bounds := tuner.space.EngineBounds()
 	violations := 0
 	eng.AddListener(engine.ListenerFunc(func(bs engine.BatchStats) {
 		if !bounds.Contains(bs.Config) {
@@ -58,7 +58,7 @@ func TestTunerSearchesWithinBounds(t *testing.T) {
 	if violations > 0 {
 		t.Errorf("%d batches ran outside the space's engine bounds", violations)
 	}
-	evals := tuner.Evaluations()
+	evals := tuner.evals
 	if len(evals) < 2 {
 		t.Fatalf("only %d evaluations over a 4h run", len(evals))
 	}
@@ -79,7 +79,7 @@ func TestTunerSearchesWithinBounds(t *testing.T) {
 			t.Errorf("Best missed evaluation with objective %v < %v", e.Y, best.Y)
 		}
 	}
-	if tuner.Done() {
+	if tuner.done {
 		// A finished search must have left the engine on the best config.
 		if got := eng.Config(); got != bounds.Clamp(best.Config.Engine()) {
 			t.Errorf("finished on %+v, best is %+v", got, best.Config.Engine())
@@ -102,11 +102,11 @@ func TestTunerSameSeedSameTrajectory(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		evals, err := json.Marshal(tuner.Evaluations())
+		evals, err := json.Marshal(tuner.evals)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return cfg, evals, tuner.ConfigureSteps(), tuner.Gated()
+		return cfg, evals, tuner.applied, tuner.gated
 	}
 	c1, e1, a1, g1 := run()
 	c2, e2, a2, g2 := run()

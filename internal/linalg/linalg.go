@@ -1,7 +1,7 @@
 // Package linalg provides the dense linear algebra the reproduction needs:
-// vectors, column-major-free row-major matrices, Cholesky factorization and
-// triangular solves (for the Gaussian-process Bayesian-optimization baseline)
-// and normal-equation least squares (for the linear-regression workload).
+// vectors, row-major matrices, Cholesky factorization and triangular solves
+// (for the Gaussian-process Bayesian-optimization baseline and the
+// linear-regression workload's normal equations).
 //
 // The implementation favours clarity and numerical robustness over raw
 // speed; the matrices involved are small (tens of rows for GP, a handful of
@@ -27,9 +27,6 @@ type Vector []float64
 // NewVector returns a zero vector of length n.
 func NewVector(n int) Vector { return make(Vector, n) }
 
-// Clone returns a copy of v.
-func (v Vector) Clone() Vector { return append(Vector(nil), v...) }
-
 // Dot returns the inner product of v and w; lengths must match.
 func (v Vector) Dot(w Vector) float64 {
 	if len(v) != len(w) {
@@ -40,40 +37,6 @@ func (v Vector) Dot(w Vector) float64 {
 		s += v[i] * w[i]
 	}
 	return s
-}
-
-// Norm returns the Euclidean norm.
-func (v Vector) Norm() float64 { return math.Sqrt(v.Dot(v)) }
-
-// AddScaled sets v = v + a*w in place and returns v.
-func (v Vector) AddScaled(a float64, w Vector) Vector {
-	if len(v) != len(w) {
-		panic(fmt.Sprintf("linalg: AddScaled length mismatch %d vs %d", len(v), len(w)))
-	}
-	for i := range v {
-		v[i] += a * w[i]
-	}
-	return v
-}
-
-// Scale multiplies v by a in place and returns v.
-func (v Vector) Scale(a float64) Vector {
-	for i := range v {
-		v[i] *= a
-	}
-	return v
-}
-
-// Sub returns v - w as a new vector.
-func (v Vector) Sub(w Vector) Vector {
-	if len(v) != len(w) {
-		panic(fmt.Sprintf("linalg: Sub length mismatch %d vs %d", len(v), len(w)))
-	}
-	out := make(Vector, len(v))
-	for i := range v {
-		out[i] = v[i] - w[i]
-	}
-	return out
 }
 
 // Matrix is a dense row-major matrix.
@@ -99,61 +62,6 @@ func (m *Matrix) Set(r, c int, v float64) { m.Data[r*m.Cols+c] = v }
 // Clone returns a deep copy.
 func (m *Matrix) Clone() *Matrix {
 	return &Matrix{Rows: m.Rows, Cols: m.Cols, Data: append([]float64(nil), m.Data...)}
-}
-
-// Row returns row r as a slice aliasing the matrix storage.
-func (m *Matrix) Row(r int) Vector { return Vector(m.Data[r*m.Cols : (r+1)*m.Cols]) }
-
-// MulVec returns m·v.
-func (m *Matrix) MulVec(v Vector) Vector {
-	if len(v) != m.Cols {
-		panic(fmt.Sprintf("linalg: MulVec shape mismatch %dx%d · %d", m.Rows, m.Cols, len(v)))
-	}
-	out := make(Vector, m.Rows)
-	for r := 0; r < m.Rows; r++ {
-		out[r] = m.Row(r).Dot(v)
-	}
-	return out
-}
-
-// Mul returns m·n as a new matrix.
-func (m *Matrix) Mul(n *Matrix) *Matrix {
-	if m.Cols != n.Rows {
-		panic(fmt.Sprintf("linalg: Mul shape mismatch %dx%d · %dx%d", m.Rows, m.Cols, n.Rows, n.Cols))
-	}
-	out := NewMatrix(m.Rows, n.Cols)
-	for r := 0; r < m.Rows; r++ {
-		for k := 0; k < m.Cols; k++ {
-			a := m.At(r, k)
-			if a == 0 {
-				continue
-			}
-			for c := 0; c < n.Cols; c++ {
-				out.Data[r*out.Cols+c] += a * n.At(k, c)
-			}
-		}
-	}
-	return out
-}
-
-// Transpose returns mᵀ as a new matrix.
-func (m *Matrix) Transpose() *Matrix {
-	out := NewMatrix(m.Cols, m.Rows)
-	for r := 0; r < m.Rows; r++ {
-		for c := 0; c < m.Cols; c++ {
-			out.Set(c, r, m.At(r, c))
-		}
-	}
-	return out
-}
-
-// Identity returns the n×n identity matrix.
-func Identity(n int) *Matrix {
-	m := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
-	}
-	return m
 }
 
 // Cholesky holds the lower-triangular factor L with A = L·Lᵀ.
@@ -232,15 +140,6 @@ func (ch *Cholesky) SolveUpper(y Vector) Vector {
 	return x
 }
 
-// LogDet returns log det(A) = 2·Σ log L[i][i].
-func (ch *Cholesky) LogDet() float64 {
-	s := 0.0
-	for i := 0; i < ch.L.Rows; i++ {
-		s += math.Log(ch.L.At(i, i))
-	}
-	return 2 * s
-}
-
 // SolveSPD solves A·x = b for symmetric positive-definite A, adding jitter
 // to the diagonal and retrying if the factorization fails. This is the
 // standard Gaussian-process conditioning trick.
@@ -265,23 +164,4 @@ func SolveSPD(a *Matrix, b Vector) (Vector, error) {
 		}
 	}
 	return nil, ErrNotPositiveDefinite
-}
-
-// LeastSquares solves min ‖X·β − y‖² via the normal equations with a small
-// ridge term for stability: (XᵀX + λI)·β = Xᵀy. X has one row per sample.
-func LeastSquares(x *Matrix, y Vector, ridge float64) (Vector, error) {
-	if x.Rows != len(y) {
-		panic(fmt.Sprintf("linalg: LeastSquares %d rows vs %d targets", x.Rows, len(y)))
-	}
-	xt := x.Transpose()
-	xtx := xt.Mul(x)
-	for i := 0; i < xtx.Rows; i++ {
-		xtx.Set(i, i, xtx.At(i, i)+ridge)
-	}
-	xty := xt.MulVec(y)
-	beta, err := SolveSPD(xtx, xty)
-	if err != nil {
-		return nil, ErrSingular
-	}
-	return beta, nil
 }

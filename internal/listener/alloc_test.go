@@ -19,7 +19,7 @@ func TestAllocsStatus(t *testing.T) {
 		t.Fatal(err)
 	}
 	feed(col, rng.New(31), retainedForBudget)
-	if n := len(col.Reports()); n != retainedForBudget {
+	if n := len(reportsCopy(col)); n != retainedForBudget {
 		t.Fatalf("retained %d reports, want %d", n, retainedForBudget)
 	}
 	allocs := testing.AllocsPerRun(1000, func() { _ = col.Status() })

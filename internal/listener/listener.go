@@ -181,13 +181,6 @@ func (c *Collector) onBatch(bs engine.BatchStats) {
 	c.e2eSorted[i] = e2e
 }
 
-// Reports returns a copy of the retained reports.
-func (c *Collector) Reports() []BatchReport {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return append([]BatchReport(nil), c.reports...)
-}
-
 // appendReportRange appends the JSON of the retained reports pick selects
 // from the history, in completion order: null for an empty history or a
 // nil selection. It encodes from the retained slice under the read lock

@@ -114,7 +114,7 @@ func TestStatusMatchesFromScratch(t *testing.T) {
 			r := rng.New(29)
 			for batch := 1; batch <= 2000; batch++ {
 				feed(col, r, 1)
-				reports := col.Reports()
+				reports := reportsCopy(col)
 				proc := make([]float64, len(reports))
 				e2e := make([]float64, len(reports))
 				for i, rep := range reports {
@@ -166,7 +166,7 @@ func TestStatusConcurrentWithBatches(t *testing.T) {
 					t.Errorf("inconsistent status %+v", st)
 					return
 				}
-				_ = col.Reports()
+				_ = reportsCopy(col)
 			}
 		}()
 	}
@@ -204,7 +204,7 @@ func TestReportFields(t *testing.T) {
 
 func TestCollectorAccumulates(t *testing.T) {
 	eng, col := newRunningEngine(t, 120)
-	reports := col.Reports()
+	reports := reportsCopy(col)
 	if len(reports) != len(eng.History()) {
 		t.Fatalf("collector has %d, engine %d", len(reports), len(eng.History()))
 	}
@@ -239,7 +239,7 @@ func TestCollectorEviction(t *testing.T) {
 	col, _ := NewCollector(eng, 5)
 	eng.Start()
 	clock.RunUntil(sim.Time(60 * time.Second))
-	reports := col.Reports()
+	reports := reportsCopy(col)
 	if len(reports) != 5 {
 		t.Fatalf("kept %d reports, want 5", len(reports))
 	}
@@ -524,4 +524,12 @@ func FuzzScanQuery(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(checkScanQuery)
+}
+
+// reportsCopy returns a copy of the collector's retained reports, read
+// under its lock as a concurrent reader would.
+func reportsCopy(c *Collector) []BatchReport {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return append([]BatchReport(nil), c.reports...)
 }

@@ -170,7 +170,7 @@ func TestHandlersMatchWriteJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	all := col.Reports()
+	all := reportsCopy(col)
 	if len(all) < 5 {
 		t.Fatalf("only %d batches", len(all))
 	}

@@ -256,28 +256,6 @@ func (g *Gauge) Set(v float64) {
 	g.r.mu.Unlock()
 }
 
-// Add shifts the gauge by v (may be negative).
-//
-//nostop:hotpath
-func (g *Gauge) Add(v float64) {
-	if g == nil {
-		return
-	}
-	g.r.mu.Lock()
-	g.c.value += v
-	g.r.mu.Unlock()
-}
-
-// Value returns the current gauge value.
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	g.r.mu.Lock()
-	defer g.r.mu.Unlock()
-	return g.c.value
-}
-
 // Histogram is a fixed-bucket cumulative histogram. A nil *Histogram is a
 // no-op.
 type Histogram struct {
@@ -308,26 +286,6 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	h.r.mu.Lock()
-	defer h.r.mu.Unlock()
-	return h.c.count
-}
-
-// Sum returns the sum of observed values.
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	h.r.mu.Lock()
-	defer h.r.mu.Unlock()
-	return h.c.sum
-}
-
 // sortedLabels returns a copy of labels in key order. The sort is stable,
 // so a repeated key keeps its registration order.
 func sortedLabels(labels []Label) []Label {
@@ -354,13 +312,10 @@ func labelSignature(labels []Label) string {
 	return b.String()
 }
 
-// FormatValue renders a float the way the exposition does: integral values
+// appendValue renders a float the way the exposition does: integral values
 // as plain decimals ("12", "0.5" stays "0.5"), everything else via the
 // shortest round-trip representation. The output is deterministic for a
 // given bit pattern.
-func FormatValue(v float64) string { return string(appendValue(nil, v)) }
-
-// appendValue appends v as FormatValue renders it.
 func appendValue(b []byte, v float64) []byte {
 	if v == math.Trunc(v) && math.Abs(v) < 1e15 {
 		return strconv.AppendFloat(b, v, 'f', -1, 64)

@@ -10,7 +10,6 @@ package ratetrace
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"time"
 
@@ -31,6 +30,13 @@ import (
 type Trace interface {
 	// RateAt returns the arrival rate in records per second at time t.
 	RateAt(t sim.Time) float64
+	// NextChange returns the earliest instant strictly after t at which the
+	// rate may change (sim.Infinity if it never does): every trace is
+	// piecewise constant, so RecordsIn integrates exactly with one RateAt
+	// call per constant segment. For a trace that extends itself online,
+	// the answer holds only until the next extension, so a consumer must
+	// not keep it across one.
+	NextChange(t sim.Time) sim.Time
 	// Describe returns a short human-readable description for reports.
 	Describe() string
 }
@@ -104,33 +110,6 @@ func (u *UniformBand) Describe() string {
 	return fmt.Sprintf("uniform [%.0f, %.0f] rec/s, dwell %v", u.Min, u.Max, u.Dwell)
 }
 
-// Sine oscillates around Mean with the given Amplitude and Period, clamped
-// at zero. Models smooth diurnal-style variation.
-type Sine struct {
-	Mean      float64
-	Amplitude float64
-	Period    time.Duration
-	Phase     float64 // radians
-}
-
-// RateAt implements Trace.
-func (s Sine) RateAt(t sim.Time) float64 {
-	if s.Period <= 0 {
-		return s.Mean
-	}
-	omega := 2 * math.Pi / s.Period.Seconds()
-	r := s.Mean + s.Amplitude*math.Sin(omega*t.Seconds()+s.Phase)
-	if r < 0 {
-		r = 0
-	}
-	return r
-}
-
-// Describe implements Trace.
-func (s Sine) Describe() string {
-	return fmt.Sprintf("sine %.0f±%.0f rec/s, period %v", s.Mean, s.Amplitude, s.Period)
-}
-
 // Surge holds Base rate, then jumps to Peak during [Start, Start+Duration),
 // then returns to Base. Exercises §5.5's reset-on-rate-change logic.
 type Surge struct {
@@ -151,42 +130,6 @@ func (s Surge) RateAt(t sim.Time) float64 {
 func (s Surge) Describe() string {
 	return fmt.Sprintf("surge %.0f→%.0f rec/s at %v for %v", s.Base, s.Peak, s.Start, s.Duration)
 }
-
-// Step is one segment of a piecewise-constant trace.
-type Step struct {
-	From sim.Time // segment start (inclusive)
-	Rate float64
-}
-
-// Steps is a piecewise-constant trace defined by ascending segments. Times
-// before the first segment use the first segment's rate.
-type Steps []Step
-
-// NewSteps validates and returns a step trace. Segments must be ascending.
-func NewSteps(steps []Step) (Steps, error) {
-	if len(steps) == 0 {
-		return nil, fmt.Errorf("ratetrace: empty step trace")
-	}
-	for i := 1; i < len(steps); i++ {
-		if steps[i].From <= steps[i-1].From {
-			return nil, fmt.Errorf("ratetrace: step %d at %v not after %v", i, steps[i].From, steps[i-1].From)
-		}
-	}
-	return Steps(steps), nil
-}
-
-// RateAt implements Trace.
-func (s Steps) RateAt(t sim.Time) float64 {
-	// Binary search for the last segment with From <= t.
-	i := sort.Search(len(s), func(i int) bool { return s[i].From > t })
-	if i == 0 {
-		return s[0].Rate
-	}
-	return s[i-1].Rate
-}
-
-// Describe implements Trace.
-func (s Steps) Describe() string { return fmt.Sprintf("piecewise-constant, %d segments", len(s)) }
 
 // UserStep is one segment of a user-population trace: the number of active
 // users from a given instant.
@@ -251,7 +194,7 @@ func (u *Users) Describe() string {
 		peak/1e6, u.PerUserRate, len(u.Population))
 }
 
-// NextChange implements Stepper: the next population segment boundary, so
+// NextChange implements Trace: the next population segment boundary, so
 // RecordsIn integrates the piecewise-constant aggregate rate exactly.
 func (u *Users) NextChange(t sim.Time) sim.Time {
 	i := sort.Search(len(u.Population), func(i int) bool { return u.Population[i].From > t })
@@ -261,59 +204,10 @@ func (u *Users) NextChange(t sim.Time) sim.Time {
 	return u.Population[i].From
 }
 
-// Scaled multiplies an inner trace by Factor — handy for replaying a shape
-// at a workload-appropriate magnitude.
-type Scaled struct {
-	Inner  Trace
-	Factor float64
-}
-
-// RateAt implements Trace.
-func (s Scaled) RateAt(t sim.Time) float64 { return s.Factor * s.Inner.RateAt(t) }
-
-// Describe implements Trace.
-func (s Scaled) Describe() string {
-	return fmt.Sprintf("%.2fx (%s)", s.Factor, s.Inner.Describe())
-}
-
-// Clamped restricts an inner trace to [Min, Max], mirroring §6.2.2's note
-// that systems restrict instantaneous surge rates (e.g. Kafka quota).
-type Clamped struct {
-	Inner    Trace
-	Min, Max float64
-}
-
-// RateAt implements Trace.
-func (c Clamped) RateAt(t sim.Time) float64 {
-	r := c.Inner.RateAt(t)
-	if r < c.Min {
-		return c.Min
-	}
-	if r > c.Max {
-		return c.Max
-	}
-	return r
-}
-
-// Describe implements Trace.
-func (c Clamped) Describe() string {
-	return fmt.Sprintf("clamp [%.0f, %.0f] of (%s)", c.Min, c.Max, c.Inner.Describe())
-}
-
-// Stepper is implemented by piecewise-constant traces. NextChange returns
-// the earliest instant strictly after t at which the rate may change
-// (sim.Infinity if it never does), letting RecordsIn integrate exactly with
-// one RateAt call per constant segment. For a trace that extends itself
-// online, the answer holds only until the next extension (see Trace), so a
-// consumer must not keep it across one.
-type Stepper interface {
-	NextChange(t sim.Time) sim.Time
-}
-
-// NextChange implements Stepper: a constant never changes.
+// NextChange implements Trace: a constant never changes.
 func (c Constant) NextChange(sim.Time) sim.Time { return sim.Infinity }
 
-// NextChange implements Stepper: the next dwell-slot boundary.
+// NextChange implements Trace: the next dwell-slot boundary.
 func (u *UniformBand) NextChange(t sim.Time) sim.Time {
 	if u.cacheStart <= t && t < u.cacheEnd {
 		return u.cacheEnd
@@ -322,7 +216,7 @@ func (u *UniformBand) NextChange(t sim.Time) sim.Time {
 	return (slot + 1) * sim.Time(u.Dwell)
 }
 
-// NextChange implements Stepper: the surge's start and end edges.
+// NextChange implements Trace: the surge's start and end edges.
 func (s Surge) NextChange(t sim.Time) sim.Time {
 	if t < s.Start {
 		return s.Start
@@ -333,55 +227,24 @@ func (s Surge) NextChange(t sim.Time) sim.Time {
 	return sim.Infinity
 }
 
-// NextChange implements Stepper: the next segment boundary.
-func (s Steps) NextChange(t sim.Time) sim.Time {
-	i := sort.Search(len(s), func(i int) bool { return s[i].From > t })
-	if i == len(s) {
-		return sim.Infinity
-	}
-	return s[i].From
-}
-
-// NextChange implements Stepper by delegating to the inner trace.
-func (s Scaled) NextChange(t sim.Time) sim.Time {
-	if st, ok := s.Inner.(Stepper); ok {
-		return st.NextChange(t)
-	}
-	return t + 1 // not piecewise constant: the rate may change at any instant
-}
-
-// NextChange implements Stepper by delegating to the inner trace. Clamping a
-// piecewise-constant trace stays piecewise-constant on the same boundaries.
-func (c Clamped) NextChange(t sim.Time) sim.Time {
-	if st, ok := c.Inner.(Stepper); ok {
-		return st.NextChange(t)
-	}
-	return t + 1
-}
-
 // RecordsIn integrates a trace over [from, to), returning the (fractional)
-// number of records arriving in the interval. Piecewise-constant traces
-// integrate exactly segment by segment; other traces (e.g. Sine, or Scaled
-// and Clamped around one) fall back to midpoint sampling at millisecond
-// resolution. A caller that integrates one trace repeatedly keeps an
-// Integrator instead, which resolves the trace's Stepper once.
+// number of records arriving in the interval, exactly, segment by segment.
+// A caller that integrates one trace repeatedly keeps an Integrator instead.
 func RecordsIn(tr Trace, from, to sim.Time) float64 {
 	in := NewIntegrator(tr)
 	return in.RecordsIn(from, to, (to - from).Seconds())
 }
 
-// Integrator integrates one trace, with its Stepper resolved once. It keeps
-// nothing between calls, so a trace that extends itself online (see
-// service.FeedTrace) is read afresh on every call.
+// Integrator integrates one trace. It keeps nothing between calls, so a
+// trace that extends itself online (see service.FeedTrace) is read afresh
+// on every call.
 type Integrator struct {
 	tr Trace
-	st Stepper // nil: tr is not piecewise constant
 }
 
 // NewIntegrator returns the Integrator of tr.
 func NewIntegrator(tr Trace) Integrator {
-	st, _ := piecewise(tr)
-	return Integrator{tr: tr, st: st}
+	return Integrator{tr: tr}
 }
 
 // RecordsIn is the package-level RecordsIn of the integrator's trace; secs
@@ -395,64 +258,23 @@ func (in *Integrator) RecordsIn(from, to sim.Time, secs float64) float64 {
 	if to <= from {
 		return 0
 	}
-	st := in.st
-	if st == nil {
-		return midpoint(in.tr, from, to)
-	}
-	if st.NextChange(from) >= to {
-		return 0 + float64(in.tr.RateAt(from)*secs)
+	tr := in.tr
+	if tr.NextChange(from) >= to {
+		return 0 + float64(tr.RateAt(from)*secs)
 	}
 	total := 0.0
 	for t := from; t < to; {
-		next := st.NextChange(t)
-		if next <= t { // defensive: a broken Stepper must not hang us
+		next := tr.NextChange(t)
+		if next <= t { // defensive: a broken NextChange must not hang us
 			next = t + sim.Time(time.Millisecond)
 		}
 		if next > to {
 			next = to
 		}
-		total += in.tr.RateAt(t) * (next - t).Seconds()
+		total += tr.RateAt(t) * (next - t).Seconds()
 		t = next
 	}
 	return total
-}
-
-// midpoint integrates a trace that is not piecewise constant by midpoint
-// sampling at millisecond resolution.
-func midpoint(tr Trace, from, to sim.Time) float64 {
-	const step = time.Millisecond
-	total := 0.0
-	for t := from; t < to; {
-		next := t + sim.Time(step)
-		if next > to {
-			next = to
-		}
-		mid := t + (next-t)/2
-		total += tr.RateAt(mid) * (next - t).Seconds()
-		t = next
-	}
-	return total
-}
-
-// wrapper is implemented by traces that transform an inner trace (Scaled,
-// Clamped).
-type wrapper interface{ inner() Trace }
-
-func (s Scaled) inner() Trace  { return s.Inner }
-func (c Clamped) inner() Trace { return c.Inner }
-
-// piecewise returns tr's Stepper when tr is piecewise constant. A wrapper
-// implements Stepper whatever it wraps, but is piecewise constant only when
-// its inner trace is; around any other trace its NextChange steps 1 ns at
-// a time.
-func piecewise(tr Trace) (Stepper, bool) {
-	if w, ok := tr.(wrapper); ok {
-		if _, ok := piecewise(w.inner()); !ok {
-			return nil, false
-		}
-	}
-	st, ok := tr.(Stepper)
-	return st, ok
 }
 
 // Sample evaluates the trace every interval over [0, horizon) and returns

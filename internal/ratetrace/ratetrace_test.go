@@ -84,35 +84,6 @@ func TestUniformBandValidation(t *testing.T) {
 	}
 }
 
-func TestSine(t *testing.T) {
-	s := Sine{Mean: 1000, Amplitude: 500, Period: 60 * time.Second}
-	if got := s.RateAt(0); !near(got, 1000, 1e-9) {
-		t.Fatalf("RateAt(0)=%v", got)
-	}
-	if got := s.RateAt(sec(15)); !near(got, 1500, 1e-6) {
-		t.Fatalf("RateAt(quarter)=%v", got)
-	}
-	if got := s.RateAt(sec(45)); !near(got, 500, 1e-6) {
-		t.Fatalf("RateAt(3/4)=%v", got)
-	}
-}
-
-func TestSineClampsAtZero(t *testing.T) {
-	s := Sine{Mean: 100, Amplitude: 500, Period: 10 * time.Second}
-	for i := 0; i < 100; i++ {
-		if r := s.RateAt(sec(float64(i) / 10)); r < 0 {
-			t.Fatalf("negative rate %v", r)
-		}
-	}
-}
-
-func TestSineZeroPeriod(t *testing.T) {
-	s := Sine{Mean: 77, Amplitude: 10, Period: 0}
-	if s.RateAt(sec(5)) != 77 {
-		t.Fatal("zero-period sine should return mean")
-	}
-}
-
 func TestSurge(t *testing.T) {
 	s := Surge{Base: 1000, Peak: 5000, Start: sec(60), Duration: 30 * time.Second}
 	cases := []struct {
@@ -125,50 +96,6 @@ func TestSurge(t *testing.T) {
 		if got := s.RateAt(c.t); got != c.want {
 			t.Fatalf("RateAt(%v)=%v want %v", c.t, got, c.want)
 		}
-	}
-}
-
-func TestSteps(t *testing.T) {
-	s, err := NewSteps([]Step{{0, 100}, {sec(10), 200}, {sec(20), 50}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := []struct {
-		t    sim.Time
-		want float64
-	}{
-		{0, 100}, {sec(5), 100}, {sec(10), 200}, {sec(15), 200}, {sec(25), 50},
-	}
-	for _, c := range cases {
-		if got := s.RateAt(c.t); got != c.want {
-			t.Fatalf("RateAt(%v)=%v want %v", c.t, got, c.want)
-		}
-	}
-}
-
-func TestStepsValidation(t *testing.T) {
-	if _, err := NewSteps(nil); err == nil {
-		t.Error("empty steps accepted")
-	}
-	if _, err := NewSteps([]Step{{sec(10), 1}, {sec(5), 2}}); err == nil {
-		t.Error("non-ascending steps accepted")
-	}
-	if _, err := NewSteps([]Step{{sec(5), 1}, {sec(5), 2}}); err == nil {
-		t.Error("duplicate step times accepted")
-	}
-}
-
-func TestScaledAndClamped(t *testing.T) {
-	base := Constant{Rate: 100}
-	if got := (Scaled{Inner: base, Factor: 2.5}).RateAt(0); got != 250 {
-		t.Fatalf("Scaled=%v", got)
-	}
-	cl := Clamped{Inner: Surge{Base: 10, Peak: 10000, Start: 0, Duration: time.Second}, Min: 50, Max: 500}
-	if got := cl.RateAt(0); got != 500 {
-		t.Fatalf("clamp max: %v", got)
-	}
-	if got := cl.RateAt(sec(2)); got != 50 {
-		t.Fatalf("clamp min: %v", got)
 	}
 }
 
@@ -189,19 +116,10 @@ func TestRecordsInEmptyInterval(t *testing.T) {
 }
 
 func TestRecordsInStepBoundary(t *testing.T) {
-	s, _ := NewSteps([]Step{{0, 1000}, {sec(1), 3000}})
+	s := Surge{Base: 1000, Peak: 3000, Start: sec(1), Duration: time.Hour}
 	n := RecordsIn(s, 0, sec(2))
 	if !near(n, 4000, 1) {
 		t.Fatalf("RecordsIn across step=%v want ~4000", n)
-	}
-}
-
-func TestRecordsInSineApproximation(t *testing.T) {
-	// Integral of a full sine period equals mean*period.
-	s := Sine{Mean: 1000, Amplitude: 800, Period: 4 * time.Second}
-	n := RecordsIn(s, 0, sec(4))
-	if !near(n, 4000, 5) {
-		t.Fatalf("RecordsIn over full period=%v want ~4000", n)
 	}
 }
 
@@ -230,25 +148,10 @@ func TestStepperBoundaries(t *testing.T) {
 	if s.NextChange(0) != sec(10) || s.NextChange(sec(12)) != sec(15) || s.NextChange(sec(20)) != sim.Infinity {
 		t.Error("Surge NextChange edges wrong")
 	}
-	st, _ := NewSteps([]Step{{0, 1}, {sec(3), 2}})
-	if st.NextChange(sec(1)) != sec(3) || st.NextChange(sec(3)) != sim.Infinity {
-		t.Error("Steps NextChange wrong")
-	}
-	// Wrappers delegate.
-	if (Scaled{Inner: s, Factor: 2}).NextChange(0) != sec(10) {
-		t.Error("Scaled NextChange not delegated")
-	}
-	if (Clamped{Inner: s, Min: 0, Max: 10}).NextChange(0) != sec(10) {
-		t.Error("Clamped NextChange not delegated")
-	}
-	// Wrapping a non-Stepper forces fine sampling, never hangs.
-	if nc := (Scaled{Inner: Sine{Mean: 1, Period: time.Second}, Factor: 1}).NextChange(sec(1)); nc <= sec(1) {
-		t.Error("wrapper over non-Stepper returned non-advancing boundary")
-	}
 }
 
 func TestRecordsInExactAcrossDwells(t *testing.T) {
-	// Stepper integration must be exact: sum rate·dwell over slots.
+	// Integration must be exact: sum rate·dwell over slots.
 	u := NewUniformBand(100, 200, time.Second, rng.New(21))
 	var want float64
 	for i := 0; i < 10; i++ {
@@ -312,13 +215,13 @@ func near(a, b, eps float64) bool { return math.Abs(a-b) <= eps }
 // definition: slot n's rate is Min + (Max−Min) times the first Float64 of
 // the stream split off as "slot-n".
 func TestUniformBandMatchesSplitStream(t *testing.T) {
-	for _, seed := range []*rng.Stream{rng.New(1), rng.New(7919).Split("trace"),
+	for k, seed := range []*rng.Stream{rng.New(1), rng.New(7919).Split("trace"),
 		rng.New(77).Split("fleet").Split("LogisticRegression")} {
 		u := NewUniformBand(7000, 13000, time.Second, seed)
 		for slot := int64(-50); slot <= 20000; slot++ {
 			want := 7000 + 6000*seed.Split(fmt.Sprintf("slot-%d", slot)).Float64()
 			if got := u.RateAt(sim.Time(slot) * sim.Time(time.Second)); got != want {
-				t.Fatalf("%s slot %d: RateAt %v, want %v", seed.Name(), slot, got, want)
+				t.Fatalf("seed %d slot %d: RateAt %v, want %v", k, slot, got, want)
 			}
 		}
 	}
@@ -353,50 +256,5 @@ func TestUniformBandMemoMatchesDivision(t *testing.T) {
 				t.Fatalf("dwell %v: NextChange(%v) = %v, want %v", dwell, tm, got, want)
 			}
 		}
-	}
-}
-
-// countingSine is a non-Stepper trace that counts its RateAt calls.
-type countingSine struct {
-	Sine
-	calls *int
-}
-
-func (c countingSine) RateAt(t sim.Time) float64 {
-	*c.calls++
-	return c.Sine.RateAt(t)
-}
-
-// TestRecordsInWrappedSmoothTrace: Scaled and Clamped around a trace that
-// is not piecewise constant integrate with the millisecond midpoint rule,
-// as the bare trace does, not in 1 ns steps.
-func TestRecordsInWrappedSmoothTrace(t *testing.T) {
-	calls := 0
-	inner := countingSine{Sine: Sine{Mean: 1000, Amplitude: 800, Period: 7 * time.Second}, calls: &calls}
-	from, to := sec(3.25), sec(3.35)
-	bare := RecordsIn(inner, from, to)
-	for _, tr := range []Trace{
-		Scaled{Inner: inner, Factor: 2},
-		&Scaled{Inner: inner, Factor: 2},
-		Clamped{Inner: inner, Min: 0, Max: 1e9},
-		Scaled{Inner: Clamped{Inner: inner, Min: 0, Max: 1e9}, Factor: 2},
-	} {
-		calls = 0
-		got := RecordsIn(tr, from, to)
-		if calls > 100 {
-			t.Errorf("%s: %d inner RateAt calls over 100 ms, want at most 100", tr.Describe(), calls)
-		}
-		want := bare
-		if _, clampOnly := tr.(Clamped); !clampOnly {
-			want = 2 * bare
-		}
-		if math.Abs(got-want) > 1e-9*want {
-			t.Errorf("%s: RecordsIn %v, want %v", tr.Describe(), got, want)
-		}
-	}
-	// A wrapper around a piecewise-constant trace still integrates exactly.
-	s := Surge{Base: 100, Peak: 1000, Start: sec(2), Duration: 3 * time.Second}
-	if got := RecordsIn(Scaled{Inner: s, Factor: 2}, sec(1.5), sec(6.5)); !near(got, 6400, 1e-9) {
-		t.Errorf("Scaled surge RecordsIn=%v want 6400", got)
 	}
 }

@@ -36,7 +36,7 @@ func TestUsersRateAndSteps(t *testing.T) {
 	}
 }
 
-// The Stepper contract makes RecordsIn integrate the piecewise-constant
+// NextChange makes RecordsIn integrate the piecewise-constant
 // aggregate exactly across a population step.
 func TestUsersRecordsInExact(t *testing.T) {
 	u, err := NewUsers(0.01, []UserStep{

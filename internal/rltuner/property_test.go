@@ -61,13 +61,13 @@ func TestQTableBoundedProperty(t *testing.T) {
 		next := seed.Intn(states)
 		table.Update(s, a, r, next)
 		ref.update(s, a, r, next)
-		if v := table.Value(s, a); math.IsNaN(v) || math.IsInf(v, 0) {
+		if v := qValue(table, s, a); math.IsNaN(v) || math.IsInf(v, 0) {
 			t.Fatalf("step %d: Q(%d,%d)=%v not finite", i, s, a, v)
 		}
-		if v := math.Abs(table.Value(s, a)); v > bound {
+		if v := math.Abs(qValue(table, s, a)); v > bound {
 			t.Fatalf("step %d: |Q(%d,%d)|=%v exceeds contraction bound %v", i, s, a, v, bound)
 		}
-		if got, want := table.Value(s, a), ref.q[[2]int{s, a}]; got != want {
+		if got, want := qValue(table, s, a), ref.q[[2]int{s, a}]; got != want {
 			t.Fatalf("step %d: table %v diverged from reference %v", i, got, want)
 		}
 		s = next
@@ -79,11 +79,11 @@ func TestQTableBoundedProperty(t *testing.T) {
 			t.Fatalf("Max(%d)=%v, reference %v", s, got, want)
 		}
 		best := table.Best(s)
-		if table.Value(s, best) != table.Max(s) {
+		if qValue(table, s, best) != table.Max(s) {
 			t.Fatalf("Best(%d)=%d does not attain Max", s, best)
 		}
 		for a := 0; a < actions; a++ {
-			v := table.Value(s, a)
+			v := qValue(table, s, a)
 			if math.IsNaN(v) || math.IsInf(v, 0) || math.Abs(v) > bound {
 				t.Fatalf("Q(%d,%d)=%v violates the bound after %d steps", s, a, v, steps)
 			}
@@ -127,3 +127,6 @@ func TestQTableValidation(t *testing.T) {
 		t.Error("negative gamma accepted")
 	}
 }
+
+// qValue returns Q(s, a).
+func qValue(t *QTable, s, a int) float64 { return t.q[s*t.actions+a] }

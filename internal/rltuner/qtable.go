@@ -43,9 +43,6 @@ func NewQTable(states, actions int, alpha, gamma float64) (*QTable, error) {
 // Actions returns the action-space size.
 func (t *QTable) Actions() int { return t.actions }
 
-// Value returns Q(s, a).
-func (t *QTable) Value(s, a int) float64 { return t.q[s*t.actions+a] }
-
 // Max returns max_a Q(s, a) — the bootstrap target's value estimate.
 func (t *QTable) Max(s int) float64 {
 	row := t.q[s*t.actions : (s+1)*t.actions]

@@ -307,21 +307,3 @@ func (t *Tuner) drain(queue int) {
 		_ = t.apply()
 	}
 }
-
-// Space returns the (intersected) space the tuner explores.
-func (t *Tuner) Space() core.ConfigSpace { return t.space }
-
-// Table exposes the Q-table for inspection and tests.
-func (t *Tuner) Table() *QTable { return t.table }
-
-// Steps returns completed Q-learning updates.
-func (t *Tuner) Steps() int { return t.steps }
-
-// ConfigureSteps returns configuration changes requested.
-func (t *Tuner) ConfigureSteps() int { return t.applied }
-
-// Drains returns emergency safe-point episodes.
-func (t *Tuner) Drains() int { return t.drains }
-
-// Epsilon returns the current exploration probability.
-func (t *Tuner) Epsilon() float64 { return t.eps }

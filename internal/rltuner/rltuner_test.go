@@ -44,7 +44,7 @@ func TestTunerLearnsWithinBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bounds := tuner.Space().EngineBounds()
+	bounds := tuner.space.EngineBounds()
 	violations := 0
 	eng.AddListener(engine.ListenerFunc(func(bs engine.BatchStats) {
 		if !bounds.Contains(bs.Config) {
@@ -59,21 +59,21 @@ func TestTunerLearnsWithinBounds(t *testing.T) {
 	if violations > 0 {
 		t.Errorf("%d batches ran outside the space's engine bounds", violations)
 	}
-	if tuner.Steps() == 0 {
+	if tuner.steps == 0 {
 		t.Error("no Q updates over a 2h run")
 	}
-	if tuner.ConfigureSteps() < 2 {
-		t.Errorf("ConfigureSteps=%d: expected the initial alignment plus at least one move", tuner.ConfigureSteps())
+	if tuner.applied < 2 {
+		t.Errorf("ConfigureSteps=%d: expected the initial alignment plus at least one move", tuner.applied)
 	}
-	if eps := tuner.Epsilon(); !(eps < 0.25) {
+	if eps := tuner.eps; !(eps < 0.25) {
 		t.Errorf("epsilon %v did not decay from its default", eps)
 	}
 	// Rewards live in [-3, 0] and gamma is 0.6, so the contraction bound is
 	// 3/(1-0.6) = 7.5 for every table entry.
-	table := tuner.Table()
+	table := tuner.table
 	for s := 0; s < numStates; s++ {
 		for a := 0; a < table.Actions(); a++ {
-			v := table.Value(s, a)
+			v := qValue(table, s, a)
 			if math.IsNaN(v) || math.IsInf(v, 0) || math.Abs(v) > 7.5+1e-9 {
 				t.Fatalf("Q(%d,%d)=%v escapes the reward-derived bound", s, a, v)
 			}
@@ -96,7 +96,7 @@ func TestTunerSameSeedSameTrajectory(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return b, tuner.Steps(), tuner.ConfigureSteps(), tuner.Drains()
+		return b, tuner.steps, tuner.applied, tuner.drains
 	}
 	c1, s1, a1, d1 := run()
 	c2, s2, a2, d2 := run()
@@ -118,7 +118,7 @@ func TestTunerIntersectsSuppliedSpace(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := eng.ConfigBounds()
-	got := tuner.Space()
+	got := tuner.space
 	ba, ok := got.Axis(core.ParamBatchInterval)
 	if !ok {
 		t.Fatal("batch axis lost in intersection")

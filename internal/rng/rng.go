@@ -161,13 +161,12 @@ func (s *Stream) source() *rand.Rand {
 	return s.r
 }
 
-// Name returns the stream's hierarchical name (for diagnostics).
-func (s *Stream) Name() string { return s.name }
-
 // Rand exposes the stream's underlying seeded *rand.Rand for interop with
 // standard-library APIs that accept one (e.g. testing/quick's Config.Rand,
 // whose default source is time-seeded and would break run-to-run
 // reproducibility). The returned value shares the stream's state.
+//
+//nostop:allow deadapi -- tests hand testing/quick a seeded *rand.Rand, and randsource bans math/rand outside internal/rng
 func (s *Stream) Rand() *rand.Rand { return s.source() }
 
 // Float64 returns a uniform value in [0,1).
@@ -218,9 +217,3 @@ func (s *Stream) Rademacher() float64 {
 func (s *Stream) Exp(mean float64) float64 {
 	return s.source().ExpFloat64() * mean
 }
-
-// Perm returns a random permutation of [0,n).
-func (s *Stream) Perm(n int) []int { return s.source().Perm(n) }
-
-// Shuffle pseudo-randomizes the order of n elements using swap.
-func (s *Stream) Shuffle(n int, swap func(i, j int)) { s.source().Shuffle(n, swap) }

@@ -79,8 +79,8 @@ func TestSplitDifferentNamesDiffer(t *testing.T) {
 
 func TestNestedSplitName(t *testing.T) {
 	s := New(1).Split("engine").Split("noise")
-	if s.Name() != "root/engine/noise" {
-		t.Fatalf("name %q", s.Name())
+	if s.name != "root/engine/noise" {
+		t.Fatalf("name %q", s.name)
 	}
 }
 
@@ -188,18 +188,6 @@ func TestExpMean(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	s := New(41)
-	p := s.Perm(10)
-	seen := make([]bool, 10)
-	for _, v := range p {
-		if v < 0 || v >= 10 || seen[v] {
-			t.Fatalf("Perm not a permutation: %v", p)
-		}
-		seen[v] = true
-	}
-}
-
 func TestIntnRange(t *testing.T) {
 	s := New(43)
 	for i := 0; i < 1000; i++ {
@@ -251,13 +239,13 @@ func TestSplitFloat64MatchesSplit(t *testing.T) {
 			for _, i := range indices {
 				want := s.Split(prefix + strconv.FormatInt(i, 10)).Float64()
 				if got := s.SplitFloat64(prefix, i); got != want {
-					t.Fatalf("%s.SplitFloat64(%q, %d) = %v, want %v", s.Name(), prefix, i, got, want)
+					t.Fatalf("%s.SplitFloat64(%q, %d) = %v, want %v", s.name, prefix, i, got, want)
 				}
 			}
 		}
 		// The resample fallback no search will reach draws the same value.
 		if got, want := s.resampledFloat64("slot-", []byte("-12")), s.Split("slot--12").Float64(); got != want {
-			t.Fatalf("%s.resampledFloat64 = %v, want %v", s.Name(), got, want)
+			t.Fatalf("%s.resampledFloat64 = %v, want %v", s.name, got, want)
 		}
 	}
 }
@@ -290,7 +278,7 @@ func TestLazySourceLockstep(t *testing.T) {
 		lazy, ref := New(uint64(run)), eager(New(uint64(run)))
 		for step := 0; step < 300; step++ {
 			var got, want any
-			switch op := ops.Intn(14); op {
+			switch op := ops.Intn(12); op {
 			case 0:
 				got, want = lazy.Float64(), ref.Float64()
 			case 1:
@@ -311,28 +299,20 @@ func TestLazySourceLockstep(t *testing.T) {
 			case 8:
 				got, want = lazy.Exp(4), ref.Exp(4)
 			case 9:
-				n := ops.Intn(20)
-				got, want = fmt.Sprint(lazy.Perm(n)), fmt.Sprint(ref.Perm(n))
-			case 10:
-				a, b := []int{0, 1, 2, 3, 4, 5, 6}, []int{0, 1, 2, 3, 4, 5, 6}
-				lazy.Shuffle(len(a), func(i, j int) { a[i], a[j] = a[j], a[i] })
-				ref.Shuffle(len(b), func(i, j int) { b[i], b[j] = b[j], b[i] })
-				got, want = fmt.Sprint(a), fmt.Sprint(b)
-			case 11:
 				got, want = lazy.Rand().Uint64(), ref.Rand().Uint64()
-			case 12, 13:
-				// Descend into a child; op 13 first draws from the parent.
-				if op == 13 {
+			case 10, 11:
+				// Descend into a child; op 11 first draws from the parent.
+				if op == 11 {
 					got, want = lazy.Float64(), ref.Float64()
 				}
 				name := fmt.Sprintf("c%d", ops.Intn(4))
 				lazy, ref = lazy.Split(name), eager(ref.Split(name))
-				if lazy.Name() != ref.Name() {
-					t.Fatalf("run %d step %d: child names %q and %q", run, step, lazy.Name(), ref.Name())
+				if lazy.name != ref.name {
+					t.Fatalf("run %d step %d: child names %q and %q", run, step, lazy.name, ref.name)
 				}
 			}
 			if got != want {
-				t.Fatalf("run %d step %d (%s): lazy %v, eager %v", run, step, ref.Name(), got, want)
+				t.Fatalf("run %d step %d (%s): lazy %v, eager %v", run, step, ref.name, got, want)
 			}
 		}
 	}

@@ -47,10 +47,9 @@ type ClusterConfig struct {
 	// Workload and Trace drive the system (both required).
 	Workload workload.Workload
 	Trace    ratetrace.Trace
-	// Initial/Bounds configure the engine; Initial is also the SPSA
-	// controller's θ_initial.
+	// Initial configures the engine (its bounds are the defaults); it is
+	// also the SPSA controller's θ_initial.
 	Initial engine.Config
-	Bounds  engine.Bounds
 	// MaxFetch is the engine's per-fetch shedding budget (0: default).
 	MaxFetch int64
 	// RPC tunes every client; Jitter/Metrics/Trace/Pid are
@@ -58,13 +57,8 @@ type ClusterConfig struct {
 	RPC ClientOptions
 	// Speedup paces wall-mode virtual clocks (default 20× real time).
 	Speedup float64
-	// Addrs maps peer name to a wall-mode listen address; empty entries
-	// use 127.0.0.1:0.
-	Addrs map[string]string
 	// Clock supplies the shared sim-mode clock (nil: a fresh one).
 	Clock *sim.Clock
-	// Metrics receives everything (nil: a fresh registry).
-	Metrics *metrics.Registry
 	// Tracer records the full engine+controller+service timeline in sim
 	// mode (ignored in wall mode — it is not goroutine-safe).
 	Tracer *tracing.Tracer
@@ -126,11 +120,8 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.Speedup <= 0 {
 		cfg.Speedup = 20
 	}
-	c := &Cluster{cfg: cfg, reg: cfg.Metrics, root: rng.New(cfg.Seed),
+	c := &Cluster{cfg: cfg, reg: metrics.NewRegistry(), root: rng.New(cfg.Seed),
 		procs: make(map[string]*proc), order: []string{PeerBroker, PeerEngine, PeerController}}
-	if c.reg == nil {
-		c.reg = metrics.NewRegistry()
-	}
 	c.cKills = c.reg.Counter("nostop_service_chaos_kills_total", "Components killed by chaos")
 	c.cRestarts = c.reg.Counter("nostop_service_chaos_restarts_total", "Components restarted by chaos")
 	switch cfg.Mode {
@@ -228,7 +219,6 @@ func (p *proc) build() (component, error) {
 			Workload: c.cfg.Workload,
 			Broker:   c.client(p, PeerBroker),
 			Initial:  c.cfg.Initial,
-			Bounds:   c.cfg.Bounds,
 			Epoch:    p.epoch,
 			MaxFetch: c.cfg.MaxFetch,
 			Metrics:  c.reg,
@@ -301,9 +291,6 @@ func (c *Cluster) startProc(p *proc) error {
 // address across restarts so peers' base URLs stay valid.
 func (c *Cluster) listenProc(p *proc) error {
 	addr := p.addr
-	if addr == "" {
-		addr = c.cfg.Addrs[p.name]
-	}
 	if addr == "" {
 		addr = "127.0.0.1:0"
 	}

@@ -195,9 +195,6 @@ func NewControllerService(o ControllerOptions) (*ControllerService, error) {
 // Handler implements component.
 func (s *ControllerService) Handler() http.Handler { return s.mux }
 
-// Controller exposes the embedded SPSA core once connected (nil before).
-func (s *ControllerService) Controller() *core.Controller { return s.ctl }
-
 // Start implements component.
 func (s *ControllerService) Start() error {
 	s.gEpoch.Set(float64(s.o.Epoch))

@@ -25,10 +25,9 @@ type EngineOptions struct {
 	Workload workload.Workload
 	// Broker is the resilient client to the broker service. Required.
 	Broker *Client
-	// Initial/Bounds configure the embedded engine (zero values pick the
-	// engine defaults).
+	// Initial configures the embedded engine (zero values pick the engine
+	// defaults; its bounds are the defaults).
 	Initial engine.Config
-	Bounds  engine.Bounds
 	// Epoch is the incarnation counter; it also derives the consumer
 	// instance ID, so the broker rewinds to the committed watermark when a
 	// restarted engine reconnects.
@@ -135,7 +134,6 @@ func NewEngineService(o EngineOptions) (*EngineService, error) {
 		Trace:    s.feed,
 		Seed:     o.Seed,
 		Initial:  o.Initial,
-		Bounds:   o.Bounds,
 		Metrics:  o.Metrics,
 		Tracer:   o.Tracer,
 		// The service layer owns shedding and offset accounting, so the

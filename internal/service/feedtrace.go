@@ -7,10 +7,10 @@ import (
 	"nostop/internal/sim"
 )
 
-// FeedTrace is a ratetrace.Trace/Stepper assembled online from fetch
-// responses: each successful fetch appends one piecewise-constant segment
-// carrying exactly the fetched record count, which the engine's producer
-// then integrates tick by tick. Because segment rates are count/duration and
+// FeedTrace is a ratetrace.Trace assembled online from fetch responses:
+// each successful fetch appends one piecewise-constant segment carrying
+// exactly the fetched record count, which the engine's producer then
+// integrates tick by tick. Because segment rates are count/duration and
 // RecordsIn integrates piecewise-constant traces exactly, the engine ingests
 // (up to float rounding carried by the engine's fractional accumulator) the
 // same number of records the broker served — the property the committed-
@@ -69,9 +69,6 @@ func (f *FeedTrace) Add(start sim.Time, d time.Duration, n int64) {
 	}
 }
 
-// Total returns the records added so far (for tests).
-func (f *FeedTrace) Total() int64 { return f.total }
-
 // RateAt implements ratetrace.Trace.
 func (f *FeedTrace) RateAt(t sim.Time) float64 {
 	for i := len(f.segs) - 1; i >= 0; i-- {
@@ -86,7 +83,7 @@ func (f *FeedTrace) RateAt(t sim.Time) float64 {
 	return 0
 }
 
-// NextChange implements ratetrace.Stepper: the next segment boundary
+// NextChange implements ratetrace.Trace: the next segment boundary
 // strictly after t.
 func (f *FeedTrace) NextChange(t sim.Time) sim.Time {
 	for _, s := range f.segs {

@@ -175,9 +175,6 @@ func NewClient(owner, peer string, tb Timebase, tr Transport, o ClientOptions) *
 	return c
 }
 
-// State returns the breaker state string (for snapshots and tests).
-func (c *Client) State() string { return c.state.String() }
-
 // Call performs one logical RPC: it retries transient failures with jittered
 // backoff, fails fast while the breaker is open, and finally invokes done
 // exactly once with the response body or the terminal error. A 4xx reply is

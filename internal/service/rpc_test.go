@@ -50,7 +50,7 @@ func TestClientSuccess(t *testing.T) {
 	if err := call(clock, c); err != nil {
 		t.Fatalf("healthy call failed: %v", err)
 	}
-	if got := c.State(); got != "closed" {
+	if got := c.state.String(); got != "closed" {
 		t.Fatalf("breaker %s after success, want closed", got)
 	}
 }
@@ -87,7 +87,7 @@ func TestClientBreakerOpensAndFastFails(t *testing.T) {
 			t.Fatal("call against a down peer succeeded")
 		}
 	}
-	if got := c.State(); got != "open" {
+	if got := c.state.String(); got != "open" {
 		t.Fatalf("breaker %s after %d failures, want open", got, c.consecFails)
 	}
 	// Within the cooldown: instantaneous local rejection.
@@ -107,7 +107,7 @@ func TestClientHalfOpenProbeRecovery(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		_ = call(clock, c)
 	}
-	if got := c.State(); got != "open" {
+	if got := c.state.String(); got != "open" {
 		t.Fatalf("breaker %s, want open", got)
 	}
 	// Probe while still down: half-open reopens.
@@ -115,7 +115,7 @@ func TestClientHalfOpenProbeRecovery(t *testing.T) {
 	if err := call(clock, c); err == nil {
 		t.Fatal("probe against a down peer succeeded")
 	}
-	if got := c.State(); got != "open" {
+	if got := c.state.String(); got != "open" {
 		t.Fatalf("breaker %s after failed probe, want open", got)
 	}
 	// Peer recovers: next probe closes the breaker.
@@ -124,7 +124,7 @@ func TestClientHalfOpenProbeRecovery(t *testing.T) {
 	if err := call(clock, c); err != nil {
 		t.Fatalf("probe after recovery failed: %v", err)
 	}
-	if got := c.State(); got != "closed" {
+	if got := c.state.String(); got != "closed" {
 		t.Fatalf("breaker %s after recovery, want closed", got)
 	}
 }
@@ -164,10 +164,10 @@ func TestFeedTraceConservesRecords(t *testing.T) {
 	f.Add(sec(1), time.Second, 1000)
 	// Overlapping add (latency jitter): clipped, count preserved.
 	f.Add(sec(1.5), time.Second, 500)
-	if f.Total() != 1500 {
-		t.Fatalf("total %d, want 1500", f.Total())
+	if f.total != 1500 {
+		t.Fatalf("total %d, want 1500", f.total)
 	}
-	// Integrate over the full span with a Stepper-aware walk.
+	// Integrate over the full span segment by segment.
 	total := 0.0
 	for t0 := sec(0); t0 < sec(5); {
 		next := f.NextChange(t0)

@@ -84,8 +84,6 @@ var (
 	// ErrCircuitOpen is a call rejected locally because the peer's circuit
 	// breaker is open.
 	ErrCircuitOpen = errors.New("service: circuit open")
-	// ErrPeerDown is a call against a peer the supervisor has killed.
-	ErrPeerDown = errors.New("service: peer down")
 )
 
 // LinkFault is a network-level fault injected at the RPC layer on one

@@ -87,7 +87,7 @@ func TestSimNetDelivery(t *testing.T) {
 			case tc.err != "" && (err == nil || !strings.Contains(err.Error(), tc.err)):
 				t.Fatalf("call error %v, want one containing %q", err, tc.err)
 			}
-			if got := c.State(); got != tc.breaker {
+			if got := c.state.String(); got != tc.breaker {
 				t.Fatalf("breaker %s, want %s", got, tc.breaker)
 			}
 		})

@@ -208,17 +208,6 @@ func (s *traceSink) instant(pid, tid int, cat, name string, args tracing.Args) {
 	s.leave()
 }
 
-// counter emits a counter sample; safe on a nil sink.
-func (s *traceSink) counter(pid int, name string, values tracing.Args) {
-	if s == nil {
-		return
-	}
-	s.enter()
-	//nostop:allow obscontract -- forwarder: service call sites pass literal counter names
-	s.tr.Counter(pid, name, values)
-	s.leave()
-}
-
 // nameLanes labels the service-layer process/thread lanes on the trace.
 func (s *traceSink) nameLanes() {
 	if s == nil {

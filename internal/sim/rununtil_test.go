@@ -277,7 +277,7 @@ func (w *diffWorld) act(self int) {
 		if self >= 0 { // this one's, which would fire in place
 			w.at(now + w.tickers[self].period)
 		} else if k, ok := w.ticker(-1); ok && w.tickers[k].ev.Pending() {
-			w.at(w.tickers[k].ev.Due()) // a queued one's
+			w.at(w.tickers[k].ev.due) // a queued one's
 		} else {
 			w.at(now + w.period())
 		}
@@ -353,7 +353,7 @@ func (w *diffWorld) horizon() Time {
 	case 3:
 		if len(w.events) > 0 {
 			if e := w.events[w.ch.intn(len(w.events))]; e.Pending() {
-				return e.Due()
+				return e.due
 			}
 		}
 	case 4:

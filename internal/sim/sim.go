@@ -76,9 +76,6 @@ type Event struct {
 	due Time
 }
 
-// Due reports the virtual time at which the event fires (or fired).
-func (e Event) Due() Time { return e.due }
-
 // Pending reports whether the event is still scheduled: it has neither fired
 // nor been canceled.
 func (e Event) Pending() bool { return e.n != nil && e.n.gen == e.gen }
@@ -97,8 +94,6 @@ func eventLess(x, y *node) bool {
 	}
 	return x.seq < y.seq
 }
-
-func (h *heap4) len() int { return len(h.a) }
 
 func (h *heap4) push(n *node) {
 	n.index = int32(len(h.a))

@@ -1,6 +1,6 @@
 // Package stats provides the statistical primitives the simulator and the
 // NoStop controller rely on: online (Welford) accumulators, fixed-capacity
-// rolling windows, percentile summaries, and timestamped series.
+// rolling windows and percentile summaries.
 package stats
 
 import (
@@ -16,23 +16,11 @@ type Online struct {
 	n    int
 	mean float64
 	m2   float64
-	min  float64
-	max  float64
 }
 
 // Add incorporates one observation.
 func (o *Online) Add(x float64) {
 	o.n++
-	if o.n == 1 {
-		o.min, o.max = x, x
-	} else {
-		if x < o.min {
-			o.min = x
-		}
-		if x > o.max {
-			o.max = x
-		}
-	}
 	d := x - o.mean
 	o.mean += d / float64(o.n)
 	o.m2 += d * (x - o.mean)
@@ -66,38 +54,8 @@ func (o *Online) Std() float64 { return math.Sqrt(o.Var()) }
 // SampleStd returns the sample standard deviation.
 func (o *Online) SampleStd() float64 { return math.Sqrt(o.SampleVar()) }
 
-// Min returns the smallest observation, or 0 with no observations.
-func (o *Online) Min() float64 { return o.min }
-
-// Max returns the largest observation, or 0 with no observations.
-func (o *Online) Max() float64 { return o.max }
-
 // Reset discards all observations.
 func (o *Online) Reset() { *o = Online{} }
-
-// Merge combines another accumulator into this one (parallel Welford merge).
-func (o *Online) Merge(other *Online) {
-	if other.n == 0 {
-		return
-	}
-	if o.n == 0 {
-		*o = *other
-		return
-	}
-	n := o.n + other.n
-	d := other.mean - o.mean
-	mean := o.mean + d*float64(other.n)/float64(n)
-	m2 := o.m2 + other.m2 + d*d*float64(o.n)*float64(other.n)/float64(n)
-	min := o.min
-	if other.min < min {
-		min = other.min
-	}
-	max := o.max
-	if other.max > max {
-		max = other.max
-	}
-	*o = Online{n: n, mean: mean, m2: m2, min: min, max: max}
-}
 
 // Window is a fixed-capacity FIFO of float64 with O(1) mean/std queries.
 // When full, adding evicts the oldest value. NoStop uses windows for its
@@ -136,15 +94,6 @@ func (w *Window) Add(x float64) {
 	w.sumsq += x * x
 }
 
-// Len returns the number of stored values.
-func (w *Window) Len() int { return w.count }
-
-// Cap returns the window capacity.
-func (w *Window) Cap() int { return len(w.buf) }
-
-// Full reports whether the window holds capacity values.
-func (w *Window) Full() bool { return w.count == len(w.buf) }
-
 // Mean returns the mean of stored values, or 0 when empty.
 func (w *Window) Mean() float64 {
 	if w.count == 0 {
@@ -164,21 +113,6 @@ func (w *Window) Std() float64 {
 		v = 0
 	}
 	return math.Sqrt(v)
-}
-
-// Values returns the stored values oldest-first.
-func (w *Window) Values() []float64 {
-	out := make([]float64, 0, w.count)
-	start := w.head - w.count
-	for i := 0; i < w.count; i++ {
-		out = append(out, w.buf[((start+i)%len(w.buf)+len(w.buf))%len(w.buf)])
-	}
-	return out
-}
-
-// Reset discards all stored values, keeping capacity.
-func (w *Window) Reset() {
-	w.head, w.count, w.sum, w.sumsq = 0, 0, 0, 0
 }
 
 // Summary describes a sample with the statistics the experiment harness
@@ -287,55 +221,4 @@ func MeanCI95(xs []float64) (mean, half float64) {
 		t = t95[df-1]
 	}
 	return o.Mean(), t * o.SampleStd() / math.Sqrt(float64(o.N()))
-}
-
-// Point is one timestamped observation in a Series. T is virtual seconds
-// from the simulation epoch.
-type Point struct {
-	T float64
-	V float64
-}
-
-// Series is an append-only time series used to record experiment traces
-// (e.g. batch interval per optimization iteration for Fig 6).
-type Series struct {
-	Name   string
-	Points []Point
-}
-
-// Append adds a point.
-func (s *Series) Append(t, v float64) { s.Points = append(s.Points, Point{t, v}) }
-
-// Len returns the number of points.
-func (s *Series) Len() int { return len(s.Points) }
-
-// Values returns just the V column.
-func (s *Series) Values() []float64 {
-	out := make([]float64, len(s.Points))
-	for i, p := range s.Points {
-		out[i] = p.V
-	}
-	return out
-}
-
-// Last returns the final point; ok is false when empty.
-func (s *Series) Last() (Point, bool) {
-	if len(s.Points) == 0 {
-		return Point{}, false
-	}
-	return s.Points[len(s.Points)-1], true
-}
-
-// Downsample returns at most n points sampled uniformly across the series,
-// always keeping the first and last. Useful for rendering long traces.
-func (s *Series) Downsample(n int) []Point {
-	if n <= 0 || len(s.Points) <= n {
-		return append([]Point(nil), s.Points...)
-	}
-	out := make([]Point, 0, n)
-	step := float64(len(s.Points)-1) / float64(n-1)
-	for i := 0; i < n; i++ {
-		out = append(out, s.Points[int(math.Round(float64(i)*step))])
-	}
-	return out
 }

@@ -24,9 +24,6 @@ func TestOnlineBasic(t *testing.T) {
 	if !almostEqual(o.Std(), 2, 1e-12) {
 		t.Fatalf("Std=%v", o.Std())
 	}
-	if o.Min() != 2 || o.Max() != 9 {
-		t.Fatalf("Min=%v Max=%v", o.Min(), o.Max())
-	}
 }
 
 func TestOnlineEmptyAndSingle(t *testing.T) {
@@ -60,55 +57,15 @@ func TestOnlineReset(t *testing.T) {
 	}
 }
 
-func TestOnlineMergeMatchesSequential(t *testing.T) {
-	r := rng.New(5).Rand()
-	var all, a, b Online
-	for i := 0; i < 1000; i++ {
-		x := r.NormFloat64()*3 + 1
-		all.Add(x)
-		if i < 400 {
-			a.Add(x)
-		} else {
-			b.Add(x)
-		}
-	}
-	a.Merge(&b)
-	if a.N() != all.N() {
-		t.Fatalf("merged N=%d want %d", a.N(), all.N())
-	}
-	if !almostEqual(a.Mean(), all.Mean(), 1e-9) {
-		t.Fatalf("merged mean=%v want %v", a.Mean(), all.Mean())
-	}
-	if !almostEqual(a.Var(), all.Var(), 1e-9) {
-		t.Fatalf("merged var=%v want %v", a.Var(), all.Var())
-	}
-	if a.Min() != all.Min() || a.Max() != all.Max() {
-		t.Fatal("merged min/max mismatch")
-	}
-}
-
-func TestOnlineMergeEmptyCases(t *testing.T) {
-	var a, b Online
-	a.Merge(&b) // both empty
-	if a.N() != 0 {
-		t.Fatal("merging empties produced observations")
-	}
-	b.Add(3)
-	a.Merge(&b)
-	if a.N() != 1 || a.Mean() != 3 {
-		t.Fatal("merge into empty failed")
-	}
-}
-
 func TestWindowEviction(t *testing.T) {
 	w := NewWindow(3)
 	for _, x := range []float64{1, 2, 3, 4, 5} {
 		w.Add(x)
 	}
-	if !w.Full() || w.Len() != 3 {
-		t.Fatalf("Len=%d Full=%v", w.Len(), w.Full())
+	if w.count != 3 {
+		t.Fatalf("count=%d, want 3", w.count)
 	}
-	vals := w.Values()
+	vals := values(w)
 	want := []float64{3, 4, 5}
 	for i := range want {
 		if vals[i] != want[i] {
@@ -127,7 +84,7 @@ func TestWindowStdMatchesBatch(t *testing.T) {
 		w.Add(r.Float64() * 50)
 	}
 	got := w.Std()
-	want := Std(w.Values())
+	want := Std(values(w))
 	if !almostEqual(got, want, 1e-9) {
 		t.Fatalf("window Std=%v batch Std=%v", got, want)
 	}
@@ -135,19 +92,12 @@ func TestWindowStdMatchesBatch(t *testing.T) {
 
 func TestWindowEmptyAndReset(t *testing.T) {
 	w := NewWindow(4)
-	if w.Mean() != 0 || w.Std() != 0 || w.Len() != 0 {
+	if w.Mean() != 0 || w.Std() != 0 || w.count != 0 {
 		t.Fatal("empty window not zero")
 	}
 	w.Add(2)
 	if w.Std() != 0 {
 		t.Fatal("single-element std not zero")
-	}
-	w.Reset()
-	if w.Len() != 0 || w.Mean() != 0 {
-		t.Fatal("Reset did not clear window")
-	}
-	if w.Cap() != 4 {
-		t.Fatal("Reset changed capacity")
 	}
 }
 
@@ -161,7 +111,7 @@ func TestWindowBadCapacityPanics(t *testing.T) {
 }
 
 func TestWindowValuesOrderProperty(t *testing.T) {
-	// Property: after adding any sequence, Values() equals the last
+	// Property: after adding any sequence, the window holds the last
 	// min(len, cap) elements in order.
 	f := func(raw []float64, capRaw uint8) bool {
 		capacity := int(capRaw%16) + 1
@@ -169,7 +119,7 @@ func TestWindowValuesOrderProperty(t *testing.T) {
 		for _, x := range raw {
 			w.Add(x)
 		}
-		vals := w.Values()
+		vals := values(w)
 		n := len(raw)
 		if n > capacity {
 			n = capacity
@@ -239,52 +189,6 @@ func TestMeanStdHelpers(t *testing.T) {
 	}
 }
 
-func TestSeries(t *testing.T) {
-	var s Series
-	s.Name = "test"
-	if _, ok := s.Last(); ok {
-		t.Error("empty series has Last")
-	}
-	for i := 0; i < 5; i++ {
-		s.Append(float64(i), float64(i*i))
-	}
-	if s.Len() != 5 {
-		t.Fatalf("Len=%d", s.Len())
-	}
-	last, ok := s.Last()
-	if !ok || last.T != 4 || last.V != 16 {
-		t.Fatalf("Last=%+v ok=%v", last, ok)
-	}
-	vals := s.Values()
-	if len(vals) != 5 || vals[2] != 4 {
-		t.Fatalf("Values=%v", vals)
-	}
-}
-
-func TestSeriesDownsample(t *testing.T) {
-	var s Series
-	for i := 0; i < 100; i++ {
-		s.Append(float64(i), float64(i))
-	}
-	ds := s.Downsample(5)
-	if len(ds) != 5 {
-		t.Fatalf("Downsample len=%d", len(ds))
-	}
-	if ds[0].T != 0 || ds[4].T != 99 {
-		t.Fatalf("Downsample endpoints: %+v", ds)
-	}
-	// Short series returned as-is.
-	short := s.Downsample(1000)
-	if len(short) != 100 {
-		t.Fatalf("Downsample over-length len=%d", len(short))
-	}
-	// Returned slice must be a copy.
-	short[0].V = -1
-	if s.Points[0].V == -1 {
-		t.Fatal("Downsample aliases series storage")
-	}
-}
-
 func TestWelfordStability(t *testing.T) {
 	// Large offset: naive sum-of-squares would catastrophically cancel.
 	var o Online
@@ -330,4 +234,14 @@ func TestWindowAddWrapsLikeModulo(t *testing.T) {
 			}
 		}
 	}
+}
+
+// values returns the window's stored values oldest-first.
+func values(w *Window) []float64 {
+	out := make([]float64, 0, w.count)
+	start := w.head - w.count
+	for i := 0; i < w.count; i++ {
+		out = append(out, w.buf[((start+i)%len(w.buf)+len(w.buf))%len(w.buf)])
+	}
+	return out
 }

@@ -149,15 +149,6 @@ func (ts TraceSpec) Build(seed *rng.Stream) (ratetrace.Trace, error) {
 	}
 }
 
-// describe is the report-facing trace label.
-func (ts TraceSpec) describe(seed *rng.Stream) string {
-	tr, err := ts.Build(seed)
-	if err != nil {
-		return "invalid"
-	}
-	return tr.Describe()
-}
-
 // TenantSpec declares one streaming app in the mix.
 type TenantSpec struct {
 	// Name identifies the tenant; it becomes the topic name, the metric

@@ -142,12 +142,3 @@ func (w *LinearRegression) ProcessBatch(recs []broker.Record) Result {
 		Note:    fmt.Sprintf("linreg: %d points, mse %.4f", len(pts), mse),
 	}
 }
-
-// Coefficients returns the latest solved coefficients (intercept first), or
-// nil before the first successful solve.
-func (w *LinearRegression) Coefficients() []float64 {
-	if w.beta == nil {
-		return nil
-	}
-	return append([]float64(nil), w.beta...)
-}

@@ -84,7 +84,7 @@ func TestLinRegRecoversCoefficients(t *testing.T) {
 	for b := 0; b < 10; b++ {
 		w.ProcessBatch(genBatch(w, 800, uint64(b+1)))
 	}
-	beta := w.Coefficients()
+	beta := w.beta
 	if beta == nil {
 		t.Fatal("no coefficients after 10 batches")
 	}
@@ -137,8 +137,8 @@ func TestWordCountCounts(t *testing.T) {
 	if res.Output["top"] != 3 {
 		t.Fatalf("top=%v, want 3 (spark)", res.Output["top"])
 	}
-	if w.Total("spark") != 3 {
-		t.Fatalf("Total(spark)=%d", w.Total("spark"))
+	if w.totals["spark"] != 3 {
+		t.Fatalf("total(spark)=%d", w.totals["spark"])
 	}
 }
 
@@ -146,12 +146,8 @@ func TestWordCountStatePersistsAcrossBatches(t *testing.T) {
 	w := NewWordCount()
 	w.ProcessBatch([]broker.Record{{Value: "alpha beta"}})
 	w.ProcessBatch([]broker.Record{{Value: "alpha gamma"}})
-	if w.Total("alpha") != 2 {
-		t.Fatalf("Total(alpha)=%d, want 2", w.Total("alpha"))
-	}
-	top := w.TopK(1)
-	if len(top) != 1 || !strings.HasPrefix(top[0], "alpha ") {
-		t.Fatalf("TopK=%v", top)
+	if w.totals["alpha"] != 2 {
+		t.Fatalf("total(alpha)=%d, want 2", w.totals["alpha"])
 	}
 }
 
@@ -176,8 +172,8 @@ func TestWordCountGeneratorSkewed(t *testing.T) {
 	res := w.ProcessBatch(genBatch(w, 2000, 7))
 	// Zipf skew: "the" (rank 0) must appear far more often than a deep
 	// tail word.
-	if w.Total("the") < 10*w.Total("core") {
-		t.Fatalf("vocabulary not skewed: the=%d core=%d", w.Total("the"), w.Total("core"))
+	if w.totals["the"] < 10*w.totals["core"] {
+		t.Fatalf("vocabulary not skewed: the=%d core=%d", w.totals["the"], w.totals["core"])
 	}
 	if res.Output["distinct"] < 30 {
 		t.Fatalf("generator only produced %v distinct words", res.Output["distinct"])

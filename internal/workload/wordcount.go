@@ -2,7 +2,6 @@ package workload
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"nostop/internal/broker"
@@ -121,33 +120,3 @@ func (w *WordCount) ProcessBatch(recs []broker.Record) Result {
 		Note: fmt.Sprintf("wordcount: %d tokens, %d distinct, top %q×%d", tokens, len(batch), topWord, topCount),
 	}
 }
-
-// TopK returns the k highest cumulative counts as "word count" strings,
-// sorted descending then lexicographically.
-func (w *WordCount) TopK(k int) []string {
-	type wc struct {
-		word  string
-		count int64
-	}
-	all := make([]wc, 0, len(w.totals))
-	for word, c := range w.totals {
-		all = append(all, wc{word, c})
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].count != all[j].count {
-			return all[i].count > all[j].count
-		}
-		return all[i].word < all[j].word
-	})
-	if k > len(all) {
-		k = len(all)
-	}
-	out := make([]string, k)
-	for i := 0; i < k; i++ {
-		out[i] = fmt.Sprintf("%s %d", all[i].word, all[i].count)
-	}
-	return out
-}
-
-// Total returns the cumulative count for a word.
-func (w *WordCount) Total(word string) int64 { return w.totals[word] }

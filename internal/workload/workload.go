@@ -92,18 +92,8 @@ func (m *CostModel) iterFactor() float64 {
 	return 1 + (m.IterInitial-1)*math.Exp(-float64(m.batchesSinceReset)/m.IterTau)
 }
 
-// IterFactor exposes the current iteration multiplier for tests and reports.
-func (m *CostModel) IterFactor() float64 { return m.iterFactor() }
-
 // NoteBatch records that one more batch was processed, advancing model fit.
 func (m *CostModel) NoteBatch() { m.batchesSinceReset++ }
-
-// ResetFit models concept drift: the model becomes unfitted again and
-// per-batch iteration counts jump back up.
-func (m *CostModel) ResetFit() { m.batchesSinceReset = 0 }
-
-// BatchesSinceReset returns the fit-state counter.
-func (m *CostModel) BatchesSinceReset() int { return m.batchesSinceReset }
 
 // Result is the output of semantically processing one batch.
 type Result struct {

@@ -114,32 +114,25 @@ func TestProcessingTimePanicsOnBadArgs(t *testing.T) {
 
 func TestIterFactorConvergesAndResets(t *testing.T) {
 	m := NewLogisticRegression().Model()
-	initial := m.IterFactor()
+	initial := m.iterFactor()
 	if math.Abs(initial-2.0) > 1e-9 {
 		t.Fatalf("initial iter factor %v, want 2.0", initial)
 	}
 	for i := 0; i < 200; i++ {
 		m.NoteBatch()
 	}
-	converged := m.IterFactor()
+	converged := m.iterFactor()
 	if converged > 1.01 {
 		t.Fatalf("iter factor %v after 200 batches, want ≈1", converged)
-	}
-	m.ResetFit()
-	if m.IterFactor() != initial {
-		t.Fatalf("ResetFit did not restore initial factor: %v", m.IterFactor())
-	}
-	if m.BatchesSinceReset() != 0 {
-		t.Fatal("BatchesSinceReset not cleared")
 	}
 }
 
 func TestIterFactorMonotoneDecreasing(t *testing.T) {
 	m := NewLinearRegression().Model()
-	prev := m.IterFactor()
+	prev := m.iterFactor()
 	for i := 0; i < 50; i++ {
 		m.NoteBatch()
-		cur := m.IterFactor()
+		cur := m.iterFactor()
 		if cur > prev {
 			t.Fatalf("iter factor increased at batch %d: %v > %v", i, cur, prev)
 		}
@@ -149,7 +142,7 @@ func TestIterFactorMonotoneDecreasing(t *testing.T) {
 
 func TestNonIterativeWorkloadsHaveUnitFactor(t *testing.T) {
 	for _, w := range []Workload{NewWordCount(), NewPageAnalyze()} {
-		if f := w.Model().IterFactor(); f != 1 {
+		if f := w.Model().iterFactor(); f != 1 {
 			t.Errorf("%s iter factor %v, want 1", w.Name(), f)
 		}
 	}
