@@ -45,14 +45,15 @@ chaos:
 ## slot draw, re-placing 8 executors on 1000 nodes, an engine hour bare,
 ## observed and traced, an SPSA step, a GP fit, a Cholesky factorization,
 ## one batch per workload, one controller poll through SimNet, one sim-mode
-## soak-hour, one batch's trace events, an observed engine's exposition).
+## soak-hour, one batch's trace events, an observed engine's exposition,
+## each registered controller's decision per delivered batch).
 bench:
 	for w in sweep tenants zoo-observed service-soak; do bash perfbench/run.sh --workload $$w || exit 1; done
 	$(GO) test ./internal/sim/bench -bench . -benchmem
 	$(GO) test ./internal/listener -run '^$$' -bench 'CollectorStatus|Wire' -benchmem
 	$(GO) test ./internal/broker ./internal/ratetrace ./internal/cluster ./internal/engine ./internal/spsa \
 		./internal/baselines ./internal/linalg ./internal/workload ./internal/service \
-		./internal/tracing ./internal/metrics -run '^$$' -bench . -benchmem
+		./internal/tracing ./internal/metrics ./internal/controllers -run '^$$' -bench . -benchmem
 
 ## golden: regenerate the golden-master artifacts after an INTENDED
 ## output change. Review the diff before committing — these files are the
@@ -80,14 +81,22 @@ fleet:
 	$(GO) run ./cmd/nostop-fleet -workloads logreg,wordcount -controllers static,nostop \
 		-seeds 1-3 -horizon 10m -j 4 -out /tmp/nostop-fleet -resume -quiet
 
-## serve-soak: the service-mode chaos soak CI runs — a deterministic sim
-## soak replayed for byte-identical metrics, then a wall-mode soak with a
-## live broker kill/restart under the race detector. nostop-serve exits
-## non-zero on any invariant violation.
+## serve-soak: the service-mode chaos soak CI runs — two deterministic sim
+## soaks, the scripted plan and a seeded plan that kills the engine (the
+## controller's restart path), each replayed for byte-identical metrics,
+## trace and stdout (both runs write the same paths, since stdout echoes
+## them), then a wall-mode soak with a live broker kill/restart under the
+## race detector. nostop-serve exits non-zero on any invariant violation.
 serve-soak:
-	$(GO) run ./cmd/nostop-serve -duration 5m -seed 42 -metrics /tmp/nostop-soak-a.prom
-	$(GO) run ./cmd/nostop-serve -duration 5m -seed 42 -metrics /tmp/nostop-soak-b.prom
-	cmp /tmp/nostop-soak-a.prom /tmp/nostop-soak-b.prom
+	$(GO) build -o /tmp/nostop-serve ./cmd/nostop-serve
+	for args in "-duration 5m -seed 42" "-chaos seeded -seed 5 -duration 30m"; do \
+		for run in a b; do \
+			/tmp/nostop-serve $$args -metrics /tmp/nostop-soak.prom -trace /tmp/nostop-soak.json \
+				> /tmp/nostop-soak.out || exit 1; \
+			for f in prom json out; do mv /tmp/nostop-soak.$$f /tmp/nostop-soak-$$run.$$f; done; \
+		done; \
+		for f in prom json out; do cmp /tmp/nostop-soak-a.$$f /tmp/nostop-soak-b.$$f || exit 1; done; \
+	done
 	$(GO) run -race ./cmd/nostop-serve -mode wall -duration 4m -speedup 20 \
 		-metrics /tmp/nostop-soak-wall.prom -trace /tmp/nostop-soak-wall-trace.json
 

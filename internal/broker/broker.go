@@ -118,21 +118,6 @@ type Broker struct {
 type Bus struct {
 	brokers []*Broker
 	topics  map[string]*Topic
-	tenants map[string]*TenantAccount
-}
-
-// TenantAccount is the bus-level incremental accounting of one tenant's
-// traffic across its topics. Every field is advanced by O(1) increments on
-// the existing produce/fetch/commit/rewind paths — never by scanning
-// partitions — so per-tenant observability at O(100) partitions per topic
-// costs a handful of integer adds per operation and zero allocations
-// (the PR-7 hotalloc contract extends to these paths).
-type TenantAccount struct {
-	Tenant      string
-	Produced    int64 // records appended to the tenant's topics
-	Fetched     int64 // records consumed by the tenant's receiver
-	Committed   int64 // records durably processed
-	Redelivered int64 // records re-fetched after outage rewinds
 }
 
 // Topic is a named set of partitions.
@@ -156,10 +141,6 @@ type Topic struct {
 	// partition's share, and fetches spread the window before they scan.
 	pendBase, pendRem int64
 	pendStart         int
-
-	// acct, when non-nil, is the owning tenant's bus-level account; the
-	// produce/fetch/commit/rewind paths tick it alongside totalEnd.
-	acct *TenantAccount
 }
 
 // SetObserver installs (or, with nil, removes) the activity observer on the
@@ -196,20 +177,6 @@ func NewBus(nodeIDs []int) (*Bus, error) {
 // brokers round-robin. sampleCap bounds the concrete payload tail retained
 // per partition (0 disables payload retention).
 func (b *Bus) CreateTopic(name string, nPartitions, sampleCap int) (*Topic, error) {
-	return b.createTopic(name, "", nPartitions, sampleCap)
-}
-
-// CreateTenantTopic registers a topic owned by a tenant: all traffic through
-// it ticks the tenant's bus-level TenantAccount. Several topics may share a
-// tenant; the account aggregates across them.
-func (b *Bus) CreateTenantTopic(name, tenant string, nPartitions, sampleCap int) (*Topic, error) {
-	if tenant == "" {
-		return nil, errors.New("broker: empty tenant name")
-	}
-	return b.createTopic(name, tenant, nPartitions, sampleCap)
-}
-
-func (b *Bus) createTopic(name, tenant string, nPartitions, sampleCap int) (*Topic, error) {
 	if nPartitions <= 0 {
 		return nil, ErrBadPartitions
 	}
@@ -217,17 +184,6 @@ func (b *Bus) createTopic(name, tenant string, nPartitions, sampleCap int) (*Top
 		return nil, ErrTopicExists
 	}
 	t := &Topic{Name: name}
-	if tenant != "" {
-		if b.tenants == nil {
-			b.tenants = make(map[string]*TenantAccount)
-		}
-		acct := b.tenants[tenant]
-		if acct == nil {
-			acct = &TenantAccount{Tenant: tenant}
-			b.tenants[tenant] = acct
-		}
-		t.acct = acct
-	}
 	for i := 0; i < nPartitions; i++ {
 		br := b.brokers[i%len(b.brokers)]
 		p := &Partition{Topic: name, ID: i, Broker: br, top: t}
@@ -239,6 +195,15 @@ func (b *Bus) createTopic(name, tenant string, nPartitions, sampleCap int) (*Top
 	}
 	b.topics[name] = t
 	return t, nil
+}
+
+// CreateTenantTopic registers a topic on behalf of a tenant. It creates a
+// plain topic, as CreateTopic does; the tenant name must not be empty.
+func (b *Bus) CreateTenantTopic(name, tenant string, nPartitions, sampleCap int) (*Topic, error) {
+	if tenant == "" {
+		return nil, errors.New("broker: empty tenant name")
+	}
+	return b.CreateTopic(name, nPartitions, sampleCap)
 }
 
 // Topic looks up a topic by name.
@@ -366,9 +331,6 @@ func (p *Producer) SendCount(n int64) {
 	}
 	p.next = int(next)
 	t.totalEnd += n
-	if t.acct != nil {
-		t.acct.Produced += n
-	}
 	if t.obs != nil {
 		t.obs.OnAppend(t.Name, n)
 	}
@@ -528,9 +490,6 @@ func (g *ConsumerGroup) FetchChunk(max int64) *Chunk {
 	}
 	g.posTotal += consumed
 	c.Count = consumed
-	if a := g.topic.acct; a != nil {
-		a.Fetched += consumed
-	}
 	if g.topic.obs != nil {
 		g.topic.obs.OnFetch(g.topic.Name, consumed, c.Ranges)
 	}
@@ -566,9 +525,6 @@ func (g *ConsumerGroup) Commit(ranges []OffsetRange) {
 		}
 	}
 	g.committedTotal += advanced
-	if a := g.topic.acct; a != nil {
-		a.Committed += advanced
-	}
 	if g.topic.obs != nil && len(ranges) > 0 {
 		g.topic.obs.OnCommit(g.topic.Name, advanced, ranges)
 	}
@@ -591,9 +547,6 @@ func (g *ConsumerGroup) Rewind(partition int) int64 {
 	g.position[partition] = g.committed[partition]
 	g.posTotal -= delta
 	g.redelivered += delta
-	if a := g.topic.acct; a != nil {
-		a.Redelivered += delta
-	}
 	if g.topic.obs != nil {
 		g.topic.obs.OnRewind(g.topic.Name, partition, delta)
 	}

@@ -5,8 +5,9 @@
 // identity digests that hash their output cannot tell the difference.
 //
 // The Append functions format one scalar. The Writer lays out objects and
-// arrays in either of encoding/json's two layouts: json.Marshal's compact
-// form, or a json.Encoder's after SetIndent("", "  "). The Scanner reads
+// the elements of arrays in either of encoding/json's two layouts:
+// json.Marshal's compact form, or a json.Encoder's after SetIndent("",
+// "  "). The Scanner reads
 // back only the canonical subset the Writer emits — flat objects of plain
 // literals, an array of them, or null — and reports anything else as not
 // handled, so its caller hands the input to encoding/json and gets exactly

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"nostop/internal/rng"
@@ -165,10 +166,9 @@ func render(w *Writer, layout Layout) ([]byte, error) {
 	return w.Line()
 }
 
-// TestWriterMatchesEncodingJSON lays out objects, arrays of objects, empty
-// containers and null in both layouts and compares them with
-// encoding/json's output; and checks that each comes back through the
-// Scanner unchanged.
+// TestWriterMatchesEncodingJSON lays out objects, arrays of objects and
+// empty containers in both layouts and compares them with encoding/json's
+// output; and checks that each comes back through the Scanner unchanged.
 func TestWriterMatchesEncodingJSON(t *testing.T) {
 	r := rng.New(11).Split("jsonwire/writer").Rand()
 	strs := []string{"", "engine-0", "a<b>&\"c\\", "tab\tnl\n"}
@@ -182,33 +182,31 @@ func TestWriterMatchesEncodingJSON(t *testing.T) {
 		}
 	}
 	for _, layout := range []Layout{Compact, Indented} {
-		for n := -1; n <= 4; n++ {
-			var ms []member // n == -1: nil, rendered null
-			if n >= 0 {
-				ms = []member{}
-			}
+		for n := 0; n <= 4; n++ {
+			ms := []member{}
 			for i := 0; i < n; i++ {
 				ms = append(ms, randMember())
 			}
 			w := NewWriter([]byte("prefix"), layout)
-			if ms == nil {
-				w.Null()
-			} else {
-				w.BeginArray()
-				for _, m := range ms {
-					writeMember(&w, m)
-				}
-				w.EndArray()
+			w.BeginArray()
+			for _, m := range ms {
+				writeMember(&w, m)
 			}
-			got, err := render(&w, layout)
+			got, err := w.Bytes()
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := "prefix" + reference(t, ms, layout)
-			if string(got) != want {
+			// The open array is encoding/json's up to its closing bracket,
+			// which a non-empty indented array puts on a line of its own.
+			ref := reference(t, ms, layout)
+			closing := ref[strings.LastIndexByte(ref, ']'):]
+			if n > 0 && layout == Indented {
+				closing = "\n" + closing
+			}
+			if want := "prefix" + strings.TrimSuffix(ref, closing); string(got) != want {
 				t.Fatalf("layout %d, %d members:\n got %q\nwant %q", layout, n, got, want)
 			}
-			back, ok := scanMembers(got[len("prefix"):])
+			back, ok := scanMembers(append(got[len("prefix"):], closing...))
 			plain := true
 			for _, m := range ms {
 				plain = plain && (m.D == "" || m.D == "engine-0")
@@ -290,5 +288,35 @@ func TestScannerFallsBack(t *testing.T) {
 		if err := json.Unmarshal([]byte(in), &want); err != nil || !reflect.DeepEqual(m, want) {
 			t.Errorf("%q: scanner %+v, json %+v (%v)", in, m, want, err)
 		}
+	}
+}
+
+// TestScannerMatch: Match consumes exact bytes and nothing on a mismatch,
+// without failing the scan, and Offset brackets an element's bytes.
+func TestScannerMatch(t *testing.T) {
+	data := []byte(`[ {"a":1}, {"a":2} ]`)
+	s := NewScanner(data)
+	s.BeginArray()
+	if !s.NextElement() || s.Offset() != 2 {
+		t.Fatalf("first element at %d, want 2", s.Offset())
+	}
+	if s.Match([]byte(`{"a":2}`)) || s.Offset() != 2 {
+		t.Fatalf("a mismatch moved the scan to %d", s.Offset())
+	}
+	if !s.Match([]byte(`{"a":1}`)) || s.Offset() != 9 {
+		t.Fatalf("a match left the scan at %d, want 9", s.Offset())
+	}
+	if !s.NextElement() {
+		t.Fatal("no second element")
+	}
+	start := s.Offset()
+	if m := scanMember(&s); m.A != 2 || string(data[start:s.Offset()]) != `{"a":2}` {
+		t.Fatalf("second element %+v spans %q", m, data[start:s.Offset()])
+	}
+	if s.NextElement() || !s.Done() {
+		t.Fatal("scan did not end after two elements")
+	}
+	if ms, ok := scanMembers([]byte(" null ")); ms != nil || !ok {
+		t.Fatalf("null scanned as %v, %v", ms, ok)
 	}
 }

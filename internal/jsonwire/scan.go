@@ -93,6 +93,22 @@ func (s *Scanner) NextKey() bool {
 // Key is the raw key NextKey read.
 func (s *Scanner) Key() []byte { return s.key }
 
+// Offset is the index in the input of the next byte the scanner reads: an
+// element's first byte right after NextElement, and the byte past a
+// closing brace right after the NextKey that consumed it.
+func (s *Scanner) Offset() int { return s.pos }
+
+// Match consumes b and reports true when the input continues with exactly
+// those bytes. On a mismatch it consumes nothing and does not fail the
+// scan, so the caller can go on to read the same bytes as a value.
+func (s *Scanner) Match(b []byte) bool {
+	if s.bad || !bytes.HasPrefix(s.data[s.pos:], b) {
+		return false
+	}
+	s.pos += len(b)
+	return true
+}
+
 // NextElement moves to the innermost array's next element, reporting false
 // at the closing bracket or on failure.
 func (s *Scanner) NextElement() bool { return s.more(']') }

@@ -12,11 +12,13 @@ const (
 	Indented
 )
 
-// Writer appends one JSON value to a byte slice: objects whose members are
-// scalars, arrays of such objects, or null. Keyed methods write an object
-// member; BeginObject starts the top-level value or an array element. The
-// writer trusts its caller to nest properly. An unsupported float is kept
-// as the error, and Bytes then hands back nothing, as json.Marshal does.
+// Writer appends one JSON value to a byte slice: an object whose members
+// are scalars, or an array of such objects left open, whose bytes are then
+// encoding/json's up to the closing bracket (a caller that stores elements
+// apart closes the array itself). Keyed methods write an object member;
+// BeginObject starts the top-level value or an array element. The writer
+// trusts its caller to nest properly. An unsupported float is kept as the
+// error, and Bytes then hands back nothing, as json.Marshal does.
 //
 // Keys are constants: a struct field's JSON name, which encoding/json
 // writes unescaped. A key must be printable ASCII other than '"', '\\',
@@ -62,15 +64,6 @@ func (w *Writer) EndObject() { w.close('}') }
 
 // BeginArray opens an array.
 func (w *Writer) BeginArray() { w.open('[') }
-
-// EndArray closes the innermost array.
-func (w *Writer) EndArray() { w.close(']') }
-
-// Null writes null.
-func (w *Writer) Null() {
-	w.next()
-	w.buf = append(w.buf, "null"...)
-}
 
 // Int writes the member key: v.
 func (w *Writer) Int(key string, v int64) {

@@ -1,6 +1,7 @@
 package listener
 
 import (
+	"encoding/json"
 	"testing"
 
 	"nostop/internal/rng"
@@ -68,40 +69,48 @@ var (
 )
 
 // TestAllocsWireEncode pins the polled replies' encoders at 0 allocs into
-// a reused buffer.
+// a reused buffer: /status, and the rendering of the reports a /batches
+// reply is cut from.
 func TestAllocsWireEncode(t *testing.T) {
 	buf := make([]byte, 0, 8192)
 	if allocs := testing.AllocsPerRun(1000, func() { buf, _ = AppendStatus(buf[:0], wireStatus) }); allocs != 0 {
 		t.Errorf("AppendStatus allocates %.1f/op, want 0", allocs)
 	}
-	if allocs := testing.AllocsPerRun(1000, func() { buf, _ = AppendReports(buf[:0], wireReports) }); allocs != 0 {
-		t.Errorf("AppendReports of %d reports allocates %.1f/op, want 0", len(wireReports), allocs)
+	render := func() {
+		buf = buf[:0]
+		for i := range wireReports {
+			buf = appendElement(buf, &wireReports[i])
+		}
 	}
-	// A whole-history reply grows its buffer once, not by doubling.
-	history := make([]BatchReport, 1200)
-	for i := range history {
-		history[i] = wireReports[i%len(wireReports)]
-	}
-	if allocs := testing.AllocsPerRun(10, func() { _, _ = AppendReports(nil, history) }); allocs != 1 {
-		t.Errorf("AppendReports of %d reports into nil allocates %.1f/op, want 1", len(history), allocs)
+	if allocs := testing.AllocsPerRun(1000, render); allocs != 0 {
+		t.Errorf("appendElement of %d reports allocates %.1f/op, want 0", len(wireReports), allocs)
 	}
 }
 
-// TestAllocsWireDecode pins the controller's decoders at 0 allocs into
-// reused storage.
+// TestAllocsWireDecode pins the controller's decoder at 0 allocs into
+// reused storage, with and without its overlap skipped.
 func TestAllocsWireDecode(t *testing.T) {
 	status, _ := AppendStatus(nil, wireStatus)
-	reports, _ := AppendReports(nil, wireReports)
+	reports := []byte(encodeReference(t, wireReports))
+	known, _ := json.MarshalIndent(wireReports[0], "  ", "  ")
 	st := new(Status)
 	if allocs := testing.AllocsPerRun(1000, func() { _ = DecodeStatus(status, st) }); allocs != 0 {
 		t.Errorf("DecodeStatus allocates %.1f/op, want 0", allocs)
 	}
 	dst := make([]BatchReport, 0, len(wireReports))
-	if allocs := testing.AllocsPerRun(1000, func() { dst, _ = DecodeReports(reports, dst[:0]) }); allocs != 0 {
-		t.Errorf("DecodeReports of %d reports allocates %.1f/op, want 0", len(wireReports), allocs)
+	for _, k := range [][]byte{nil, known} {
+		var skipped bool
+		allocs := testing.AllocsPerRun(1000, func() { dst, skipped, _, _ = DecodeReports(reports, k, dst[:0]) })
+		if allocs != 0 {
+			t.Errorf("DecodeReports of %d reports, overlap skipped %v, allocates %.1f/op, want 0",
+				len(wireReports), skipped, allocs)
+		}
+		if skipped != (k != nil) || dst[len(dst)-1] != wireReports[4] {
+			t.Fatalf("decoded %d reports, skipped %v, want the encoded values", len(dst), skipped)
+		}
 	}
-	if *st != wireStatus || len(dst) != len(wireReports) || dst[4] != wireReports[4] {
-		t.Fatalf("decoded %+v and %d reports, want the encoded values", *st, len(dst))
+	if *st != wireStatus {
+		t.Fatalf("decoded %+v, want the encoded values", *st)
 	}
 }
 
@@ -115,13 +124,17 @@ func BenchmarkWireAppendStatus(b *testing.B) {
 	}
 }
 
-// BenchmarkWireAppendReports measures encoding a five-report /batches reply.
-func BenchmarkWireAppendReports(b *testing.B) {
+// BenchmarkWireAppendElements measures rendering five reports as the
+// collector renders each arriving batch for /batches.
+func BenchmarkWireAppendElements(b *testing.B) {
 	buf := make([]byte, 0, 8192)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf, _ = AppendReports(buf[:0], wireReports)
+		buf = buf[:0]
+		for j := range wireReports {
+			buf = appendElement(buf, &wireReports[j])
+		}
 	}
 }
 
@@ -139,16 +152,24 @@ func BenchmarkWireDecodeStatus(b *testing.B) {
 }
 
 // BenchmarkWireDecodeReports measures decoding a five-report /batches
-// reply into reused storage.
+// reply into reused storage: every report, and the four after an overlap
+// the poller already holds.
 func BenchmarkWireDecodeReports(b *testing.B) {
-	reports, _ := AppendReports(nil, wireReports)
-	dst := make([]BatchReport, 0, len(wireReports))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var err error
-		if dst, err = DecodeReports(reports, dst[:0]); err != nil {
-			b.Fatal(err)
-		}
+	reports := []byte(encodeReference(b, wireReports))
+	known, _ := json.MarshalIndent(wireReports[0], "  ", "  ")
+	for _, bc := range []struct {
+		name  string
+		known []byte
+	}{{"all", nil}, {"overlap-skipped", known}} {
+		b.Run(bc.name, func(b *testing.B) {
+			dst := make([]BatchReport, 0, len(wireReports))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				var err error
+				if dst, _, _, err = DecodeReports(reports, bc.known, dst[:0]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

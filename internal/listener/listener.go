@@ -15,14 +15,32 @@
 // on the order of its inputs, so when retention evicts the oldest report
 // the accumulator is rebuilt over the reports that remain.
 //
+// # Rendered history
+//
+// A controller tails /batches every interval, and tooling reads the whole
+// history, so a /batches reply must not encode. The Collector renders each
+// report once, as it arrives, into the exact bytes it takes in an indented
+// /batches array after the first element (",\n  {\n    \"batchId\": …\n  }"),
+// appended to one buffer with each retained report's start offset. Every
+// /batches form writes "[", one slice of that buffer from its first
+// selected report to the end without the leading comma, and "\n]\n".
+// Eviction advances the start offset. The buffer moves to a fresh array
+// only when it runs out of room, taking the retained elements with it:
+// twice the size, or the same size once the evicted prefix is at least
+// half of it.
+//
 // # Synchronisation contract
 //
 // The Collector sits between two worlds: the single-threaded simulation
 // kernel appends reports from its thread via the engine Listener callback,
-// while HTTP handlers read from server goroutines. The report buffer and
-// its running summaries are guarded by an RWMutex (the fields say so, and
-// the lockguard analyzer enforces it), so Reports, Latest, and the
-// report-derived half of Status are always internally consistent. Status
+// while HTTP handlers read from server goroutines. The report buffer, its
+// rendering and its running summaries are guarded by an RWMutex (the
+// fields say so, and the lockguard analyzer enforces it), so Reports,
+// Latest, and the report-derived half of Status are always internally
+// consistent. A /batches handler takes its slice of the rendered history
+// under the read lock and writes it after unlocking: bytes once rendered
+// are never written again, since the buffer is only appended to past every
+// slice handed out and moves by copying into a fresh array. Status
 // additionally reads live engine state (Config, QueueLen, Lag, rate
 // window) WITHOUT holding the engine still: callers that need the engine
 // frozen while serving — any real HTTP deployment against a running
@@ -115,6 +133,13 @@ type Collector struct {
 	procSum   int64        // guarded by mu; sum of ProcessingDelayMs
 	e2e       stats.Online // guarded by mu; EndToEndDelayMs in report order
 	e2eSorted []float64    // guarded by mu; EndToEndDelayMs ascending
+
+	// The rendered history, kept by onBatch for /batches. Offsets count
+	// every byte ever rendered, so evicting a report and moving the
+	// buffer leave them as they are.
+	history []byte // guarded by mu; the elements of reports, after an evicted prefix
+	starts  []int  // guarded by mu; starts[i] is the offset of reports[i]'s element
+	base    int    // guarded by mu; the offset of history[0]
 }
 
 // NewCollector attaches a collector to the engine. maxKeep bounds retained
@@ -152,8 +177,8 @@ func (c *Collector) Registry() *metrics.Registry {
 	return c.reg
 }
 
-// onBatch appends the batch's report and updates the running summaries,
-// evicting the oldest report at maxKeep.
+// onBatch appends the batch's report, renders it, and updates the running
+// summaries, evicting the oldest report at maxKeep.
 func (c *Collector) onBatch(bs engine.BatchStats) {
 	r := Report(bs)
 	c.mu.Lock()
@@ -162,6 +187,7 @@ func (c *Collector) onBatch(bs engine.BatchStats) {
 		old := c.reports[0]
 		copy(c.reports, c.reports[1:])
 		c.reports = c.reports[:len(c.reports)-1]
+		c.starts = c.starts[1:]
 		c.procSum -= old.ProcessingDelayMs
 		i := sort.SearchFloat64s(c.e2eSorted, float64(old.EndToEndDelayMs))
 		c.e2eSorted = append(c.e2eSorted[:i], c.e2eSorted[i+1:]...)
@@ -171,6 +197,30 @@ func (c *Collector) onBatch(bs engine.BatchStats) {
 			c.e2e.Add(float64(kept.EndToEndDelayMs))
 		}
 	}
+	// The rendered history grows only at its end, past every slice of it
+	// a reader was handed, and is never written in place. Short of one
+	// longest report of room, the retained elements move to a fresh
+	// array, dropping the evicted prefix: one of the same size when that
+	// prefix is at least half the buffer, else one twice the size. A move
+	// copies no more than about the bytes appended since the one before,
+	// so growth and eviction cost amortised O(1) bytes per batch.
+	if cap(c.history)-len(c.history) < len(longestReport) {
+		dead := len(c.history)
+		if len(c.starts) > 0 {
+			dead = c.starts[0] - c.base
+		}
+		live := c.history[dead:]
+		size := 2 * cap(c.history)
+		if 2*dead >= len(c.history) {
+			size = cap(c.history)
+		}
+		fresh := make([]byte, len(live), max(size, len(live)+len(longestReport)))
+		copy(fresh, live)
+		c.base += dead
+		c.history = fresh
+	}
+	c.starts = append(c.starts, c.base+len(c.history))
+	c.history = appendElement(c.history, &r)
 	c.reports = append(c.reports, r)
 	c.procSum += r.ProcessingDelayMs
 	e2e := float64(r.EndToEndDelayMs)
@@ -181,29 +231,21 @@ func (c *Collector) onBatch(bs engine.BatchStats) {
 	c.e2eSorted[i] = e2e
 }
 
-// appendReportRange appends the JSON of the retained reports pick selects
-// from the history, in completion order: null for an empty history or a
-// nil selection. It encodes from the retained slice under the read lock
-// instead of copying it first, so serving a tail costs the tail.
-func (c *Collector) appendReportRange(buf []byte, pick func([]BatchReport) []BatchReport) ([]byte, error) {
+// renderedFrom returns the rendered elements of the retained reports from
+// index first(reports) on, and whether any report is retained. It takes
+// the slice under the read lock; the bytes never change once rendered, so
+// the caller writes them after unlocking.
+func (c *Collector) renderedFrom(first func([]BatchReport) int) (elems []byte, retained bool) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	if len(c.reports) == 0 {
-		return AppendReports(buf, nil)
+		return nil, false
 	}
-	return AppendReports(buf, pick(c.reports))
-}
-
-// reportsAfter returns the reports with BatchID strictly greater than
-// after — the incremental poll a remote controller tails the batch stream
-// with — or nil (rendered null) when there are none.
-func reportsAfter(rs []BatchReport, after int64) []BatchReport {
-	// Batch IDs are monotone, so a binary search finds the cut point.
-	i := sort.Search(len(rs), func(i int) bool { return rs[i].BatchID > after })
-	if i == len(rs) {
-		return nil
+	i := first(c.reports)
+	if i == len(c.reports) {
+		return nil, true
 	}
-	return rs[i:]
+	return c.history[c.starts[i]-c.base:], true
 }
 
 // Latest returns the most recent report; ok is false when none exist.
@@ -295,24 +337,28 @@ func (c *Collector) Mount(mux *http.ServeMux) {
 			q := r.URL.Query()
 			sinceStr, lastStr = q.Get("since"), q.Get("last")
 		}
-		pick := func(rs []BatchReport) []BatchReport { return rs }
+		// An empty selection renders null, except an empty ?last= tail.
+		first, null := func([]BatchReport) int { return 0 }, true
 		if sinceStr != "" {
 			after, err := strconv.ParseInt(sinceStr, 10, 64)
 			if err != nil {
 				http.Error(w, "bad since parameter", http.StatusBadRequest)
 				return
 			}
-			pick = func(rs []BatchReport) []BatchReport { return reportsAfter(rs, after) }
+			// Batch IDs are monotone, so a binary search finds the cut point.
+			first = func(rs []BatchReport) int {
+				return sort.Search(len(rs), func(i int) bool { return rs[i].BatchID > after })
+			}
 		} else if lastStr != "" {
 			n, err := strconv.Atoi(lastStr)
 			if err != nil || n < 0 {
 				http.Error(w, "bad last parameter", http.StatusBadRequest)
 				return
 			}
-			// last=0 selects an empty, non-nil tail, rendered [].
-			pick = func(rs []BatchReport) []BatchReport { return rs[max(0, len(rs)-n):] }
+			first, null = func(rs []BatchReport) int { return max(0, len(rs)-n) }, false
 		}
-		reply(w, func(buf []byte) ([]byte, error) { return c.appendReportRange(buf, pick) })
+		elems, retained := c.renderedFrom(first)
+		writeReports(w, elems, null || !retained)
 	})
 	mux.HandleFunc("GET /batches/latest", func(w http.ResponseWriter, r *http.Request) {
 		latest, ok := c.Latest()

@@ -33,11 +33,12 @@ func AppendStatus(buf []byte, st Status) ([]byte, error) {
 	return w.Line()
 }
 
-// longestReport is the longest rendering one report can add to a /batches
+// longestReport is the longest element one report adds to a /batches
 // array: its separating comma and line break, every integer at the 20
 // characters of math.MinInt64, the float at the 25 of the longest number
 // AppendFloat writes (17 significant digits, below 1e-5 in 'f' form, and
-// negative), and both booleans false.
+// negative), and both booleans false. The collector keeps this much room
+// past its rendered history, so rendering a report never reallocates it.
 const longestReport = `,
   {
     "batchId": -9223372036854775808,
@@ -54,26 +55,52 @@ const longestReport = `,
     "queueLength": -9223372036854775808
   }`
 
-// AppendReports appends reports as GET /batches renders them: null for a
-// nil slice, [] for an empty one. It grows buf once, to room for every
-// report at its longest, rather than doubling its way through a
-// whole-history reply.
-func AppendReports(buf []byte, reports []BatchReport) ([]byte, error) {
-	// len("null\n") covers the brackets or null and the final newline.
-	if need := len(reports)*len(longestReport) + len("null\n"); cap(buf)-len(buf) < need {
-		buf = append(make([]byte, 0, len(buf)+need), buf...)
-	}
+// appendElement appends r as an element of a /batches array after its
+// first: the separating comma, a line break, and the object indented one
+// level. The first element of a reply is the same bytes without the comma.
+// A report's one float is a duration in seconds, always finite, so
+// rendering cannot fail.
+func appendElement(buf []byte, r *BatchReport) []byte {
+	start := len(buf)
 	w := jsonwire.NewWriter(buf, jsonwire.Indented)
-	if reports == nil {
-		w.Null()
-		return w.Line()
-	}
 	w.BeginArray()
-	for i := range reports {
-		writeReport(&w, &reports[i])
+	writeReport(&w, r)
+	buf, _ = w.Bytes()
+	buf[start] = ',' // was the '[' that opened the array
+	return buf
+}
+
+// Replies of /batches that hold no element, and the brackets around those
+// that do.
+var (
+	nullReply  = []byte("null\n")
+	emptyReply = []byte("[]\n")
+	openReply  = []byte("[")
+	closeReply = []byte("\n]\n")
+)
+
+// writeReports serves rendered elements as GET /batches does: the array
+// around elems, or, when elems is empty, null or [] as null says. It writes
+// elems as one slice between the brackets and, like reply, answers 500
+// with the error text when a write fails.
+func writeReports(w http.ResponseWriter, elems []byte, null bool) {
+	w.Header()["Content-Type"] = jsonContentType
+	var err error
+	switch {
+	case len(elems) > 0:
+		if _, err = w.Write(openReply); err == nil {
+			if _, err = w.Write(elems[1:]); err == nil { // the first has no comma
+				_, err = w.Write(closeReply)
+			}
+		}
+	case null:
+		_, err = w.Write(nullReply)
+	default:
+		_, err = w.Write(emptyReply)
 	}
-	w.EndArray()
-	return w.Line()
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+	}
 }
 
 // appendReport appends one report as GET /batches/latest renders it.
@@ -140,66 +167,82 @@ func DecodeStatus(data []byte, st *Status) error {
 }
 
 // DecodeReports appends the reports of a /batches reply to dst, as
-// json.Unmarshal into a fresh slice followed by append would. On error dst
-// comes back unchanged.
-func DecodeReports(data []byte, dst []BatchReport) ([]BatchReport, error) {
-	out, ok := decodeReports(data, dst)
-	if ok {
-		return out, nil
+// json.Unmarshal into a fresh slice followed by append would, for a poller
+// that holds known, the raw bytes of the element it read last: when the
+// reply's first element is exactly those bytes, it is skipped rather than
+// decoded and skipped reports true. last is the raw bytes of the reply's
+// final element when the reply is in the canonical form, and nil
+// otherwise. On error dst comes back unchanged.
+func DecodeReports(data, known []byte, dst []BatchReport) (out []BatchReport, skipped bool, last []byte, err error) {
+	if out, skipped, last, ok := decodeReports(data, known, dst); ok {
+		return out, skipped, last, nil
 	}
 	var reports []BatchReport
 	if err := json.Unmarshal(data, &reports); err != nil {
-		return dst, err
+		return dst, false, nil, err
 	}
-	return append(dst, reports...), nil
+	return append(dst, reports...), false, nil, nil
 }
 
-func decodeReports(data []byte, dst []BatchReport) ([]BatchReport, bool) {
+func decodeReports(data, known []byte, dst []BatchReport) ([]BatchReport, bool, []byte, bool) {
 	s := jsonwire.NewScanner(data)
 	if s.Null() {
-		return dst, s.Done()
+		return dst, false, nil, s.Done()
 	}
-	out := dst
+	out, skipped := dst, false
+	var last []byte
 	s.BeginArray()
-	for s.NextElement() {
-		var r BatchReport
-		s.BeginObject()
-		for s.NextKey() {
-			switch string(s.Key()) {
-			case "batchId":
-				r.BatchID = s.Int64()
-			case "numRecords":
-				r.NumRecords = s.Int64()
-			case "batchIntervalMs":
-				r.BatchIntervalMs = s.Int64()
-			case "numExecutors":
-				r.Executors = s.Int()
-			case "submissionTime":
-				r.SubmissionTimeSec = s.Float64()
-			case "processingDelayMs":
-				r.ProcessingDelayMs = s.Int64()
-			case "schedulingDelayMs":
-				r.SchedulingDelayMs = s.Int64()
-			case "totalDelayMs":
-				r.TotalDelayMs = s.Int64()
-			case "endToEndDelayMs":
-				r.EndToEndDelayMs = s.Int64()
-			case "firstAfterReconfig":
-				r.FirstAfterChange = s.Bool()
-			case "faultActive":
-				r.FaultActive = s.Bool()
-			case "queueLength":
-				r.QueueLength = s.Int()
-			default:
-				s.Fail()
-			}
+	for first := true; s.NextElement(); first = false {
+		start := s.Offset()
+		// Equal bytes decode to an equal report: an element is a
+		// complete object, so the bytes after it cannot change its value.
+		if first && len(known) > 0 && s.Match(known) {
+			skipped = true
+		} else {
+			out = append(out, decodeReport(&s))
 		}
-		out = append(out, r)
+		last = data[start:s.Offset()]
 	}
 	if !s.Done() {
-		return dst, false
+		return dst, false, nil, false
 	}
-	return out, true
+	return out, skipped, last, true
+}
+
+func decodeReport(s *jsonwire.Scanner) BatchReport {
+	var r BatchReport
+	s.BeginObject()
+	for s.NextKey() {
+		switch string(s.Key()) {
+		case "batchId":
+			r.BatchID = s.Int64()
+		case "numRecords":
+			r.NumRecords = s.Int64()
+		case "batchIntervalMs":
+			r.BatchIntervalMs = s.Int64()
+		case "numExecutors":
+			r.Executors = s.Int()
+		case "submissionTime":
+			r.SubmissionTimeSec = s.Float64()
+		case "processingDelayMs":
+			r.ProcessingDelayMs = s.Int64()
+		case "schedulingDelayMs":
+			r.SchedulingDelayMs = s.Int64()
+		case "totalDelayMs":
+			r.TotalDelayMs = s.Int64()
+		case "endToEndDelayMs":
+			r.EndToEndDelayMs = s.Int64()
+		case "firstAfterReconfig":
+			r.FirstAfterChange = s.Bool()
+		case "faultActive":
+			r.FaultActive = s.Bool()
+		case "queueLength":
+			r.QueueLength = s.Int()
+		default:
+			s.Fail()
+		}
+	}
+	return r
 }
 
 // replyBufs recycles reply buffers across handler calls, which may run on

@@ -26,7 +26,7 @@ func writeJSONReference(w http.ResponseWriter, v any) {
 }
 
 // encodeReference renders v as writeJSONReference's encoder does.
-func encodeReference(t *testing.T, v any) string {
+func encodeReference(t testing.TB, v any) string {
 	t.Helper()
 	var b bytes.Buffer
 	enc := json.NewEncoder(&b)
@@ -58,25 +58,50 @@ func checkStatus(t *testing.T, st Status) {
 	}
 }
 
+// checkReports renders rs as the collector does, serves the elements as
+// GET /batches serves a selection (nil as null), and compares the reply
+// with the indented json.Encoder's; then it reads the reply back through
+// the decoder, whole and with its first element skipped by its bytes.
 func checkReports(t *testing.T, rs []BatchReport) {
 	t.Helper()
-	got, err := AppendReports([]byte("x"), rs)
-	if err != nil {
-		t.Fatalf("AppendReports: %v", err)
+	elems := []byte("x")
+	for i := range rs {
+		elems = appendElement(elems, &rs[i])
 	}
-	if want := "x" + encodeReference(t, rs); string(got) != want {
-		t.Fatalf("AppendReports(%d reports):\n got %q\nwant %q", len(rs), got, want)
+	rec := httptest.NewRecorder()
+	writeReports(rec, elems[1:], rs == nil)
+	got := rec.Body.Bytes()
+	if want := encodeReference(t, rs); string(got) != want {
+		t.Fatalf("/batches of %d reports:\n got %q\nwant %q", len(rs), got, want)
 	}
 	prefix := []BatchReport{{BatchID: -1}}
-	back, err := DecodeReports(got[1:], prefix)
-	if err != nil || !reflect.DeepEqual(back, append(prefix, rs...)) {
-		t.Fatalf("DecodeReports(%q) = %+v, %v; want %+v", got[1:], back, err, rs)
+	back, skipped, last, err := DecodeReports(got, nil, prefix)
+	if err != nil || skipped || !reflect.DeepEqual(back, append(prefix, rs...)) {
+		t.Fatalf("DecodeReports(%q) = %+v, %v, %v; want %+v", got, back, skipped, err, rs)
 	}
 	for i := range rs {
 		one, err := appendReport(nil, &rs[i])
 		if err != nil || string(one) != encodeReference(t, rs[i]) {
 			t.Fatalf("appendReport(%+v) = %q, %v", rs[i], one, err)
 		}
+	}
+	if len(rs) == 0 {
+		if last != nil {
+			t.Fatalf("DecodeReports(%q) gave last element %q", got, last)
+		}
+		return
+	}
+	// An element's raw bytes are the indented object one level down.
+	element := func(r BatchReport) []byte {
+		b, _ := json.MarshalIndent(r, "  ", "  ")
+		return b
+	}
+	if want := element(rs[len(rs)-1]); !bytes.Equal(last, want) {
+		t.Fatalf("DecodeReports(%q) gave last element %q, want %q", got, last, want)
+	}
+	back, skipped, _, err = DecodeReports(got, element(rs[0]), prefix)
+	if err != nil || !skipped || !reflect.DeepEqual(back, append(prefix, rs[1:]...)) {
+		t.Fatalf("DecodeReports(%q) past its first = %+v, %v, %v; want %+v", got, back, skipped, err, rs[1:])
 	}
 }
 
@@ -215,11 +240,11 @@ func TestHandlersMatchWriteJSON(t *testing.T) {
 	}
 }
 
-// TestLongestReportBound checks AppendReports's per-report bound: no float
-// renders longer than its 25-character slot in longestReport, whose float
-// is a real rendering, and the longest report there is — every integer
-// math.MinInt64, the longest float, both booleans false — adds exactly
-// len(longestReport) bytes to a /batches array.
+// TestLongestReportBound checks the room the collector keeps past its
+// rendered history: no float renders longer than its 25-character slot in
+// longestReport, whose float is a real rendering, and the longest report
+// there is — every integer math.MinInt64, the longest float, both booleans
+// false — renders as exactly longestReport.
 func TestLongestReportBound(t *testing.T) {
 	const slot = len("-0.0000012345678901234567")
 	if got, _ := jsonwire.AppendFloat(nil, -1.2345678901234567e-6); string(got) != "-0.0000012345678901234567" {
@@ -246,23 +271,11 @@ func TestLongestReportBound(t *testing.T) {
 	}
 	worst := BatchReport{
 		BatchID: math.MinInt64, NumRecords: math.MinInt64, BatchIntervalMs: math.MinInt64,
-		Executors: math.MinInt, SubmissionTimeSec: longest, ProcessingDelayMs: math.MinInt64,
+		Executors: math.MinInt, SubmissionTimeSec: -1.2345678901234567e-6, ProcessingDelayMs: math.MinInt64,
 		SchedulingDelayMs: math.MinInt64, TotalDelayMs: math.MinInt64, EndToEndDelayMs: math.MinInt64,
 		QueueLength: math.MinInt,
 	}
-	one, err := AppendReports(nil, []BatchReport{worst})
-	if err != nil {
-		t.Fatal(err)
-	}
-	two, err := AppendReports(nil, []BatchReport{worst, worst})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if step := len(two) - len(one); step != len(longestReport) {
-		t.Fatalf("the longest report adds %d bytes, longestReport holds %d", step, len(longestReport))
-	}
-	if len(one) > len(longestReport)+len("null\n") {
-		t.Fatalf("one longest report renders in %d bytes, over AppendReports's %d", len(one),
-			len(longestReport)+len("null\n"))
+	if got := appendElement(nil, &worst); string(got) != longestReport {
+		t.Fatalf("the longest report renders as\n%s\nwant longestReport\n%s", got, longestReport)
 	}
 }

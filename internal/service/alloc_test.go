@@ -1,11 +1,13 @@
 package service
 
 import (
+	"encoding/json"
 	"net/http"
 	"strconv"
 	"testing"
 	"time"
 
+	"nostop/internal/listener"
 	"nostop/internal/metrics"
 	"nostop/internal/ratetrace"
 	"nostop/internal/rng"
@@ -13,15 +15,17 @@ import (
 )
 
 // pollTarget is a running engine behind a zero-latency SimNet link, and
-// the two requests its controller polls it with every interval: /status,
-// and a /batches?since= past the newest report, the empty reply of a
-// controller that is keeping up. done copies the reply body into a reused
-// buffer, since the transport's is valid only until done returns.
+// the requests its controller polls it with every interval: /status, and
+// /batches?since= past the newest report (the empty reply of a poll that
+// asks for no overlap), one before it (the one-report overlap of a
+// controller that is keeping up) and two before it (the overlap and one new
+// report). done copies the reply body into a reused buffer, since the
+// transport's is valid only until done returns.
 type pollTarget struct {
 	clock   *sim.Clock
 	tr      Transport
 	status  Request
-	batches Request
+	batches [3]Request // since the newest report, one before it, two before it
 	resp    Response
 	err     error
 	done    func(Response, error)
@@ -39,10 +43,9 @@ func newPollTarget(tb testing.TB) *pollTarget {
 	if !ok {
 		tb.Fatal("no batches after two minutes")
 	}
-	p := &pollTarget{
-		clock:   c.Clock(),
-		status:  Request{Method: "GET", Path: "/status"},
-		batches: Request{Method: "GET", Path: "/batches?since=" + strconv.FormatInt(latest.BatchID, 10)},
+	p := &pollTarget{clock: c.Clock(), status: Request{Method: "GET", Path: "/status"}}
+	for i := range p.batches {
+		p.batches[i] = Request{Method: "GET", Path: "/batches?since=" + strconv.FormatInt(latest.BatchID-int64(i), 10)}
 	}
 	net := NewSimNet(p.clock, nil)
 	net.Register(PeerEngine, es.Handler())
@@ -73,27 +76,35 @@ const (
 )
 
 // TestAllocsSimNetPoll pins what one controller poll allocates on its way
-// through SimNet to a running engine and back.
+// through SimNet to a running engine and back: /status, and /batches?since=
+// with no report, one and two.
 func TestAllocsSimNetPoll(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops pooled reply buffers at random under the race detector")
 	}
 	p := newPollTarget(t)
 	for _, tc := range []struct {
-		req    Request
-		budget float64
+		req     Request
+		budget  float64
+		reports int
 	}{
-		{p.status, statusPollAllocs},
-		{p.batches, batchesPollAllocs},
+		{p.status, statusPollAllocs, -1},
+		{p.batches[0], batchesPollAllocs, 0},
+		{p.batches[1], batchesPollAllocs, 1},
+		{p.batches[2], batchesPollAllocs, 2},
 	} {
 		p.poll(t, tc.req) // warm the reply buffers
 		allocs := testing.AllocsPerRun(200, func() { p.poll(t, tc.req) })
 		if allocs > tc.budget {
 			t.Errorf("GET %s allocates %.1f/op, budget %.0f", tc.req.Path, allocs, tc.budget)
 		}
-	}
-	if string(p.resp.Body) != "null\n" {
-		t.Fatalf("/batches past the newest report gave %q, want null", p.resp.Body)
+		if tc.reports < 0 {
+			continue
+		}
+		var rs []listener.BatchReport
+		if err := json.Unmarshal(p.resp.Body, &rs); err != nil || len(rs) != tc.reports {
+			t.Fatalf("GET %s gave %q, want %d reports", tc.req.Path, p.resp.Body, tc.reports)
+		}
 	}
 }
 
@@ -179,7 +190,8 @@ func BenchmarkSimNetPoll(b *testing.B) {
 		req  Request
 	}{
 		{"status", p.status},
-		{"batches-since", p.batches},
+		{"batches-since", p.batches[0]},
+		{"batches-overlap", p.batches[1]},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()

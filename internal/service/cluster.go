@@ -424,7 +424,9 @@ func (c *Cluster) RunSim(d time.Duration) {
 	c.clock.RunUntil(c.clock.Now() + sim.Time(d))
 }
 
-// Stop halts every live component, pacer, and server.
+// Stop halts every live component, pacer, and server. In wall mode it then
+// stops every component's timers and the network, so no RPC deadline and
+// no exchange in flight reaches a component after Stop returns.
 func (c *Cluster) Stop() {
 	c.chaosMu.Lock()
 	defer c.chaosMu.Unlock()
@@ -444,6 +446,12 @@ func (c *Cluster) Stop() {
 		p.comp.Stop()
 		p.mu.Unlock()
 		p.srv.Close()
+	}
+	if c.wallnet != nil {
+		for _, name := range c.order {
+			c.procs[name].tb.(*WallTimebase).stop()
+		}
+		c.wallnet.Stop()
 	}
 }
 

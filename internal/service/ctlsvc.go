@@ -71,8 +71,13 @@ type ControllerService struct {
 	// is -1 before the first. IDs restart at 0 in every engine
 	// incarnation, so the ID alone cannot tell a restarted engine from the
 	// one it came from.
-	last    listener.BatchReport
-	reports []listener.BatchReport // poll scratch, reused
+	last listener.BatchReport
+	// lastElem is the raw bytes of last's element in the reply that
+	// delivered it, empty until a reply in the canonical form has
+	// delivered a report. A poll whose first element has exactly these
+	// bytes repeats last, so that element is skipped, not decoded.
+	lastElem []byte
+	reports  []listener.BatchReport // poll scratch, reused
 
 	// The polls decode into a reused status, their reply callbacks are
 	// bound once, and the /batches path is rebuilt only when its cursor
@@ -286,7 +291,8 @@ func (s *ControllerService) handshake() {
 // delivered it asks for one report of overlap: the same engine answers
 // with that report first, and any other answer means the engine restarted,
 // so the cursor resets and the next poll takes the new engine's whole
-// history. This costs no extra RPC and no field on the wire.
+// history. This costs no extra RPC and no field on the wire, and the
+// overlap costs no decode when it comes back as the bytes it came in.
 func (s *ControllerService) pollBatches() {
 	since := s.last.BatchID
 	if since >= 0 {
@@ -308,18 +314,19 @@ func (s *ControllerService) onBatches(body []byte, err error) {
 		s.pollFailed(err)
 		return
 	}
-	reports, err := listener.DecodeReports(body, s.reports[:0])
+	reports, skipped, lastElem, err := listener.DecodeReports(body, s.lastElem, s.reports[:0])
 	if err != nil {
 		s.pollFailed(err)
 		return
 	}
 	s.reports = reports
 	s.resume()
-	if s.last.BatchID >= 0 {
+	if s.last.BatchID >= 0 && !skipped {
 		if len(reports) == 0 || reports[0] != s.last {
 			// The batches the new engine cut so far went unseen, as in an
 			// outage: mark them FaultActive on delivery.
 			s.last = listener.BatchReport{BatchID: -1}
+			s.lastElem = s.lastElem[:0]
 			s.markNext = true
 			s.busy = false
 			s.o.Sink.instant(PidServiceController, TidDegrade, "degrade", "controller-engine-restarted", nil)
@@ -345,6 +352,9 @@ func (s *ControllerService) onBatches(body []byte, err error) {
 		}
 		s.deliver(bs)
 		s.last = r
+	}
+	if len(reports) > 0 {
+		s.lastElem = append(s.lastElem[:0], lastElem...)
 	}
 	s.busy = false
 }

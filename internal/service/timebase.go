@@ -62,8 +62,9 @@ func (s SimTimebase) Cancel(t Timer) { s.Clock.Cancel(t.ev) }
 // single-threaded (the same discipline the component's HTTP handlers and
 // its pacer's clock advances keep).
 type WallTimebase struct {
-	start time.Time
-	mu    *sync.Mutex
+	start   time.Time
+	mu      *sync.Mutex
+	stopped bool // guarded by mu
 }
 
 // NewWallTimebase returns a wall timebase whose Now is elapsed real time
@@ -81,12 +82,20 @@ func (w *WallTimebase) After(d time.Duration, fn func()) Timer {
 	wt.t = time.AfterFunc(d, func() {
 		w.mu.Lock()
 		defer w.mu.Unlock()
-		if wt.canceled {
+		if wt.canceled || w.stopped {
 			return
 		}
 		fn()
 	})
 	return Timer{wall: wt}
+}
+
+// stop turns every callback that has not run yet, and any scheduled later,
+// into a no-op.
+func (w *WallTimebase) stop() {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.stopped = true
 }
 
 // Cancel implements Timebase; the caller holds the component mutex.

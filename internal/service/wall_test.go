@@ -77,3 +77,60 @@ func TestWallSoakSmoke(t *testing.T) {
 		t.Fatal("wall trace sink captured no events")
 	}
 }
+
+// TestWallStopWaitsForExchanges stops a wall cluster while exchanges held
+// by a link delay are in flight. Stop must cancel them and return once
+// their goroutines have exited, so the tracer can be read without its
+// lock: no late reply may record a breaker transition after Stop (the race
+// detector sees the write if one does), and none is recorded in the time a
+// held exchange would have taken to finish.
+func TestWallStopWaitsForExchanges(t *testing.T) {
+	wl, err := workload.New("logreg")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const delay = 300 * time.Millisecond
+	c, err := NewCluster(ClusterConfig{
+		Mode:     ModeWall,
+		Seed:     9,
+		Workload: wl,
+		Trace:    ratetrace.NewUniformBand(600, 1200, 20*time.Second, rng.New(9).Split("trace")),
+		Initial:  engine.Config{BatchInterval: 5 * time.Second, Executors: 8},
+		Speedup:  20,
+		MaxFetch: 5000,
+		// One failed attempt opens a breaker, so a held exchange that
+		// fails against a stopped server would record a transition.
+		RPC: ClientOptions{
+			Timeout:          2 * delay,
+			MaxAttempts:      1,
+			BackoffBase:      10 * time.Millisecond,
+			BackoffMax:       20 * time.Millisecond,
+			BreakerThreshold: 1,
+			BreakerCooldown:  time.Hour,
+		},
+		WallTraceEvents: 1 << 14,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Start(); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(200 * time.Millisecond)
+	for _, link := range [][2]string{{PeerController, PeerEngine}, {PeerEngine, PeerBroker}} {
+		if err := c.SetLinkFault(link[0], link[1], false, 0, delay); err != nil {
+			t.Fatal(err)
+		}
+	}
+	time.Sleep(delay / 2) // the polls sent since are held in their delay
+	start := time.Now()
+	c.Stop()
+	if took := time.Since(start); took >= delay {
+		t.Errorf("Stop took %v, as long as the link delay %v it should cut short", took, delay)
+	}
+	n := c.WallTracer().Len()
+	time.Sleep(2 * delay)
+	if got := c.WallTracer().Len(); got != n {
+		t.Fatalf("the wall tracer went from %d to %d events after Stop returned", n, got)
+	}
+}

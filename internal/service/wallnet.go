@@ -27,6 +27,14 @@ type WallNet struct {
 	// client's per-attempt deadline so the Timebase deadline stays
 	// authoritative and this is only a goroutine-leak backstop.
 	reqTimeout time.Duration
+
+	// Every exchange goroutine is counted in exchanges and watches ctx,
+	// which Stop cancels, in its delay and in its HTTP request. Stop
+	// cancels under mu, so no exchange is counted after Stop has begun
+	// to wait.
+	exchanges sync.WaitGroup
+	ctx       context.Context
+	cancel    context.CancelFunc
 }
 
 // wallGate holds one directed link's mutable fault and its seeded drop
@@ -53,6 +61,7 @@ func NewWallNet(seed *rng.Stream, reqTimeout time.Duration) *WallNet {
 	if reqTimeout <= 0 {
 		reqTimeout = 10 * time.Second
 	}
+	ctx, cancel := context.WithCancel(context.Background())
 	return &WallNet{
 		urls:  make(map[string]string),
 		gates: make(map[string]*wallGate),
@@ -61,7 +70,32 @@ func NewWallNet(seed *rng.Stream, reqTimeout time.Duration) *WallNet {
 			Transport: &http.Transport{MaxIdleConnsPerHost: 4},
 		},
 		reqTimeout: reqTimeout,
+		ctx:        ctx,
+		cancel:     cancel,
 	}
+}
+
+// Stop cancels every exchange in flight and returns once their goroutines
+// have exited. Afterwards no exchange calls its done: one that was in
+// flight, or that starts later, is dropped. Stop may be called more than
+// once.
+func (n *WallNet) Stop() {
+	n.mu.Lock()
+	n.cancel()
+	n.mu.Unlock()
+	n.exchanges.Wait()
+}
+
+// start counts a new exchange goroutine, reporting false once the network
+// has stopped.
+func (n *WallNet) start() bool {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.ctx.Err() != nil {
+		return false
+	}
+	n.exchanges.Add(1)
+	return true
 }
 
 // SetURL announces (or updates) a peer's base URL, e.g. "http://127.0.0.1:7101".
@@ -116,45 +150,60 @@ type wallLink struct {
 
 // RoundTrip implements Transport. The exchange runs on its own goroutine so
 // the caller's lock is never held across network I/O; done re-enters via
-// locked. A dropped exchange spawns nothing and never calls done.
+// locked. A dropped exchange, and one on a stopped network, spawns nothing
+// and never calls done.
 func (l *wallLink) RoundTrip(req Request, done func(Response, error)) {
 	f, dropped := l.gate.roll()
-	if dropped {
+	if dropped || !l.n.start() {
 		return
 	}
 	body := append([]byte(nil), req.Body...)
 	go func() {
-		if f.Delay > 0 {
-			time.Sleep(f.Delay)
-		}
-		if f.Refuse {
-			l.locked(func() { done(Response{}, ErrRefused) })
-			return
-		}
-		base := l.n.url(l.to)
-		if base == "" {
-			l.locked(func() { done(Response{}, ErrRefused) })
-			return
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), l.n.reqTimeout)
-		defer cancel()
-		hreq, err := http.NewRequestWithContext(ctx, req.Method, base+req.Path, bytes.NewReader(body))
-		if err != nil {
-			l.locked(func() { done(Response{}, err) })
-			return
-		}
-		hreq.Header.Set("Content-Type", "application/json")
-		resp, err := l.n.client.Do(hreq)
-		if err != nil {
-			l.locked(func() { done(Response{}, err) })
-			return
-		}
-		respBody, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			l.locked(func() { done(Response{}, err) })
-			return
-		}
-		l.locked(func() { done(Response{Status: resp.StatusCode, Body: respBody}, nil) })
+		defer l.n.exchanges.Done()
+		resp, err := l.exchange(req, body, f)
+		l.locked(func() {
+			if l.n.ctx.Err() == nil { // Stop drops a late reply
+				done(resp, err)
+			}
+		})
 	}()
+}
+
+// exchange carries one request over the link under fault f. Stop cuts
+// both its delay and its HTTP request short.
+func (l *wallLink) exchange(req Request, body []byte, f LinkFault) (Response, error) {
+	ctx := l.n.ctx
+	if f.Delay > 0 {
+		t := time.NewTimer(f.Delay)
+		defer t.Stop()
+		select {
+		case <-t.C:
+		case <-ctx.Done():
+			return Response{}, ctx.Err()
+		}
+	}
+	if f.Refuse {
+		return Response{}, ErrRefused
+	}
+	base := l.n.url(l.to)
+	if base == "" {
+		return Response{}, ErrRefused
+	}
+	ctx, cancel := context.WithTimeout(ctx, l.n.reqTimeout)
+	defer cancel()
+	hreq, err := http.NewRequestWithContext(ctx, req.Method, base+req.Path, bytes.NewReader(body))
+	if err != nil {
+		return Response{}, err
+	}
+	hreq.Header.Set("Content-Type", "application/json")
+	resp, err := l.n.client.Do(hreq)
+	if err != nil {
+		return Response{}, err
+	}
+	respBody, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return Response{}, err
+	}
+	return Response{Status: resp.StatusCode, Body: respBody}, nil
 }

@@ -116,7 +116,7 @@ func checkDecoders(t *testing.T, data []byte) {
 	same("DecodeStatus", st, stRef, err, json.Unmarshal(data, &stRef))
 
 	prefix := []listener.BatchReport{{BatchID: 7}}
-	rs, err := listener.DecodeReports(data, prefix[:1:1])
+	rs, _, _, err := listener.DecodeReports(data, nil, prefix[:1:1])
 	var rsRef []listener.BatchReport
 	refErr := json.Unmarshal(data, &rsRef)
 	if refErr == nil {
@@ -227,24 +227,102 @@ func errText(err error) string {
 	return err.Error()
 }
 
+// delivery is what the controller makes of a /batches reply, given the
+// report it delivered last (BatchID -1 for none): the reports it delivers,
+// or, when the reply does not start with that report, an engine restart.
+type delivery struct {
+	reports []listener.BatchReport
+	restart bool
+	err     string
+}
+
+// delivered mirrors ControllerService.onBatches on decoded reports: a reply
+// whose overlap was skipped by its bytes is not compared with last.
+func delivered(rs []listener.BatchReport, skipped bool, err error, last listener.BatchReport) delivery {
+	if err != nil {
+		return delivery{err: err.Error()}
+	}
+	if last.BatchID >= 0 && !skipped {
+		if len(rs) == 0 || rs[0] != last {
+			return delivery{restart: true}
+		}
+		rs = rs[1:]
+	}
+	if len(rs) == 0 {
+		return delivery{}
+	}
+	return delivery{reports: rs}
+}
+
+// checkOverlap runs a controller that read prev before data both ways: it
+// remembers the element of the last report prev delivered, as
+// ControllerService does, and skips data's first element when it has
+// exactly those bytes; or it decodes data whole and compares its first
+// report with the last one delivered. Both must deliver the same reports,
+// or both see a restart, or both fail with the same error. The element the
+// skipping decode reports last must decode to the last report delivered.
+func checkOverlap(t *testing.T, data, prev []byte) {
+	t.Helper()
+	last := listener.BatchReport{BatchID: -1}
+	prevRs, _, known, err := listener.DecodeReports(prev, nil, nil)
+	if err == nil && len(prevRs) > 0 {
+		last = prevRs[len(prevRs)-1]
+	}
+	full, _, _, ferr := listener.DecodeReports(data, nil, nil)
+	want := delivered(full, false, ferr, last)
+	rs, skipped, lastElem, err := listener.DecodeReports(data, known, nil)
+	got := delivered(rs, skipped, err, last)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("after %q, reply %q: skipping by %q delivers %+v, skipped %v; full decode %+v",
+			prev, data, known, got, skipped, want)
+	}
+	if skipped && len(known) == 0 {
+		t.Fatalf("reply %q: skipped an overlap with no bytes remembered", data)
+	}
+	if n := len(got.reports); n > 0 && lastElem != nil {
+		var back []listener.BatchReport
+		elem := append(append([]byte("["), lastElem...), ']')
+		if err := json.Unmarshal(elem, &back); err != nil || len(back) != 1 || back[0] != got.reports[n-1] {
+			t.Fatalf("reply %q: last element %q decodes to %+v, %v; want %+v", data, lastElem, back, err,
+				got.reports[n-1])
+		}
+	}
+}
+
+// indented renders v as the engine's listener serves it.
+func indented(v any) []byte {
+	var b bytes.Buffer
+	enc := json.NewEncoder(&b)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		panic(err)
+	}
+	return b.Bytes()
+}
+
 // FuzzWireDecoders: on any input, each fast decoder gives the value and
-// the error text of the encoding/json call it replaces. The seeds, which
+// the error text of the encoding/json call it replaces, and a /batches
+// reply read after another (prev) delivers the same reports whether its
+// overlap is skipped by its bytes or decoded and compared. The seeds, which
 // plain go test runs too, are canonical encodings of every polled message
 // and inputs each decoder must hand to encoding/json: case-folded and
 // unknown keys, escapes, wrong types, out-of-range numbers, nesting,
-// trailing data.
+// trailing data; then polls that follow a reply with their overlap intact,
+// changed in a field or in layout, or from a restarted engine.
 func FuzzWireDecoders(f *testing.F) {
 	status, _ := listener.AppendStatus(nil, listener.Status{
 		Batches: 12, BatchIntervalMs: 4200, Executors: 8, QueueLength: 1, LagRecords: 5321,
 		RateMean: 48213.377, RateStd: 1e-7, MeanProcMs: 3911.25, MeanE2EMs: -0.5, P95E2EMs: 1e21,
 	})
-	reports, _ := listener.AppendReports(nil, []listener.BatchReport{
+	history := []listener.BatchReport{
 		{BatchID: 0, NumRecords: 201234, BatchIntervalMs: 4200, Executors: 12, SubmissionTimeSec: 4.2,
 			ProcessingDelayMs: 3900, TotalDelayMs: 3912, EndToEndDelayMs: 6011, FirstAfterChange: true},
 		{BatchID: 1, SubmissionTimeSec: 8.4, FaultActive: true, QueueLength: 2},
-	})
-	empty, _ := listener.AppendReports(nil, []listener.BatchReport{})
-	none, _ := listener.AppendReports(nil, nil)
+		{BatchID: 2, NumRecords: 7, SubmissionTimeSec: 12.6, EndToEndDelayMs: 5},
+	}
+	reports := indented(history[:2])
+	empty := indented([]listener.BatchReport{})
+	none := indented([]listener.BatchReport(nil))
 	for _, seed := range [][]byte{
 		status, reports, empty, none,
 		fetchRequest{Consumer: "engine-0", Committed: 123, Max: 5000}.appendJSON(nil),
@@ -268,7 +346,28 @@ func FuzzWireDecoders(f *testing.F) {
 		[]byte(`{"BATCHES":3,"Committed":4,"FROM":5}`), []byte(`[{"BatchId":8}]`),
 		[]byte(`null`), []byte(`[]`), []byte(`{}`), []byte(``), []byte(`{}{}`), []byte(`not json`),
 	} {
-		f.Add(seed)
+		f.Add(seed, reports)
 	}
-	f.Fuzz(checkDecoders)
+	changed := history[1]
+	changed.QueueLength = 3
+	for _, seed := range [][2][]byte{
+		{indented(history[1:]), reports},  // the overlap and one new report
+		{indented(history[1:2]), reports}, // the overlap alone
+		{indented(history), reports},      // more than the overlap
+		{indented(history[2:]), reports},  // a gap: the overlap is missing
+		{indented([]listener.BatchReport{changed, history[2]}), reports},
+		{bytes.ReplaceAll(indented(history[1:]), []byte("\n"), nil), reports},
+		{indented(history[:1]), reports}, // a restarted engine's first report
+		{none, reports},                  // a restarted engine with no report yet
+		{indented(history[1:]), bytes.ReplaceAll(reports, []byte("\n"), nil)},
+		{[]byte(`[{"batchId":1},{"batchId":2}]`), []byte(`[{"batchId":0},{"batchId":1}]`)},
+		{[]byte(`[{"batchId":1}  ,{"batchId":2}] x`), []byte(`[{"batchId":1}]`)},
+		{[]byte(`[{"batchId":1},{"batchId":2,"x":1}]`), []byte(`[{"batchId":1}]`)},
+	} {
+		f.Add(seed[0], seed[1])
+	}
+	f.Fuzz(func(t *testing.T, data, prev []byte) {
+		checkDecoders(t, data)
+		checkOverlap(t, data, prev)
+	})
 }
