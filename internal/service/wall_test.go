@@ -1,6 +1,9 @@
 package service
 
 import (
+	"net/http"
+	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -132,5 +135,33 @@ func TestWallStopWaitsForExchanges(t *testing.T) {
 	time.Sleep(2 * delay)
 	if got := c.WallTracer().Len(); got != n {
 		t.Fatalf("the wall tracer went from %d to %d events after Stop returned", n, got)
+	}
+}
+
+// TestWallNetStopDropsReplies: Stop cuts short an exchange held in its
+// link delay and one held at the server, waits for both, and neither
+// calls done; a round trip after Stop starts nothing.
+func TestWallNetStopDropsReplies(t *testing.T) {
+	arrived := make(chan struct{})
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		close(arrived) // only the engine link's request reaches the server
+		<-r.Context().Done()
+	}))
+	defer srv.Close()
+	n := NewWallNet(nil, time.Hour)
+	n.SetURL(PeerEngine, srv.URL)
+	n.SetLink(PeerController, PeerBroker, LinkFault{Delay: time.Hour})
+	var calls atomic.Int32
+	locked := func(fn func()) { fn() }
+	done := func(Response, error) { calls.Add(1) }
+	req := Request{Method: "GET", Path: "/status"}
+	n.Transport(PeerController, PeerEngine, locked).RoundTrip(req, done)
+	n.Transport(PeerController, PeerBroker, locked).RoundTrip(req, done)
+	<-arrived
+	n.Stop()
+	n.Transport(PeerController, PeerEngine, locked).RoundTrip(req, done)
+	n.Stop()
+	if c := calls.Load(); c != 0 {
+		t.Fatalf("done called %d times across Stop, want none", c)
 	}
 }
