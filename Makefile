@@ -55,11 +55,13 @@ bench:
 		./internal/baselines ./internal/linalg ./internal/workload ./internal/service \
 		./internal/tracing ./internal/metrics ./internal/controllers -run '^$$' -bench . -benchmem
 
-## golden: regenerate the golden-master artifacts after an INTENDED
-## output change. Review the diff before committing — these files are the
-## determinism contract's byte-for-byte reference.
+## golden: regenerate the golden-master artifacts (and the seeded chaos
+## generators' plans) after an INTENDED output change. Review the diff
+## before committing — these files are the determinism contract's
+## byte-for-byte reference.
 golden:
 	GOLDEN_UPDATE=1 $(GO) test ./internal/experiments -run TestGolden -count=1
+	GOLDEN_UPDATE=1 $(GO) test ./internal/faults -run TestChaosGeneratorsGolden -count=1
 
 ## fuzz-smoke: run each native fuzz target briefly against its corpus plus
 ## 30s of fresh inputs. CI runs the same budget.
@@ -86,7 +88,10 @@ fleet:
 ## controller's restart path), each replayed for byte-identical metrics,
 ## trace and stdout (both runs write the same paths, since stdout echoes
 ## them), then a wall-mode soak with a live broker kill/restart under the
-## race detector. nostop-serve exits non-zero on any invariant violation.
+## race detector. nostop-serve exits non-zero on any invariant violation,
+## and the wall soak's exit status is kept (its stdout goes to a file, not
+## through a pipe); the greps then check that its report reached its last
+## line and that the kill happened.
 serve-soak:
 	$(GO) build -o /tmp/nostop-serve ./cmd/nostop-serve
 	for args in "-duration 5m -seed 42" "-chaos seeded -seed 5 -duration 30m"; do \
@@ -98,7 +103,10 @@ serve-soak:
 		for f in prom json out; do cmp /tmp/nostop-soak-a.$$f /tmp/nostop-soak-b.$$f || exit 1; done; \
 	done
 	$(GO) run -race ./cmd/nostop-serve -mode wall -duration 4m -speedup 20 \
-		-metrics /tmp/nostop-soak-wall.prom -trace /tmp/nostop-soak-wall-trace.json
+		-metrics /tmp/nostop-soak-wall.prom -trace /tmp/nostop-soak-wall-trace.json \
+		> /tmp/nostop-soak-wall.out; status=$$?; cat /tmp/nostop-soak-wall.out; exit $$status
+	grep -q "all invariants held" /tmp/nostop-soak-wall.out
+	grep -q "nostop_service_chaos_kills_total 1" /tmp/nostop-soak-wall.prom
 
 ## ask-smoke: run every checked-in scenario spec through nostop-ask with one
 ## seed and -selftest: each report's verdict must match the spec's "expect"

@@ -122,7 +122,7 @@ func run(mode, wlName string, seedN uint64, duration time.Duration, speedup floa
 		return err
 	}
 
-	var inj *faults.ProcInjector
+	var inj *faults.Injector
 	if len(plan) > 0 {
 		var sched faults.ProcSchedule
 		if mode == "sim" {
@@ -215,7 +215,7 @@ func (s *wallSchedule) Now() sim.Time {
 
 // report prints the invariant snapshots and chaos timeline, writes optional
 // artifacts, and returns an error (non-zero exit) on any violation.
-func report(cluster *service.Cluster, inj *faults.ProcInjector, tr *tracing.Tracer, queueBound int, chaosRan bool, metricsOut, traceOut string) error {
+func report(cluster *service.Cluster, inj *faults.Injector, tr *tracing.Tracer, queueBound int, chaosRan bool, metricsOut, traceOut string) error {
 	snaps := cluster.Snapshots()
 	body, err := json.MarshalIndent(snaps, "", "  ")
 	if err != nil {

@@ -198,7 +198,9 @@ func (b *Bus) CreateTopic(name string, nPartitions, sampleCap int) (*Topic, erro
 }
 
 // CreateTenantTopic registers a topic on behalf of a tenant. It creates a
-// plain topic, as CreateTopic does; the tenant name must not be empty.
+// plain topic, as CreateTopic does; the tenant name must not be empty. The
+// broker keeps no per-tenant state, so nothing in the simulator calls it;
+// it stays for the benchmark harness's replay, which does.
 func (b *Bus) CreateTenantTopic(name, tenant string, nPartitions, sampleCap int) (*Topic, error) {
 	if tenant == "" {
 		return nil, errors.New("broker: empty tenant name")

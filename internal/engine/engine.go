@@ -182,8 +182,8 @@ type Options struct {
 	// TopicName is the engine's input topic; empty means "input". Tenant
 	// mixes must pick distinct names on a shared bus.
 	TopicName string
-	// Tenant tags the engine's topic and batches with a tenant identity,
-	// enabling the broker's per-tenant accounting. Empty disables tagging.
+	// Tenant tags every BatchStats the engine records with a tenant
+	// identity (BatchStats.Tenant). Empty disables tagging.
 	Tenant string
 
 	// Partitions is the topic partition count; 0 picks
@@ -403,13 +403,7 @@ func New(clock *sim.Clock, opts Options) (*Engine, error) {
 	if opts.PayloadsPerTick > 0 {
 		samples = sampleCap
 	}
-	var topic *broker.Topic
-	var err error
-	if opts.Tenant != "" {
-		topic, err = bus.CreateTenantTopic(opts.TopicName, opts.Tenant, opts.Partitions, samples)
-	} else {
-		topic, err = bus.CreateTopic(opts.TopicName, opts.Partitions, samples)
-	}
+	topic, err := bus.CreateTopic(opts.TopicName, opts.Partitions, samples)
 	if err != nil {
 		return nil, err
 	}

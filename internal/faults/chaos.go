@@ -63,41 +63,47 @@ func Chaos(seed *rng.Stream, opts ChaosOptions) Plan {
 	}
 	o := opts.withDefaults()
 	r := seed.Split("chaos")
-	var plan Plan
-	t := sim.Time(o.Horizon / 4)
-	for {
-		t += sim.Time(r.Exp(o.MeanGap.Seconds()) * float64(time.Second))
-		if t >= sim.Time(o.Horizon) {
-			break
-		}
-		dur := time.Duration(r.Uniform(chaosMinDuration.Seconds(), chaosMaxDuration.Seconds()) * float64(time.Second))
-		if end := sim.Time(o.Horizon); t+sim.Time(dur) > end {
-			dur = time.Duration(end - t)
-			if dur < chaosMinDuration/2 {
-				break
-			}
-		}
-		f := Fault{At: t, Duration: dur}
-		switch Kind(r.Intn(5)) {
+	return sequential(r, o.Horizon, o.MeanGap, chaosMinDuration, chaosMaxDuration, func(at sim.Time, dur time.Duration) Fault {
+		f := Fault{Kind: Kind(r.Intn(5)), At: at, Duration: dur}
+		switch f.Kind {
 		case NodeCrash:
-			f.Kind = NodeCrash
 			f.NodeID = chaosNodeIDs[r.Intn(len(chaosNodeIDs))]
 		case Straggler:
-			f.Kind = Straggler
 			f.NodeID = chaosNodeIDs[r.Intn(len(chaosNodeIDs))]
 			f.Factor = r.Uniform(2, o.MaxStraggle)
 		case TaskFailures:
-			f.Kind = TaskFailures
 			f.Prob = r.Uniform(0.1, o.MaxTaskFail)
 		case PartitionOutage:
-			f.Kind = PartitionOutage
 			f.Partition = r.Intn(chaosPartitions)
 		case IngestSpike:
-			f.Kind = IngestSpike
 			f.Factor = r.Uniform(1.3, o.MaxSpike)
 		}
-		plan = append(plan, f)
-		t = f.End()
+		return f
+	})
+}
+
+// sequential is both generators' window loop. After the horizon's
+// fault-free first quarter, each window opens an exponential gap of mean
+// meanGap after the previous one lifts and lasts a uniform minDur–maxDur,
+// clipped to end by the horizon; the plan ends at the horizon or at a
+// clipped window shorter than minDur/2. draw makes each window's fault,
+// drawing the rest of it from the same stream r.
+func sequential[F any](r *rng.Stream, horizon, meanGap, minDur, maxDur time.Duration, draw func(at sim.Time, dur time.Duration) F) []F {
+	var plan []F
+	t := sim.Time(horizon / 4)
+	for {
+		t += sim.Time(r.Exp(meanGap.Seconds()) * float64(time.Second))
+		if t >= sim.Time(horizon) {
+			return plan
+		}
+		dur := time.Duration(r.Uniform(minDur.Seconds(), maxDur.Seconds()) * float64(time.Second))
+		if end := sim.Time(horizon); t+sim.Time(dur) > end {
+			dur = time.Duration(end - t)
+			if dur < minDur/2 {
+				return plan
+			}
+		}
+		plan = append(plan, draw(t, dur))
+		t += sim.Time(dur)
 	}
-	return plan
 }

@@ -1,28 +1,34 @@
 // Package faults is the deterministic fault-injection subsystem: a plan of
-// timed fault windows executed on the simulation clock against a running
-// engine. It models the failure classes the paper's real cluster exhibits
-// (§6) but the optimization formulation abstracts away — node crashes,
-// straggler executors, transient task failures, broker partition outages,
-// and ingest rate spikes — so that recovery semantics (task retry, offset
-// replay, failure-aware measurement) can be exercised reproducibly.
+// timed fault windows executed on a schedule against a running system. It
+// models the failure classes the paper's real cluster exhibits (§6) but
+// the optimization formulation abstracts away, so that recovery semantics
+// (task retry, offset replay, failure-aware measurement, degraded mode)
+// can be exercised reproducibly. There are two plan types:
 //
-// Plans are either scripted (explicit Fault windows) or generated by the
-// seeded chaos mode (see Chaos). All randomness flows through internal/rng,
-// so two runs with the same seed produce byte-identical fault timelines and
-// batch histories.
+//   - a Plan perturbs an engine's cluster model — node crashes, straggler
+//     executors, transient task failures, broker partition outages and
+//     ingest rate spikes — on the engine's clock (Attach);
+//   - a ProcPlan perturbs a service deployment through ProcTarget — peers
+//     killed and restarted, links that refuse, drop or delay requests —
+//     on a ProcSchedule (AttachProc).
+//
+// One Injector runs either: it schedules both edges of every window,
+// records the applied timeline, and reports to optional metric and trace
+// sinks (Observe).
+//
+// Plans are either scripted (explicit windows) or generated by the seeded
+// chaos modes (Chaos, ProcChaos), which share one window-drawing loop. All
+// randomness flows through internal/rng, so two runs with the same seed
+// produce byte-identical fault timelines and batch histories.
 package faults
 
 import (
-	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
 	"nostop/internal/engine"
-	"nostop/internal/metrics"
 	"nostop/internal/sim"
-	"nostop/internal/tracing"
 )
 
 // Kind enumerates the injectable fault classes.
@@ -192,6 +198,33 @@ func sameTarget(a, b Fault) bool {
 	}
 }
 
+// apply opens the window on eng, or closes it when recover is set.
+func (f Fault) apply(eng *engine.Engine, recover bool) error {
+	factor, prob := f.Factor, f.Prob
+	if recover {
+		factor, prob = 1, 0
+	}
+	switch f.Kind {
+	case NodeCrash:
+		if recover {
+			return eng.RestoreNode(f.NodeID)
+		}
+		return eng.FailNode(f.NodeID)
+	case Straggler:
+		return eng.SetNodeSlowdown(f.NodeID, factor)
+	case TaskFailures:
+		eng.SetTaskFailureRate(prob)
+	case PartitionOutage:
+		if recover {
+			return eng.RestorePartition(f.Partition)
+		}
+		return eng.FailPartition(f.Partition)
+	case IngestSpike:
+		eng.SetIngestBoost(factor)
+	}
+	return nil
+}
+
 // Start returns when the earliest fault window opens (zero for an empty
 // plan).
 func (p Plan) Start() sim.Time {
@@ -213,165 +246,4 @@ func (p Plan) End() sim.Time {
 		}
 	}
 	return end
-}
-
-// sorted returns the plan ordered by start time (stable for equal starts).
-func (p Plan) sorted() Plan {
-	out := append(Plan(nil), p...)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].At < out[j].At })
-	return out
-}
-
-// Entry is one timeline record: a fault action the injector applied.
-type Entry struct {
-	At  sim.Time
-	Msg string
-}
-
-// Injector executes a plan against an engine on its clock and records the
-// applied timeline. It brackets fault windows with the engine's FaultActive
-// flag so every overlapping batch is excluded from SPSA measurements.
-type Injector struct {
-	eng      *engine.Engine
-	clock    *sim.Clock
-	plan     Plan
-	timeline []Entry
-	active   int
-	injected int
-
-	reg         *metrics.Registry
-	tr          *tracing.Tracer
-	activeGauge *metrics.Gauge
-	injectFails *metrics.Counter
-}
-
-// Attach validates the plan and schedules every fault window on the
-// engine's clock. The engine need not be started yet; windows in the past
-// relative to the clock are rejected by the kernel's causality check.
-func Attach(eng *engine.Engine, plan Plan) (*Injector, error) {
-	if eng == nil {
-		return nil, errors.New("faults: nil engine")
-	}
-	if err := plan.Validate(); err != nil {
-		return nil, err
-	}
-	inj := &Injector{eng: eng, clock: eng.Clock(), plan: plan.sorted()}
-	for _, f := range inj.plan {
-		f := f
-		inj.clock.At(f.At, func() { inj.start(f) })
-		inj.clock.At(f.End(), func() { inj.end(f) })
-	}
-	return inj, nil
-}
-
-// TidFaultWindows is the fault-injector trace lane carrying one span per
-// applied fault window.
-const TidFaultWindows = 1
-
-// Observe attaches metric and trace sinks to the injector: a per-kind
-// injected-fault counter, an active-window gauge, and one trace span per
-// fault window (emitted when the window lifts, spanning [At, End)).
-// Call before the clock reaches the first fault window; nil arguments
-// disable the corresponding sink. Like all instrumentation in this
-// codebase it is passive and cannot perturb the fault timeline.
-func (inj *Injector) Observe(reg *metrics.Registry, tr *tracing.Tracer) {
-	inj.reg = reg
-	inj.tr = tr
-	if reg != nil {
-		inj.activeGauge = reg.Gauge("nostop_faults_active", "Currently-open fault windows")
-		inj.injectFails = reg.Counter("nostop_fault_inject_failures_total", "Fault applications rejected by the engine")
-	}
-	tr.NameProcess(engine.PidFaults, "fault-injector")
-	tr.NameThread(engine.PidFaults, TidFaultWindows, "fault-windows")
-}
-
-// countInjected bumps the per-kind injected counter.
-func (inj *Injector) countInjected(k Kind) {
-	if inj.reg == nil {
-		return
-	}
-	inj.reg.Counter("nostop_faults_injected_total",
-		"Fault windows applied, by kind", metrics.L("kind", k.String())).Inc()
-}
-
-// start applies one fault window's onset.
-func (inj *Injector) start(f Fault) {
-	var err error
-	switch f.Kind {
-	case NodeCrash:
-		err = inj.eng.FailNode(f.NodeID)
-	case Straggler:
-		err = inj.eng.SetNodeSlowdown(f.NodeID, f.Factor)
-	case TaskFailures:
-		inj.eng.SetTaskFailureRate(f.Prob)
-	case PartitionOutage:
-		err = inj.eng.FailPartition(f.Partition)
-	case IngestSpike:
-		inj.eng.SetIngestBoost(f.Factor)
-	}
-	if err != nil {
-		inj.note("inject %v FAILED: %v", f, err)
-		inj.injectFails.Inc()
-		inj.tr.Instant(engine.PidFaults, TidFaultWindows, "faults", "inject-failed",
-			tracing.Args{"fault": f.String(), "error": err.Error()})
-		return
-	}
-	inj.active++
-	inj.injected++
-	inj.countInjected(f.Kind)
-	inj.activeGauge.Set(float64(inj.active))
-	inj.eng.SetFaultActive(true)
-	inj.note("inject %v", f)
-}
-
-// end reverts one fault window.
-func (inj *Injector) end(f Fault) {
-	var err error
-	switch f.Kind {
-	case NodeCrash:
-		err = inj.eng.RestoreNode(f.NodeID)
-	case Straggler:
-		err = inj.eng.SetNodeSlowdown(f.NodeID, 1)
-	case TaskFailures:
-		inj.eng.SetTaskFailureRate(0)
-	case PartitionOutage:
-		err = inj.eng.RestorePartition(f.Partition)
-	case IngestSpike:
-		inj.eng.SetIngestBoost(1)
-	}
-	if err != nil {
-		inj.note("recover %v FAILED: %v", f, err)
-		inj.tr.Instant(engine.PidFaults, TidFaultWindows, "faults", "recover-failed",
-			tracing.Args{"fault": f.String(), "error": err.Error()})
-		return
-	}
-	if inj.active > 0 {
-		inj.active--
-	}
-	inj.activeGauge.Set(float64(inj.active))
-	if inj.active == 0 {
-		inj.eng.SetFaultActive(false)
-	}
-	inj.note("recover %v", f)
-	//nostop:allow obscontract -- span name drawn from the closed fault-kind enum; bounded cardinality
-	inj.tr.Span(engine.PidFaults, TidFaultWindows, "faults", f.Kind.String(),
-		f.At, f.Duration, tracing.Args{"fault": f.String()})
-}
-
-// note appends a timeline entry.
-func (inj *Injector) note(format string, args ...any) {
-	inj.timeline = append(inj.timeline, Entry{At: inj.clock.Now(), Msg: fmt.Sprintf(format, args...)})
-}
-
-// Injected returns how many fault windows have been applied so far.
-func (inj *Injector) Injected() int { return inj.injected }
-
-// String renders the timeline, one action per line — the artifact the
-// determinism test compares byte-for-byte across seeded runs.
-func (inj *Injector) String() string {
-	var b strings.Builder
-	for _, e := range inj.timeline {
-		fmt.Fprintf(&b, "%v %s\n", e.At, e.Msg)
-	}
-	return b.String()
 }

@@ -1,16 +1,11 @@
 package faults
 
 import (
-	"errors"
 	"fmt"
-	"sort"
 	"time"
 
-	"nostop/internal/engine"
-	"nostop/internal/metrics"
 	"nostop/internal/rng"
 	"nostop/internal/sim"
-	"nostop/internal/tracing"
 )
 
 // ProcKind enumerates process- and network-level chaos actions. Where the
@@ -151,16 +146,10 @@ func sameProcTarget(a, b ProcFault) bool {
 	return a.Peer == b.Peer
 }
 
-// sorted returns the plan ordered by start time (stable for equal starts).
-func (p ProcPlan) sorted() ProcPlan {
-	out := append(ProcPlan(nil), p...)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].At < out[j].At })
-	return out
-}
-
-// ProcTarget is the deployment surface a ProcInjector drives. Its methods
-// are exactly the chaos controls service.Cluster exposes, so a cluster is a
-// ProcTarget without adapters; any fake satisfying it works for tests.
+// ProcTarget is the deployment surface an Injector drives for a ProcPlan
+// (see AttachProc). Its methods are exactly the chaos controls
+// service.Cluster exposes, so a cluster is a ProcTarget without adapters;
+// any fake satisfying it works for tests.
 type ProcTarget interface {
 	KillPeer(name string) error
 	RestartPeer(name string) error
@@ -168,162 +157,29 @@ type ProcTarget interface {
 	ClearLinkFault(from, to string) error
 }
 
-// ProcSchedule abstracts when chaos actions run, keeping this package free
-// of wall-clock reads: At schedules fn at absolute plan instant t, and Now
-// reports the current plan instant for the timeline. In sim mode wrap the
-// shared kernel with ClockSchedule; a wall-mode supervisor maps plan time
-// onto real timers at its own speedup.
-type ProcSchedule interface {
-	At(t sim.Time, fn func())
-	Now() sim.Time
-}
-
-// ClockSchedule adapts a sim.Clock to ProcSchedule.
-type ClockSchedule struct{ Clock *sim.Clock }
-
-// At implements ProcSchedule.
-func (s ClockSchedule) At(t sim.Time, fn func()) { s.Clock.At(t, fn) }
-
-// Now implements ProcSchedule.
-func (s ClockSchedule) Now() sim.Time { return s.Clock.Now() }
-
-// TidProcChaos is the fault-injector trace lane carrying one span per
-// applied process fault window.
-const TidProcChaos = 2
-
-// ProcInjector executes a ProcPlan against a deployment and records the
-// applied timeline, mirroring Injector's lifecycle: AttachProc schedules
-// every window up front, Observe wires optional sinks, and the timeline
-// String is byte-stable across equal-seed runs.
-type ProcInjector struct {
-	target   ProcTarget
-	sched    ProcSchedule
-	plan     ProcPlan
-	timeline []Entry
-	active   int
-
-	reg         *metrics.Registry
-	tr          *tracing.Tracer
-	activeGauge *metrics.Gauge
-	injectFails *metrics.Counter
-}
-
-// AttachProc validates the plan and schedules every fault window on the
-// given schedule. Windows in the past relative to the schedule are rejected
-// by the kernel's causality check in sim mode.
-func AttachProc(target ProcTarget, sched ProcSchedule, plan ProcPlan) (*ProcInjector, error) {
-	if target == nil {
-		return nil, errors.New("faults: nil proc target")
-	}
-	if sched == nil {
-		return nil, errors.New("faults: nil proc schedule")
-	}
-	if err := plan.Validate(); err != nil {
-		return nil, err
-	}
-	inj := &ProcInjector{target: target, sched: sched, plan: plan.sorted()}
-	for _, f := range inj.plan {
-		f := f
-		inj.sched.At(f.At, func() { inj.start(f) })
-		inj.sched.At(f.End(), func() { inj.end(f) })
-	}
-	return inj, nil
-}
-
-// Observe attaches metric and trace sinks: a per-kind injected counter, an
-// active-window gauge, and one trace span per applied window. Nil arguments
-// disable the corresponding sink; in wall mode pass a nil tracer unless the
-// caller serializes access itself.
-func (inj *ProcInjector) Observe(reg *metrics.Registry, tr *tracing.Tracer) {
-	inj.reg = reg
-	inj.tr = tr
-	if reg != nil {
-		inj.activeGauge = reg.Gauge("nostop_proc_faults_active", "Currently-open process fault windows")
-		inj.injectFails = reg.Counter("nostop_proc_fault_inject_failures_total", "Process fault applications rejected by the deployment")
-	}
-	tr.NameProcess(engine.PidFaults, "fault-injector")
-	tr.NameThread(engine.PidFaults, TidProcChaos, "proc-chaos")
-}
-
-// countInjected bumps the per-kind injected counter.
-func (inj *ProcInjector) countInjected(k ProcKind) {
-	if inj.reg == nil {
-		return
-	}
-	inj.reg.Counter("nostop_proc_faults_injected_total",
-		"Process fault windows applied, by kind", metrics.L("kind", k.String())).Inc()
-}
-
-// apply maps a window edge onto the target: onset (up=false is the fault
-// taking hold) or recovery (up=true).
-func (inj *ProcInjector) apply(f ProcFault, recover bool) error {
+// apply opens the window on target (the fault taking hold), or closes it
+// when recover is set.
+func (f ProcFault) apply(target ProcTarget, recover bool) error {
 	switch f.Kind {
 	case PeerKill:
 		if recover {
-			return inj.target.RestartPeer(f.Peer)
+			return target.RestartPeer(f.Peer)
 		}
-		return inj.target.KillPeer(f.Peer)
+		return target.KillPeer(f.Peer)
 	case LinkRefuse, LinkDrop, LinkDelay:
 		if recover {
-			return inj.target.ClearLinkFault(f.From, f.To)
+			return target.ClearLinkFault(f.From, f.To)
 		}
 		switch f.Kind {
 		case LinkRefuse:
-			return inj.target.SetLinkFault(f.From, f.To, true, 0, 0)
+			return target.SetLinkFault(f.From, f.To, true, 0, 0)
 		case LinkDrop:
-			return inj.target.SetLinkFault(f.From, f.To, false, f.Prob, 0)
+			return target.SetLinkFault(f.From, f.To, false, f.Prob, 0)
 		default:
-			return inj.target.SetLinkFault(f.From, f.To, false, 0, f.Delay)
+			return target.SetLinkFault(f.From, f.To, false, 0, f.Delay)
 		}
 	}
 	return fmt.Errorf("faults: unknown proc kind %d", int(f.Kind))
-}
-
-// start applies one fault window's onset.
-func (inj *ProcInjector) start(f ProcFault) {
-	if err := inj.apply(f, false); err != nil {
-		inj.note("inject %v FAILED: %v", f, err)
-		inj.injectFails.Inc()
-		inj.tr.Instant(engine.PidFaults, TidProcChaos, "faults", "inject-failed",
-			tracing.Args{"fault": f.String(), "error": err.Error()})
-		return
-	}
-	inj.active++
-	inj.countInjected(f.Kind)
-	inj.activeGauge.Set(float64(inj.active))
-	inj.note("inject %v", f)
-}
-
-// end reverts one fault window.
-func (inj *ProcInjector) end(f ProcFault) {
-	if err := inj.apply(f, true); err != nil {
-		inj.note("recover %v FAILED: %v", f, err)
-		inj.tr.Instant(engine.PidFaults, TidProcChaos, "faults", "recover-failed",
-			tracing.Args{"fault": f.String(), "error": err.Error()})
-		return
-	}
-	if inj.active > 0 {
-		inj.active--
-	}
-	inj.activeGauge.Set(float64(inj.active))
-	inj.note("recover %v", f)
-	//nostop:allow obscontract -- span name drawn from the closed fault-kind enum; bounded cardinality
-	inj.tr.Span(engine.PidFaults, TidProcChaos, "faults", f.Kind.String(),
-		f.At, f.Duration, tracing.Args{"fault": f.String()})
-}
-
-// note appends a timeline entry.
-func (inj *ProcInjector) note(format string, args ...any) {
-	inj.timeline = append(inj.timeline, Entry{At: inj.sched.Now(), Msg: fmt.Sprintf(format, args...)})
-}
-
-// String renders the timeline, one action per line.
-func (inj *ProcInjector) String() string {
-	var b []byte
-	for _, e := range inj.timeline {
-		b = fmt.Appendf(b, "%v %s\n", e.At, e.Msg)
-	}
-	return string(b)
 }
 
 // ProcChaosOptions scope the seeded process-chaos generator.
@@ -357,26 +213,12 @@ func ProcChaos(seed *rng.Stream, o ProcChaosOptions) ProcPlan {
 		return nil
 	}
 	r := seed.Split("proc-chaos")
-	var plan ProcPlan
-	t := sim.Time(o.Horizon / 4)
-	for {
-		t += sim.Time(r.Exp((o.Horizon / 8).Seconds()) * float64(time.Second))
-		if t >= sim.Time(o.Horizon) {
-			break
-		}
-		dur := time.Duration(r.Uniform(procMinDuration.Seconds(), procMaxDuration.Seconds()) * float64(time.Second))
-		if end := sim.Time(o.Horizon); t+sim.Time(dur) > end {
-			dur = time.Duration(end - t)
-			if dur < procMinDuration/2 {
-				break
-			}
-		}
-		f := ProcFault{At: t, Duration: dur}
-		kinds := 1
-		if len(o.Peers) > 1 {
-			kinds = 4
-		}
-		f.Kind = ProcKind(r.Intn(kinds))
+	kinds := 1
+	if len(o.Peers) > 1 {
+		kinds = 4
+	}
+	return sequential(r, o.Horizon, o.Horizon/8, procMinDuration, procMaxDuration, func(at sim.Time, dur time.Duration) ProcFault {
+		f := ProcFault{Kind: ProcKind(r.Intn(kinds)), At: at, Duration: dur}
 		switch f.Kind {
 		case PeerKill:
 			f.Peer = o.Peers[r.Intn(len(o.Peers))]
@@ -394,8 +236,6 @@ func ProcChaos(seed *rng.Stream, o ProcChaosOptions) ProcPlan {
 				f.Delay = time.Duration(r.Uniform(0.05, procMaxDelay.Seconds()) * float64(time.Second))
 			}
 		}
-		plan = append(plan, f)
-		t = f.End()
-	}
-	return plan
+		return f
+	})
 }

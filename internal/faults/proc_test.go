@@ -1,6 +1,8 @@
 package faults
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"strings"
 	"testing"
@@ -259,5 +261,91 @@ func TestProcChaosSinglePeerKillsOnly(t *testing.T) {
 		if f.Kind != PeerKill {
 			t.Fatalf("single-peer plan drew a link fault: %v", f)
 		}
+	}
+}
+
+// flakyTarget is a fakeTarget whose next killFails KillPeer calls fail.
+type flakyTarget struct {
+	*fakeTarget
+	killFails int
+}
+
+func (t *flakyTarget) KillPeer(name string) error {
+	if t.killFails > 0 {
+		t.killFails--
+		return fmt.Errorf("kill %s refused", name)
+	}
+	return t.fakeTarget.KillPeer(name)
+}
+
+// TestProcInjectorFailingWindow drives a process plan whose first window
+// the target rejects. The failure lands on the timeline, the process-fault
+// failure counter and the proc-chaos trace lane (never under the engine
+// fault names), nothing stays active, and the next window still applies.
+func TestProcInjectorFailingWindow(t *testing.T) {
+	clock := sim.NewClock()
+	target := &flakyTarget{fakeTarget: newFakeTarget(clock, "broker"), killFails: 1}
+	plan := ProcPlan{
+		{Kind: PeerKill, At: sim.Time(sec(10)), Duration: 20 * time.Second, Peer: "broker"},
+		{Kind: PeerKill, At: sim.Time(sec(40)), Duration: 20 * time.Second, Peer: "broker"},
+	}
+	inj, err := AttachProc(target, ClockSchedule{Clock: clock}, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := metrics.NewRegistry()
+	tr := tracing.New(clock, 1<<10)
+	inj.Observe(reg, tr)
+	clock.RunUntil(sim.Time(sec(90)))
+
+	if tl := inj.String(); !strings.Contains(tl, "10s inject 10s+20s peer-kill broker FAILED: kill broker refused\n") {
+		t.Fatalf("timeline does not record the rejected window:\n%s", tl)
+	}
+	if inj.active != 0 {
+		t.Fatalf("active %d after the plan, want 0", inj.active)
+	}
+	if got := strings.Join(target.ops, "\n"); !strings.Contains(got, "40s kill broker\n1m0s restart broker") {
+		t.Fatalf("second window did not apply; target ops:\n%s", got)
+	}
+	exp := reg.String()
+	for _, want := range []string{
+		"nostop_proc_fault_inject_failures_total 1\n",
+		`nostop_proc_faults_injected_total{kind="peer-kill"} 1`,
+	} {
+		if !strings.Contains(exp, want) {
+			t.Errorf("metrics exposition missing %q:\n%s", want, exp)
+		}
+	}
+	for _, engineFamily := range []string{"nostop_faults_", "nostop_fault_"} {
+		if strings.Contains(exp, engineFamily) {
+			t.Errorf("process plan registered an engine fault family %s*:\n%s", engineFamily, exp)
+		}
+	}
+
+	var buf bytes.Buffer
+	if err := tr.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name     string
+			Ph       string
+			Pid, Tid int
+		}
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	var failed int
+	for _, ev := range doc.TraceEvents {
+		if ev.Name == "inject-failed" {
+			failed++
+			if ev.Pid != 4 || ev.Tid != TidProcChaos {
+				t.Errorf("inject-failed instant on pid %d tid %d, want pid 4 tid %d", ev.Pid, ev.Tid, TidProcChaos)
+			}
+		}
+	}
+	if failed != 1 {
+		t.Fatalf("%d inject-failed instants, want 1", failed)
 	}
 }

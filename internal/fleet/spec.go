@@ -37,43 +37,10 @@ import (
 	"nostop/internal/workload"
 )
 
-// Duration is a time.Duration that marshals as a human-readable duration
-// string ("40m0s") in spec and manifest JSON and unmarshals from either a
-// duration string or integer nanoseconds.
-type Duration time.Duration
-
-// D converts back to time.Duration.
-func (d Duration) D() time.Duration { return time.Duration(d) }
-
-// String renders the underlying duration.
-func (d Duration) String() string { return time.Duration(d).String() }
-
-// MarshalJSON implements json.Marshaler.
-func (d Duration) MarshalJSON() ([]byte, error) {
-	return json.Marshal(time.Duration(d).String())
-}
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (d *Duration) UnmarshalJSON(b []byte) error {
-	if len(b) > 0 && b[0] == '"' {
-		var s string
-		if err := json.Unmarshal(b, &s); err != nil {
-			return err
-		}
-		v, err := time.ParseDuration(s)
-		if err != nil {
-			return fmt.Errorf("fleet: bad duration %q: %v", s, err)
-		}
-		*d = Duration(v)
-		return nil
-	}
-	var n int64
-	if err := json.Unmarshal(b, &n); err != nil {
-		return err
-	}
-	*d = Duration(n)
-	return nil
-}
+// Duration is tenant.Duration, a time.Duration that marshals as a
+// human-readable duration string ("40m0s") in spec and manifest JSON and
+// unmarshals from either a duration string or integer nanoseconds.
+type Duration = tenant.Duration
 
 // TraceSpec describes the input-rate trace of a job. The only kind is
 // "band": rates re-drawn uniformly in [Min, Max] every Period (the paper's

@@ -69,23 +69,22 @@ type ClusterConfig struct {
 
 // Cluster supervises the trio: construction, kill/restart chaos (it is the
 // process-level fault target internal/faults drives), link faults, and
-// invariant collection.
+// invariant collection. Every operation takes one path in both modes; what
+// differs sits behind its modeNet.
 type Cluster struct {
 	cfg   ClusterConfig
 	clock *sim.Clock // sim mode only
 	reg   *metrics.Registry
 	sink  *traceSink
 	root  *rng.Stream
-
-	simnet  *SimNet
-	wallnet *WallNet
+	net   modeNet
 
 	procs map[string]*proc
 	order []string
 
 	started bool
-	// chaosMu serialises wall-mode supervisor operations (chaos injector
-	// goroutine vs shutdown).
+	// chaosMu serialises supervisor operations (a wall-mode chaos
+	// injector's goroutines vs shutdown).
 	chaosMu   sync.Mutex
 	cKills    *metrics.Counter
 	cRestarts *metrics.Counter
@@ -96,16 +95,16 @@ type proc struct {
 	c     *Cluster
 	name  string
 	pid   int
-	mu    sync.Mutex // wall mode: guards comp state, clock, timers
+	mu    sync.Mutex // guards comp state, clock, timers; contended only in wall mode
 	clock *sim.Clock
 	tb    Timebase
 	comp  component // guarded by mu
 	epoch int
 	down  bool // guarded by mu
 
-	srv  *http.Server
-	addr string // concrete listen address, stable across restarts
-	pace *pacer
+	srv  *http.Server // wall mode
+	addr string       // wall mode: concrete listen address, stable across restarts
+	pace *pacer       // wall mode
 }
 
 // NewCluster validates the config and builds the supervisor (components are
@@ -130,10 +129,11 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		if c.clock == nil {
 			c.clock = sim.NewClock()
 		}
-		c.simnet = NewSimNet(c.clock, c.root.Split("net"))
+		c.net = simMode{NewSimNet(c.clock, c.root.Split("net"))}
 		c.sink = newSimTraceSink(cfg.Tracer)
 	case ModeWall:
-		c.wallnet = NewWallNet(c.root.Split("net"), cfg.RPC.Timeout+2*time.Second)
+		c.net = wallMode{NewWallNet(c.root.Split("net"), cfg.RPC.Timeout+2*time.Second), cfg.Speedup}
+		c.cfg.Tracer = nil // only sim mode traces: the tracer is not goroutine-safe
 		if cfg.WallTraceEvents > 0 {
 			c.sink = newWallTraceSink(cfg.WallTraceEvents, cfg.Speedup)
 		}
@@ -166,26 +166,29 @@ func (c *Cluster) Registry() *metrics.Registry { return c.reg }
 // WallTraceEvents was set).
 func (c *Cluster) WallTracer() *tracing.Tracer { return c.sink.tracer() }
 
-// Proc returns a component's current incarnation (sim-mode assertions).
-//
-//nostop:allow lockguard -- sim-mode assertion helper: the event loop is single-threaded, p.mu is a wall-mode concern
-func (c *Cluster) Component(name string) component { return c.procs[name].comp }
+// Component returns a component's current incarnation (sim-mode
+// assertions).
+func (c *Cluster) Component(name string) component {
+	comp, _ := c.procs[name].state()
+	return comp
+}
+
+// state reads p's current incarnation and whether it is killed.
+func (p *proc) state() (comp component, down bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.comp, p.down
+}
 
 // client builds the resilient client for one directed link, seeding jitter
 // per incarnation so restarts stay deterministic in sim mode.
 func (c *Cluster) client(p *proc, to string) *Client {
-	var tr Transport
-	if c.cfg.Mode == ModeSim {
-		tr = c.simnet.Transport(p.name, to)
-	} else {
-		tr = c.wallnet.Transport(p.name, to, p.runLocked)
-	}
 	o := c.cfg.RPC
 	o.Jitter = c.root.Split(fmt.Sprintf("rpc/%s->%s/epoch-%d", p.name, to, p.epoch))
 	o.Metrics = c.reg
 	o.Trace = c.sink
 	o.Pid = p.pid
-	return NewClient(p.name, to, p.tb, tr, o)
+	return NewClient(p.name, to, p.tb, c.net.transport(p, to), o)
 }
 
 // runLocked executes fn under the proc mutex (wall-mode RPC completions and
@@ -199,11 +202,6 @@ func (p *proc) runLocked(fn func()) {
 // build constructs a proc's component for the current epoch.
 func (p *proc) build() (component, error) {
 	c := p.c
-	// Only sim mode traces: the tracer is not goroutine-safe.
-	var tracer *tracing.Tracer
-	if c.cfg.Mode == ModeSim {
-		tracer = c.cfg.Tracer
-	}
 	switch p.name {
 	case PeerBroker:
 		return NewBrokerService(BrokerOptions{
@@ -222,7 +220,7 @@ func (p *proc) build() (component, error) {
 			Epoch:    p.epoch,
 			MaxFetch: c.cfg.MaxFetch,
 			Metrics:  c.reg,
-			Tracer:   tracer,
+			Tracer:   c.cfg.Tracer,
 			Sink:     c.sink,
 		})
 	case PeerController:
@@ -234,7 +232,7 @@ func (p *proc) build() (component, error) {
 				Initial: c.cfg.Initial,
 				Seed:    c.root.Split(fmt.Sprintf("spsa/epoch-%d", p.epoch)),
 				Metrics: c.reg,
-				Tracer:  tracer,
+				Tracer:  c.cfg.Tracer,
 			},
 			Metrics: c.reg,
 			Sink:    c.sink,
@@ -258,56 +256,31 @@ func (c *Cluster) Start() error {
 	return nil
 }
 
+// startProc builds and starts p's next incarnation and brings it up.
 func (c *Cluster) startProc(p *proc) error {
 	comp, err := p.build()
 	if err != nil {
 		return err
 	}
-	if c.cfg.Mode == ModeSim {
-		//nostop:allow lockguard -- sim mode: single-threaded event loop; p.mu is a wall-mode concern
-		p.comp = comp
-		//nostop:allow lockguard -- sim mode: single-threaded event loop
-		p.down = false
-		c.simnet.Register(p.name, comp.Handler())
-		return comp.Start()
-	}
 	p.mu.Lock()
-	p.comp = comp
-	p.down = false
+	p.comp, p.down = comp, false
 	err = comp.Start()
 	base := p.clock.Now()
 	p.mu.Unlock()
 	if err != nil {
 		return err
 	}
-	if err := c.listenProc(p); err != nil {
-		return err
-	}
-	p.pace = startPacer(p.clock, &p.mu, c.cfg.Speedup, base)
-	return nil
+	return c.net.up(p, comp, base)
 }
 
-// listenProc binds the wall-mode HTTP server, reusing the proc's concrete
-// address across restarts so peers' base URLs stay valid.
-func (c *Cluster) listenProc(p *proc) error {
-	addr := p.addr
-	if addr == "" {
-		addr = "127.0.0.1:0"
-	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("listen %s on %s: %w", p.name, addr, err)
-	}
-	p.addr = ln.Addr().String()
-	c.wallnet.SetURL(p.name, "http://"+p.addr)
-	p.srv = &http.Server{
-		Handler:           http.HandlerFunc(p.serveLocked),
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       10 * time.Second,
-		WriteTimeout:      10 * time.Second,
-	}
-	go p.srv.Serve(ln) //nolint:errcheck // Serve always returns on Close
-	return nil
+// halt takes p's live incarnation down and stops it; a kill also marks
+// the proc down until RestartPeer.
+func (c *Cluster) halt(p *proc, kill bool) {
+	c.net.down(p)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.comp.Stop()
+	p.down = kill
 }
 
 // serveLocked dispatches to the current incarnation under the proc mutex.
@@ -336,27 +309,13 @@ func (c *Cluster) KillPeer(name string) error {
 	}
 	c.chaosMu.Lock()
 	defer c.chaosMu.Unlock()
-	//nostop:allow lockguard -- chaos ops serialise on chaosMu; every wall-mode writer of comp/down holds it too
-	if p.down || p.comp == nil {
+	if comp, down := p.state(); down || comp == nil {
 		return fmt.Errorf("service: peer %q already down", name)
 	}
 	c.cKills.Inc()
 	c.sink.instant(PidSupervisor, TidChaos, "chaos", "kill-"+name,
 		tracing.Args{"epoch": p.epoch})
-	if c.cfg.Mode == ModeSim {
-		//nostop:allow lockguard -- sim mode: single-threaded event loop; p.mu is a wall-mode concern
-		p.comp.Stop()
-		//nostop:allow lockguard -- sim mode: single-threaded event loop
-		p.down = true
-		c.simnet.SetDown(name, true)
-		return nil
-	}
-	p.pace.stop()
-	p.mu.Lock()
-	p.comp.Stop()
-	p.down = true
-	p.mu.Unlock()
-	p.srv.Close()
+	c.halt(p, true)
 	return nil
 }
 
@@ -370,26 +329,13 @@ func (c *Cluster) RestartPeer(name string) error {
 	}
 	c.chaosMu.Lock()
 	defer c.chaosMu.Unlock()
-	//nostop:allow lockguard -- chaos ops serialise on chaosMu; every wall-mode writer of comp/down holds it too
-	if !p.down {
+	if _, down := p.state(); !down {
 		return fmt.Errorf("service: peer %q is not down", name)
 	}
 	p.epoch++
 	c.cRestarts.Inc()
 	c.sink.instant(PidSupervisor, TidChaos, "chaos", "restart-"+name,
 		tracing.Args{"epoch": p.epoch})
-	if c.cfg.Mode == ModeSim {
-		comp, err := p.build()
-		if err != nil {
-			return err
-		}
-		//nostop:allow lockguard -- sim mode: single-threaded event loop; p.mu is a wall-mode concern
-		p.comp = comp
-		//nostop:allow lockguard -- sim mode: single-threaded event loop
-		p.down = false
-		c.simnet.Register(name, comp.Handler())
-		return comp.Start()
-	}
 	return c.startProc(p)
 }
 
@@ -402,11 +348,7 @@ func (c *Cluster) SetLinkFault(from, to string, refuse bool, dropProb float64, d
 	f := LinkFault{Refuse: refuse, DropProb: dropProb, Delay: delay}
 	c.sink.instant(PidSupervisor, TidChaos, "chaos", "link-"+from+"->"+to,
 		tracing.Args{"fault": f.String()})
-	if c.cfg.Mode == ModeSim {
-		c.simnet.SetLink(from, to, f)
-	} else {
-		c.wallnet.SetLink(from, to, f)
-	}
+	c.net.setLink(from, to, f)
 	return nil
 }
 
@@ -432,27 +374,11 @@ func (c *Cluster) Stop() {
 	defer c.chaosMu.Unlock()
 	for _, name := range c.order {
 		p := c.procs[name]
-		//nostop:allow lockguard -- chaos ops serialise on chaosMu; every wall-mode writer of comp/down holds it too
-		if p.comp == nil || p.down {
-			continue
+		if comp, down := p.state(); comp != nil && !down {
+			c.halt(p, false)
 		}
-		if c.cfg.Mode == ModeSim {
-			//nostop:allow lockguard -- sim mode: single-threaded event loop
-			p.comp.Stop()
-			continue
-		}
-		p.pace.stop()
-		p.mu.Lock()
-		p.comp.Stop()
-		p.mu.Unlock()
-		p.srv.Close()
 	}
-	if c.wallnet != nil {
-		for _, name := range c.order {
-			c.procs[name].tb.(*WallTimebase).stop()
-		}
-		c.wallnet.Stop()
-	}
+	c.net.stop(c)
 }
 
 // Snapshots collects every component's invariant snapshot in topology
@@ -461,18 +387,95 @@ func (c *Cluster) Snapshots() []InvariantSnapshot {
 	var out []InvariantSnapshot
 	for _, name := range c.order {
 		p := c.procs[name]
-		//nostop:allow lockguard -- shutdown/assertion path: runs after Stop, when pacers and chaos are quiet
-		if p.comp == nil {
-			continue
-		}
-		if c.cfg.Mode == ModeSim {
-			//nostop:allow lockguard -- sim mode: single-threaded event loop
-			out = append(out, p.comp.Snapshot())
-			continue
-		}
 		p.mu.Lock()
-		out = append(out, p.comp.Snapshot())
+		if p.comp != nil {
+			out = append(out, p.comp.Snapshot())
+		}
 		p.mu.Unlock()
 	}
 	return out
+}
+
+// modeNet is what the two modes do differently: the network a proc's
+// clients ride, how an incarnation is brought up and taken down, and what
+// Stop quiets once every component has stopped.
+type modeNet interface {
+	transport(p *proc, to string) Transport
+	// up makes p's freshly started incarnation comp reachable and runs
+	// p's clock on from base.
+	up(p *proc, comp component, base sim.Time) error
+	// down makes p unreachable and stops running its clock. It is called
+	// without p.mu, which the caller then takes to stop the component.
+	down(p *proc)
+	setLink(from, to string, f LinkFault)
+	stop(c *Cluster)
+}
+
+// simMode runs the trio on the shared clock: SimNet delivers every
+// exchange on the event loop, so bringing a proc up or down only changes
+// what it delivers to.
+type simMode struct{ net *SimNet }
+
+func (m simMode) transport(p *proc, to string) Transport { return m.net.Transport(p.name, to) }
+
+func (m simMode) up(p *proc, comp component, _ sim.Time) error {
+	m.net.Register(p.name, comp.Handler())
+	return nil
+}
+
+func (m simMode) down(p *proc)                         { m.net.SetDown(p.name, true) }
+func (m simMode) setLink(from, to string, f LinkFault) { m.net.SetLink(from, to, f) }
+func (simMode) stop(*Cluster)                          {}
+
+// wallMode serves each proc over real HTTP on 127.0.0.1 and paces its
+// clock against the wall clock at speedup.
+type wallMode struct {
+	net     *WallNet
+	speedup float64
+}
+
+func (m wallMode) transport(p *proc, to string) Transport {
+	return m.net.Transport(p.name, to, p.runLocked)
+}
+
+// up binds the proc's HTTP server, reusing its concrete address across
+// restarts so peers' base URLs stay valid, and starts its pacer.
+func (m wallMode) up(p *proc, _ component, base sim.Time) error {
+	addr := p.addr
+	if addr == "" {
+		addr = "127.0.0.1:0"
+	}
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return fmt.Errorf("listen %s on %s: %w", p.name, addr, err)
+	}
+	p.addr = ln.Addr().String()
+	m.net.SetURL(p.name, "http://"+p.addr)
+	p.srv = &http.Server{
+		Handler:           http.HandlerFunc(p.serveLocked),
+		ReadHeaderTimeout: 5 * time.Second,
+		ReadTimeout:       10 * time.Second,
+		WriteTimeout:      10 * time.Second,
+	}
+	go p.srv.Serve(ln) //nolint:errcheck // Serve always returns on Close
+	p.pace = startPacer(p.clock, &p.mu, m.speedup, base)
+	return nil
+}
+
+// down stops the pacer, which takes p.mu for every advance, and closes the
+// server: connections are refused from here on.
+func (wallMode) down(p *proc) {
+	p.pace.stop()
+	p.srv.Close()
+}
+
+func (m wallMode) setLink(from, to string, f LinkFault) { m.net.SetLink(from, to, f) }
+
+// stop stops every proc's timers and the network, so no RPC deadline and no
+// exchange in flight reaches a component afterwards.
+func (m wallMode) stop(c *Cluster) {
+	for _, name := range c.order {
+		c.procs[name].tb.(*WallTimebase).stop()
+	}
+	m.net.Stop()
 }

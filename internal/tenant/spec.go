@@ -29,9 +29,9 @@ import (
 )
 
 // Duration is a time.Duration that marshals as a human-readable string
-// ("30s") and accepts both strings and nanosecond integers. Local to this
-// package so tenant does not import fleet (fleet imports tenant for the
-// mix sweep axis).
+// ("30s") and accepts both strings and nanosecond integers. It is the one
+// JSON duration of every spec: fleet.Duration names it too. It lives here
+// because fleet imports tenant (for the mix sweep axis), not the reverse.
 type Duration time.Duration
 
 // D converts back to time.Duration.
@@ -54,7 +54,7 @@ func (d *Duration) UnmarshalJSON(b []byte) error {
 		}
 		v, err := time.ParseDuration(s)
 		if err != nil {
-			return fmt.Errorf("tenant: bad duration %q: %v", s, err)
+			return fmt.Errorf("bad duration %q: %v", s, err)
 		}
 		*d = Duration(v)
 		return nil
